@@ -4,8 +4,8 @@ Acceptance works off the law of the fill T = total size accepted so far:
 an element of size s arriving with fill t is admitted via one of two
 Bernoulli branches, one for 0 < t <= 1-s and one for t = 0, with parameters
 chosen so the conditional acceptance probability is the planned c regardless
-of size.  The fill law is propagated exactly atom by atom, which makes the
-executor its own test oracle; a sampled-history mode estimates the branch
+of size.  The fill law is propagated exactly, all atoms at once, which makes
+the executor its own test oracle; a sampled-history mode estimates the branch
 probabilities from replica pools instead, as one would on instances too rich
 to enumerate.
 """
@@ -23,8 +23,9 @@ from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationErr
 from .instances import BACKWARD, FORWARD, KnapsackInstance, Permutation, SizeLaw
 from .sim import NS_POOL, run_trials, stream
 
-# Fill atoms closer than this merge (onto the earlier value); with sizes on a
-# common rational grid no merge ever triggers.
+# Law values closer than this merge onto the earlier value.  Sizes on a common
+# grid still trigger merges: float sums of the same grid points taken in
+# different orders differ in the last bits.
 ATOM_TOL = 1e-12
 RATE_TOL = 1e-10
 FEAS_TOL = 1e-9
@@ -143,48 +144,105 @@ def check_knapsack_feasible(plan: KnapsackPlan, inst: KnapsackInstance) -> Knaps
     return KnapsackFeasibilityReport(worst, tuple(monotone), zero_first)
 
 
-@dataclass(frozen=True)
-class FillDistribution:
-    """Exact finite law of the fill before one element's arrival.
+@dataclass(frozen=True, eq=False)
+class FiniteLaw:
+    """Exact finite law of a quantity in [0, 1]: sorted values, positive masses.
 
-    `element` counts how many elements have been folded in (0 for the law
-    before the first arrival); `tag` records the order it is conditioned on.
+    The knapsack executor propagates the fill before each arrival (`element`
+    counts the elements folded in, 0 before the first arrival); the rationing
+    executor propagates the remaining supply.  `tag` records the order the law
+    is conditioned on.  The arrays are read-only copies; `atoms` views the same
+    law as (value, probability) pairs.  Queries resolve boundaries at ATOM_TOL.
     """
 
-    atoms: tuple[tuple[float, float], ...]
+    values: np.ndarray
+    probs: np.ndarray
     element: int = 0
     tag: str = FORWARD
 
     def __post_init__(self):
-        atoms = tuple(sorted((float(t), float(p)) for t, p in self.atoms))
-        object.__setattr__(self, "atoms", atoms)
-        for t, p in atoms:
-            if not -ATOM_TOL <= t <= 1.0 + ATOM_TOL:
-                raise InvariantViolationError(f"fill atom {t} outside [0, 1]")
-            if p <= 0.0:
-                raise InvariantViolationError("fill atom probabilities must be positive")
+        for name in ("values", "probs"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        values, probs = self.values, self.probs
+        if self.tag not in (FORWARD, BACKWARD):
+            raise InvalidInstanceError(f"unknown order tag {self.tag!r}")
+        if values.ndim != 1 or values.shape != probs.shape or not values.size:
+            raise InvariantViolationError("a law needs equally long, nonempty values and probabilities")
+        if not np.all(np.diff(values) >= 0.0):
+            raise InvariantViolationError("law values must be sorted")
+        if not (values[0] >= -ATOM_TOL and values[-1] <= 1.0 + ATOM_TOL):
+            raise InvariantViolationError(f"law values [{values[0]}, {values[-1]}] outside [0, 1]")
+        if not np.all(probs > 0.0):
+            raise InvariantViolationError("law probabilities must be positive")
         if abs(self.mass - 1.0) > 1e-10:
-            raise InvariantViolationError(f"fill mass {self.mass} != 1")
+            raise InvariantViolationError(f"law mass {self.mass} != 1")
+
+    @classmethod
+    def merged(cls, values, probs, element: int = 0, tag: str = FORWARD) -> FiniteLaw:
+        """Sort, drop nonpositive masses and merge values within ATOM_TOL.
+
+        Walking up the sorted values, a value joins the current atom (keeping
+        the atom's earlier value) unless it lies more than ATOM_TOL above that
+        value.  Gaps wider than ATOM_TOL always start an atom; a run of closer
+        values that spans more than ATOM_TOL is split by that walk.
+        """
+        order = np.argsort(values, kind="stable")
+        values, probs = np.asarray(values)[order], np.asarray(probs)[order]
+        keep = probs > 0.0
+        values, probs = values[keep], probs[keep]
+        if not values.size:
+            raise InvariantViolationError("law lost all probability mass")
+        heads = np.flatnonzero(np.diff(values, prepend=-math.inf) > ATOM_TOL)
+        ends = np.append(heads[1:], values.size)
+        wide = values[ends - 1] - values[heads] > ATOM_TOL
+        if wide.any():
+            extra = []
+            for start, stop in zip(heads[wide], ends[wide]):
+                head = values[start]
+                for k in range(start + 1, stop):
+                    if values[k] - head > ATOM_TOL:
+                        head = values[k]
+                        extra.append(k)
+            heads = np.union1d(heads, extra)
+        return cls(values[heads], np.add.reduceat(probs, heads), element, tag)
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.values.tolist(), self.probs.tolist()))
+
+    @property
+    def support_size(self) -> int:
+        return self.values.size
 
     @cached_property
     def mass(self) -> float:
-        return math.fsum(p for _, p in self.atoms)
+        return math.fsum(self.probs.tolist())
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        return np.concatenate(([0.0], np.cumsum(self.probs)))
+
+    def rank(self, x):
+        """Number of atoms at or below x (scalar or array), resolved at ATOM_TOL."""
+        return np.searchsorted(self.values, np.add(x, ATOM_TOL), side="right")
 
     @cached_property
     def p_zero(self) -> float:
-        return math.fsum(p for t, p in self.atoms if t <= ATOM_TOL)
+        return float(self._cum[self.rank(0.0)])
 
-    def p_interval(self, lo: float, hi: float) -> float:
-        """Pr[lo < T <= hi], boundaries resolved at ATOM_TOL."""
-        return math.fsum(p for t, p in self.atoms if lo + ATOM_TOL < t <= hi + ATOM_TOL)
+    def p_interval(self, lo, hi):
+        """Pr[lo < T <= hi], boundaries resolved at ATOM_TOL; bounds may be arrays."""
+        return self._cum[self.rank(hi)] - self._cum[self.rank(lo)]
 
     @cached_property
     def expectation(self) -> float:
-        return math.fsum(t * p for t, p in self.atoms)
+        return float(self.values @ self.probs)
 
 
-def initial_fill(tag: str = FORWARD) -> FillDistribution:
-    return FillDistribution(((0.0, 1.0),), element=0, tag=tag)
+def initial_fill(tag: str = FORWARD) -> FiniteLaw:
+    return FiniteLaw([0.0], [1.0], element=0, tag=tag)
 
 
 class AcceptanceBranch(NamedTuple):
@@ -195,22 +253,9 @@ class AcceptanceBranch(NamedTuple):
     rate: float
 
 
-def _merge_atoms(acc: dict[float, float]) -> tuple[tuple[float, float], ...]:
-    """Sort and merge atoms closer than ATOM_TOL onto the earlier value."""
-    merged: list[tuple[float, float]] = []
-    for t, p in sorted(acc.items()):
-        if p <= 0.0:
-            continue
-        if merged and t - merged[-1][0] <= ATOM_TOL:
-            merged[-1] = (merged[-1][0], merged[-1][1] + p)
-        else:
-            merged.append((t, p))
-    return tuple(merged)
-
-
 def propagate_fill(
-    dist: FillDistribution, law: SizeLaw, c: float, ctx: str = ""
-) -> tuple[FillDistribution, dict[float, AcceptanceBranch]]:
+    dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = ""
+) -> tuple[FiniteLaw, dict[float, AcceptanceBranch]]:
     """Fold one element into the fill law; return the per-size bit schedule.
 
     For each size s: accept from fills in (0, 1-s] with probability
@@ -219,20 +264,18 @@ def propagate_fill(
     """
     if not 0.0 <= c <= 1.0:
         raise InvalidInstanceError(f"acceptance probability {c} outside [0, 1] {ctx}")
+    values, probs = dist.values, dist.probs
+    room = 1.0 - np.array([s for s, _ in law.atoms])
     p0 = dist.p_zero
+    p1s = dist.p_interval(0.0, room).tolist()
+    # The sorted fills split into the zero branch [0, zero_end), the interval
+    # branch [zero_end, fit_end) and the fills the size does not fit.
+    zero_end = int(dist.rank(0.0))
+    fit_ends = dist.rank(room).tolist()
     schedule: dict[float, AcceptanceBranch] = {}
-    acc: dict[float, float] = {}
-
-    def add(t: float, p: float) -> None:
-        if p > 0.0:
-            acc[t] = acc.get(t, 0.0) + p
-
-    if law.inactive_mass > 0.0:
-        for t, p in dist.atoms:
-            add(t, p * law.inactive_mass)
-
-    for s, ps in law.atoms:
-        p1 = dist.p_interval(0.0, 1.0 - s)
+    stay = probs * law.inactive_mass
+    shifted, moved = [], []
+    for (s, ps), p1, fit_end in zip(law.atoms, p1s, fit_ends):
         if c > p0 + p1 + FEAS_TOL:
             raise InfeasibleError(
                 f"acceptance {c} exceeds reachable probability {p0 + p1} "
@@ -243,26 +286,25 @@ def propagate_fill(
             b2 = min(1.0, (c - p1) / p0)
         else:
             b2 = 0.0
-        rate = b1 * p1 + b2 * p0
-        schedule[s] = AcceptanceBranch(b1, b2, rate)
+        schedule[s] = AcceptanceBranch(b1, b2, b1 * p1 + b2 * p0)
 
-        for t, p in dist.atoms:
-            mass = p * ps
-            if t <= ATOM_TOL:
-                # zero fill: branch 2
-                add(t, mass * (1.0 - b2))
-                add(min(t + s, 1.0), mass * b2)
-            elif t <= 1.0 - s + ATOM_TOL:
-                add(t, mass * (1.0 - b1))
-                add(min(t + s, 1.0), mass * b1)
-            else:
-                add(t, mass)
+        accept = np.zeros(values.size)
+        accept[:zero_end] = b2
+        accept[zero_end:fit_end] = b1
+        mass = probs * ps
+        stay = stay + mass * (1.0 - accept)
+        shifted.append(np.minimum(values[:fit_end] + s, 1.0))
+        moved.append(mass[:fit_end] * accept[:fit_end])
 
-    atoms = _merge_atoms(acc)
-    total = math.fsum(p for _, p in atoms)
-    if abs(total - 1.0) > 1e-12:
-        raise InvariantViolationError(f"fill mass drifted to {total} {ctx}")
-    return FillDistribution(atoms, element=dist.element + 1, tag=dist.tag), schedule
+    new = FiniteLaw.merged(
+        np.concatenate([values] + shifted),
+        np.concatenate([stay] + moved),
+        element=dist.element + 1,
+        tag=dist.tag,
+    )
+    if abs(new.mass - 1.0) > 1e-12:
+        raise InvariantViolationError(f"fill mass drifted to {new.mass} {ctx}")
+    return new, schedule
 
 
 @dataclass(frozen=True)
@@ -277,8 +319,8 @@ class KnapsackExactResult:
     rates_b: tuple[float, ...]
     schedules_f: tuple[dict, ...]
     schedules_b: tuple[dict, ...]
-    traces_f: tuple[FillDistribution, ...]  # n+1 laws, before each arrival and final
-    traces_b: tuple[FillDistribution, ...]
+    traces_f: tuple[FiniteLaw, ...]  # n+1 laws, before each arrival and final
+    traces_b: tuple[FiniteLaw, ...]
 
     def rates(self, tag: str) -> tuple[float, ...]:
         return self.rates_f if tag == FORWARD else self.rates_b
@@ -286,7 +328,7 @@ class KnapsackExactResult:
     def schedules(self, tag: str) -> tuple[dict, ...]:
         return self.schedules_f if tag == FORWARD else self.schedules_b
 
-    def traces(self, tag: str) -> tuple[FillDistribution, ...]:
+    def traces(self, tag: str) -> tuple[FiniteLaw, ...]:
         return self.traces_f if tag == FORWARD else self.traces_b
 
     @cached_property
@@ -298,11 +340,11 @@ class KnapsackExactResult:
         return tuple({s: br.rate for s, br in sched.items()} for sched in self.schedules_b)
 
     @property
-    def final_fill_f(self) -> FillDistribution:
+    def final_fill_f(self) -> FiniteLaw:
         return self.traces_f[-1]
 
     @property
-    def final_fill_b(self) -> FillDistribution:
+    def final_fill_b(self) -> FiniteLaw:
         return self.traces_b[-1]
 
     def max_rate_error(self, plan: KnapsackPlan) -> float:
@@ -326,7 +368,7 @@ def run_knapsack_exact(inst: KnapsackInstance, plan: KnapsackPlan) -> KnapsackEx
         )
     rates: dict[str, list[float]] = {}
     scheds: dict[str, list[dict]] = {}
-    traces: dict[str, list[FillDistribution]] = {}
+    traces: dict[str, list[FiniteLaw]] = {}
     for tag in (FORWARD, BACKWARD):
         dist = initial_fill(tag)
         trace = [dist]
@@ -374,30 +416,29 @@ class InvariantReport:
 
 
 def monitor_invariants(
-    dist: FillDistribution,
+    dist: FiniteLaw,
     c_first: float,
     b_grid,
     c_current: float | None = None,
 ) -> InvariantReport:
     """Check the induction inequalities at every b in the grid."""
-    violations = []
-    flagged = c_first <= 0.0
-    for b in b_grid:
-        if not 0.0 < b <= 0.5:
-            raise ValueError(f"b={b} outside (0, 1/2]")
-        low = dist.p_interval(0.0, b)
-        mid = dist.p_interval(b, 1.0 - b)
-        if c_first > 0.0:
-            lhs = low / c_first
-            rhs = math.exp(-mid / c_first)
-        else:
-            # nothing is ever accepted when the first element gets 0
-            lhs = low
-            rhs = 0.0
-        if lhs > rhs + FEAS_TOL:
-            violations.append((float(b), lhs, rhs))
+    b = np.asarray(b_grid, dtype=float)
+    outside = ~((b > 0.0) & (b <= 0.5))
+    if outside.any():
+        raise ValueError(f"b={b[outside][0]} outside (0, 1/2]")
+    low = dist.p_interval(0.0, b)
+    mid = dist.p_interval(b, 1.0 - b)
+    if c_first > 0.0:
+        lhs = low / c_first
+        rhs = np.exp(-mid / c_first)
+    else:
+        # nothing is ever accepted when the first element gets 0
+        lhs = low
+        rhs = np.zeros_like(low)
+    bad = np.flatnonzero(lhs > rhs + FEAS_TOL)
+    violations = tuple(zip(b[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
     zero_slack = None if c_current is None else dist.p_zero - c_current
-    return InvariantReport(tuple(violations), zero_slack, flagged)
+    return InvariantReport(violations, zero_slack, c_first <= 0.0)
 
 
 @dataclass(frozen=True)

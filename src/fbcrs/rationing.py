@@ -41,8 +41,8 @@ from .knapsack import (
     DEFAULT_POOL_SIZE,
     FEAS_TOL,
     RATE_TOL,
+    FiniteLaw,
     KnapsackPlan,
-    _merge_atoms,
     build_branch_tables,
     closed_form_knapsack_plan,
     run_knapsack_exact,
@@ -198,7 +198,11 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     """Largest common service level all agents can be promised at once.
 
     Capped by each agent's own achievable range, then bisected to 1e-9 on
-    the unit-supply constraint (total x is nondecreasing in beta).
+    the unit-supply constraint (total x is nondecreasing in beta).  The
+    bisection tests total x <= 1 with no tolerance, so the level it returns
+    passes every later supply check: exante_check and ServiceTarget allow
+    SUPPLY_TOL, and the knapsack reduction's total mean size, which equals
+    total x up to rounding, is held to MASS_TOL.
     """
     caps = []
     for law, stype in zip(inst.demands, inst.service):
@@ -211,56 +215,39 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     if upper <= 0.0:
         return 0.0
 
-    def total(b: float) -> float:
-        return math.fsum(
+    def fits(b: float) -> bool:
+        total = math.fsum(
             supply_x(law, solve_q_for_beta(law, stype, b))
             for law, stype in zip(inst.demands, inst.service)
         )
+        return total <= 1.0
 
-    if total(upper) <= 1.0 + SUPPLY_TOL:
+    if fits(upper):
         return upper
     lo, hi = 0.0, upper
     while hi - lo > 1e-9:
         mid = (lo + hi) / 2
-        if total(mid) <= 1.0 + SUPPLY_TOL:
+        if fits(mid):
             lo = mid
         else:
             hi = mid
     return lo
 
 
-@dataclass(frozen=True)
-class RemDistribution:
-    """Law of the remaining supply seen by one arrival under one order."""
+def _caps(law: DemandLaw, q: float, rem: FiniteLaw):
+    """Demand atoms below q against remaining-supply atoms.
 
-    atoms: tuple[tuple[float, float], ...]  # (value, prob), values ascending
-    tag: str = FORWARD
-
-    def __post_init__(self):
-        if self.tag not in (FORWARD, BACKWARD):
-            raise InvalidInstanceError(f"unknown order tag {self.tag!r}")
-        if not self.atoms:
-            raise InvalidInstanceError("a remaining-supply law needs at least one atom")
-        values = [v for v, _ in self.atoms]
-        if values != sorted(values):
-            raise InvalidInstanceError("atoms must be sorted by value")
-        if any(v < -1e-12 or v > 1.0 + 1e-12 for v in values):
-            raise InvalidInstanceError("remaining supply must lie in [0, 1]")
-        if any(p <= 0.0 for _, p in self.atoms):
-            raise InvalidInstanceError("atom probabilities must be positive")
-        if abs(math.fsum(p for _, p in self.atoms) - 1.0) > 1e-10:
-            raise InvariantViolationError("remaining-supply law lost probability mass")
-
-    @property
-    def support_size(self) -> int:
-        return len(self.atoms)
-
-    @cached_property
-    def expectation(self) -> float:
-        return math.fsum(v * p for v, p in self.atoms)
+    Returns the demand values as a column, the caps min(d, r) and their joint
+    weights Pr[D = d, Q < q] * Pr[R = r], one row per demand atom below q.
+    """
+    below, _ = _below_above(law, q)
+    rows = [(d, length) for (d, _), length in zip(law.atoms, below) if length > 0.0]
+    d = np.array([d for d, _ in rows]).reshape(-1, 1)
+    weight = np.array([length for _, length in rows]).reshape(-1, 1) * rem.probs
+    return d, np.minimum(d, rem.values), weight
 
 
-def calibrate_tau(law: DemandLaw, q: float, rem: RemDistribution, target: float) -> float:
+def calibrate_tau(law: DemandLaw, q: float, rem: FiniteLaw, target: float) -> float:
     """Threshold tau with E[min(D, R, tau); Q < q] = target, exactly.
 
     The expectation is concave piecewise linear in tau with breakpoints at
@@ -270,31 +257,26 @@ def calibrate_tau(law: DemandLaw, q: float, rem: RemDistribution, target: float)
     """
     if target <= 0.0:
         return 0.0
-    below, _ = _below_above(law, q)
-    caps: dict[float, float] = {}
-    for (d, _), length in zip(law.atoms, below):
-        if length <= 0.0:
-            continue
-        for r, pr in rem.atoms:
-            a = min(d, r)
-            if a > 0.0:
-                caps[a] = caps.get(a, 0.0) + pr * length
-    reachable = math.fsum(a * w for a, w in caps.items())
+    _, caps, weight = _caps(law, q, rem)
+    positive = caps > 0.0
+    caps, weight = caps[positive], weight[positive]
+    order = np.argsort(caps, kind="stable")
+    caps, weight = caps[order], weight[order]
+    reachable = float(caps @ weight)
     if target > reachable + CALIBRATION_TOL:
         raise InvariantViolationError(
             f"calibration target {target:.12g} exceeds the reachable allocation {reachable:.12g}"
         )
-    below_sum = 0.0  # sum of w * a over caps already passed
-    at_or_above = math.fsum(caps.values())
-    last = 0.0
-    for a in sorted(caps):
-        if below_sum + a * at_or_above >= target - 1e-15:
-            return min((target - below_sum) / at_or_above, 1.0)
-        w = caps[a]
-        below_sum += a * w
-        at_or_above -= w
-        last = a
-    return min(last, 1.0)
+    if not caps.size:
+        return 0.0
+    # E[min(cap, tau)] at tau = caps[j]: full caps below j, tau above.
+    below_sum = np.concatenate(([0.0], np.cumsum(caps * weight)[:-1]))
+    at_or_above = np.cumsum(weight[::-1])[::-1]
+    hit = np.flatnonzero(below_sum + caps * at_or_above >= target - 1e-15)
+    if not hit.size:
+        return min(float(caps[-1]), 1.0)
+    j = hit[0]
+    return min(float((target - below_sum[j]) / at_or_above[j]), 1.0)
 
 
 @dataclass(frozen=True)
@@ -305,16 +287,14 @@ class _OrderTables:
     alloc: tuple[float, ...]  # E[Y_i | order]
     service: tuple[float, ...]  # E[s_i | order]
     rem_slack: float  # worst margin of the supply invariant across arrivals
-    final_rem: RemDistribution
+    final_rem: FiniteLaw
 
 
-def _resample_rem(rem: dict[float, float], rng) -> dict[float, float]:
+def _resample_rem(rem: FiniteLaw, rng) -> FiniteLaw:
     """Collapse an oversized remaining-supply law to a sampled empirical one."""
-    values = np.array(sorted(rem))
-    probs = np.array([rem[v] for v in values])
-    draws = rng.choice(values, size=REM_SAMPLES, p=probs / probs.sum())
+    draws = rng.choice(rem.values, size=REM_SAMPLES, p=rem.probs / rem.probs.sum())
     unique, counts = np.unique(draws, return_counts=True)
-    return dict(_merge_atoms({float(v): c / REM_SAMPLES for v, c in zip(unique, counts)}))
+    return FiniteLaw.merged(unique, counts / REM_SAMPLES, tag=rem.tag)
 
 
 def _exact_order(
@@ -334,20 +314,14 @@ def _exact_order(
     taus = [0.0] * n
     alloc = [0.0] * n
     service = [0.0] * n
-    rem: dict[float, float] = {1.0: 1.0}
+    rem = FiniteLaw([1.0], [1.0], tag=tag)
     consumed = 0.0
     slack = math.inf
     for i in Permutation(tag, n).order():
         law, stype = inst.demands[i], inst.service[i]
         q, x, b = target.q[i], target.x[i], target.beta[i]
-        below, above = _below_above(law, q)
-        dist = RemDistribution(tuple(sorted(rem.items())), tag)
-        reachable = math.fsum(
-            pr * length * min(d, r)
-            for (d, _), length in zip(law.atoms, below)
-            if length > 0.0
-            for r, pr in dist.atoms
-        )
+        d, caps, weight = _caps(law, q, rem)
+        reachable = float(np.sum(weight * caps))
         floor = (1.0 - consumed) * x
         slack = min(slack, reachable - floor)
         if reachable < floor - CALIBRATION_TOL:
@@ -355,51 +329,34 @@ def _exact_order(
                 f"supply invariant broken before agent {i} ({tag}): "
                 f"reachable {reachable:.12g} < floor {floor:.12g}"
             )
-        tau = calibrate_tau(law, q, dist, rates[i] * x)
+        tau = calibrate_tau(law, q, rem, rates[i] * x)
         taus[i] = tau
-        alloc[i] = math.fsum(
-            pr * length * min(d, r, tau)
-            for (d, _), length in zip(law.atoms, below)
-            if length > 0.0
-            for r, pr in dist.atoms
-        )
+        y = np.minimum(caps, tau)
+        alloc[i] = float(np.sum(weight * y))
         if abs(alloc[i] - rates[i] * x) > CALIBRATION_TOL:
             raise InvariantViolationError(
                 f"calibrated allocation {alloc[i]:.12g} misses {rates[i] * x:.12g} for agent {i}"
             )
-        terms = []
-        for (d, _), length, tail in zip(law.atoms, below, above):
-            if length > 0.0:
-                for r, pr in dist.atoms:
-                    terms.append(pr * length * service_value(stype, min(d, r, tau), d, law.mean))
-            if tail > 0.0:
-                terms.append(tail * service_value(stype, 0.0, d, law.mean))
-        service[i] = math.fsum(terms)
+        _, above = _below_above(law, q)
+        unserved = math.fsum(
+            tail * service_value(stype, 0.0, dv, law.mean)
+            for (dv, _), tail in zip(law.atoms, above)
+            if tail > 0.0
+        )
+        service[i] = float(np.sum(weight * _service_array(stype, y, d, law.mean))) + unserved
         if service[i] < rates[i] * b - CALIBRATION_TOL:
             raise InvariantViolationError(
                 f"conditional service {service[i]:.12g} below rate * beta for agent {i}"
             )
-        new: dict[float, float] = {}
-        for r, pr in dist.atoms:
-            stay = pr * (1.0 - q)
-            if stay > 0.0:
-                new[r] = new.get(r, 0.0) + stay
-            for (d, _), length in zip(law.atoms, below):
-                if length <= 0.0:
-                    continue
-                v = r - min(d, r, tau)
-                new[v] = new.get(v, 0.0) + pr * length
-        rem = dict(_merge_atoms(new))
-        if len(rem) > REM_ATOM_CAP:
+        rem = FiniteLaw.merged(
+            np.concatenate((rem.values, (rem.values - y).ravel())),
+            np.concatenate((rem.probs * (1.0 - q), weight.ravel())),
+            tag=tag,
+        )
+        if rem.support_size > REM_ATOM_CAP:
             rem = _resample_rem(rem, rng)
         consumed += rates[i] * x
-    return _OrderTables(
-        tuple(taus),
-        tuple(alloc),
-        tuple(service),
-        slack,
-        RemDistribution(tuple(sorted(rem.items())), tag),
-    )
+    return _OrderTables(tuple(taus), tuple(alloc), tuple(service), slack, rem)
 
 
 @dataclass(frozen=True)

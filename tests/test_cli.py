@@ -4,11 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import fbcrs
 from fbcrs import cli
 from fbcrs.errors import InvariantViolationError, SolverError
 from fbcrs.instances import (
@@ -74,6 +79,16 @@ def _rows(out):
 
 
 # --- constants ---------------------------------------------------------------
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency: importing scipy.optimize adds about
+    # 46 MB of resident memory and 0.6 s to every cold start.
+    src = str(Path(fbcrs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, fbcrs, fbcrs.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_constants_values_and_schema(capsys):
@@ -216,6 +231,31 @@ def test_ration_knapsack_route_empty_taus(type_i_path, capsys):
     rows = _rows(capsys.readouterr().out)
     for row in rows[1:]:
         assert row[6] == "" and row[7] == ""
+        assert float(row[10]) >= -1e-9
+
+
+def test_ration_auto_at_the_supply_limit_knapsack_route(tmp_path, capsys):
+    # At max_uniform_beta the supply shares of this instance sum to within
+    # 1e-9 of 1.  The knapsack reduction holds their total mean size to
+    # MASS_TOL, so "auto" must not overshoot by the larger SUPPLY_TOL (a
+    # bisection that allowed it lands at 1 + 9.5e-11 here).
+    inst = RationingInstance(
+        (
+            DemandLaw(((0.02, 0.514537382679684), (0.75, 0.48546261732031604))),
+            DemandLaw(
+                ((0.02, 0.45132688735098053), (0.4, 0.44452956877267186), (0.85, 0.10414354387634761))
+            ),
+            DemandLaw(((0.26, 0.5991123164339894), (0.69, 0.40088768356601057))),
+        ),
+        ("TypeII", "TypeI", "TypeII"),
+    )
+    path = _write(tmp_path, "limit.json", inst)
+    assert cli.main(["ration", "--instance", path]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
+    assert math.fsum(float(r[3]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-8)
+    for row in rows[1:]:
+        assert row[6] == "" and row[7] == ""  # knapsack route: no thresholds
         assert float(row[10]) >= -1e-9
 
 

@@ -17,7 +17,8 @@ from fbcrs.instances import (
     knapsack_hardness_instance,
 )
 from fbcrs.knapsack import (
-    FillDistribution,
+    ATOM_TOL,
+    FiniteLaw,
     KnapsackPlan,
     build_branch_tables,
     check_knapsack_feasible,
@@ -89,7 +90,7 @@ def test_feasibility_checker_flags_zero_first():
 def test_propagate_fill_hand_example():
     # fill {0: 0.85, 0.4: 0.15}, deterministic size 0.5, c = 0.2:
     # P1 = 0.15 forces b1 = 1, then b2 = (0.2 - 0.15)/0.85 = 1/17
-    dist = FillDistribution(((0.0, 0.85), (0.4, 0.15)))
+    dist = FiniteLaw([0.0, 0.4], [0.85, 0.15])
     law = SizeLaw(((0.5, 1.0),))
     out, schedule = propagate_fill(dist, law, 0.2)
     branch = schedule[0.5]
@@ -103,7 +104,7 @@ def test_propagate_fill_hand_example():
 
 
 def test_propagate_fill_rejects_unreachable_acceptance():
-    dist = FillDistribution(((0.6, 1.0),))
+    dist = FiniteLaw([0.6], [1.0])
     law = SizeLaw(((0.5, 1.0),))
     with pytest.raises(InfeasibleError):
         propagate_fill(dist, law, 0.1)
@@ -115,10 +116,92 @@ def test_propagate_fill_rejects_bad_probability():
 
 
 def test_fill_distribution_validation():
+    # the fill law before each arrival is a FiniteLaw counted by element
+    fill = FiniteLaw([0.0, 0.4], [0.85, 0.15], element=3)
+    assert fill.element == 3 and fill.tag == FORWARD
     with pytest.raises(InvariantViolationError):
-        FillDistribution(((0.0, 0.5),))  # mass 0.5
+        FiniteLaw([0.0], [0.5], element=1)  # mass 0.5
     with pytest.raises(InvariantViolationError):
-        FillDistribution(((1.5, 1.0),))  # fill above 1
+        FiniteLaw([1.5], [1.0], element=1)  # fill above 1
+
+
+def test_finite_law_validation():
+    law = FiniteLaw([0.0, 1.0], [0.25, 0.75], tag=BACKWARD)
+    assert law.atoms == ((0.0, 0.25), (1.0, 0.75))
+    assert law.expectation == pytest.approx(0.75, abs=1e-15)
+    assert law.support_size == 2 and law.tag == BACKWARD
+    with pytest.raises(ValueError):
+        law.values[0] = 0.5  # the arrays are read-only
+    for values, probs in (
+        ([0.0], [0.5]),  # mass 0.5
+        ([1.5], [1.0]),  # value above 1
+        ([-0.1, 0.5], [0.5, 0.5]),  # value below 0
+        ([0.5, 0.2], [0.5, 0.5]),  # unsorted
+        ([0.2, 0.5], [1.0, 0.0]),  # zero probability
+        ([], []),
+    ):
+        with pytest.raises(InvariantViolationError):
+            FiniteLaw(values, probs)
+    with pytest.raises(InvalidInstanceError):
+        FiniteLaw([0.0], [1.0], tag="sideways")
+
+
+def test_finite_law_queries():
+    law = FiniteLaw([0.0, 0.25, 0.5, 1.0], [0.1, 0.2, 0.3, 0.4])
+    assert law.p_zero == pytest.approx(0.1, abs=1e-15)
+    # boundaries resolve at ATOM_TOL: a value within it of a bound counts as on it
+    assert law.p_interval(0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert law.p_interval(0.25 - ATOM_TOL / 2, 0.5 - ATOM_TOL / 2) == pytest.approx(0.3, abs=1e-15)
+    got = law.p_interval(np.array([0.0, 0.25]), np.array([1.0, 0.75]))
+    assert got == pytest.approx([0.9, 0.3], abs=1e-15)
+
+
+def _sequential_merge(pairs):
+    """Dict accumulation, then a sorted walk merging onto the earlier value."""
+    acc = {}
+    for t, p in pairs:
+        acc[t] = acc.get(t, 0.0) + p
+    merged = []
+    for t, p in sorted(acc.items()):
+        if p <= 0.0:
+            continue
+        if merged and t - merged[-1][0] <= ATOM_TOL:
+            merged[-1] = (merged[-1][0], merged[-1][1] + p)
+        else:
+            merged.append((t, p))
+    return merged
+
+
+def test_merge_folds_ulp_neighbours_onto_the_earlier_value():
+    assert 0.1 + 0.2 != 0.3 and abs((0.1 + 0.2) - 0.3) < ATOM_TOL
+    law = FiniteLaw.merged(np.array([0.1 + 0.2, 0.7, 0.3]), np.array([0.25, 0.5, 0.25]))
+    assert law.atoms == ((0.3, 0.5), (0.7, 0.5))  # 0.3 sorts first and keeps the mass
+    # zero masses drop out before merging
+    law = FiniteLaw.merged(np.array([0.9, 0.4]), np.array([0.0, 1.0]))
+    assert law.atoms == ((0.4, 1.0),)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # steps of 0.6 ATOM_TOL: the third value is 1.2 ATOM_TOL above the
+        # head, so the walk starts a new atom there although no single gap
+        # exceeds ATOM_TOL
+        [0.5 + k * 0.6 * ATOM_TOL for k in range(7)],
+        [0.5 + k * 0.4 * ATOM_TOL for k in (0, 1, 2, 2, 3, 7, 8, 30, 31)],
+        [0.0, 0.3 * ATOM_TOL, 0.2, 0.2 + 0.9 * ATOM_TOL, 0.2 + 1.8 * ATOM_TOL, 1.0],
+    ],
+)
+def test_merge_matches_sequential_walk_on_chains(values):
+    rng = np.random.default_rng(len(values))
+    probs = rng.uniform(0.5, 1.0, len(values))
+    probs = probs / probs.sum()
+    perm = rng.permutation(len(values))
+    pairs = [(values[k], float(probs[k])) for k in perm]
+    want = _sequential_merge(pairs)
+    law = FiniteLaw.merged(np.array([t for t, _ in pairs]), np.array([p for _, p in pairs]))
+    assert [t for t, _ in law.atoms] == [t for t, _ in want]
+    assert [p for _, p in law.atoms] == pytest.approx([p for _, p in want], abs=1e-15)
 
 
 def test_exact_run_fifty_uniform_elements():
@@ -137,14 +220,14 @@ def test_exact_run_fifty_uniform_elements():
 def test_monitor_catches_bad_distribution():
     # all mass at 0.3 with tiny first-element acceptance: the survival
     # inequality fails at b = 0.3
-    dist = FillDistribution(((0.3, 1.0),))
+    dist = FiniteLaw([0.3], [1.0])
     report = monitor_invariants(dist, 0.1, (0.3,))
     assert not report.ok()
     assert report.violations
 
 
 def test_monitor_zero_slack():
-    dist = FillDistribution(((0.0, 0.4), (0.5, 0.6)))
+    dist = FiniteLaw([0.0, 0.5], [0.4, 0.6])
     report = monitor_invariants(dist, 0.3, (0.25,), c_current=0.5)
     assert report.zero_slack == pytest.approx(-0.1, abs=1e-15)
     assert not report.ok()
@@ -175,12 +258,32 @@ LAW_LIBRARY = (
 )
 
 
+def _grid_instance(rng, n):
+    """3 or 4 size atoms per element, one from each stratum of a 1/1000 grid
+    on (0, 1]; total mean size 1.  Float sums of grid sizes collide up to
+    the last bits, so fill propagation merges atoms at almost every step."""
+    laws = []
+    for i in range(n):
+        k = 3 + i % 2
+        edges = [round(j * 1000 / k) for j in range(k + 1)]
+        sizes = [int(rng.integers(edges[j] + 1, edges[j + 1] + 1)) / 1000.0 for j in range(k)]
+        w = rng.uniform(0.5, 1.0, k)
+        w = w / w.sum()
+        active = 1.0 / (n * float(np.dot(sizes, w)))
+        probs = [active * float(p) for p in w]
+        laws.append(SizeLaw(tuple(zip(sizes, probs)), 1.0 - math.fsum(probs)))
+    return KnapsackInstance(tuple(laws))
+
+
 def _oracle_family():
     for n in (1, 2, 3):
         for combo in product(range(len(LAW_LIBRARY)), repeat=n):
             laws = tuple(LAW_LIBRARY[k] for k in combo)
             if math.fsum(law.mean for law in laws) <= 1.0:
                 yield KnapsackInstance(laws)
+    rng = np.random.default_rng(2025)
+    for n in (16, 20, 24, 28):
+        yield _grid_instance(rng, n)
 
 
 def test_exact_run_matches_path_enumeration():

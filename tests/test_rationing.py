@@ -4,19 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fbcrs.errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
 from fbcrs.instances import (
+    BACKWARD,
     DemandLaw,
     RationingInstance,
     ServiceType,
     SingleUnitInstance,
     inverse_cdf,
 )
-from fbcrs.knapsack import KnapsackPlan, closed_form_knapsack_plan
+from fbcrs.knapsack import FiniteLaw, KnapsackPlan, closed_form_knapsack_plan
 from fbcrs.lp_si import SelectionPlan, alpha_0, solve_lp_si
 from fbcrs.rationing import (
-    RemDistribution,
     ServiceTarget,
     calibrate_tau,
     exante_check,
@@ -119,21 +121,61 @@ def test_max_uniform_beta():
     assert max_uniform_beta(solo) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_rem_distribution_validation():
+    # the remaining-supply law is a FiniteLaw tagged with its order
+    rem = FiniteLaw([0.0, 1.0], [0.25, 0.75], tag=BACKWARD)
+    assert rem.expectation == pytest.approx(0.75)
+    assert rem.support_size == 2 and rem.tag == BACKWARD
+    with pytest.raises(InvariantViolationError):
+        FiniteLaw([1.5], [1.0])  # supply above 1
+    with pytest.raises(InvariantViolationError):
+        FiniteLaw([0.5], [0.7])  # lost probability mass
+    with pytest.raises(InvalidInstanceError):
+        FiniteLaw([0.5], [1.0], tag="sideways")
+
+
+@st.composite
+def _grid_rationing_instance(draw, route):
+    """2-5 agents, 1-3 demand atoms each on a 1/100 grid up to about 3/n;
+    on the knapsack route one agent is Type-I."""
+    n = draw(st.integers(2, 5))
+    top = max(3, round(300 / n))
+    demands = []
+    for _ in range(n):
+        k = draw(st.integers(1, 3))
+        grid = draw(st.lists(st.integers(1, top), min_size=k, max_size=k, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        probs = [w / sum(weights) for w in weights[:-1]]
+        probs.append(1.0 - math.fsum(probs))
+        demands.append(DemandLaw(tuple(zip((g / 100.0 for g in grid), probs))))
+    service = draw(st.lists(st.sampled_from(("TypeII", "TypeIII")), min_size=n, max_size=n))
+    if route == "knapsack":
+        service[draw(st.integers(0, n - 1))] = "TypeI"
+    return RationingInstance(tuple(demands), tuple(service))
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), route=st.sampled_from(("single-unit", "knapsack")))
+def test_max_uniform_beta_is_certifiable_on_both_routes(data, route):
+    # the level `ration --beta auto` promises must pass every later check
+    inst = data.draw(_grid_rationing_instance(route))
+    beta = max_uniform_beta(inst)
+    assume(beta > 0.0)
+    target = exante_check(inst, (beta,) * inst.n)
+    assert target is not None
+    assert target.total_supply <= 1.0
+    if route == "knapsack":
+        assert knapsack_reduction(inst, target).instance.total_mu <= 1.0 + 1e-12
+    result = run_rationing(inst, target, mode="exact", seed=0)
+    assert result.route == route
+    assert result.guarantee_ok(), result.min_slack
+
+
 # --- threshold calibration ------------------------------------------------------
 
 
-def test_rem_distribution_validation():
-    rem = RemDistribution(((0.0, 0.25), (1.0, 0.75)), "forward")
-    assert rem.expectation == pytest.approx(0.75)
-    assert rem.support_size == 2
-    with pytest.raises(InvalidInstanceError):
-        RemDistribution(((1.5, 1.0),), "forward")
-    with pytest.raises(InvariantViolationError):
-        RemDistribution(((0.5, 0.7),), "forward")  # lost probability mass
-
-
 def test_calibrate_tau_examples():
-    rem = RemDistribution(((1.0, 1.0),), "forward")
+    rem = FiniteLaw([1.0], [1.0])
     # full supply and tau = 1 reproduce the ex-ante x
     assert calibrate_tau(MIXED, 0.7, rem, 0.45) == pytest.approx(1.0)
     # kink: 0.7 tau below 0.5, then 0.25 + 0.2 tau
@@ -143,14 +185,14 @@ def test_calibrate_tau_examples():
 
 
 def test_calibrate_tau_unreachable_target():
-    rem = RemDistribution(((0.25, 1.0),), "forward")
+    rem = FiniteLaw([0.25], [1.0])
     # caps: min(0.5, 0.25) * 0.5 + min(2, 0.25) * 0.2 = 0.175 max
     with pytest.raises(InvariantViolationError):
         calibrate_tau(MIXED, 0.7, rem, 0.2)
 
 
 def test_calibrate_tau_mixed_rem():
-    rem = RemDistribution(((0.0, 0.5), (1.0, 0.5)), "forward")
+    rem = FiniteLaw([0.0, 1.0], [0.5, 0.5])
     # only the rem = 1 branch contributes: weights halve
     assert calibrate_tau(MIXED, 0.7, rem, 0.225) == pytest.approx(1.0)
 
