@@ -261,14 +261,15 @@ def draw_quantile_demand(law: DemandLaw, rng) -> tuple[float, float]:
 def split_element(inst: SingleUnitInstance, k: int) -> SingleUnitInstance:
     """Replace element k (1-based) by two elements of half its mass.
 
-    Halving is exact in binary floating point, so the total mass is preserved
-    exactly.
+    Halving is exact in binary floating point except below the smallest
+    normal double, so the second half is x - x/2: the total mass is preserved
+    exactly either way.
     """
     if not 1 <= k <= inst.n:
         raise InvalidInstanceError(f"split index {k} outside 1..{inst.n}")
     i = k - 1
     half = inst.x[i] / 2.0
-    return SingleUnitInstance(inst.x[:i] + (half, half) + inst.x[i + 1 :])
+    return SingleUnitInstance(inst.x[:i] + (half, inst.x[i] - half) + inst.x[i + 1 :])
 
 
 def knapsack_hardness_instance(n: int) -> tuple[KnapsackInstance, SingleUnitInstance]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
 from .instances import BACKWARD, FORWARD, KnapsackInstance, Permutation, SizeLaw
-from .sim import NS_POOL, run_trials, stream
+from .sim import NS_POOL, run_trials, slice_index, stream, two_orders
 
 # Law values closer than this merge onto the earlier value.  Sizes on a common
 # grid still trigger merges: float sums of the same grid points taken in
@@ -487,11 +487,52 @@ def monitor_trace(
     return MonitorTraceReport(tuple(reports), worst_exp)
 
 
-def _atom_arrays(law: SizeLaw):
-    """Sizes, cumulative probabilities (active atoms first, inactive last)."""
-    sizes = np.array([s for s, _ in law.atoms])
-    probs = np.array([p for _, p in law.atoms])
-    return sizes, np.cumsum(probs)
+class Admission(NamedTuple):
+    """The knapsack admission rule for one element, as per-slice tables.
+
+    One uniform u per arrival does all the drawing.  [0, 1) is cut into
+    slices, one per size atom plus any inactive stretch, and slice
+    k = slice_index(u, edges) names the atom.  Rescaled within its slice, u is
+    again uniform and independent of the atom, so it also decides acceptance.
+    The fill picks the branch: state 0 for an empty knapsack (zero branch
+    b2), 1 when the size fits (interval branch b1), 2 when it does not (never
+    admitted); the row is admitted when u < lo_k + width_k * b.
+    """
+
+    edges: tuple[float, ...]  # slice k covers [edges[k-1], edges[k])
+    room: np.ndarray  # per slice, 1 - size + ATOM_TOL: larger fills do not fit
+    thresholds: np.ndarray  # per slice and state, row-major: lo + width * (b2, b1, 0)
+    gains: np.ndarray  # per outcome code 2k + admitted: the size added to the fill
+
+    @classmethod
+    def build(cls, upper, sizes, b1, b2) -> Admission:
+        """Slices end at `upper` (the last runs on to 1); inactive slices have
+        size 0 and b1 = b2 = 0.  Tables are a handful of entries, so plain
+        float lists build them faster than array operations."""
+        upper = [float(v) for v in upper]
+        lo = [0.0] + upper[:-1]
+        thresholds = [t for a, z, p, q in zip(lo, upper, b2, b1) for t in (a + (z - a) * p, a + (z - a) * q, a)]
+        gains = np.array([g for size in sizes for g in (0.0, size)], dtype=float)
+        return cls(tuple(upper[:-1]), 1.0 - gains[1::2] + ATOM_TOL, np.array(thresholds), gains)
+
+    @classmethod
+    def of_law(cls, law: SizeLaw, b1, b2) -> Admission:
+        """Slices of a size law: its atoms in order, then the inactive mass."""
+        inactive = [0.0] if law.inactive_mass > 0.0 else []  # size and branches of that slice
+        upper = np.cumsum([p for _, p in law.atoms]).tolist() + [1.0] * len(inactive)
+        return cls.build(upper, [s for s, _ in law.atoms] + inactive, list(b1) + inactive, list(b2) + inactive)
+
+    def admit(self, u: np.ndarray, fill: np.ndarray) -> np.ndarray:
+        """Admit rows with uniforms u against fills, adding admitted sizes to
+        fill in place.  Returns the outcome code 2 * slice + admitted."""
+        k = slice_index(u, self.edges)
+        branch = 3 * k  # in place from here on: mixed-type temporaries are slow
+        branch += fill > 0.0
+        branch += fill > self.room.take(k)
+        code = k + k
+        code += u < self.thresholds.take(branch)
+        fill += self.gains.take(code)
+        return code
 
 
 def build_branch_tables(
@@ -517,27 +558,15 @@ def build_branch_tables(
         for i in Permutation(tag, inst.n).order():
             law = inst.laws[i]
             c = planned[i]
-            sizes, cum = _atom_arrays(law)
-            p0 = float(np.mean(fills == 0.0))
-            p1 = np.array([float(np.mean((fills > 0.0) & (fills <= 1.0 - s + ATOM_TOL))) for s in sizes])
-            b1 = np.where(p1 > 0.0, np.minimum(1.0, c / np.where(p1 > 0.0, p1, 1.0)), 0.0)
-            b2 = np.where(
-                (c > p1) & (p0 > 0.0),
-                np.minimum(1.0, (c - p1) / (p0 if p0 > 0.0 else 1.0)),
-                0.0,
-            )
-            per_element[i] = (sizes, b1, b2)
-
-            draw = rng.random(pool_size)
-            idx = np.searchsorted(cum, draw, side="right")
-            active = idx < len(sizes)
-            s_row = np.where(active, sizes[np.minimum(idx, len(sizes) - 1)], 0.0)
-            u = rng.random(pool_size)
-            zero = fills == 0.0
-            fits = fills <= 1.0 - s_row + ATOM_TOL
-            take1 = active & ~zero & fits & (u < b1[np.minimum(idx, len(sizes) - 1)])
-            take2 = active & zero & (u < b2[np.minimum(idx, len(sizes) - 1)])
-            fills = fills + np.where(take1 | take2, s_row, 0.0)
+            zero = np.count_nonzero(fills == 0.0)
+            p0 = zero / pool_size
+            b1, b2 = [], []
+            for s, _ in law.atoms:  # fills are >= 0: Pr[0 < T <= 1-s] by counts
+                p1 = (np.count_nonzero(fills <= 1.0 - s + ATOM_TOL) - zero) / pool_size
+                b1.append(min(1.0, c / p1) if p1 > 0.0 else 0.0)
+                b2.append(min(1.0, (c - p1) / p0) if c > p1 and p0 > 0.0 else 0.0)
+            per_element[i] = (np.array([s for s, _ in law.atoms]), np.array(b1), np.array(b2))
+            Admission.of_law(law, b1, b2).admit(rng.random(pool_size), fills)
         tables[tag] = per_element
     return tables
 
@@ -562,39 +591,22 @@ def run_knapsack_mc(
     if not report.ok():
         raise InfeasibleError(f"plan violates the feasibility constraints by {report.max_violation}")
     tables = build_branch_tables(inst, plan, seed, pool_size)
-    n = inst.n
-    law_arrays = {i: _atom_arrays(inst.laws[i]) for i in range(n)}
-    orders = {tag: Permutation(tag, n).order() for tag in (FORWARD, BACKWARD)}
+    rules = {
+        tag: [Admission.of_law(law, b1, b2) for law, (_, b1, b2) in zip(inst.laws, tables[tag])]
+        for tag in (FORWARD, BACKWARD)
+    }
 
     def experiment(rng, m: int):
-        forward_rows = rng.random(m) < 0.5
+        fills = np.zeros(m)
         out = {}
-        for tag in (FORWARD, BACKWARD):
-            rows = int(forward_rows.sum()) if tag == FORWARD else int(m - forward_rows.sum())
-            fills = np.zeros(rows)
-            succ = np.zeros(n)
-            cnt = np.zeros(n, dtype=np.int64)
-            for i in orders[tag]:
-                sizes, cum = law_arrays[i]
-                _, b1, b2 = tables[tag][i]
-                draw = rng.random(rows)
-                idx = np.searchsorted(cum, draw, side="right")
-                active = idx < len(sizes)
-                safe_idx = np.minimum(idx, len(sizes) - 1)
-                s_row = np.where(active, sizes[safe_idx], 0.0)
-                u = rng.random(rows)
-                zero = fills == 0.0
-                fits = fills <= 1.0 - s_row + ATOM_TOL
-                take = active & (
-                    (~zero & fits & (u < b1[safe_idx])) | (zero & (u < b2[safe_idx]))
-                )
-                fills = fills + np.where(take, s_row, 0.0)
-                succ[i] = float(take.sum())
-                cnt[i] = int(active.sum())
-            if fills.size and fills.max() > 1.0 + FEAS_TOL:
-                raise InvariantViolationError("accepted sizes exceeded the knapsack")
-            for i in range(n):
-                out[(tag[0], i)] = (succ[i], int(cnt[i]))
+        for u, halves in two_orders(rng, m, inst.n):
+            for tag, rows, i in halves:
+                code = rules[tag][i].admit(u[rows], fills[rows])
+                active = 2 * len(inst.laws[i].atoms)  # codes of the atoms' slices
+                counts = np.bincount(code, minlength=active)
+                out[(tag[0], i)] = (float(counts[1::2].sum()), int(counts[:active].sum()))
+        if m and fills.max() > 1.0 + FEAS_TOL:
+            raise InvariantViolationError("accepted sizes exceeded the knapsack")
         return out
 
     return run_trials(experiment, trials, seed, workers=workers, confidence=confidence)

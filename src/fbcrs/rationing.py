@@ -27,6 +27,7 @@ from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationErr
 from .instances import (
     BACKWARD,
     FORWARD,
+    MASS_TOL,
     DemandLaw,
     KnapsackInstance,
     Permutation,
@@ -34,13 +35,12 @@ from .instances import (
     ServiceType,
     SingleUnitInstance,
     SizeLaw,
-    inverse_cdf,
 )
 from .knapsack import (
-    ATOM_TOL,
     DEFAULT_POOL_SIZE,
     FEAS_TOL,
     RATE_TOL,
+    Admission,
     FiniteLaw,
     KnapsackPlan,
     build_branch_tables,
@@ -48,7 +48,7 @@ from .knapsack import (
     run_knapsack_exact,
 )
 from .lp_si import SelectionPlan, solve_lp_si
-from .sim import MeanEstimate, run_trials, stream
+from .sim import MeanEstimate, run_trials, slice_index, stream, two_orders
 
 SUPPLY_TOL = 1e-10
 CALIBRATION_TOL = 1e-9
@@ -97,9 +97,17 @@ def _below_above(law: DemandLaw, q: float) -> tuple[tuple[float, ...], tuple[flo
 
 
 def supply_x(law: DemandLaw, q: float) -> float:
-    """Supply share bought by activation quantile q: integral of min(F^-1, 1)."""
+    """Supply share bought by activation quantile q: integral of min(F^-1, 1).
+
+    Demands of 1 or more all buy size 1, so their quantile lengths are summed
+    first, in atom order, exactly as the knapsack reduction merges them: x
+    then equals the mean of the reduction's size law to the last bit.
+    """
     below, _ = _below_above(law, q)
-    return math.fsum(length * min(d, 1.0) for (d, _), length in zip(law.atoms, below))
+    capped = 0.0
+    for (d, _), length in zip(law.atoms, below):
+        capped += length if d >= 1.0 else 0.0
+    return math.fsum([length * d for (d, _), length in zip(law.atoms, below) if d < 1.0] + [capped])
 
 
 def _service_density(stype: ServiceType, d: float, mean: float) -> float:
@@ -158,7 +166,7 @@ class ServiceTarget:
         for name, values in (("beta", self.beta), ("q", self.q), ("x", self.x)):
             if any(not 0.0 <= v <= 1.0 + SUPPLY_TOL for v in values):
                 raise InvalidInstanceError(f"{name} entries must lie in [0, 1]")
-        if math.fsum(self.x) > 1.0 + SUPPLY_TOL:
+        if math.fsum(self.x) > 1.0 + MASS_TOL:
             raise InvalidInstanceError("supply shares exceed the unit supply")
 
     @property
@@ -179,7 +187,10 @@ def exante_check(inst: RationingInstance, beta) -> ServiceTarget | None:
 
     Raises InfeasibleError when some agent cannot reach its own beta with the
     whole quantile range; returns None when every agent can individually but
-    the supply shares add up to more than the unit supply.
+    the supply shares add up to more than the unit supply.  The total is held
+    to MASS_TOL, the tolerance of the knapsack reduction's total mean size,
+    which equals the total of the shares bit for bit (see supply_x), so every
+    target accepted here also passes knapsack_reduction.
     """
     betas = tuple(float(b) for b in beta)
     if len(betas) != inst.n:
@@ -189,7 +200,7 @@ def exante_check(inst: RationingInstance, beta) -> ServiceTarget | None:
         q = solve_q_for_beta(law, stype, b)
         qs.append(q)
         xs.append(supply_x(law, q))
-    if math.fsum(xs) > 1.0 + SUPPLY_TOL:
+    if math.fsum(xs) > 1.0 + MASS_TOL:
         return None
     return ServiceTarget(betas, tuple(qs), tuple(xs))
 
@@ -200,9 +211,7 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     Capped by each agent's own achievable range, then bisected to 1e-9 on
     the unit-supply constraint (total x is nondecreasing in beta).  The
     bisection tests total x <= 1 with no tolerance, so the level it returns
-    passes every later supply check: exante_check and ServiceTarget allow
-    SUPPLY_TOL, and the knapsack reduction's total mean size, which equals
-    total x up to rounding, is held to MASS_TOL.
+    passes every later supply check, which allow MASS_TOL.
     """
     caps = []
     for law, stype in zip(inst.demands, inst.service):
@@ -485,86 +494,103 @@ def _service_array(stype: ServiceType, y: np.ndarray, d: np.ndarray, mean: float
     return np.where(d > 0.0, np.minimum(y, d) / safe, 1.0)
 
 
-def _pooled(estimates: dict, kind: str, i: int, confidence: float) -> MeanEstimate:
-    """Merge the two per-order estimates into one over the random order."""
-    f = estimates[(kind, FORWARD[0], i)]
-    b = estimates[(kind, BACKWARD[0], i)]
-    return MeanEstimate(f.total + b.total, f.total_sq + b.total_sq, f.count + b.count, confidence)
+def _slices(law: DemandLaw, q: float) -> list[tuple[float, int, bool]]:
+    """Cut the quantile range [0, 1) at every demand atom's CDF value and at q.
+
+    Returns (upper end, demand atom, below q) per nonempty slice; the agent is
+    active on slices below q.  The last slice runs on to 1, which absorbs
+    float shortfall in the last CDF value.
+    """
+    below, above = _below_above(law, q)
+    out = []
+    for j, (cum, length, tail) in enumerate(zip(law.cum, below, above)):
+        out += [(end, j, on) for width, end, on in ((length, min(cum, q), True), (tail, cum, False)) if width > 0]
+    return out
 
 
-def _single_unit_experiment(inst: RationingInstance, target: ServiceTarget, taus: dict):
-    n = inst.n
-    cums = [np.array(law.cum) for law in inst.demands]
-    dvals = [np.array([d for d, _ in law.atoms]) for law in inst.demands]
-    means = [law.mean for law in inst.demands]
-    orders = {tag: Permutation(tag, n).order() for tag in (FORWARD, BACKWARD)}
+def _record(rows, tag, r, i, u, d, y, s) -> None:
+    rows["tag"][r] = tag
+    for key, value in zip(("q", "d", "y", "s"), (u, d, y, s)):
+        rows[key][i, r] = value
 
-    def experiment(rng, m: int):
-        forward = rng.random(m) < 0.5
+
+def _single_unit_runner(inst: RationingInstance, target: ServiceTarget, taus: dict):
+    """Threshold allocation y = min(D, R, tau) on both orders at once.
+
+    Returns run(rng, m, rows=None), an experiment for run_trials; given
+    `rows`, it records every row there instead of summing (see _sample_traces).
+    """
+    edges, demand, caps = [], [], {FORWARD: [], BACKWARD: []}
+    for i, law in enumerate(inst.demands):
+        upper, atom, active = zip(*_slices(law, target.q[i]))
+        d = [law.atoms[j][0] for j in atom]
+        edges.append(upper[:-1])
+        demand.append(np.array(d))
+        for tag in caps:
+            caps[tag].append(np.array([min(v, taus[tag][i]) if on else 0.0 for v, on in zip(d, active)]))
+
+    def run(rng, m: int, rows=None):
+        rems = np.ones(m)
         out = {}
-        for tag in (FORWARD, BACKWARD):
-            rows = int(forward.sum()) if tag == FORWARD else int(m - forward.sum())
-            rems = np.ones(rows)
-            for i in orders[tag]:
-                u = rng.random(rows)
-                active = u < target.q[i]
-                idx = np.minimum(np.searchsorted(cums[i], u, side="left"), len(dvals[i]) - 1)
-                d = dvals[i][idx]
-                y = np.where(active, np.minimum(np.minimum(d, rems), taus[tag][i]), 0.0)
-                rems = rems - y
-                s = _service_array(inst.service[i], y, d, means[i])
-                out[("service", tag[0], i)] = (float(s.sum()), float((s * s).sum()), rows)
-                out[("alloc", tag[0], i)] = (float(y.sum()), float((y * y).sum()), rows)
-            if rows and float(rems.min()) < -1e-9:
-                raise InvariantViolationError("negative remaining supply in simulation")
+        for u, halves in two_orders(rng, m, inst.n):
+            for tag, r, i in halves:
+                k = slice_index(u[r], edges[i])
+                d = demand[i].take(k)
+                y = np.minimum(caps[tag][i].take(k), rems[r])
+                rems[r] -= y
+                s = _service_array(inst.service[i], y, d, inst.demands[i].mean)
+                if rows is not None:
+                    _record(rows, tag, r, i, u[r], d, y, s)
+                    continue
+                out[("service", tag[0], i)] = (float(s.sum()), float(s @ s), y.size)
+                out[("alloc", tag[0], i)] = (float(y.sum()), float(y @ y), y.size)
+        if m and float(rems.min()) < -1e-9:
+            raise InvariantViolationError("negative remaining supply in simulation")
         return out
 
-    return experiment
+    return run
 
 
-def _knapsack_experiment(inst: RationingInstance, target: ServiceTarget, red: KnapsackReduction, tables: dict):
-    n = inst.n
-    cums = [np.array(law.cum) for law in inst.demands]
-    dvals = [np.array([d for d, _ in law.atoms]) for law in inst.demands]
-    means = [law.mean for law in inst.demands]
-    seg_atom = [
-        np.array([-1 if a is None else a for a in red.atom_of_segment[i]], dtype=np.int64)
-        for i in range(n)
-    ]
-    orders = {tag: Permutation(tag, n).order() for tag in (FORWARD, BACKWARD)}
+def _knapsack_runner(inst: RationingInstance, red: KnapsackReduction, target: ServiceTarget, tables: dict):
+    """The knapsack admission rule on both orders at once, sizes min(D, 1).
 
-    def experiment(rng, m: int):
-        forward = rng.random(m) < 0.5
+    tables[tag][e] is element e's (sizes, b1, b2) by size atom, as
+    build_branch_tables gives them.  An arrival's outcome is its slice and
+    whether it was admitted, so the sums come from per-outcome allocation and
+    service tables.  Returns run(rng, m, rows=None) as _single_unit_runner.
+    """
+    rules, demand, service = {FORWARD: [], BACKWARD: []}, [], []
+    for i, law in enumerate(inst.demands):
+        upper, atom, active = zip(*_slices(law, target.q[i]))
+        e = red.element_of_agent[i]
+        size_atom = [red.atom_of_segment[i][j] if on and e is not None else None for j, on in zip(atom, active)]
+        d = [law.atoms[j][0] for j in atom]
+        sizes = [0.0 if a is None else min(v, 1.0) for a, v in zip(size_atom, d)]
+        for tag in rules:
+            branches = ((), ()) if e is None else tables[tag][e][1:]
+            b1, b2 = ([0.0 if a is None else b[a] for a in size_atom] for b in branches)
+            rules[tag].append(Admission.build(upper, sizes, b1, b2))
+        demand.append(np.array(d))
+        service.append(_service_array(inst.service[i], rules[FORWARD][i].gains, np.repeat(d, 2), law.mean))
+
+    def run(rng, m: int, rows=None):
+        fills = np.zeros(m)
         out = {}
-        for tag in (FORWARD, BACKWARD):
-            rows = int(forward.sum()) if tag == FORWARD else int(m - forward.sum())
-            fills = np.zeros(rows)
-            for i in orders[tag]:
-                u = rng.random(rows)
-                idx = np.minimum(np.searchsorted(cums[i], u, side="left"), len(dvals[i]) - 1)
-                d = dvals[i][idx]
-                e = red.element_of_agent[i]
-                if e is None:
-                    y = np.zeros(rows)
-                else:
-                    active = u < target.q[i]
-                    _, b1, b2 = tables[tag][e]
-                    atom = np.maximum(seg_atom[i][idx], 0)  # valid wherever active
-                    s_row = np.where(active, np.minimum(d, 1.0), 0.0)
-                    u2 = rng.random(rows)
-                    zero = fills == 0.0
-                    fits = fills <= 1.0 - s_row + ATOM_TOL
-                    take = active & ((~zero & fits & (u2 < b1[atom])) | (zero & (u2 < b2[atom])))
-                    y = np.where(take, s_row, 0.0)
-                    fills = fills + y
-                s = _service_array(inst.service[i], y, d, means[i])
-                out[("service", tag[0], i)] = (float(s.sum()), float((s * s).sum()), rows)
-                out[("alloc", tag[0], i)] = (float(y.sum()), float((y * y).sum()), rows)
-            if rows and float(fills.max()) > 1.0 + FEAS_TOL:
-                raise InvariantViolationError("knapsack fill exceeded the unit supply")
+        for u, halves in two_orders(rng, m, inst.n):
+            for tag, r, i in halves:
+                code = rules[tag][i].admit(u[r], fills[r])
+                y, s = rules[tag][i].gains, service[i]
+                if rows is not None:
+                    _record(rows, tag, r, i, u[r], demand[i].take(code >> 1), y.take(code), s.take(code))
+                    continue
+                counts = np.bincount(code, minlength=y.size)
+                out[("service", tag[0], i)] = (float(counts @ s), float(counts @ (s * s)), code.size)
+                out[("alloc", tag[0], i)] = (float(counts @ y), float(counts @ (y * y)), code.size)
+        if m and float(fills.max()) > 1.0 + FEAS_TOL:
+            raise InvariantViolationError("knapsack fill exceeded the unit supply")
         return out
 
-    return experiment
+    return run
 
 
 def _knapsack_agent_expectations(
@@ -600,63 +626,28 @@ def _knapsack_agent_expectations(
     return math.fsum(alloc_terms), math.fsum(service_terms)
 
 
-def _sample_single_unit_traces(
-    inst: RationingInstance, target: ServiceTarget, taus: dict, seed: int, count: int
-) -> tuple[AllocationTrace, ...]:
-    rng = stream(seed, NS_TRACE)
-    out = []
-    for _ in range(count):
-        tag = FORWARD if rng.random() < 0.5 else BACKWARD
-        rem = 1.0
-        qs, ds, ys, ss = [0.0] * inst.n, [0.0] * inst.n, [0.0] * inst.n, [0.0] * inst.n
-        for i in Permutation(tag, inst.n).order():
-            law = inst.demands[i]
-            u = float(rng.random())
-            d = inverse_cdf(law, u)
-            y = min(d, rem, taus[tag][i]) if u < target.q[i] else 0.0
-            rem -= y
-            qs[i], ds[i], ys[i] = u, d, y
-            ss[i] = service_value(inst.service[i], y, d, law.mean)
-        out.append(AllocationTrace(tag, tuple(qs), tuple(ds), tuple(ys), tuple(ss)))
-    return tuple(out)
+def _sample_traces(run, n: int, seed: int, count: int) -> tuple[AllocationTrace, ...]:
+    """AllocationTraces of `count` runs of the route's own runner (stream NS_TRACE)."""
+    rows = {key: np.zeros((n, count)) for key in ("q", "d", "y", "s")}
+    rows["tag"] = np.full(count, FORWARD, dtype=object)
+    run(stream(seed, NS_TRACE), count, rows)
+    return tuple(
+        AllocationTrace(rows["tag"][r], *(tuple(rows[key][:, r].tolist()) for key in ("q", "d", "y", "s")))
+        for r in range(count)
+    )
 
 
-def _sample_knapsack_traces(
-    inst: RationingInstance,
-    target: ServiceTarget,
-    red: KnapsackReduction,
-    branch: dict,
-    seed: int,
-    count: int,
-) -> tuple[AllocationTrace, ...]:
-    rng = stream(seed, NS_TRACE)
-    out = []
-    for _ in range(count):
-        tag = FORWARD if rng.random() < 0.5 else BACKWARD
-        fill = 0.0
-        qs, ds, ys, ss = [0.0] * inst.n, [0.0] * inst.n, [0.0] * inst.n, [0.0] * inst.n
-        for i in Permutation(tag, inst.n).order():
-            law = inst.demands[i]
-            u = float(rng.random())
-            d = inverse_cdf(law, u)
-            y = 0.0
-            e = red.element_of_agent[i]
-            if e is not None and u < target.q[i]:
-                s_val = min(d, 1.0)
-                b1, b2 = branch[tag][e][s_val]
-                if fill == 0.0:
-                    p = b2
-                elif fill <= 1.0 - s_val + ATOM_TOL:
-                    p = b1
-                else:
-                    p = 0.0
-                if float(rng.random()) < p:
-                    y = s_val
-                    fill += y
-            qs[i], ds[i], ys[i] = u, d, y
-            ss[i] = service_value(inst.service[i], y, d, law.mean)
-        out.append(AllocationTrace(tag, tuple(qs), tuple(ds), tuple(ys), tuple(ss)))
-    return tuple(out)
+def _mc_agents(estimates: dict, report, n: int, confidence: float) -> tuple[AgentReport, ...]:
+    """Agent reports from the per-order estimates, pooled over the random order."""
+
+    def pooled(kind: str, i: int) -> MeanEstimate:
+        f, b = estimates[(kind, FORWARD[0], i)], estimates[(kind, BACKWARD[0], i)]
+        return MeanEstimate(f.total + b.total, f.total_sq + b.total_sq, f.count + b.count, confidence)
+
+    return tuple(
+        report(i, est.point, est.ci_low, est.ci_high, pooled("alloc", i).point)
+        for i, est in enumerate(pooled("service", i) for i in range(n))
+    )
 
 
 def _run_single_unit_route(
@@ -675,7 +666,8 @@ def _run_single_unit_route(
     }
     taus = {tag: tables[tag].taus for tag in tables}
     pair = plan.pair_means
-    traces = _sample_single_unit_traces(inst, target, taus, seed, trace_count)
+    run = _single_unit_runner(inst, target, taus)
+    traces = _sample_traces(run, inst.n, seed, trace_count)
     rem_slack = min(t.rem_slack for t in tables.values())
 
     def report(i, es, lo, hi, ey):
@@ -708,17 +700,9 @@ def _run_single_unit_route(
         return RationingResult(
             ROUTE_SINGLE_UNIT, "exact", target, plan, tuple(agents), traces, rem_slack, None
         )
-    estimates = run_trials(
-        _single_unit_experiment(inst, target, taus), trials, seed, workers, confidence
-    )
-    agents = []
-    for i in range(inst.n):
-        est = _pooled(estimates, "service", i, confidence)
-        ey = _pooled(estimates, "alloc", i, confidence)
-        agents.append(report(i, est.point, est.ci_low, est.ci_high, ey.point))
-    return RationingResult(
-        ROUTE_SINGLE_UNIT, "mc", target, plan, tuple(agents), traces, rem_slack, estimates
-    )
+    estimates = run_trials(run, trials, seed, workers, confidence)
+    agents = _mc_agents(estimates, report, inst.n, confidence)
+    return RationingResult(ROUTE_SINGLE_UNIT, "mc", target, plan, agents, traces, rem_slack, estimates)
 
 
 def _run_knapsack_route(
@@ -753,54 +737,37 @@ def _run_knapsack_route(
             slack=es - bound,
         )
 
-    if mode == "exact":
-        result = run_knapsack_exact(red.instance, plan)
-        err = result.max_rate_error(plan)
-        if err > RATE_TOL:
-            raise InvariantViolationError(f"size-dependent acceptance (max rate drift {err:.3g})")
-        agents = []
-        for i in range(inst.n):
-            per = {
-                tag: _knapsack_agent_expectations(inst, target, red, plan.rates(tag), i)
-                for tag in (FORWARD, BACKWARD)
-            }
-            ey = (per[FORWARD][0] + per[BACKWARD][0]) / 2
-            es = (per[FORWARD][1] + per[BACKWARD][1]) / 2
-            rep = report(i, es, None, None, ey)
-            if rep.slack < -CALIBRATION_TOL:
-                raise InvariantViolationError(f"service guarantee missed for agent {i}")
-            agents.append(rep)
-        branch = {
-            tag: [
-                {s: (br.p_interval, br.p_zero) for s, br in sched.items()}
-                for sched in result.schedules(tag)
-            ]
-            for tag in (FORWARD, BACKWARD)
-        }
-        traces = _sample_knapsack_traces(inst, target, red, branch, seed, trace_count)
-        return RationingResult(
-            ROUTE_KNAPSACK, "exact", target, plan, tuple(agents), traces, None, None
-        )
-    tables = build_branch_tables(red.instance, plan, seed, pool_size)
-    estimates = run_trials(
-        _knapsack_experiment(inst, target, red, tables), trials, seed, workers, confidence
-    )
+    if mode == "mc":
+        run = _knapsack_runner(inst, red, target, build_branch_tables(red.instance, plan, seed, pool_size))
+        estimates = run_trials(run, trials, seed, workers, confidence)
+        agents = _mc_agents(estimates, report, inst.n, confidence)
+        traces = _sample_traces(run, inst.n, seed, trace_count)
+        return RationingResult(ROUTE_KNAPSACK, "mc", target, plan, agents, traces, None, estimates)
+    result = run_knapsack_exact(red.instance, plan)
+    err = result.max_rate_error(plan)
+    if err > RATE_TOL:
+        raise InvariantViolationError(f"size-dependent acceptance (max rate drift {err:.3g})")
     agents = []
     for i in range(inst.n):
-        est = _pooled(estimates, "service", i, confidence)
-        ey = _pooled(estimates, "alloc", i, confidence)
-        agents.append(report(i, est.point, est.ci_low, est.ci_high, ey.point))
-    branch = {
+        per = {
+            tag: _knapsack_agent_expectations(inst, target, red, plan.rates(tag), i)
+            for tag in (FORWARD, BACKWARD)
+        }
+        ey = (per[FORWARD][0] + per[BACKWARD][0]) / 2
+        es = (per[FORWARD][1] + per[BACKWARD][1]) / 2
+        rep = report(i, es, None, None, ey)
+        if rep.slack < -CALIBRATION_TOL:
+            raise InvariantViolationError(f"service guarantee missed for agent {i}")
+        agents.append(rep)
+    tables = {
         tag: [
-            {float(s): (float(v1), float(v2)) for s, v1, v2 in zip(sizes, b1, b2)}
-            for sizes, b1, b2 in tables[tag]
+            (None, *([getattr(sched[s], field) for s, _ in law.atoms] for field in ("p_interval", "p_zero")))
+            for law, sched in zip(red.instance.laws, result.schedules(tag))
         ]
         for tag in (FORWARD, BACKWARD)
     }
-    traces = _sample_knapsack_traces(inst, target, red, branch, seed, trace_count)
-    return RationingResult(
-        ROUTE_KNAPSACK, "mc", target, plan, tuple(agents), traces, None, estimates
-    )
+    traces = _sample_traces(_knapsack_runner(inst, red, target, tables), inst.n, seed, trace_count)
+    return RationingResult(ROUTE_KNAPSACK, "exact", target, plan, tuple(agents), traces, None, None)
 
 
 def run_rationing(

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InfeasibleError
 from .instances import BACKWARD, FORWARD, Permutation, SingleUnitInstance
 from .lp_si import LP_TOL, SelectionPlan
-from .sim import run_trials
+from .sim import run_trials, two_orders
 
 
 def phi(z: float, rho: float) -> float:
@@ -182,30 +182,20 @@ def mc_selection_rates(
     """
     x = np.asarray(inst.x)
     n = inst.n
-    params = {
-        tag: np.asarray(bernoulli_params(inst, plan, tag)[0]) for tag in (FORWARD, BACKWARD)
+    # One uniform per element: active when u < x_i; given that, u / x_i is a
+    # fresh uniform, so the acceptance bit fires when u < x_i * param_i.
+    bits = {
+        tag: x * np.asarray(bernoulli_params(inst, plan, tag)[0]) for tag in (FORWARD, BACKWARD)
     }
 
     def experiment(rng, m: int):
-        forward_rows = rng.random(m) < 0.5
-        active = rng.random((m, n)) < x
-        bit_draws = rng.random((m, n))
+        taken = np.zeros(m, dtype=bool)
         out = {}
-        for tag in (FORWARD, BACKWARD):
-            rows = forward_rows if tag == FORWARD else ~forward_rows
-            act = active[rows]
-            hits = act & (bit_draws[rows] < params[tag])
-            arrival = hits if tag == FORWARD else hits[:, ::-1]
-            got = arrival.any(axis=1)
-            first = np.argmax(arrival, axis=1)
-            if tag == BACKWARD:
-                first = n - 1 - first
-            accepted = np.zeros(act.shape, dtype=bool)
-            accepted[np.nonzero(got)[0], first[got]] = True
-            succ = accepted.sum(axis=0)
-            cnt = act.sum(axis=0)
-            for i in range(n):
-                out[(tag[0], i)] = (float(succ[i]), int(cnt[i]))
+        for u, halves in two_orders(rng, m, n):
+            for tag, rows, i in halves:
+                accepted = (u[rows] < bits[tag][i]) > taken[rows]
+                taken[rows] |= accepted
+                out[(tag[0], i)] = (float(np.count_nonzero(accepted)), int(np.count_nonzero(u[rows] < x[i])))
         for i in range(n):
             sf, cf = out[("f", i)]
             sb, cb = out[("b", i)]

@@ -234,22 +234,24 @@ def test_ration_knapsack_route_empty_taus(type_i_path, capsys):
         assert float(row[10]) >= -1e-9
 
 
-def test_ration_auto_at_the_supply_limit_knapsack_route(tmp_path, capsys):
-    # At max_uniform_beta the supply shares of this instance sum to within
-    # 1e-9 of 1.  The knapsack reduction holds their total mean size to
-    # MASS_TOL, so "auto" must not overshoot by the larger SUPPLY_TOL (a
-    # bisection that allowed it lands at 1 + 9.5e-11 here).
-    inst = RationingInstance(
-        (
-            DemandLaw(((0.02, 0.514537382679684), (0.75, 0.48546261732031604))),
-            DemandLaw(
-                ((0.02, 0.45132688735098053), (0.4, 0.44452956877267186), (0.85, 0.10414354387634761))
-            ),
-            DemandLaw(((0.26, 0.5991123164339894), (0.69, 0.40088768356601057))),
+# At max_uniform_beta the supply shares of this instance sum to within 1e-9
+# of 1.  The knapsack reduction holds their total mean size to MASS_TOL, so
+# no level may overshoot by the larger SUPPLY_TOL: a bisection that allowed
+# it lands at 1 + 9.5e-11 here, at beta 0.9504277473315597.
+SUPPLY_LIMIT_INSTANCE = RationingInstance(
+    (
+        DemandLaw(((0.02, 0.514537382679684), (0.75, 0.48546261732031604))),
+        DemandLaw(
+            ((0.02, 0.45132688735098053), (0.4, 0.44452956877267186), (0.85, 0.10414354387634761))
         ),
-        ("TypeII", "TypeI", "TypeII"),
-    )
-    path = _write(tmp_path, "limit.json", inst)
+        DemandLaw(((0.26, 0.5991123164339894), (0.69, 0.40088768356601057))),
+    ),
+    ("TypeII", "TypeI", "TypeII"),
+)
+
+
+def test_ration_auto_at_the_supply_limit_knapsack_route(tmp_path, capsys):
+    path = _write(tmp_path, "limit.json", SUPPLY_LIMIT_INSTANCE)
     assert cli.main(["ration", "--instance", path]) == 0
     rows = _rows(capsys.readouterr().out)
     assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
@@ -257,6 +259,18 @@ def test_ration_auto_at_the_supply_limit_knapsack_route(tmp_path, capsys):
     for row in rows[1:]:
         assert row[6] == "" and row[7] == ""  # knapsack route: no thresholds
         assert float(row[10]) >= -1e-9
+
+
+def test_ration_beta_file_just_above_the_supply_limit(tmp_path, capsys):
+    # a user level whose supply total lies in (1 + MASS_TOL, 1 + SUPPLY_TOL]
+    # is refused by the ex-ante check, not by the knapsack reduction after it
+    path = _write(tmp_path, "limit.json", SUPPLY_LIMIT_INSTANCE)
+    beta_path = tmp_path / "beta.json"
+    beta_path.write_text(json.dumps([0.9504277473315597] * 3), encoding="utf-8")
+    assert cli.main(["ration", "--instance", path, "--beta", str(beta_path)]) == 3
+    err = capsys.readouterr().err
+    assert "need more than the unit supply" in err
+    assert "total mean size" not in err
 
 
 def test_ration_beta_file(rationing_path, tmp_path, capsys):

@@ -18,6 +18,7 @@ from fbcrs.instances import (
 )
 from fbcrs.knapsack import (
     ATOM_TOL,
+    Admission,
     FiniteLaw,
     KnapsackPlan,
     build_branch_tables,
@@ -31,6 +32,8 @@ from fbcrs.knapsack import (
     run_knapsack_exact,
     run_knapsack_mc,
 )
+
+from fbcrs.sim import stream, wilson_interval
 
 from oracles import match_fill_atoms, replay_knapsack_paths
 
@@ -320,6 +323,68 @@ def test_exact_expectation_identity():
 
 
 # --- Monte Carlo -------------------------------------------------------------
+
+
+# Two size atoms on [0, 0.6), inactive mass above: slice 0 is size 0.3 with
+# (b1, b2) = (0.5, 0.25), slice 1 is size 0.6 with (0.2, 0.9), slice 2 is inactive.
+KERNEL_LAW = SizeLaw(((0.3, 0.4), (0.6, 0.2)), inactive_mass=0.4)
+KERNEL_B1, KERNEL_B2 = (0.5, 0.2), (0.25, 0.9)
+
+
+def _admit(rule, u, fill):
+    fill = np.array(fill, dtype=float)
+    code = rule.admit(np.array(u, dtype=float), fill)
+    return code >> 1, (code & 1).astype(bool), fill
+
+
+def test_admission_kernel_picks_the_branch_by_fill():
+    rule = Admission.of_law(KERNEL_LAW, KERNEL_B1, KERNEL_B2)
+    # u at a fraction f of slice 0 ([0, 0.4)) is admitted when f < b
+    u = [0.4 * 0.24, 0.4 * 0.26, 0.4 * 0.49, 0.4 * 0.51]
+    k, admitted, fill = _admit(rule, u, [0.0] * 4)  # empty: zero branch b2 = 0.25
+    assert k.tolist() == [0, 0, 0, 0]
+    assert admitted.tolist() == [True, False, False, False]
+    assert fill.tolist() == [0.3, 0.0, 0.0, 0.0]
+    _, admitted, fill = _admit(rule, u, [0.1] * 4)  # fits: interval branch b1 = 0.5
+    assert admitted.tolist() == [True, True, True, False]
+    assert fill.tolist() == pytest.approx([0.4, 0.4, 0.4, 0.1], abs=1e-15)
+    # slice 1 ([0.4, 0.6)) reads its own branches: b2 = 0.9, b1 = 0.2
+    u = [0.4 + 0.2 * 0.15, 0.4 + 0.2 * 0.85]
+    k, admitted, _ = _admit(rule, u, [0.0, 0.0])
+    assert k.tolist() == [1, 1] and admitted.tolist() == [True, True]
+    _, admitted, _ = _admit(rule, u, [0.2, 0.2])
+    assert admitted.tolist() == [True, False]
+
+
+def test_admission_kernel_fit_boundary_and_inactive_rows():
+    rule = Admission.of_law(KERNEL_LAW, (1.0, 1.0), (1.0, 1.0))
+    room = 1.0 - 0.3  # slice 0 has size 0.3
+    fills = [room + ATOM_TOL / 2, room + 2 * ATOM_TOL, 1.0]
+    _, admitted, _ = _admit(rule, [0.1] * 3, fills)
+    assert admitted.tolist() == [True, False, False]
+    # inactive rows (u past the atoms, about [0.6, 1)) are never admitted,
+    # whatever the fill
+    u = np.linspace(rule.edges[-1], 1.0, 50, endpoint=False)
+    for fill in (0.0, 0.2, 0.9):
+        k, admitted, after = _admit(rule, u, [fill] * u.size)
+        assert (k == 2).all() and not admitted.any()
+        assert (after == fill).all()
+
+
+@pytest.mark.parametrize("fill", [0.0, 0.1])
+def test_single_uniform_threshold_gives_each_atom_its_branch(fill):
+    # the atom and the acceptance come from one uniform; conditionally on the
+    # atom, acceptance must still fire with that atom's branch probability
+    rule = Admission.of_law(KERNEL_LAW, KERNEL_B1, KERNEL_B2)
+    u = stream(11, 0).random(400_000)
+    k, admitted, _ = _admit(rule, u, np.full(u.size, fill))
+    branch = KERNEL_B2 if fill == 0.0 else KERNEL_B1
+    for atom, (_, p) in enumerate(KERNEL_LAW.atoms):
+        rows = k == atom
+        assert rows.mean() == pytest.approx(p, abs=0.005)
+        low, high = wilson_interval(int(admitted[rows].sum()), int(rows.sum()), 0.999)
+        assert low <= branch[atom] <= high
+    assert not admitted[k == 2].any()
 
 
 def test_branch_tables_deterministic():

@@ -171,6 +171,45 @@ def test_max_uniform_beta_is_certifiable_on_both_routes(data, route):
     assert result.guarantee_ok(), result.min_slack
 
 
+def test_supply_x_is_the_reduction_mean_to_the_bit():
+    # demands 1.2 and 1.7 both buy size 1; the reduction adds their quantile
+    # lengths before weighting, and summing them apart gives 0.79 here, one
+    # ulp above the reduction's mean
+    law = DemandLaw(((0.3, 0.3), (1.2, 0.2), (1.7, 0.5)))
+    x = supply_x(law, 1.0)
+    target = ServiceTarget((0.3,), (1.0,), (x,))
+    reduced = knapsack_reduction(RationingInstance((law,), ("TypeI",)), target).instance
+    assert reduced.laws[0].mean == x == 0.7899999999999999
+
+
+def _accepted(inst, beta):
+    try:
+        return exante_check(inst, (beta,) * inst.n)
+    except InfeasibleError:  # above some agent's own reach
+        return None
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_every_accepted_target_passes_the_knapsack_reduction(data):
+    # push the common level to the largest one exante_check still accepts,
+    # whose supply total may sit just above 1: the reduction must take it
+    inst = data.draw(_grid_rationing_instance("knapsack"))
+    lo = max_uniform_beta(inst)
+    assume(lo > 0.0)
+    hi = min(lo + 1e-8, 1.0)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if _accepted(inst, mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    target = _accepted(inst, lo)
+    assert target is not None
+    reduced = knapsack_reduction(inst, target).instance
+    assert reduced.total_mu == target.total_supply
+
+
 # --- threshold calibration ------------------------------------------------------
 
 

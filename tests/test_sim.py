@@ -6,6 +6,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fbcrs.instances import (
+    DemandLaw,
+    KnapsackInstance,
+    RationingInstance,
+    SingleUnitInstance,
+    SizeLaw,
+)
+from fbcrs.knapsack import closed_form_knapsack_plan, run_knapsack_mc
+from fbcrs.lp_si import solve_lp_si
+from fbcrs.rationing import exante_check, run_rationing
+from fbcrs.single_unit import mc_selection_rates
 from fbcrs.sim import (
     CHUNK,
     MeanEstimate,
@@ -117,7 +128,6 @@ def test_run_trials_deterministic_across_workers():
 
 def test_run_trials_estimates():
     trials = CHUNK + 999
-    # seed 0 puts the "sometimes" key in the first chunk but not the second
     est = run_trials(_coin_experiment, trials, seed=0)
     heads = est["heads"]
     assert isinstance(heads, RateEstimate)
@@ -127,8 +137,9 @@ def test_run_trials_estimates():
     assert isinstance(value, MeanEstimate)
     assert value.count == trials
     assert abs(value.point - 0.5) <= 5 * value.half_width
-    # the ragged key accumulated over a subset of chunks only
-    assert est["sometimes"].conditioning_count % CHUNK in (0, 999)
+    # seed 0 reports the ragged key from exactly one of the two chunks, so
+    # it accumulated over that chunk's trials only
+    assert est["sometimes"].conditioning_count in (CHUNK, 999)
 
 
 def test_run_trials_rejects_zero_trials():
@@ -142,3 +153,53 @@ def test_run_trials_rejects_bad_tuple_width():
 
     with pytest.raises(ValueError):
         run_trials(bad, 10, seed=0)
+
+
+def _fields(estimates: dict) -> dict:
+    return {
+        key: (e.successes, e.conditioning_count)
+        if isinstance(e, RateEstimate)
+        else (e.total, e.total_sq, e.count)
+        for key, e in estimates.items()
+    }
+
+
+def _single_unit_mc(workers):
+    inst = SingleUnitInstance((0.3, 0.5, 0.2, 0.4))
+    return mc_selection_rates(inst, solve_lp_si(inst), CHUNK + 1234, seed=3, workers=workers)
+
+
+def _knapsack_mc(workers):
+    inst = KnapsackInstance((SizeLaw(((0.5, 1.0),)), SizeLaw(((0.2, 0.5), (0.7, 0.3)), 0.2)))
+    plan = closed_form_knapsack_plan(inst)
+    return run_knapsack_mc(inst, plan, CHUNK + 1234, seed=3, workers=workers, pool_size=2_000)
+
+
+def _rationing_mc(service):
+    def run(workers):
+        laws = (DemandLaw(((0.5, 0.5), (2.0, 0.5))), DemandLaw(((0.3, 0.4), (1.0, 0.6))))
+        inst = RationingInstance(laws, service)
+        target = exante_check(inst, (0.4, 0.4))
+        result = run_rationing(
+            inst, target, mode="mc", trials=CHUNK + 1234, seed=3, workers=workers, pool_size=2_000
+        )
+        return result.estimates
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "executor",
+    [
+        _single_unit_mc,
+        _knapsack_mc,
+        _rationing_mc(("TypeIII", "TypeII")),
+        _rationing_mc(("TypeI", "TypeII")),
+    ],
+    ids=["mc_selection_rates", "run_knapsack_mc", "rationing-single-unit", "rationing-knapsack"],
+)
+def test_executors_deterministic_across_workers(executor):
+    # two chunks, the second ragged: the sums must not depend on which thread
+    # ran which chunk
+    one, two = executor(1), executor(2)
+    assert one and _fields(one) == _fields(two)
