@@ -3,9 +3,10 @@
 The LP maximizes the worst pair-mean guarantee beta over conditional
 acceptance probabilities (c_f, c_b) subject to the order constraints
 c_sigma(i) <= 1 - sum of x_j c_sigma(j) over elements j arriving earlier.
-A dense tableau simplex solves it; uniform odd-length instances also get a
-closed-form dual certificate whose objective upper-bounds the optimum by
-weak duality.
+A simplex method on a condensed tableau solves it, with Dantzig's rule
+and Bland's rule only while the objective stalls; uniform odd-length
+instances also get a closed-form dual certificate whose objective
+upper-bounds the optimum by weak duality.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .instances import SingleUnitInstance
 LP_TOL = 1e-9
 
 # Consecutive degenerate pivots tolerated under Dantzig's rule before
-# switching to Bland's rule for the rest of the solve.
+# switching to Bland's rule, which then holds until the next nondegenerate
+# pivot.
 _STALL_LIMIT = 12
 
 
@@ -88,9 +90,18 @@ class SelectionPlan:
 def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
     """Maximize obj @ v subject to A @ v <= b, v >= 0, with b >= 0.
 
-    Dense tableau method.  Dantzig's rule by default; after _STALL_LIMIT
-    consecutive degenerate pivots it switches to Bland's rule, which cannot
-    cycle.  Returns (v, value).
+    Condensed (Tucker) tableau: one column per nonbasic variable and one row
+    per basic variable, so the slack identity block is never stored.  A pivot
+    exchanges basis[row] with nonbasic[col]; labels 0..k-1 name the columns
+    of A and k..k+m-1 the slacks.  The entering column is Dantzig's (most
+    negative reduced cost) except while the objective stalls: after
+    _STALL_LIMIT consecutive degenerate pivots it is Bland's (smallest label
+    with a negative reduced cost), until the next nondegenerate pivot.  Ratio
+    ties go to the smallest basic label.
+
+    This terminates: every nondegenerate pivot strictly raises the objective,
+    so no basis repeats across them, and within one run of degenerate pivots
+    Bland's rule cannot cycle.  Returns (v, value).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -99,22 +110,21 @@ def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
     if max_iter is None:
         max_iter = 200 * (m + k) + 1000
 
-    T = np.zeros((m + 1, k + m + 1))
+    T = np.zeros((m + 1, k + 1))
     T[:m, :k] = A
-    T[:m, k : k + m] = np.eye(m)
     T[:m, -1] = b
     T[m, :k] = -obj
     basis = np.arange(k, k + m)
+    nonbasic = np.arange(k)
 
-    bland = False
     stall = 0
     for _ in range(max_iter):
         z = T[m, :-1]
-        if bland:
+        if stall >= _STALL_LIMIT:
             negative = np.nonzero(z < -tol)[0]
             if negative.size == 0:
                 break
-            col = int(negative[0])
+            col = int(negative[np.argmin(nonbasic[negative])])
         else:
             col = int(np.argmin(z))
             if z[col] >= -tol:
@@ -124,28 +134,28 @@ def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
         if not positive.any():
             raise SolverError("LP unbounded above; formulation error")
         ratios = np.full(m, np.inf)
-        ratios[positive] = T[:m, -1][positive] / column[positive]
+        np.divide(T[:m, -1], column, out=ratios, where=positive)
         best = float(ratios.min())
         ties = np.nonzero(ratios <= best + tol * max(1.0, best))[0]
         row = int(ties[np.argmin(basis[ties])])  # smallest label: anti-cycling
+        stall = stall + 1 if best <= tol else 0
 
-        if best <= tol:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-
-        T[row] /= T[row, col]
+        # Exchange: the pivot row is divided by the pivot p, the other rows
+        # take the rank-1 update, and the leaving variable's column becomes
+        # -column/p with 1/p at the pivot.
         column = T[:, col].copy()
+        pivot = float(column[row])
+        T[row] /= pivot
         column[row] = 0.0
         T -= np.outer(column, T[row])
-        basis[row] = col
+        np.multiply(column, -1.0 / pivot, out=T[:, col])
+        T[row, col] = 1.0 / pivot
+        basis[row], nonbasic[col] = nonbasic[col], basis[row]
     else:
         raise SolverError(f"simplex did not converge within {max_iter} pivots")
 
     v = np.zeros(k + m)
-    v[basis] = T[np.arange(m), -1]
+    v[basis] = T[:m, -1]
     return v[:k], float(T[m, -1])
 
 

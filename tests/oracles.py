@@ -2,15 +2,17 @@
 
 Each helper recomputes a quantity the library produces, by a deliberately
 different method: scipy's normal quantile instead of statistics.NormalDist,
-explicit enumeration over activation patterns instead of the linear
-recursion, and exhaustive outcome-path replay instead of distribution
-propagation.  Exponential in n throughout; keep n small.
+HiGHS instead of the library's simplex, explicit enumeration over activation
+patterns instead of the linear recursion, and exhaustive outcome-path replay
+instead of distribution propagation.  The enumerations are exponential in n;
+keep n small there.
 """
 
 import math
 from itertools import product
 
-from scipy import stats
+import numpy as np
+from scipy import optimize, stats
 
 # Mirrors the executor's boundary conventions exactly (same constant value
 # as the library's ATOM_TOL, restated here on purpose).
@@ -27,6 +29,40 @@ def wilson_reference(successes: float, count: int, confidence: float = 0.999):
     center = (p + z * z / (2.0 * count)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / count + z * z / (4.0 * count * count))
     return center - half, center + half
+
+
+def highs_lp_optimum(x) -> float:
+    """Optimum of the full selection LP over (c_f, c_b, beta), solved by HiGHS.
+
+    Built from the constraints as stated, one row at a time: in each order an
+    element's acceptance probability is at most one minus the mass x_j c(j)
+    its predecessors claimed, and beta is at most every pair mean.  Always
+    the general LP, also for palindromic x.
+    """
+    n = len(x)
+    rows, rhs = [], []
+    for order, offset in ((range(n), 0), (range(n - 1, -1, -1), n)):
+        earlier: list[int] = []
+        for i in order:
+            row = np.zeros(2 * n + 1)
+            row[offset + i] = 1.0
+            for j in earlier:
+                row[offset + j] = x[j]
+            rows.append(row)
+            rhs.append(1.0)
+            earlier.append(i)
+    for i in range(n):
+        row = np.zeros(2 * n + 1)
+        row[i] = row[n + i] = -0.5
+        row[2 * n] = 1.0
+        rows.append(row)
+        rhs.append(0.0)
+    cost = np.zeros(2 * n + 1)
+    cost[2 * n] = -1.0
+    result = optimize.linprog(cost, A_ub=np.array(rows), b_ub=rhs, bounds=(0.0, None), method="highs")
+    if result.status != 0:
+        raise RuntimeError(f"HiGHS failed: {result.message}")
+    return -float(result.fun)
 
 
 def enumerated_selection_rates(x, params, order):

@@ -18,6 +18,7 @@ from fbcrs.lp_si import (
     gamma,
     solve_lp_si,
 )
+from oracles import highs_lp_optimum
 
 # Frozen from a high-precision evaluation of e^{rho/2}/(1 + e^{rho/2} rho).
 ALPHA_FROZEN = {
@@ -92,6 +93,34 @@ def test_simplex_unbounded_raises():
         _simplex([1.0], [[-1.0]], [1.0])
 
 
+# Beale's LP: max 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4, optimum 5/4 at (1, 0, 1, 0).
+# Its first pivots are degenerate, and Dantzig's rule cycles on them.
+BEALE_OBJ = [0.75, -20.0, 0.5, -6.0]
+BEALE_A = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+BEALE_B = [0.0, 0.0, 1.0]
+
+
+def test_simplex_does_not_cycle_on_beale():
+    sol, value = _simplex(BEALE_OBJ, BEALE_A, BEALE_B)
+    assert value == pytest.approx(1.25, abs=1e-12)
+    assert sol == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_beale_cycles_under_dantzig_alone(monkeypatch):
+    # Without the switch to Bland's rule the degenerate pivots repeat a basis.
+    monkeypatch.setattr("fbcrs.lp_si._STALL_LIMIT", 10**9)
+    with pytest.raises(SolverError, match="did not converge"):
+        _simplex(BEALE_OBJ, BEALE_A, BEALE_B, max_iter=500)
+
+
+def test_simplex_pivot_budget():
+    # max x + y st x <= 1, y <= 2 takes two pivots
+    obj, A, b = [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]
+    with pytest.raises(SolverError, match="did not converge"):
+        _simplex(obj, A, b, max_iter=1)
+    assert _simplex(obj, A, b, max_iter=3)[1] == pytest.approx(3.0, abs=1e-12)
+
+
 def test_lp_two_elements_exact():
     # x = (0.5, 0.5): optimum 3/4 with c = (1, 1/2) forward and mirrored
     plan = solve_lp_si(SingleUnitInstance((0.5, 0.5)))
@@ -133,6 +162,29 @@ def test_lp_palindromic_and_general_agree():
         general = _solve_general(inst)
         assert reduced.objective == pytest.approx(general.objective, abs=1e-9)
         assert reduced.c_b == tuple(reversed(reduced.c_f))
+
+
+def test_lp_matches_highs_general():
+    rng = np.random.default_rng(2718)
+    for n, rho in ((3, 0.5), (4, 1.0), (7, 1.0), (12, 0.5), (20, 2.0), (33, 1.0), (48, 2.0), (64, 0.5)):
+        w = rng.uniform(0.05, 1.0, n)
+        inst = SingleUnitInstance(tuple(float(v) for v in rho * w / w.sum()))
+        assert inst.x != tuple(reversed(inst.x))
+        assert solve_lp_si(inst).objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+
+
+def test_lp_matches_highs_palindromic():
+    # The reduced palindromic LP must reach the optimum of the full LP.
+    rng = np.random.default_rng(3141)
+    for n in (3, 8, 15, 40):
+        half = rng.uniform(0.05, 1.0, (n + 1) // 2)
+        w = np.concatenate([half, half[: n // 2][::-1]])
+        inst = SingleUnitInstance(tuple(float(v) for v in w / w.sum()))
+        assert inst.x == tuple(reversed(inst.x))
+        assert solve_lp_si(inst).objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+    for N in (5, 21, 51):
+        inst = SingleUnitInstance((1.0 / N,) * N)
+        assert solve_lp_si(inst).objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
 
 
 def test_lp_handles_zero_mass_elements():
