@@ -148,17 +148,10 @@ def cmd_simulate_knapsack(args) -> int:
     code = 0
     if args.mode == "exact":
         result = run_knapsack_exact(inst, plan)
-        rows = []
-        for i in range(inst.n):
-            err = max(
-                abs(rate - planned[i])
-                for by_size, planned in (
-                    (result.rates_by_size_f[i], plan.c_f),
-                    (result.rates_by_size_b[i], plan.c_b),
-                )
-                for rate in by_size.values()
-            )
-            rows.append([i + 1, plan.c_f[i], plan.c_b[i], result.rates_f[i], result.rates_b[i], err])
+        rows = [
+            [i + 1, plan.c_f[i], plan.c_b[i], result.rates_f[i], result.rates_b[i], err]
+            for i, err in enumerate(result.rate_errors(plan))
+        ]
         header = ["element", "c_f", "c_b", "rate_f", "rate_b", "rate_error"]
     else:
         estimates = run_knapsack_mc(

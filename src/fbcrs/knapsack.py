@@ -1,13 +1,14 @@
-"""Knapsack selection plans and the online knapsack executor.
+"""The closed-form knapsack plan and the online knapsack executor.
 
-Acceptance works off the law of the fill T = total size accepted so far:
-an element of size s arriving with fill t is admitted via one of two
-Bernoulli branches, one for 0 < t <= 1-s and one for t = 0, with parameters
-chosen so the conditional acceptance probability is the planned c regardless
-of size.  The fill law is propagated exactly, all atoms at once, which makes
-the executor its own test oracle; a sampled-history mode estimates the branch
-probabilities from replica pools instead, as one would on instances too rich
-to enumerate.
+Plans are SelectionPlans, the one plan type of both schemes.  Acceptance
+works off the law of the fill T = total size accepted so far: an element of
+size s arriving with fill t is admitted via one of two Bernoulli branches,
+b1 for 0 < t <= 1-s and b2 for t = 0, with parameters chosen so the
+conditional acceptance probability is the planned c regardless of size.
+Each element's parameters are one Branches table, by size atom.  The fill
+law is propagated exactly, all atoms at once, which makes the executor its
+own test oracle; a sampled-history mode estimates the branch probabilities
+from replica pools instead, as one would on instances too rich to enumerate.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
 from .instances import BACKWARD, FORWARD, KnapsackInstance, Permutation, SizeLaw
+from .lp_si import SelectionPlan
 from .sim import NS_POOL, run_trials, slice_index, stream, two_orders
 
 # Law values closer than this merge onto the earlier value.  Sizes on a common
@@ -41,42 +43,7 @@ def phi_knapsack(z: float) -> float:
     return 4.0 / 9.0 - 2.0 * z / 9.0
 
 
-@dataclass(frozen=True)
-class KnapsackPlan:
-    """Acceptance probabilities for both orders, with provenance."""
-
-    c_f: tuple[float, ...]
-    c_b: tuple[float, ...]
-    source: str = "user"
-
-    def __post_init__(self):
-        object.__setattr__(self, "c_f", tuple(float(v) for v in self.c_f))
-        object.__setattr__(self, "c_b", tuple(float(v) for v in self.c_b))
-        if len(self.c_f) != len(self.c_b) or not self.c_f:
-            raise InvalidInstanceError("plan orders must have equal positive length")
-        for v in self.c_f + self.c_b:
-            if not 0.0 <= v <= 1.0:
-                raise InvalidInstanceError(f"acceptance probability {v} outside [0, 1]")
-        if self.source not in ("closed_form", "user"):
-            raise InvalidInstanceError(f"unknown plan source {self.source!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.c_f)
-
-    def rates(self, tag: str) -> tuple[float, ...]:
-        return self.c_f if tag == FORWARD else self.c_b
-
-    @cached_property
-    def pair_means(self) -> tuple[float, ...]:
-        return tuple((f + b) / 2.0 for f, b in zip(self.c_f, self.c_b))
-
-    @cached_property
-    def objective(self) -> float:
-        return min(self.pair_means)
-
-
-def closed_form_knapsack_plan(inst: KnapsackInstance) -> KnapsackPlan:
+def closed_form_knapsack_plan(inst: KnapsackInstance) -> SelectionPlan:
     """Average the linear curve over each element's mean-size window.
 
     The average over [a, a + mu] of a linear function is its midpoint value.
@@ -92,7 +59,7 @@ def closed_form_knapsack_plan(inst: KnapsackInstance) -> KnapsackPlan:
             out[i] = phi_knapsack(min(prefix + inst.mu[i] / 2.0, 1.0))
             prefix += inst.mu[i]
         rates[tag] = out
-    return KnapsackPlan(tuple(rates[FORWARD]), tuple(rates[BACKWARD]), source="closed_form")
+    return SelectionPlan(tuple(rates[FORWARD]), tuple(rates[BACKWARD]))
 
 
 @dataclass(frozen=True)
@@ -111,8 +78,16 @@ class KnapsackFeasibilityReport:
     def ok(self, tol: float = FEAS_TOL) -> bool:
         return self.max_violation <= tol and not self.monotone_violations
 
+    def require(self) -> None:
+        """Raise InfeasibleError unless ok()."""
+        if not self.ok():
+            raise InfeasibleError(
+                f"plan violates the feasibility constraints by {self.max_violation}"
+                + (f"; monotonicity broken at {self.monotone_violations}" if self.monotone_violations else "")
+            )
 
-def check_knapsack_feasible(plan: KnapsackPlan, inst: KnapsackInstance) -> KnapsackFeasibilityReport:
+
+def check_knapsack_feasible(plan: SelectionPlan, inst: KnapsackInstance) -> KnapsackFeasibilityReport:
     """Evaluate both constraint families of the feasible-plan definition."""
     if plan.n != inst.n:
         raise InvalidInstanceError("plan and instance sizes differ")
@@ -245,22 +220,41 @@ def initial_fill(tag: str = FORWARD) -> FiniteLaw:
     return FiniteLaw([0.0], [1.0], element=0, tag=tag)
 
 
-class AcceptanceBranch(NamedTuple):
-    """Bernoulli parameters and resulting acceptance rate for one size atom."""
+class Branches(NamedTuple):
+    """One element's branch parameters, one entry per atom of its size law.
 
-    p_interval: float  # branch for 0 < T <= 1-s
-    p_zero: float  # branch for T = 0, used only when c exceeds the first
-    rate: float
+    b1 admits from fills in (0, 1-s], b2 from the empty knapsack (used only
+    when c exceeds what b1 alone reaches); rate is the acceptance they give
+    against the fill law they were computed from.
+    """
+
+    b1: tuple[float, ...]
+    b2: tuple[float, ...]
+    rate: tuple[float, ...]
 
 
-def propagate_fill(
-    dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = ""
-) -> tuple[FiniteLaw, dict[float, AcceptanceBranch]]:
-    """Fold one element into the fill law; return the per-size bit schedule.
+def branch_probs(c: float, p0: float, p1s) -> Branches:
+    """The branch rule: p0 = Pr[T = 0] and, per size atom, p1 = Pr[0 < T <= 1-s].
 
-    For each size s: accept from fills in (0, 1-s] with probability
-    min(1, c/P1(s)); if c > P1(s), additionally accept from fill 0 with
-    probability (c - P1(s))/P0.  Total mass is preserved to 1e-12.
+    Accept from fills in (0, 1-s] with probability min(1, c/p1); if c > p1,
+    additionally accept from fill 0 with probability min(1, (c - p1)/p0).
+    A handful of atoms per element: plain floats beat array operations here.
+    """
+    b1, b2, rate = [], [], []
+    for p1 in p1s:
+        q1 = min(1.0, c / p1) if p1 > 0.0 else 0.0
+        q2 = min(1.0, (c - p1) / p0) if c > p1 and p0 > 0.0 else 0.0
+        b1.append(q1)
+        b2.append(q2)
+        rate.append(q1 * p1 + q2 * p0)
+    return Branches(tuple(b1), tuple(b2), tuple(rate))
+
+
+def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tuple[FiniteLaw, Branches]:
+    """Fold one element into the fill law; also return its Branches.
+
+    Raises InfeasibleError when c exceeds Pr[T = 0] + Pr[0 < T <= 1-s] for
+    some size s.  Total mass is preserved to 1e-12.
     """
     if not 0.0 <= c <= 1.0:
         raise InvalidInstanceError(f"acceptance probability {c} outside [0, 1] {ctx}")
@@ -268,26 +262,19 @@ def propagate_fill(
     room = 1.0 - np.array([s for s, _ in law.atoms])
     p0 = dist.p_zero
     p1s = dist.p_interval(0.0, room).tolist()
+    branches = branch_probs(c, p0, p1s)
     # The sorted fills split into the zero branch [0, zero_end), the interval
     # branch [zero_end, fit_end) and the fills the size does not fit.
     zero_end = int(dist.rank(0.0))
     fit_ends = dist.rank(room).tolist()
-    schedule: dict[float, AcceptanceBranch] = {}
     stay = probs * law.inactive_mass
     shifted, moved = [], []
-    for (s, ps), p1, fit_end in zip(law.atoms, p1s, fit_ends):
+    for (s, ps), p1, fit_end, b1, b2 in zip(law.atoms, p1s, fit_ends, branches.b1, branches.b2):
         if c > p0 + p1 + FEAS_TOL:
             raise InfeasibleError(
                 f"acceptance {c} exceeds reachable probability {p0 + p1} "
                 f"(size {s}{', ' + ctx if ctx else ''})"
             )
-        b1 = min(1.0, c / p1) if p1 > 0.0 else 0.0
-        if c > p1 and p0 > 0.0:
-            b2 = min(1.0, (c - p1) / p0)
-        else:
-            b2 = 0.0
-        schedule[s] = AcceptanceBranch(b1, b2, b1 * p1 + b2 * p0)
-
         accept = np.zeros(values.size)
         accept[:zero_end] = b2
         accept[zero_end:fit_end] = b1
@@ -304,40 +291,32 @@ def propagate_fill(
     )
     if abs(new.mass - 1.0) > 1e-12:
         raise InvariantViolationError(f"fill mass drifted to {new.mass} {ctx}")
-    return new, schedule
+    return new, branches
 
 
 @dataclass(frozen=True)
 class KnapsackExactResult:
     """Exact conditional rates and the full fill-law traces for both orders.
 
-    schedules_* hold the per-size AcceptanceBranch of every element, so the
-    executor's bit parameters can be replayed without re-propagating.
+    branches_* hold every element's Branches, so the executor's bit
+    parameters can be replayed without re-propagating.
     """
 
     rates_f: tuple[float, ...]
     rates_b: tuple[float, ...]
-    schedules_f: tuple[dict, ...]
-    schedules_b: tuple[dict, ...]
+    branches_f: tuple[Branches, ...]
+    branches_b: tuple[Branches, ...]
     traces_f: tuple[FiniteLaw, ...]  # n+1 laws, before each arrival and final
     traces_b: tuple[FiniteLaw, ...]
 
     def rates(self, tag: str) -> tuple[float, ...]:
         return self.rates_f if tag == FORWARD else self.rates_b
 
-    def schedules(self, tag: str) -> tuple[dict, ...]:
-        return self.schedules_f if tag == FORWARD else self.schedules_b
+    def branches(self, tag: str) -> tuple[Branches, ...]:
+        return self.branches_f if tag == FORWARD else self.branches_b
 
     def traces(self, tag: str) -> tuple[FiniteLaw, ...]:
         return self.traces_f if tag == FORWARD else self.traces_b
-
-    @cached_property
-    def rates_by_size_f(self) -> tuple[dict, ...]:
-        return tuple({s: br.rate for s, br in sched.items()} for sched in self.schedules_f)
-
-    @cached_property
-    def rates_by_size_b(self) -> tuple[dict, ...]:
-        return tuple({s: br.rate for s, br in sched.items()} for sched in self.schedules_b)
 
     @property
     def final_fill_f(self) -> FiniteLaw:
@@ -347,50 +326,45 @@ class KnapsackExactResult:
     def final_fill_b(self) -> FiniteLaw:
         return self.traces_b[-1]
 
-    def max_rate_error(self, plan: KnapsackPlan) -> float:
-        """Worst |rate(s) - planned c| over elements, sizes, and orders."""
-        worst = 0.0
-        for tag, by_size in ((FORWARD, self.rates_by_size_f), (BACKWARD, self.rates_by_size_b)):
-            planned = plan.rates(tag)
-            for i, sched in enumerate(by_size):
-                for rate in sched.values():
-                    worst = max(worst, abs(rate - planned[i]))
-        return worst
-
-
-def run_knapsack_exact(inst: KnapsackInstance, plan: KnapsackPlan) -> KnapsackExactResult:
-    """Propagate the fill law through both orders and read off exact rates."""
-    report = check_knapsack_feasible(plan, inst)
-    if not report.ok():
-        raise InfeasibleError(
-            f"plan violates the feasibility constraints by {report.max_violation}"
-            + (f"; monotonicity broken at {report.monotone_violations}" if report.monotone_violations else "")
+    def rate_errors(self, plan: SelectionPlan) -> tuple[float, ...]:
+        """Per element, the worst |rate(s) - planned c| over sizes and orders."""
+        return tuple(
+            max((abs(r - c) for br, c in ((f, cf), (b, cb)) for r in br.rate), default=0.0)
+            for f, b, cf, cb in zip(self.branches_f, self.branches_b, plan.c_f, plan.c_b)
         )
+
+    def max_rate_error(self, plan: SelectionPlan) -> float:
+        """Worst |rate(s) - planned c| over elements, sizes, and orders."""
+        return max(self.rate_errors(plan))
+
+
+def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackExactResult:
+    """Propagate the fill law through both orders and read off exact rates."""
+    check_knapsack_feasible(plan, inst).require()
     rates: dict[str, list[float]] = {}
-    scheds: dict[str, list[dict]] = {}
+    branches: dict[str, list[Branches]] = {}
     traces: dict[str, list[FiniteLaw]] = {}
     for tag in (FORWARD, BACKWARD):
         dist = initial_fill(tag)
         trace = [dist]
         out = [0.0] * inst.n
-        sizes = [dict() for _ in range(inst.n)]
+        per_element: list = [None] * inst.n
         planned = plan.rates(tag)
         for pos, i in enumerate(Permutation(tag, inst.n).order()):
-            dist, schedule = propagate_fill(
-                dist, inst.laws[i], planned[i], ctx=f"order {tag}, element {i}, position {pos + 1}"
+            law = inst.laws[i]
+            dist, per_element[i] = propagate_fill(
+                dist, law, planned[i], ctx=f"order {tag}, element {i}, position {pos + 1}"
             )
             trace.append(dist)
-            sizes[i] = schedule
-            law = inst.laws[i]
-            out[i] = math.fsum(ps * sizes[i][s].rate for s, ps in law.atoms) / law.active_mass
+            out[i] = math.fsum(ps * r for (_, ps), r in zip(law.atoms, per_element[i].rate)) / law.active_mass
         rates[tag] = out
-        scheds[tag] = sizes
+        branches[tag] = per_element
         traces[tag] = trace
     return KnapsackExactResult(
         tuple(rates[FORWARD]),
         tuple(rates[BACKWARD]),
-        tuple(scheds[FORWARD]),
-        tuple(scheds[BACKWARD]),
+        tuple(branches[FORWARD]),
+        tuple(branches[BACKWARD]),
         tuple(traces[FORWARD]),
         tuple(traces[BACKWARD]),
     )
@@ -460,7 +434,7 @@ class MonitorTraceReport:
 
 def monitor_trace(
     inst: KnapsackInstance,
-    plan: KnapsackPlan,
+    plan: SelectionPlan,
     result: KnapsackExactResult,
     b_grid,
 ) -> MonitorTraceReport:
@@ -516,11 +490,12 @@ class Admission(NamedTuple):
         return cls(tuple(upper[:-1]), 1.0 - gains[1::2] + ATOM_TOL, np.array(thresholds), gains)
 
     @classmethod
-    def of_law(cls, law: SizeLaw, b1, b2) -> Admission:
+    def of_law(cls, law: SizeLaw, branches: Branches) -> Admission:
         """Slices of a size law: its atoms in order, then the inactive mass."""
         inactive = [0.0] if law.inactive_mass > 0.0 else []  # size and branches of that slice
         upper = np.cumsum([p for _, p in law.atoms]).tolist() + [1.0] * len(inactive)
-        return cls.build(upper, [s for s, _ in law.atoms] + inactive, list(b1) + inactive, list(b2) + inactive)
+        sizes = [s for s, _ in law.atoms] + inactive
+        return cls.build(upper, sizes, [*branches.b1, *inactive], [*branches.b2, *inactive])
 
     def admit(self, u: np.ndarray, fill: np.ndarray) -> np.ndarray:
         """Admit rows with uniforms u against fills, adding admitted sizes to
@@ -537,19 +512,20 @@ class Admission(NamedTuple):
 
 def build_branch_tables(
     inst: KnapsackInstance,
-    plan: KnapsackPlan,
+    plan: SelectionPlan,
     seed: int,
     pool_size: int = DEFAULT_POOL_SIZE,
-):
+) -> dict[str, tuple[Branches, ...]]:
     """Sampled-history branch parameters, one pool of replica fills per order.
 
     Replicas advance element by element using parameters estimated from their
     own current fills, mirroring how the executor would estimate its history
-    online.  Returns {tag: [per-element (sizes, b1 array, b2 array)]}.
+    online.  Returns {tag: one Branches per element}; their rates are the
+    pool's estimates.
     """
     if pool_size < 1:
         raise InvalidInstanceError("pool_size must be positive")
-    tables: dict[str, list] = {}
+    tables: dict[str, tuple[Branches, ...]] = {}
     for tag_idx, tag in enumerate((FORWARD, BACKWARD)):
         rng = stream(seed, NS_POOL, tag_idx)
         fills = np.zeros(pool_size)
@@ -557,23 +533,18 @@ def build_branch_tables(
         per_element: list = [None] * inst.n
         for i in Permutation(tag, inst.n).order():
             law = inst.laws[i]
-            c = planned[i]
             zero = np.count_nonzero(fills == 0.0)
-            p0 = zero / pool_size
-            b1, b2 = [], []
-            for s, _ in law.atoms:  # fills are >= 0: Pr[0 < T <= 1-s] by counts
-                p1 = (np.count_nonzero(fills <= 1.0 - s + ATOM_TOL) - zero) / pool_size
-                b1.append(min(1.0, c / p1) if p1 > 0.0 else 0.0)
-                b2.append(min(1.0, (c - p1) / p0) if c > p1 and p0 > 0.0 else 0.0)
-            per_element[i] = (np.array([s for s, _ in law.atoms]), np.array(b1), np.array(b2))
-            Admission.of_law(law, b1, b2).admit(rng.random(pool_size), fills)
-        tables[tag] = per_element
+            # fills are >= 0: Pr[0 < T <= 1-s] by counts
+            p1s = [(np.count_nonzero(fills <= 1.0 - s + ATOM_TOL) - zero) / pool_size for s, _ in law.atoms]
+            per_element[i] = branch_probs(planned[i], zero / pool_size, p1s)
+            Admission.of_law(law, per_element[i]).admit(rng.random(pool_size), fills)
+        tables[tag] = tuple(per_element)
     return tables
 
 
 def run_knapsack_mc(
     inst: KnapsackInstance,
-    plan: KnapsackPlan,
+    plan: SelectionPlan,
     trials: int,
     seed: int,
     workers: int = 1,
@@ -587,14 +558,9 @@ def run_knapsack_mc(
     O(1/sqrt(pool_size)); raise pool_size when comparing against exact rates
     at tight tolerances.
     """
-    report = check_knapsack_feasible(plan, inst)
-    if not report.ok():
-        raise InfeasibleError(f"plan violates the feasibility constraints by {report.max_violation}")
+    check_knapsack_feasible(plan, inst).require()
     tables = build_branch_tables(inst, plan, seed, pool_size)
-    rules = {
-        tag: [Admission.of_law(law, b1, b2) for law, (_, b1, b2) in zip(inst.laws, tables[tag])]
-        for tag in (FORWARD, BACKWARD)
-    }
+    rules = {tag: [Admission.of_law(law, br) for law, br in zip(inst.laws, tables[tag])] for tag in tables}
 
     def experiment(rng, m: int):
         fills = np.zeros(m)

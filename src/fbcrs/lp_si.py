@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInstanceError, SolverError
-from .instances import SingleUnitInstance
+from .instances import FORWARD, SingleUnitInstance
 
 LP_TOL = 1e-9
 
@@ -41,7 +41,11 @@ def alpha_0(rho: float) -> float:
 
 @dataclass(frozen=True)
 class SelectionPlan:
-    """Conditional acceptance probabilities for both arrival orders."""
+    """Conditional acceptance probabilities for both arrival orders.
+
+    The one plan type of both schemes: the single-unit LP and closed form,
+    and the knapsack closed form, all return it.
+    """
 
     c_f: tuple[float, ...]
     c_b: tuple[float, ...]
@@ -60,8 +64,6 @@ class SelectionPlan:
         return len(self.c_f)
 
     def rates(self, tag: str) -> tuple[float, ...]:
-        from .instances import FORWARD
-
         return self.c_f if tag == FORWARD else self.c_b
 
     @cached_property
@@ -101,7 +103,8 @@ def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
 
     This terminates: every nondegenerate pivot strictly raises the objective,
     so no basis repeats across them, and within one run of degenerate pivots
-    Bland's rule cannot cycle.  Returns (v, value).
+    Bland's rule cannot cycle.  Returns (v, value); raises SolverError when
+    the optimum needs more than max_iter pivots.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -118,7 +121,7 @@ def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
     nonbasic = np.arange(k)
 
     stall = 0
-    for _ in range(max_iter):
+    for pivots in range(max_iter + 1):
         z = T[m, :-1]
         if stall >= _STALL_LIMIT:
             negative = np.nonzero(z < -tol)[0]
@@ -129,6 +132,8 @@ def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
             col = int(np.argmin(z))
             if z[col] >= -tol:
                 break
+        if pivots == max_iter:
+            raise SolverError(f"simplex did not converge within {max_iter} pivots")
         column = T[:m, col]
         positive = column > tol
         if not positive.any():
@@ -151,8 +156,6 @@ def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
         np.multiply(column, -1.0 / pivot, out=T[:, col])
         T[row, col] = 1.0 / pivot
         basis[row], nonbasic[col] = nonbasic[col], basis[row]
-    else:
-        raise SolverError(f"simplex did not converge within {max_iter} pivots")
 
     v = np.zeros(k + m)
     v[basis] = T[:m, -1]

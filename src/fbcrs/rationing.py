@@ -42,8 +42,8 @@ from .knapsack import (
     RATE_TOL,
     Admission,
     FiniteLaw,
-    KnapsackPlan,
     build_branch_tables,
+    check_knapsack_feasible,
     closed_form_knapsack_plan,
     run_knapsack_exact,
 )
@@ -471,7 +471,7 @@ class RationingResult:
     route: str
     mode: str
     target: ServiceTarget
-    plan: SelectionPlan | KnapsackPlan
+    plan: SelectionPlan
     agents: tuple[AgentReport, ...]
     traces: tuple[AllocationTrace, ...]
     rem_slack: float | None  # single-unit route only
@@ -554,8 +554,8 @@ def _single_unit_runner(inst: RationingInstance, target: ServiceTarget, taus: di
 def _knapsack_runner(inst: RationingInstance, red: KnapsackReduction, target: ServiceTarget, tables: dict):
     """The knapsack admission rule on both orders at once, sizes min(D, 1).
 
-    tables[tag][e] is element e's (sizes, b1, b2) by size atom, as
-    build_branch_tables gives them.  An arrival's outcome is its slice and
+    tables[tag][e] is element e's Branches, from the exact run or
+    build_branch_tables.  An arrival's outcome is its slice and
     whether it was admitted, so the sums come from per-outcome allocation and
     service tables.  Returns run(rng, m, rows=None) as _single_unit_runner.
     """
@@ -567,7 +567,7 @@ def _knapsack_runner(inst: RationingInstance, red: KnapsackReduction, target: Se
         d = [law.atoms[j][0] for j in atom]
         sizes = [0.0 if a is None else min(v, 1.0) for a, v in zip(size_atom, d)]
         for tag in rules:
-            branches = ((), ()) if e is None else tables[tag][e][1:]
+            branches = ((), ()) if e is None else tables[tag][e][:2]
             b1, b2 = ([0.0 if a is None else b[a] for a in size_atom] for b in branches)
             rules[tag].append(Admission.build(upper, sizes, b1, b2))
         demand.append(np.array(d))
@@ -656,8 +656,8 @@ def _run_single_unit_route(
     su = target.single_unit()
     if plan is None:
         plan = solve_lp_si(su)
-    if not isinstance(plan, SelectionPlan) or plan.n != inst.n:
-        raise InvalidInstanceError("the single-unit route needs a SelectionPlan of matching length")
+    if plan.n != inst.n:
+        raise InvalidInstanceError("the single-unit route needs one plan entry per agent")
     if not plan.is_feasible(su):
         raise InfeasibleError("the selection plan is infeasible for these supply shares")
     tables = {
@@ -711,8 +711,9 @@ def _run_knapsack_route(
     red = knapsack_reduction(inst, target)
     if plan is None:
         plan = closed_form_knapsack_plan(red.instance)
-    if not isinstance(plan, KnapsackPlan) or plan.n != red.instance.n:
-        raise InvalidInstanceError("the knapsack route needs a KnapsackPlan over the reduced elements")
+    if plan.n != red.instance.n:
+        raise InvalidInstanceError("the knapsack route needs one plan entry per reduced element")
+    check_knapsack_feasible(plan, red.instance).require()
     pair = plan.pair_means
 
     def report(i, es, lo, hi, ey):
@@ -759,13 +760,7 @@ def _run_knapsack_route(
         if rep.slack < -CALIBRATION_TOL:
             raise InvariantViolationError(f"service guarantee missed for agent {i}")
         agents.append(rep)
-    tables = {
-        tag: [
-            (None, *([getattr(sched[s], field) for s, _ in law.atoms] for field in ("p_interval", "p_zero")))
-            for law, sched in zip(red.instance.laws, result.schedules(tag))
-        ]
-        for tag in (FORWARD, BACKWARD)
-    }
+    tables = {tag: result.branches(tag) for tag in (FORWARD, BACKWARD)}
     traces = _sample_traces(_knapsack_runner(inst, red, target, tables), inst.n, seed, trace_count)
     return RationingResult(ROUTE_KNAPSACK, "exact", target, plan, tuple(agents), traces, None, None)
 
@@ -773,7 +768,7 @@ def _run_knapsack_route(
 def run_rationing(
     inst: RationingInstance,
     target: ServiceTarget,
-    plan: SelectionPlan | KnapsackPlan | None = None,
+    plan: SelectionPlan | None = None,
     mode: str = "exact",
     trials: int = 0,
     seed: int = 0,
@@ -788,8 +783,9 @@ def run_rationing(
     min(D, 1)); all others use the single-unit scheme with per-order
     calibrated thresholds.  Mode "exact" propagates the remaining-supply or
     fill law in closed form; "mc" simulates trials runs on top of the same
-    calibration.  plan defaults to the LP optimum (single-unit route) or the
-    closed form (knapsack route).
+    calibration.  plan covers the agents (single-unit route) or the reduced
+    elements (knapsack route); it defaults to the LP optimum or the closed
+    form, and an infeasible plan raises InfeasibleError in both modes.
     """
     if inst.n != target.n:
         raise InvalidInstanceError("target does not match the instance")

@@ -86,8 +86,8 @@ def enumerated_selection_rates(x, params, order):
     return tuple(rates)
 
 
-def replay_knapsack_paths(inst, schedules, order):
-    """Replay acceptance schedules over every size and bit outcome path.
+def replay_knapsack_paths(inst, branches, order):
+    """Replay per-element Branches over every size and bit outcome path.
 
     Tracks the fill distribution as exact float values without any atom
     merging.  Returns (per-element Pr[accept | active], final states dict).
@@ -98,7 +98,7 @@ def replay_knapsack_paths(inst, schedules, order):
     rates = [0.0] * len(order)
     for i in order:
         law = inst.laws[i]
-        sched = schedules[i]
+        b1, b2 = branches[i].b1, branches[i].b2
         nxt: dict[float, float] = {}
 
         def add(t, p):
@@ -109,12 +109,11 @@ def replay_knapsack_paths(inst, schedules, order):
         for t, pt in states.items():
             if law.inactive_mass > 0.0:
                 add(t, pt * law.inactive_mass)
-            for s, ps in law.atoms:
-                branch = sched[s]
+            for k, (s, ps) in enumerate(law.atoms):
                 if t <= BOUNDARY_TOL:
-                    accept = branch.p_zero
+                    accept = b2[k]
                 elif t <= 1.0 - s + BOUNDARY_TOL:
-                    accept = branch.p_interval
+                    accept = b1[k]
                 else:
                     accept = 0.0
                 mass = pt * ps

@@ -269,7 +269,7 @@ def test_criterion_9_brute_force_equivalence():
             count += 1
             for tag in (FORWARD, BACKWARD):
                 order = Permutation(tag, inst.n).order()
-                rates, states = replay_knapsack_paths(inst, result.schedules(tag), order)
+                rates, states = replay_knapsack_paths(inst, result.branches(tag), order)
                 err = max(abs(a - b) for a, b in zip(rates, result.rates(tag)))
                 if err > 1e-12:
                     failures.append(f"{combo} {tag}: rate mismatch {err:.2e}")

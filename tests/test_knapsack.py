@@ -19,8 +19,8 @@ from fbcrs.instances import (
 from fbcrs.knapsack import (
     ATOM_TOL,
     Admission,
+    Branches,
     FiniteLaw,
-    KnapsackPlan,
     build_branch_tables,
     check_knapsack_feasible,
     closed_form_knapsack_plan,
@@ -33,6 +33,7 @@ from fbcrs.knapsack import (
     run_knapsack_mc,
 )
 
+from fbcrs.lp_si import SelectionPlan
 from fbcrs.sim import stream, wilson_interval
 
 from oracles import match_fill_atoms, replay_knapsack_paths
@@ -65,19 +66,12 @@ def test_closed_form_plan_partial_mass():
         assert pm == pytest.approx(target, abs=1e-12)
 
 
-def test_plan_validation():
-    with pytest.raises(InvalidInstanceError):
-        KnapsackPlan((1.5,), (0.5,))
-    with pytest.raises(InvalidInstanceError):
-        KnapsackPlan((0.5, 0.5), (0.5,))
-
-
 def test_feasibility_checker_flags_monotone_break():
     inst = KnapsackInstance((SizeLaw(((0.5, 1.0),)),) * 2)
     good = closed_form_knapsack_plan(inst)
     assert check_knapsack_feasible(good, inst).ok()
     # increasing along the forward arrival order breaks the requirement
-    bad = KnapsackPlan((5.0 / 18.0, 7.0 / 18.0), good.c_b)
+    bad = SelectionPlan((5.0 / 18.0, 7.0 / 18.0), good.c_b)
     report = check_knapsack_feasible(bad, inst)
     assert not report.ok()
     assert report.monotone_violations
@@ -85,7 +79,7 @@ def test_feasibility_checker_flags_monotone_break():
 
 def test_feasibility_checker_flags_zero_first():
     inst = KnapsackInstance((SizeLaw(((0.5, 1.0),)),) * 2)
-    plan = KnapsackPlan((0.0, 0.0), (0.0, 0.0))
+    plan = SelectionPlan((0.0, 0.0), (0.0, 0.0))
     report = check_knapsack_feasible(plan, inst)
     assert report.zero_first_flagged
 
@@ -95,11 +89,10 @@ def test_propagate_fill_hand_example():
     # P1 = 0.15 forces b1 = 1, then b2 = (0.2 - 0.15)/0.85 = 1/17
     dist = FiniteLaw([0.0, 0.4], [0.85, 0.15])
     law = SizeLaw(((0.5, 1.0),))
-    out, schedule = propagate_fill(dist, law, 0.2)
-    branch = schedule[0.5]
-    assert branch.p_interval == pytest.approx(1.0, abs=1e-15)
-    assert branch.p_zero == pytest.approx(1.0 / 17.0, abs=1e-15)
-    assert branch.rate == pytest.approx(0.2, abs=1e-15)
+    out, branches = propagate_fill(dist, law, 0.2)
+    assert branches.b1 == pytest.approx((1.0,), abs=1e-15)
+    assert branches.b2 == pytest.approx((1.0 / 17.0,), abs=1e-15)
+    assert branches.rate == pytest.approx((0.2,), abs=1e-15)
     expected = ((0.0, 0.8), (0.5, 0.05), (0.9, 0.15))
     assert len(out.atoms) == len(expected)
     for got, want in zip(out.atoms, expected):
@@ -296,7 +289,7 @@ def test_exact_run_matches_path_enumeration():
         result = run_knapsack_exact(inst, plan)
         for tag in (FORWARD, BACKWARD):
             order = Permutation(tag, inst.n).order()
-            rates, states = replay_knapsack_paths(inst, result.schedules(tag), order)
+            rates, states = replay_knapsack_paths(inst, result.branches(tag), order)
             assert rates == pytest.approx(result.rates(tag), abs=1e-12)
             assert rates == pytest.approx(plan.rates(tag), abs=1e-12)
             final = result.traces(tag)[-1]
@@ -326,9 +319,11 @@ def test_exact_expectation_identity():
 
 
 # Two size atoms on [0, 0.6), inactive mass above: slice 0 is size 0.3 with
-# (b1, b2) = (0.5, 0.25), slice 1 is size 0.6 with (0.2, 0.9), slice 2 is inactive.
+# (b1, b2) = (0.5, 0.25), slice 1 is size 0.6 with (0.2, 0.9), slice 2 is
+# inactive.  The kernel does not read the rates.
 KERNEL_LAW = SizeLaw(((0.3, 0.4), (0.6, 0.2)), inactive_mass=0.4)
 KERNEL_B1, KERNEL_B2 = (0.5, 0.2), (0.25, 0.9)
+KERNEL_BRANCHES = Branches(KERNEL_B1, KERNEL_B2, rate=(0.0, 0.0))
 
 
 def _admit(rule, u, fill):
@@ -338,7 +333,7 @@ def _admit(rule, u, fill):
 
 
 def test_admission_kernel_picks_the_branch_by_fill():
-    rule = Admission.of_law(KERNEL_LAW, KERNEL_B1, KERNEL_B2)
+    rule = Admission.of_law(KERNEL_LAW, KERNEL_BRANCHES)
     # u at a fraction f of slice 0 ([0, 0.4)) is admitted when f < b
     u = [0.4 * 0.24, 0.4 * 0.26, 0.4 * 0.49, 0.4 * 0.51]
     k, admitted, fill = _admit(rule, u, [0.0] * 4)  # empty: zero branch b2 = 0.25
@@ -357,7 +352,7 @@ def test_admission_kernel_picks_the_branch_by_fill():
 
 
 def test_admission_kernel_fit_boundary_and_inactive_rows():
-    rule = Admission.of_law(KERNEL_LAW, (1.0, 1.0), (1.0, 1.0))
+    rule = Admission.of_law(KERNEL_LAW, Branches((1.0, 1.0), (1.0, 1.0), (0.0, 0.0)))
     room = 1.0 - 0.3  # slice 0 has size 0.3
     fills = [room + ATOM_TOL / 2, room + 2 * ATOM_TOL, 1.0]
     _, admitted, _ = _admit(rule, [0.1] * 3, fills)
@@ -375,7 +370,7 @@ def test_admission_kernel_fit_boundary_and_inactive_rows():
 def test_single_uniform_threshold_gives_each_atom_its_branch(fill):
     # the atom and the acceptance come from one uniform; conditionally on the
     # atom, acceptance must still fire with that atom's branch probability
-    rule = Admission.of_law(KERNEL_LAW, KERNEL_B1, KERNEL_B2)
+    rule = Admission.of_law(KERNEL_LAW, KERNEL_BRANCHES)
     u = stream(11, 0).random(400_000)
     k, admitted, _ = _admit(rule, u, np.full(u.size, fill))
     branch = KERNEL_B2 if fill == 0.0 else KERNEL_B1
@@ -394,11 +389,12 @@ def test_branch_tables_deterministic():
     b = build_branch_tables(inst, plan, seed=4, pool_size=500)
     c = build_branch_tables(inst, plan, seed=5, pool_size=500)
     for tag in (FORWARD, BACKWARD):
-        for (sa, b1a, b2a), (sb, b1b, b2b) in zip(a[tag], b[tag]):
-            assert np.array_equal(b1a, b1b) and np.array_equal(b2a, b2b)
-    assert any(
-        not np.array_equal(x[1], y[1]) for x, y in zip(a[FORWARD], c[FORWARD])
-    )
+        assert len(a[tag]) == inst.n
+        for br, law in zip(a[tag], inst.laws):
+            assert isinstance(br, Branches)
+            assert len(br.b1) == len(br.b2) == len(br.rate) == len(law.atoms)
+    assert a == b
+    assert any(x.b1 != y.b1 for x, y in zip(a[FORWARD], c[FORWARD]))
 
 
 def test_mc_agrees_with_exact():

@@ -118,6 +118,9 @@ def test_simplex_pivot_budget():
     obj, A, b = [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]
     with pytest.raises(SolverError, match="did not converge"):
         _simplex(obj, A, b, max_iter=1)
+    # a budget of exactly the pivots needed is enough
+    v, value = _simplex(obj, A, b, max_iter=2)
+    assert v.tolist() == [1.0, 2.0] and value == 3.0
     assert _simplex(obj, A, b, max_iter=3)[1] == pytest.approx(3.0, abs=1e-12)
 
 

@@ -16,7 +16,7 @@ from fbcrs.instances import (
     SingleUnitInstance,
     inverse_cdf,
 )
-from fbcrs.knapsack import FiniteLaw, KnapsackPlan, closed_form_knapsack_plan
+from fbcrs.knapsack import FiniteLaw, closed_form_knapsack_plan
 from fbcrs.lp_si import SelectionPlan, alpha_0, solve_lp_si
 from fbcrs.rationing import (
     ServiceTarget,
@@ -406,11 +406,18 @@ def test_run_rationing_validation():
         run_rationing(inst, other)
 
 
-def test_run_rationing_rejects_wrong_plan_type():
-    inst = two_agent_unit_instance()
-    target = exante_check(inst, (0.5, 0.5))
-    with pytest.raises(InvalidInstanceError):
-        run_rationing(inst, target, plan=KnapsackPlan((0.3, 0.3), (0.3, 0.3)))
+def half_demand_type_i_ii():
+    return RationingInstance((DemandLaw(((0.5, 1.0),)),) * 2, ("TypeI", "TypeII"))
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_run_rationing_rejects_wrong_plan_length(mode):
+    # two agents on each route; the plan covers one
+    plan = SelectionPlan((0.3,), (0.3,))
+    for inst in (two_agent_unit_instance(), half_demand_type_i_ii()):
+        target = exante_check(inst, (0.5, 0.5))
+        with pytest.raises(InvalidInstanceError):
+            run_rationing(inst, target, plan=plan, mode=mode, trials=1000)
 
 
 def test_run_rationing_rejects_infeasible_plan():
@@ -419,6 +426,17 @@ def test_run_rationing_rejects_infeasible_plan():
     # both orders demand more than the whole unit up front
     with pytest.raises(InfeasibleError):
         run_rationing(inst, target, plan=SelectionPlan((1.0, 1.0), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_knapsack_route_rejects_infeasible_plan(mode):
+    inst = half_demand_type_i_ii()
+    target = exante_check(inst, (0.9, 0.9))
+    # with c = 1 everywhere the second arrival needs c <= 1 - c_first - 0.45:
+    # the plan violates the knapsack constraints by 1.45
+    plan = SelectionPlan((1.0, 1.0), (1.0, 1.0))
+    with pytest.raises(InfeasibleError):
+        run_rationing(inst, target, plan=plan, mode=mode, trials=1000)
 
 
 # --- randomized cross-checks -------------------------------------------------------
