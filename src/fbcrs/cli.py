@@ -206,6 +206,12 @@ def cmd_ration(args) -> int:
         workers=args.workers,
         pool_size=args.pool_size,
     )
+    if result.resamples:
+        print(
+            f"warning: the remaining-supply law was resampled {result.resamples} times; "
+            "the thresholds, and in exact mode the service values, rest on a sample",
+            file=sys.stderr,
+        )
     rows = []
     code = 0
     for a in result.agents:

@@ -7,6 +7,14 @@ A simplex method on a condensed tableau solves it, with Dantzig's rule
 and Bland's rule only while the objective stalls; uniform odd-length
 instances also get a closed-form dual certificate whose objective
 upper-bounds the optimum by weak duality.
+
+The pair rows beta - (c_f(i) + c_b(i))/2 <= 0 have a zero right-hand side,
+so from the all-slack basis the first pivots would all be degenerate.  The
+simplex instead starts from a crash basis: each pair row's slack is
+exchanged for the rate of the order in which element i arrives later.
+Those exchanges move no basic value, so the start is feasible, and the
+pivot rules terminate from it for the same reason as from the all-slack
+basis (see _simplex).
 """
 
 from __future__ import annotations
@@ -89,7 +97,7 @@ class SelectionPlan:
         return self.max_violation(inst) <= tol
 
 
-def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
+def _simplex(obj, A, b, *, start=(), tol: float = LP_TOL, max_iter: int | None = None):
     """Maximize obj @ v subject to A @ v <= b, v >= 0, with b >= 0.
 
     Condensed (Tucker) tableau: one column per nonbasic variable and one row
@@ -101,10 +109,20 @@ def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
     with a negative reduced cost), until the next nondegenerate pivot.  Ratio
     ties go to the smallest basic label.
 
-    This terminates: every nondegenerate pivot strictly raises the objective,
-    so no basis repeats across them, and within one run of degenerate pivots
-    Bland's rule cannot cycle.  Returns (v, value); raises SolverError when
-    the optimum needs more than max_iter pivots.
+    start is a crash basis: (row, col) pairs whose slacks leave for column
+    col before the first ratio test.  Every start row needs b[row] = 0, and
+    the block A[rows][:, cols] must be diagonal with entries larger than
+    tol in magnitude; otherwise SolverError.  Then the exchanges do not touch each other's
+    rows or columns, each updates only the columns where its row is
+    nonzero, and none moves a basic value, so the crash basis is primal
+    feasible with the all-slack objective.  The exchanges are not pivots:
+    they do not count against max_iter.
+
+    This terminates from the crash basis as from the all-slack one: every
+    nondegenerate pivot strictly raises the objective, so no basis repeats
+    across them, and within one run of degenerate pivots Bland's rule cannot
+    cycle.  Returns (v, value, pivots); raises SolverError when the optimum
+    needs more than max_iter pivots.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -119,6 +137,27 @@ def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
     T[m, :k] = -obj
     basis = np.arange(k, k + m)
     nonbasic = np.arange(k)
+
+    rows, cols = np.asarray(start, dtype=int).reshape(-1, 2).T
+    if np.any((rows < 0) | (rows >= m) | (cols < 0) | (cols >= k)):
+        raise SolverError("crash start indices outside the constraint matrix")
+    if np.any(b[rows] != 0.0):
+        raise SolverError("crash start rows need a zero right-hand side")
+    if np.any(np.abs(A[rows, cols]) <= tol) or np.count_nonzero(A[np.ix_(rows, cols)]) != len(rows):
+        raise SolverError("crash start block must be diagonal with a nonzero diagonal")
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        # The pivot of the loop below, restricted to the few columns where
+        # the row is nonzero; its right-hand side is zero.
+        column = T[:, col].copy()
+        pivot = column[row]
+        column[row] = 0.0
+        for j in np.flatnonzero(T[row, :-1]).tolist():
+            if j != col:
+                T[row, j] /= pivot
+                T[:, j] -= T[row, j] * column
+        np.multiply(column, -1.0 / pivot, out=T[:, col])
+        T[row, col] = 1.0 / pivot
+        basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
     stall = 0
     for pivots in range(max_iter + 1):
@@ -159,7 +198,7 @@ def _simplex(obj, A, b, *, tol: float = LP_TOL, max_iter: int | None = None):
 
     v = np.zeros(k + m)
     v[basis] = T[:m, -1]
-    return v[:k], float(T[m, -1])
+    return v[:k], float(T[m, -1]), pivots
 
 
 def _clip_unit(values, tol: float = LP_TOL):
@@ -183,8 +222,11 @@ def _solve_general(inst: SingleUnitInstance) -> SelectionPlan:
     b = np.concatenate([np.ones(2 * n), np.zeros(n)])
     obj = np.zeros(2 * n + 1)
     obj[2 * n] = 1.0
+    # Crash basis: each pair row takes the rate of the order where i
+    # arrives later, c_b(i) in the first half and c_f(i) in the second.
+    start = [(2 * n + i, n + i if i < n // 2 else i) for i in range(n)]
 
-    v, _ = _simplex(obj, A, b)
+    v, _, _ = _simplex(obj, A, b, start=start)
     return SelectionPlan(_clip_unit(v[:n]), _clip_unit(v[n : 2 * n]))
 
 
@@ -209,8 +251,10 @@ def _solve_palindromic(inst: SingleUnitInstance) -> SelectionPlan:
     b = np.concatenate([np.ones(n), np.zeros(pairs)])
     obj = np.zeros(n + 1)
     obj[n] = 1.0
+    # Crash basis: pair row r takes u[n-1-r], its later-arriving rate.
+    start = [(n + r, n - 1 - r) for r in range(pairs)]
 
-    v, _ = _simplex(obj, A, b)
+    v, _, _ = _simplex(obj, A, b, start=start)
     u = _clip_unit(v[:n])
     return SelectionPlan(u, tuple(reversed(u)))
 
@@ -291,7 +335,7 @@ class DualFeasibilityReport:
     certificate objective upper-bounds the LP optimum."""
 
     max_violation: float
-    xi_sum_slack: float  # sum(xi)/N - 1; needs to be >= -1e-12
+    xi_sum_slack: float  # sum(xi)/N - 1; ok() needs it >= -tol (LP_TOL)
     min_entry: float
 
     def ok(self, tol: float = LP_TOL) -> bool:

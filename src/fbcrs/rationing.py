@@ -297,6 +297,7 @@ class _OrderTables:
     service: tuple[float, ...]  # E[s_i | order]
     rem_slack: float  # worst margin of the supply invariant across arrivals
     final_rem: FiniteLaw
+    resamples: int  # arrivals whose remaining-supply law was resampled
 
 
 def _resample_rem(rem: FiniteLaw, rng) -> FiniteLaw:
@@ -326,6 +327,7 @@ def _exact_order(
     rem = FiniteLaw([1.0], [1.0], tag=tag)
     consumed = 0.0
     slack = math.inf
+    resamples = 0
     for i in Permutation(tag, n).order():
         law, stype = inst.demands[i], inst.service[i]
         q, x, b = target.q[i], target.x[i], target.beta[i]
@@ -364,8 +366,9 @@ def _exact_order(
         )
         if rem.support_size > REM_ATOM_CAP:
             rem = _resample_rem(rem, rng)
+            resamples += 1
         consumed += rates[i] * x
-    return _OrderTables(tuple(taus), tuple(alloc), tuple(service), slack, rem)
+    return _OrderTables(tuple(taus), tuple(alloc), tuple(service), slack, rem, resamples)
 
 
 @dataclass(frozen=True)
@@ -476,6 +479,10 @@ class RationingResult:
     traces: tuple[AllocationTrace, ...]
     rem_slack: float | None  # single-unit route only
     estimates: dict | None  # raw MC estimates, mc mode only
+    # Remaining-supply laws replaced by a REM_SAMPLES-draw empirical law
+    # (single-unit route, both orders).  When nonzero, the thresholds, and
+    # in exact mode the service values, rest on that sample: not exact.
+    resamples: int
 
     @property
     def min_slack(self) -> float:
@@ -669,6 +676,7 @@ def _run_single_unit_route(
     run = _single_unit_runner(inst, target, taus)
     traces = _sample_traces(run, inst.n, seed, trace_count)
     rem_slack = min(t.rem_slack for t in tables.values())
+    resamples = sum(t.resamples for t in tables.values())
 
     def report(i, es, lo, hi, ey):
         bound = pair[i] * target.beta[i]
@@ -698,11 +706,13 @@ def _run_single_unit_route(
                 raise InvariantViolationError(f"service guarantee missed for agent {i}")
             agents.append(report(i, es, None, None, ey))
         return RationingResult(
-            ROUTE_SINGLE_UNIT, "exact", target, plan, tuple(agents), traces, rem_slack, None
+            ROUTE_SINGLE_UNIT, "exact", target, plan, tuple(agents), traces, rem_slack, None, resamples
         )
     estimates = run_trials(run, trials, seed, workers, confidence)
     agents = _mc_agents(estimates, report, inst.n, confidence)
-    return RationingResult(ROUTE_SINGLE_UNIT, "mc", target, plan, agents, traces, rem_slack, estimates)
+    return RationingResult(
+        ROUTE_SINGLE_UNIT, "mc", target, plan, agents, traces, rem_slack, estimates, resamples
+    )
 
 
 def _run_knapsack_route(
@@ -743,7 +753,7 @@ def _run_knapsack_route(
         estimates = run_trials(run, trials, seed, workers, confidence)
         agents = _mc_agents(estimates, report, inst.n, confidence)
         traces = _sample_traces(run, inst.n, seed, trace_count)
-        return RationingResult(ROUTE_KNAPSACK, "mc", target, plan, agents, traces, None, estimates)
+        return RationingResult(ROUTE_KNAPSACK, "mc", target, plan, agents, traces, None, estimates, 0)
     result = run_knapsack_exact(red.instance, plan)
     err = result.max_rate_error(plan)
     if err > RATE_TOL:
@@ -762,7 +772,7 @@ def _run_knapsack_route(
         agents.append(rep)
     tables = {tag: result.branches(tag) for tag in (FORWARD, BACKWARD)}
     traces = _sample_traces(_knapsack_runner(inst, red, target, tables), inst.n, seed, trace_count)
-    return RationingResult(ROUTE_KNAPSACK, "exact", target, plan, tuple(agents), traces, None, None)
+    return RationingResult(ROUTE_KNAPSACK, "exact", target, plan, tuple(agents), traces, None, None, 0)
 
 
 def run_rationing(
@@ -786,6 +796,9 @@ def run_rationing(
     calibration.  plan covers the agents (single-unit route) or the reduced
     elements (knapsack route); it defaults to the LP optimum or the closed
     form, and an infeasible plan raises InfeasibleError in both modes.
+    On the single-unit route a remaining-supply law past REM_ATOM_CAP atoms
+    is resampled; result.resamples counts those events, and when it is
+    nonzero exact mode is not exact.
     """
     if inst.n != target.n:
         raise InvalidInstanceError("target does not match the instance")

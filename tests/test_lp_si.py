@@ -83,9 +83,10 @@ def test_plan_feasibility_bookkeeping():
 
 def test_simplex_solves_tiny_lp():
     # max x + y st x <= 1, y <= 2
-    sol, value = _simplex([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+    sol, value, pivots = _simplex([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
     assert value == pytest.approx(3.0, abs=1e-12)
     assert sol == pytest.approx([1.0, 2.0], abs=1e-12)
+    assert pivots == 2
 
 
 def test_simplex_unbounded_raises():
@@ -101,7 +102,7 @@ BEALE_B = [0.0, 0.0, 1.0]
 
 
 def test_simplex_does_not_cycle_on_beale():
-    sol, value = _simplex(BEALE_OBJ, BEALE_A, BEALE_B)
+    sol, value, _ = _simplex(BEALE_OBJ, BEALE_A, BEALE_B)
     assert value == pytest.approx(1.25, abs=1e-12)
     assert sol == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
 
@@ -119,9 +120,75 @@ def test_simplex_pivot_budget():
     with pytest.raises(SolverError, match="did not converge"):
         _simplex(obj, A, b, max_iter=1)
     # a budget of exactly the pivots needed is enough
-    v, value = _simplex(obj, A, b, max_iter=2)
-    assert v.tolist() == [1.0, 2.0] and value == 3.0
+    v, value, pivots = _simplex(obj, A, b, max_iter=2)
+    assert v.tolist() == [1.0, 2.0] and value == 3.0 and pivots == 2
     assert _simplex(obj, A, b, max_iter=3)[1] == pytest.approx(3.0, abs=1e-12)
+
+
+# max v2 st v0 <= 1, v1 <= 1, v2 <= (v0 + v1)/2, v2 <= v0; optimum 1 at (1, 1, 1).
+# Rows 2 and 3 have a zero right-hand side, so they can start a crash basis.
+CRASH_OBJ = [0.0, 0.0, 1.0]
+CRASH_A = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5, -0.5, 1.0], [-1.0, 0.0, 1.0]]
+CRASH_B = [1.0, 1.0, 0.0, 0.0]
+
+
+def test_simplex_crash_start():
+    plain = _simplex(CRASH_OBJ, CRASH_A, CRASH_B)
+    crash = _simplex(CRASH_OBJ, CRASH_A, CRASH_B, start=[(2, 1)])
+    assert crash[1] == pytest.approx(plain[1], abs=1e-12) == 1.0
+    assert crash[0] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+    assert crash[2] < plain[2]
+    # the crash exchange is not a pivot: a budget of the pivots alone is enough
+    assert _simplex(CRASH_OBJ, CRASH_A, CRASH_B, start=[(2, 1)], max_iter=crash[2])[1] == 1.0
+
+
+@pytest.mark.parametrize(
+    "start, match",
+    [
+        ([(0, 0)], "right-hand side"),  # b[0] = 1
+        ([(2, 0), (3, 0)], "diagonal"),  # one column twice
+        ([(2, 1), (3, 0)], "diagonal"),  # A[2, 0] sits off the diagonal
+        ([(3, 1)], "diagonal"),  # A[3, 1] = 0
+        ([(4, 0)], "outside"),
+        ([(-1, 0)], "outside"),
+    ],
+)
+def test_simplex_rejects_bad_crash_start(start, match):
+    with pytest.raises(SolverError, match=match):
+        _simplex(CRASH_OBJ, CRASH_A, CRASH_B, start=start)
+
+
+def _solve_pivots(monkeypatch, inst):
+    """Solve inst; return its plan and the pivot count of each simplex call."""
+    counts = []
+
+    def counting(*args, **kwargs):
+        result = _simplex(*args, **kwargs)
+        counts.append(result[2])
+        return result
+
+    monkeypatch.setattr("fbcrs.lp_si._simplex", counting)
+    return solve_lp_si(inst), counts
+
+
+@pytest.mark.parametrize("n", [64, 112])
+@pytest.mark.parametrize("rho", [0.5, 2.0])
+def test_general_lp_pivot_count(monkeypatch, n, rho):
+    # The crash basis skips the n degenerate pivots that the all-slack
+    # basis starts with.
+    w = np.random.default_rng(n).uniform(0.05, 1.0, n)
+    inst = SingleUnitInstance(tuple(float(v) for v in rho * w / w.sum()))
+    assert inst.x != tuple(reversed(inst.x))
+    plan, counts = _solve_pivots(monkeypatch, inst)
+    assert len(counts) == 1 and counts[0] <= n + 16
+    assert plan.objective >= alpha_0(rho) - 1e-9
+
+
+@pytest.mark.parametrize("N", [151, 225])
+def test_uniform_lp_pivot_count(monkeypatch, N):
+    plan, counts = _solve_pivots(monkeypatch, SingleUnitInstance((1.0 / N,) * N))
+    assert len(counts) == 1 and counts[0] <= math.ceil(N / 2) + 4
+    assert plan.objective >= alpha_0(1.0) - 1e-9
 
 
 def test_lp_two_elements_exact():
@@ -169,11 +236,16 @@ def test_lp_palindromic_and_general_agree():
 
 def test_lp_matches_highs_general():
     rng = np.random.default_rng(2718)
-    for n, rho in ((3, 0.5), (4, 1.0), (7, 1.0), (12, 0.5), (20, 2.0), (33, 1.0), (48, 2.0), (64, 0.5)):
+    for n, rho in (
+        (3, 0.5), (4, 1.0), (7, 1.0), (12, 0.5), (20, 2.0), (33, 1.0), (48, 2.0), (64, 0.5),
+        (112, 0.5), (112, 2.0),
+    ):
         w = rng.uniform(0.05, 1.0, n)
         inst = SingleUnitInstance(tuple(float(v) for v in rho * w / w.sum()))
         assert inst.x != tuple(reversed(inst.x))
-        assert solve_lp_si(inst).objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+        plan = solve_lp_si(inst)
+        assert plan.is_feasible(inst)
+        assert plan.objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
 
 
 def test_lp_matches_highs_palindromic():
@@ -184,10 +256,32 @@ def test_lp_matches_highs_palindromic():
         w = np.concatenate([half, half[: n // 2][::-1]])
         inst = SingleUnitInstance(tuple(float(v) for v in w / w.sum()))
         assert inst.x == tuple(reversed(inst.x))
-        assert solve_lp_si(inst).objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
-    for N in (5, 21, 51):
+        plan = solve_lp_si(inst)
+        assert plan.is_feasible(inst)
+        assert plan.objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+    for N in (5, 21, 51, 225):
         inst = SingleUnitInstance((1.0 / N,) * N)
-        assert solve_lp_si(inst).objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+        plan = solve_lp_si(inst)
+        assert plan.is_feasible(inst)
+        assert plan.objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        (0.7,),
+        (0.3, 0.6),
+        (0.5, 0.5),
+        (0.0, 0.5, 0.0, 0.5),
+        (2e-7, 5e-7, 3e-7),  # rho = 1e-6
+        (1e-6 / 3,) * 3,
+    ],
+)
+def test_lp_matches_highs_edge_cases(x):
+    inst = SingleUnitInstance(x)
+    plan = solve_lp_si(inst)
+    assert plan.is_feasible(inst)
+    assert plan.objective == pytest.approx(highs_lp_optimum(x), abs=1e-9)
 
 
 def test_lp_handles_zero_mass_elements():

@@ -457,6 +457,36 @@ def _random_instance(rng, n=4):
     return RationingInstance(tuple(demands), tuple(service))
 
 
+def _ration_mc_single_unit_instance(n, seed=5):
+    """The benchmark's ration-mc single-unit recipe: 2 or 3 demand atoms per
+    agent (alternating), one per stratum of a 1/100 grid up to about 3/n,
+    weights uniform on [0.2, 1]; Type-II and Type-III agents alternate."""
+    rng = np.random.default_rng(seed)
+    top = max(3, round(300 / n))
+    demands = []
+    for i in range(n):
+        k = 2 + i % 2
+        edges = [round(j * top / k) for j in range(k + 1)]
+        values = [int(rng.integers(edges[j] + 1, edges[j + 1] + 1)) / 100.0 for j in range(k)]
+        w = rng.uniform(0.2, 1.0, k)
+        probs = [float(v) for v in (w / w.sum())[:-1]]
+        probs.append(1.0 - math.fsum(probs))
+        demands.append(DemandLaw(tuple(zip(values, probs))))
+    service = tuple("TypeII" if i % 2 == 0 else "TypeIII" for i in range(n))
+    return RationingInstance(tuple(demands), service)
+
+
+@pytest.mark.parametrize("n, resampled", [(12, False), (14, True)])
+def test_exact_mode_reports_resampling(n, resampled):
+    # At n = 14 the remaining-supply law outgrows REM_ATOM_CAP atoms and is
+    # swapped for a sampled one, so exact mode must say it was not exact.
+    inst = _ration_mc_single_unit_instance(n)
+    target = exante_check(inst, (0.95 * max_uniform_beta(inst),) * n)
+    result = run_rationing(inst, target, mode="exact", seed=0)
+    assert result.route == "single-unit" and result.mode == "exact"
+    assert (result.resamples > 0) == resampled
+
+
 def test_random_instances_exact_guarantee():
     rng = np.random.default_rng(31)
     for _ in range(6):
