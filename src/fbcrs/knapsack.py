@@ -128,6 +128,12 @@ class FiniteLaw:
     executor propagates the remaining supply.  `tag` records the order the law
     is conditioned on.  The arrays are read-only copies; `atoms` views the same
     law as (value, probability) pairs.  Queries resolve boundaries at ATOM_TOL.
+
+    `mass` sums the probabilities in extended precision (np.longdouble) and
+    rounds once to float.  Where longdouble is the x87 80-bit type (x86-64
+    Linux) that is within one ulp of 1, 2.2e-16, of `math.fsum` for laws of
+    up to 100,000 atoms; where longdouble is plain double, numpy's pairwise
+    float sum can be a few ulps further off.
     """
 
     values: np.ndarray
@@ -145,33 +151,41 @@ class FiniteLaw:
             raise InvalidInstanceError(f"unknown order tag {self.tag!r}")
         if values.ndim != 1 or values.shape != probs.shape or not values.size:
             raise InvariantViolationError("a law needs equally long, nonempty values and probabilities")
-        if not np.all(np.diff(values) >= 0.0):
+        if not (values[1:] >= values[:-1]).all():
             raise InvariantViolationError("law values must be sorted")
         if not (values[0] >= -ATOM_TOL and values[-1] <= 1.0 + ATOM_TOL):
             raise InvariantViolationError(f"law values [{values[0]}, {values[-1]}] outside [0, 1]")
-        if not np.all(probs > 0.0):
+        if not (probs > 0.0).all():
             raise InvariantViolationError("law probabilities must be positive")
         if abs(self.mass - 1.0) > 1e-10:
             raise InvariantViolationError(f"law mass {self.mass} != 1")
 
     @classmethod
     def merged(cls, values, probs, element: int = 0, tag: str = FORWARD) -> FiniteLaw:
-        """Sort, drop nonpositive masses and merge values within ATOM_TOL.
+        """Drop nonpositive masses, sort and merge values within ATOM_TOL.
 
         Walking up the sorted values, a value joins the current atom (keeping
         the atom's earlier value) unless it lies more than ATOM_TOL above that
         value.  Gaps wider than ATOM_TOL always start an atom; a run of closer
-        values that spans more than ATOM_TOL is split by that walk.
+        values that spans more than ATOM_TOL is split by that walk.  The sort
+        is stable, so among equal values the earliest input heads the atom.
         """
-        order = np.argsort(values, kind="stable")
-        values, probs = np.asarray(values)[order], np.asarray(probs)[order]
+        values, probs = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
         keep = probs > 0.0
-        values, probs = values[keep], probs[keep]
+        if not keep.all():
+            values, probs = values[keep], probs[keep]
         if not values.size:
             raise InvariantViolationError("law lost all probability mass")
-        heads = np.flatnonzero(np.diff(values, prepend=-math.inf) > ATOM_TOL)
-        ends = np.append(heads[1:], values.size)
-        wide = values[ends - 1] - values[heads] > ATOM_TOL
+        order = values.argsort(kind="stable")
+        values, probs = values.take(order), probs.take(order)
+        starts = np.empty(values.size, dtype=bool)
+        starts[0] = True
+        np.greater(values[1:] - values[:-1], ATOM_TOL, out=starts[1:])
+        heads = starts.nonzero()[0]
+        ends = np.empty_like(heads)
+        ends[:-1] = heads[1:]
+        ends[-1] = values.size
+        wide = values.take(ends - 1) - values.take(heads) > ATOM_TOL
         if wide.any():
             extra = []
             for start, stop in zip(heads[wide], ends[wide]):
@@ -193,7 +207,7 @@ class FiniteLaw:
 
     @cached_property
     def mass(self) -> float:
-        return math.fsum(self.probs.tolist())
+        return float(self.probs.sum(dtype=np.longdouble))
 
     @cached_property
     def _cum(self) -> np.ndarray:
@@ -255,40 +269,59 @@ def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tu
 
     Raises InfeasibleError when c exceeds Pr[T = 0] + Pr[0 < T <= 1-s] for
     some size s.  Total mass is preserved to 1e-12.
+
+    One rank query on [0, 1-s_1, ..., 1-s_k] splits the sorted fills into
+    the zero branch [0, r0), size s_j's interval branch [r0, fit_j) and the
+    fills s_j does not fit.  The new law's raw atoms go into one buffer:
+    every fill with the mass that stays, its probability times a factor that
+    is constant between those ranks, then per size atom the fills it fits,
+    shifted by s_j (capped at 1), with the mass that moves.
+    `FiniteLaw.merged` sorts the buffer and merges it into the new law.
     """
     if not 0.0 <= c <= 1.0:
         raise InvalidInstanceError(f"acceptance probability {c} outside [0, 1] {ctx}")
     values, probs = dist.values, dist.probs
-    room = 1.0 - np.array([s for s, _ in law.atoms])
-    p0 = dist.p_zero
-    p1s = dist.p_interval(0.0, room).tolist()
+    n = values.size
+    ranks = dist.rank([0.0] + [1.0 - s for s, _ in law.atoms])
+    r0, fits = int(ranks[0]), ranks[1:].tolist()
+    p0 = dist.p_zero  # cached on the law, where monitor_invariants reads it again
+    p1s = [cf - p0 for cf in dist._cum[ranks[1:]].tolist()]
     branches = branch_probs(c, p0, p1s)
-    # The sorted fills split into the zero branch [0, zero_end), the interval
-    # branch [zero_end, fit_end) and the fills the size does not fit.
-    zero_end = int(dist.rank(0.0))
-    fit_ends = dist.rank(room).tolist()
-    stay = probs * law.inactive_mass
-    shifted, moved = [], []
-    for (s, ps), p1, fit_end, b1, b2 in zip(law.atoms, p1s, fit_ends, branches.b1, branches.b2):
+    for (s, _), p1 in zip(law.atoms, p1s):
         if c > p0 + p1 + FEAS_TOL:
             raise InfeasibleError(
                 f"acceptance {c} exceeds reachable probability {p0 + p1} "
                 f"(size {s}{', ' + ctx if ctx else ''})"
             )
-        accept = np.zeros(values.size)
-        accept[:zero_end] = b2
-        accept[zero_end:fit_end] = b1
-        mass = probs * ps
-        stay = stay + mass * (1.0 - accept)
-        shifted.append(np.minimum(values[:fit_end] + s, 1.0))
-        moved.append(mass[:fit_end] * accept[:fit_end])
-
-    new = FiniteLaw.merged(
-        np.concatenate([values] + shifted),
-        np.concatenate([stay] + moved),
-        element=dist.element + 1,
-        tag=dist.tag,
-    )
+    # Sizes ascend (SizeLaw sorts them), so the fit ranks descend and the
+    # fills past the zero branch fall into pieces on which the j smallest
+    # sizes fit, j = k, ..., 0.  On a piece the mass that stays is the
+    # inactive mass plus, per size atom, its mass times the chance the
+    # element is turned away: 1 - b2 at fill 0, 1 - b1 where it fits, 1 else.
+    size_probs = [ps for _, ps in law.atoms]
+    turned_zero = [ps * (1.0 - b2) for ps, b2 in zip(size_probs, branches.b2)]
+    turned_fit = [ps * (1.0 - b1) for ps, b1 in zip(size_probs, branches.b1)]
+    stay = [math.fsum([law.inactive_mass, *turned_zero])]
+    stay += [
+        math.fsum([law.inactive_mass, *turned_fit[:j], *size_probs[j:]]) for j in range(len(size_probs), -1, -1)
+    ]
+    cuts = [0, r0, *fits[::-1], n]
+    out_v = np.empty(n + sum(fits))
+    out_p = np.empty_like(out_v)
+    out_v[:n] = values
+    np.multiply(probs, np.array(stay).repeat([hi - lo for lo, hi in zip(cuts, cuts[1:])]), out=out_p[:n])
+    at = n
+    for (s, ps), fit, b1, b2 in zip(law.atoms, fits, branches.b1, branches.b2):
+        np.add(values[:fit], s, out=out_v[at : at + fit])
+        # (probs * ps) * b, as the per-atom reference in the tests computes
+        # it: with a tiny c, probs * (ps * b) can underflow to 0 where this
+        # does not (or the reverse), which changes the support
+        moved = np.multiply(probs[:fit], ps, out=out_p[at : at + fit])
+        moved[:r0] *= b2
+        moved[r0:] *= b1
+        at += fit
+    np.minimum(out_v[n:], 1.0, out=out_v[n:])
+    new = FiniteLaw.merged(out_v, out_p, element=dist.element + 1, tag=dist.tag)
     if abs(new.mass - 1.0) > 1e-12:
         raise InvariantViolationError(f"fill mass drifted to {new.mass} {ctx}")
     return new, branches

@@ -271,7 +271,7 @@ def calibrate_tau(law: DemandLaw, q: float, rem: FiniteLaw, target: float) -> fl
     caps, weight = caps[positive], weight[positive]
     order = np.argsort(caps, kind="stable")
     caps, weight = caps[order], weight[order]
-    reachable = float(caps @ weight)
+    reachable = float(np.einsum("i,i->", caps, weight))  # no BLAS dot: see _single_unit_runner
     if target > reachable + CALIBRATION_TOL:
         raise InvariantViolationError(
             f"calibration target {target:.12g} exceeds the reachable allocation {reachable:.12g}"
@@ -549,8 +549,10 @@ def _single_unit_runner(inst: RationingInstance, target: ServiceTarget, taus: di
                 if rows is not None:
                     _record(rows, tag, r, i, u[r], d, y, s)
                     continue
-                out[("service", tag[0], i)] = (float(s.sum()), float(s @ s), y.size)
-                out[("alloc", tag[0], i)] = (float(y.sum()), float(y @ y), y.size)
+                # einsum, not a BLAS dot: OpenBLAS threads ddot on long
+                # vectors, and a stalled thread shows up as latency spikes.
+                out[("service", tag[0], i)] = (float(s.sum()), float(np.einsum("i,i->", s, s)), y.size)
+                out[("alloc", tag[0], i)] = (float(y.sum()), float(np.einsum("i,i->", y, y)), y.size)
         if m and float(rems.min()) < -1e-9:
             raise InvariantViolationError("negative remaining supply in simulation")
         return out

@@ -3,9 +3,10 @@
 Each helper recomputes a quantity the library produces, by a deliberately
 different method: scipy's normal quantile instead of statistics.NormalDist,
 HiGHS instead of the library's simplex, explicit enumeration over activation
-patterns instead of the linear recursion, and exhaustive outcome-path replay
-instead of distribution propagation.  The enumerations are exponential in n;
-keep n small there.
+patterns instead of the linear recursion, exhaustive outcome-path replay
+instead of distribution propagation, and the fill step as first written (one
+accept vector per size atom) instead of the one-buffer fold.  The
+enumerations are exponential in n; keep n small there.
 """
 
 import math
@@ -145,3 +146,68 @@ def match_fill_atoms(states: dict, atoms, tol: float = 1e-9):
     for v, p in remaining.items():
         worst = max(worst, abs(grouped.get(v, 0.0) - p))
     return worst
+
+
+def _merge_reference(values, probs):
+    """FiniteLaw.merged as first written: sort, drop zero masses, merge runs.
+
+    Run heads are values more than BOUNDARY_TOL above their predecessor; a
+    run spanning more than BOUNDARY_TOL is split by walking it from its head.
+    """
+    order = np.argsort(values, kind="stable")
+    values, probs = np.asarray(values)[order], np.asarray(probs)[order]
+    keep = probs > 0.0
+    values, probs = values[keep], probs[keep]
+    heads = np.flatnonzero(np.diff(values, prepend=-math.inf) > BOUNDARY_TOL)
+    ends = np.append(heads[1:], values.size)
+    wide = values[ends - 1] - values[heads] > BOUNDARY_TOL
+    if wide.any():
+        extra = []
+        for start, stop in zip(heads[wide], ends[wide]):
+            head = values[start]
+            for k in range(start + 1, stop):
+                if values[k] - head > BOUNDARY_TOL:
+                    head = values[k]
+                    extra.append(k)
+        heads = np.union1d(heads, extra)
+    return values[heads], np.add.reduceat(probs, heads)
+
+
+def propagate_fill_reference(dist, law, c):
+    """The fill step as first written: one accept vector per size atom.
+
+    Returns (FiniteLaw, Branches) like fbcrs.knapsack.propagate_fill and
+    raises InfeasibleError on the same inputs.  Each size atom answers its
+    own rank queries and adds its stay mass to a running sum; the shifted
+    copies are concatenated and merged at the end.
+    """
+    from fbcrs.errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
+    from fbcrs.knapsack import FEAS_TOL, FiniteLaw, branch_probs
+
+    if not 0.0 <= c <= 1.0:
+        raise InvalidInstanceError(f"acceptance probability {c} outside [0, 1]")
+    values, probs = dist.values, dist.probs
+    room = 1.0 - np.array([s for s, _ in law.atoms])
+    p0 = dist.p_zero
+    p1s = dist.p_interval(0.0, room).tolist()
+    branches = branch_probs(c, p0, p1s)
+    zero_end = int(dist.rank(0.0))
+    fit_ends = dist.rank(room).tolist()
+    stay = probs * law.inactive_mass
+    shifted, moved = [], []
+    for (s, ps), p1, fit_end, b1, b2 in zip(law.atoms, p1s, fit_ends, branches.b1, branches.b2):
+        if c > p0 + p1 + FEAS_TOL:
+            raise InfeasibleError(f"acceptance {c} exceeds reachable probability {p0 + p1} (size {s})")
+        accept = np.zeros(values.size)
+        accept[:zero_end] = b2
+        accept[zero_end:fit_end] = b1
+        mass = probs * ps
+        stay = stay + mass * (1.0 - accept)
+        shifted.append(np.minimum(values[:fit_end] + s, 1.0))
+        moved.append(mass[:fit_end] * accept[:fit_end])
+    new_values, new_probs = _merge_reference(np.concatenate([values] + shifted), np.concatenate([stay] + moved))
+    new = FiniteLaw(new_values, new_probs, element=dist.element + 1, tag=dist.tag)
+    mass = math.fsum(new.probs.tolist())
+    if abs(mass - 1.0) > 1e-12:
+        raise InvariantViolationError(f"fill mass drifted to {mass}")
+    return new, branches

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fbcrs.errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
 from fbcrs.instances import (
@@ -18,6 +20,7 @@ from fbcrs.instances import (
 )
 from fbcrs.knapsack import (
     ATOM_TOL,
+    FEAS_TOL,
     Admission,
     Branches,
     FiniteLaw,
@@ -34,9 +37,10 @@ from fbcrs.knapsack import (
 )
 
 from fbcrs.lp_si import SelectionPlan
+from fbcrs.rationing import REM_ATOM_CAP
 from fbcrs.sim import stream, wilson_interval
 
-from oracles import match_fill_atoms, replay_knapsack_paths
+from oracles import match_fill_atoms, propagate_fill_reference, replay_knapsack_paths
 
 B_GRID = tuple(0.05 * k for k in range(1, 11))
 
@@ -97,6 +101,15 @@ def test_propagate_fill_hand_example():
     assert len(out.atoms) == len(expected)
     for got, want in zip(out.atoms, expected):
         assert got == pytest.approx(want, abs=1e-15)
+
+
+def test_propagate_fill_caps_fill_at_one():
+    # a fill within ATOM_TOL above 1 - s still fits s; the shifted fill is
+    # capped at 1 rather than landing just above it
+    dist = FiniteLaw([0.0, 0.7 + ATOM_TOL / 2], [0.5, 0.5])
+    out, branches = propagate_fill(dist, SizeLaw(((0.3, 1.0),)), 0.25)
+    assert branches.b1 == (0.5,) and branches.b2 == (0.0,)
+    assert out.atoms == ((0.0, 0.5), (0.7 + ATOM_TOL / 2, 0.25), (1.0, 0.25))
 
 
 def test_propagate_fill_rejects_unreachable_acceptance():
@@ -313,6 +326,136 @@ def test_exact_expectation_identity():
                 plan.rates(tag)[i] * inst.mu[i] for i in range(inst.n)
             )
             assert result.traces(tag)[-1].expectation == pytest.approx(expected, abs=1e-10)
+
+
+# --- the one-buffer fill step against the per-atom reference ---------------
+
+# The fold sums the mass that stays in another order than the per-atom loop,
+# so one step may differ by a few ulps of 1; over a whole run those
+# differences feed into later steps' branch probabilities and drift further.
+STEP_TOL = 1e-15
+CHAIN_TOL = 1e-14
+
+
+def _max_gap(got: FiniteLaw, want: FiniteLaw) -> float:
+    assert got.support_size == want.support_size
+    assert (got.element, got.tag) == (want.element, want.tag)
+    return max(np.abs(got.values - want.values).max(), np.abs(got.probs - want.probs).max())
+
+
+def _branch_gap(got: Branches, want: Branches) -> float:
+    return max(abs(x - y) for field, ref in zip(got, want) for x, y in zip(field, ref))
+
+
+@st.composite
+def fill_steps(draw):
+    """(fill law, size law, c, regime) for one fill step.
+
+    Fill laws have 1-1200 atoms on a 1/100000 grid, with or without an atom
+    at 0, plus atoms exactly at (and within ATOM_TOL of) each 1 - s.  Size
+    laws have 1-4 atoms on a 1/1000 grid, possibly a size of 1.0, with or
+    without inactive mass.  The regime picks c: "b1" keeps c at or below
+    every Pr[0 < T <= 1-s] (so b2 = 0), "b2" lifts it above the smallest one
+    (so b2 > 0 when Pr[T = 0] > 0), "over" pushes it past the reachable
+    probability of some size.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = set((rng.choice(1000, draw(st.integers(1, 4)), replace=False) + 1) / 1000.0)
+    if draw(st.booleans()):
+        sizes = set(sorted(sizes)[:-1]) | {1.0}
+    sizes = sorted(sizes)
+    inactive = draw(st.sampled_from((0.0, 0.3)))
+    weights = rng.uniform(0.2, 1.0, len(sizes))
+    weights = weights / weights.sum() * (1.0 - inactive)
+    law = SizeLaw(tuple(zip(sizes, weights.tolist())), inactive)
+
+    values = (rng.choice(100_000, draw(st.integers(1, 1200)), replace=False) + 1) / 100_000.0
+    values = values.tolist()
+    if draw(st.booleans()):
+        values.append(0.0)
+    if draw(st.booleans()):
+        values += [1.0 - s for s in sizes] + [1.0 - s + ATOM_TOL / 2 for s in sizes if s > 0.0]
+    values = sorted(set(v for v in values if v <= 1.0))
+    probs = rng.uniform(0.05, 1.0, len(values))
+    dist = FiniteLaw(values, probs / probs.sum())
+
+    p0 = dist.p_zero
+    p1 = float(dist.p_interval(0.0, 1.0 - np.array(sizes)).min())
+    u = draw(st.floats(0.0, 1.0))
+    regime = draw(st.sampled_from(("b1", "b2", "over")))
+    c = {"b1": u * p1, "b2": p1 + u * p0, "over": p0 + p1 + 2.0 * FEAS_TOL + u * 0.1}[regime]
+    return dist, law, min(c, 1.0), regime
+
+
+@settings(deadline=None, max_examples=150)
+@given(step=fill_steps())
+# a subnormal c, where the moved mass underflows to 0 in one multiplication
+# order but not in another
+@example(
+    step=(
+        FiniteLaw([0.0, 5e-13, 0.51183], [0.12594352, 0.6408054, 0.23325108]),
+        SizeLaw(((1.0, 0.7),), 0.3),
+        5e-324,
+        "b2",
+    )
+)
+def test_propagate_fill_matches_per_atom_reference(step):
+    dist, law, c, regime = step
+    try:
+        want, want_branches = propagate_fill_reference(dist, law, c)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            propagate_fill(dist, law, c)
+        return
+    got, branches = propagate_fill(dist, law, c)
+    assert _max_gap(got, want) <= STEP_TOL
+    assert _branch_gap(branches, want_branches) <= STEP_TOL
+    p1 = float(dist.p_interval(0.0, 1.0 - np.array([s for s, _ in law.atoms])).min())
+    if regime == "b1":
+        assert max(branches.b2) == 0.0
+    elif regime == "b2" and dist.p_zero > 0.0 and c > p1:
+        assert max(branches.b2) > 0.0
+
+
+@pytest.mark.parametrize("n, seed", [(16, 61), (28, 62)])
+def test_exact_run_matches_per_atom_reference(n, seed):
+    inst = _grid_instance(np.random.default_rng(seed), n)
+    plan = closed_form_knapsack_plan(inst)
+    result = run_knapsack_exact(inst, plan)
+    for tag in (FORWARD, BACKWARD):
+        trace, branches, rates = result.traces(tag), result.branches(tag), plan.rates(tag)
+        chain = trace[0]
+        for pos, i in enumerate(Permutation(tag, n).order()):
+            # one step from the library's own law
+            want, want_branches = propagate_fill_reference(trace[pos], inst.laws[i], rates[i])
+            assert _max_gap(trace[pos + 1], want) <= STEP_TOL
+            assert _branch_gap(branches[i], want_branches) <= STEP_TOL
+            # the reference's own run, fed only its own laws
+            chain, chain_branches = propagate_fill_reference(chain, inst.laws[i], rates[i])
+            assert _max_gap(trace[pos + 1], chain) <= CHAIN_TOL
+            assert _branch_gap(branches[i], chain_branches) <= CHAIN_TOL
+
+
+@pytest.mark.parametrize("size", [10, 1000, 5000, REM_ATOM_CAP])
+def test_law_mass_matches_fsum(size):
+    rng = np.random.default_rng(size)
+    for weights in (
+        rng.uniform(0.0, 1.0, size) + 1e-3,
+        rng.exponential(1.0, size) + 1e-12,
+        rng.lognormal(0.0, 4.0, size),  # masses over many orders of magnitude
+    ):
+        probs = weights / weights.sum()
+        law = FiniteLaw(np.linspace(0.0, 1.0, size), probs)
+        assert abs(law.mass - math.fsum(probs.tolist())) <= 1e-15
+
+
+def test_mass_checks_still_bite():
+    with pytest.raises(InvariantViolationError, match="mass"):
+        FiniteLaw([0.0, 0.5], [0.5, 0.5 + 2e-10])
+    # the constructor lets 5e-11 through; the fill step's 1e-12 check does not
+    dist = FiniteLaw([0.0, 0.5], [0.5, 0.5 + 5e-11])
+    with pytest.raises(InvariantViolationError, match="drifted"):
+        propagate_fill(dist, SizeLaw(((0.25, 1.0),)), 0.2)
 
 
 # --- Monte Carlo -------------------------------------------------------------
