@@ -24,13 +24,7 @@ import sys
 
 from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError, SolverError
 from .instances import KnapsackInstance, RationingInstance, SingleUnitInstance, SizeLaw, load_instance
-from .knapsack import (
-    DEFAULT_POOL_SIZE,
-    closed_form_knapsack_plan,
-    monitor_trace,
-    run_knapsack_exact,
-    run_knapsack_mc,
-)
+from .knapsack import closed_form_knapsack_plan, monitor_trace, run_knapsack_exact, run_knapsack_mc
 from .lp_si import LP_TOL, alpha_0, dual_certificate_uniform, dual_feasibility, solve_lp_si
 from .rationing import exante_check, max_uniform_beta, run_rationing
 from .single_unit import closed_form_plan, mc_selection_rates
@@ -154,9 +148,7 @@ def cmd_simulate_knapsack(args) -> int:
         ]
         header = ["element", "c_f", "c_b", "rate_f", "rate_b", "rate_error"]
     else:
-        estimates = run_knapsack_mc(
-            inst, plan, trials, seed, workers=args.workers, pool_size=args.pool_size
-        )
+        estimates = run_knapsack_mc(inst, plan, trials, seed, workers=args.workers)
         rows = []
         for i in range(inst.n):
             ef, eb = estimates[("f", i)], estimates[("b", i)]
@@ -196,16 +188,7 @@ def cmd_ration(args) -> int:
     plan = None
     if args.plan == "closed" and not inst.has_type_i:
         plan = closed_form_plan(target.single_unit())
-    result = run_rationing(
-        inst,
-        target,
-        plan=plan,
-        mode=args.mode,
-        trials=trials,
-        seed=seed,
-        workers=args.workers,
-        pool_size=args.pool_size,
-    )
+    result = run_rationing(inst, target, plan=plan, mode=args.mode, trials=trials, seed=seed, workers=args.workers)
     if result.resamples:
         print(
             f"warning: the remaining-supply law was resampled {result.resamples} times; "
@@ -334,7 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--monitor", action="store_true",
                    help="check induction invariants; JSON report to stderr, exit 2 on violations")
-    p.add_argument("--pool-size", type=int, default=DEFAULT_POOL_SIZE)
     common(p)
     p.set_defaults(handler=cmd_simulate_knapsack)
 
@@ -345,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", choices=("lp", "closed"), default="lp",
                    help="single-unit route plan source (the knapsack route uses the closed form)")
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
-    p.add_argument("--pool-size", type=int, default=DEFAULT_POOL_SIZE)
     common(p)
     p.set_defaults(handler=cmd_ration)
 

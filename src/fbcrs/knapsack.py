@@ -7,8 +7,9 @@ b1 for 0 < t <= 1-s and b2 for t = 0, with parameters chosen so the
 conditional acceptance probability is the planned c regardless of size.
 Each element's parameters are one Branches table, by size atom.  The fill
 law is propagated exactly, all atoms at once, which makes the executor its
-own test oracle; a sampled-history mode estimates the branch probabilities
-from replica pools instead, as one would on instances too rich to enumerate.
+own test oracle.  The Monte Carlo executor replays the exact run's Branches
+through one admission kernel (Admission), so it cross-checks the exact fill
+law itself.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
 from .instances import BACKWARD, FORWARD, KnapsackInstance, Permutation, SizeLaw
 from .lp_si import SelectionPlan
-from .sim import NS_POOL, run_trials, slice_index, stream, two_orders
+from .sim import run_trials, slice_index, two_orders
 
 # Law values closer than this merge onto the earlier value.  Sizes on a common
 # grid still trigger merges: float sums of the same grid points taken in
@@ -31,8 +32,6 @@ from .sim import NS_POOL, run_trials, slice_index, stream, two_orders
 ATOM_TOL = 1e-12
 RATE_TOL = 1e-10
 FEAS_TOL = 1e-9
-
-DEFAULT_POOL_SIZE = 10_000
 
 
 def phi_knapsack(z: float) -> float:
@@ -532,47 +531,20 @@ class Admission(NamedTuple):
 
     def admit(self, u: np.ndarray, fill: np.ndarray) -> np.ndarray:
         """Admit rows with uniforms u against fills, adding admitted sizes to
-        fill in place.  Returns the outcome code 2 * slice + admitted."""
+        fill in place.  Returns the outcome code 2 * slice + admitted, int8
+        while 3 * slices < 128 and intp beyond."""
         k = slice_index(u, self.edges)
-        branch = 3 * k  # in place from here on: mixed-type temporaries are slow
-        branch += fill > 0.0
-        branch += fill > self.room.take(k)
+        if 3 * self.room.size >= 128:
+            k = k.astype(np.intp)
+        # In place and in k's dtype from here on: a bool added into a wider
+        # integer array costs several times the comparison that made it.
+        branch = 3 * k
+        branch += (fill > 0.0).view(np.int8)
+        branch += (fill > self.room.take(k)).view(np.int8)
         code = k + k
-        code += u < self.thresholds.take(branch)
+        code += (u < self.thresholds.take(branch)).view(np.int8)
         fill += self.gains.take(code)
         return code
-
-
-def build_branch_tables(
-    inst: KnapsackInstance,
-    plan: SelectionPlan,
-    seed: int,
-    pool_size: int = DEFAULT_POOL_SIZE,
-) -> dict[str, tuple[Branches, ...]]:
-    """Sampled-history branch parameters, one pool of replica fills per order.
-
-    Replicas advance element by element using parameters estimated from their
-    own current fills, mirroring how the executor would estimate its history
-    online.  Returns {tag: one Branches per element}; their rates are the
-    pool's estimates.
-    """
-    if pool_size < 1:
-        raise InvalidInstanceError("pool_size must be positive")
-    tables: dict[str, tuple[Branches, ...]] = {}
-    for tag_idx, tag in enumerate((FORWARD, BACKWARD)):
-        rng = stream(seed, NS_POOL, tag_idx)
-        fills = np.zeros(pool_size)
-        planned = plan.rates(tag)
-        per_element: list = [None] * inst.n
-        for i in Permutation(tag, inst.n).order():
-            law = inst.laws[i]
-            zero = np.count_nonzero(fills == 0.0)
-            # fills are >= 0: Pr[0 < T <= 1-s] by counts
-            p1s = [(np.count_nonzero(fills <= 1.0 - s + ATOM_TOL) - zero) / pool_size for s, _ in law.atoms]
-            per_element[i] = branch_probs(planned[i], zero / pool_size, p1s)
-            Admission.of_law(law, per_element[i]).admit(rng.random(pool_size), fills)
-        tables[tag] = tuple(per_element)
-    return tables
 
 
 def run_knapsack_mc(
@@ -582,18 +554,18 @@ def run_knapsack_mc(
     seed: int,
     workers: int = 1,
     confidence: float = 0.999,
-    pool_size: int = DEFAULT_POOL_SIZE,
 ):
-    """Monte Carlo executor with sampled-history branch parameters.
+    """Monte Carlo executor on the exact run's branch parameters.
 
     Returns RateEstimates keyed by ("f", i) / ("b", i): conditional acceptance
-    given active, per order.  Pool noise enters the branch parameters at
-    O(1/sqrt(pool_size)); raise pool_size when comparing against exact rates
-    at tight tolerances.
+    given active, per order.  The branches come from run_knapsack_exact, so
+    each estimate tests the exact fill law: it should cover the planned c.
     """
-    check_knapsack_feasible(plan, inst).require()
-    tables = build_branch_tables(inst, plan, seed, pool_size)
-    rules = {tag: [Admission.of_law(law, br) for law, br in zip(inst.laws, tables[tag])] for tag in tables}
+    exact = run_knapsack_exact(inst, plan)
+    rules = {
+        tag: [Admission.of_law(law, br) for law, br in zip(inst.laws, exact.branches(tag))]
+        for tag in (FORWARD, BACKWARD)
+    }
 
     def experiment(rng, m: int):
         fills = np.zeros(m)
@@ -602,8 +574,7 @@ def run_knapsack_mc(
             for tag, rows, i in halves:
                 code = rules[tag][i].admit(u[rows], fills[rows])
                 active = 2 * len(inst.laws[i].atoms)  # codes of the atoms' slices
-                counts = np.bincount(code, minlength=active)
-                out[(tag[0], i)] = (float(counts[1::2].sum()), int(counts[:active].sum()))
+                out[(tag[0], i)] = (float(np.count_nonzero(code & 1)), np.count_nonzero(code < active))
         if m and fills.max() > 1.0 + FEAS_TOL:
             raise InvariantViolationError("accepted sizes exceeded the knapsack")
         return out

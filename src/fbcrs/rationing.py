@@ -37,13 +37,11 @@ from .instances import (
     SizeLaw,
 )
 from .knapsack import (
-    DEFAULT_POOL_SIZE,
     FEAS_TOL,
     RATE_TOL,
     Admission,
     FiniteLaw,
-    build_branch_tables,
-    check_knapsack_feasible,
+    KnapsackExactResult,
     closed_form_knapsack_plan,
     run_knapsack_exact,
 )
@@ -54,7 +52,7 @@ SUPPLY_TOL = 1e-10
 CALIBRATION_TOL = 1e-9
 
 # Exact propagation falls back to a sampled remaining-supply law past this
-# support size; the resample has its own stream namespace (sim uses 0 and 1).
+# support size; the resample has its own stream namespace (sim uses 0).
 REM_ATOM_CAP = 100_000
 REM_SAMPLES = 10_000
 NS_REM = 2
@@ -560,13 +558,15 @@ def _single_unit_runner(inst: RationingInstance, target: ServiceTarget, taus: di
     return run
 
 
-def _knapsack_runner(inst: RationingInstance, red: KnapsackReduction, target: ServiceTarget, tables: dict):
+def _knapsack_runner(
+    inst: RationingInstance, red: KnapsackReduction, target: ServiceTarget, exact: KnapsackExactResult
+):
     """The knapsack admission rule on both orders at once, sizes min(D, 1).
 
-    tables[tag][e] is element e's Branches, from the exact run or
-    build_branch_tables.  An arrival's outcome is its slice and
-    whether it was admitted, so the sums come from per-outcome allocation and
-    service tables.  Returns run(rng, m, rows=None) as _single_unit_runner.
+    exact is the reduced instance's exact run; exact.branches(tag)[e] is
+    element e's Branches.  An arrival's outcome is its slice and whether it
+    was admitted, so the sums come from per-outcome allocation and service
+    tables.  Returns run(rng, m, rows=None) as _single_unit_runner.
     """
     rules, demand, service = {FORWARD: [], BACKWARD: []}, [], []
     for i, law in enumerate(inst.demands):
@@ -576,7 +576,7 @@ def _knapsack_runner(inst: RationingInstance, red: KnapsackReduction, target: Se
         d = [law.atoms[j][0] for j in atom]
         sizes = [0.0 if a is None else min(v, 1.0) for a, v in zip(size_atom, d)]
         for tag in rules:
-            branches = ((), ()) if e is None else tables[tag][e][:2]
+            branches = ((), ()) if e is None else exact.branches(tag)[e][:2]
             b1, b2 = ([0.0 if a is None else b[a] for a in size_atom] for b in branches)
             rules[tag].append(Admission.build(upper, sizes, b1, b2))
         demand.append(np.array(d))
@@ -718,15 +718,20 @@ def _run_single_unit_route(
 
 
 def _run_knapsack_route(
-    inst, target, plan, mode, trials, seed, workers, confidence, pool_size, trace_count
+    inst, target, plan, mode, trials, seed, workers, confidence, trace_count
 ) -> RationingResult:
     red = knapsack_reduction(inst, target)
     if plan is None:
         plan = closed_form_knapsack_plan(red.instance)
     if plan.n != red.instance.n:
         raise InvalidInstanceError("the knapsack route needs one plan entry per reduced element")
-    check_knapsack_feasible(plan, red.instance).require()
+    result = run_knapsack_exact(red.instance, plan)  # checks the plan's feasibility
+    err = result.max_rate_error(plan)
+    if err > RATE_TOL:
+        raise InvariantViolationError(f"size-dependent acceptance (max rate drift {err:.3g})")
     pair = plan.pair_means
+    run = _knapsack_runner(inst, red, target, result)
+    traces = _sample_traces(run, inst.n, seed, trace_count)
 
     def report(i, es, lo, hi, ey):
         e = red.element_of_agent[i]
@@ -751,15 +756,9 @@ def _run_knapsack_route(
         )
 
     if mode == "mc":
-        run = _knapsack_runner(inst, red, target, build_branch_tables(red.instance, plan, seed, pool_size))
         estimates = run_trials(run, trials, seed, workers, confidence)
         agents = _mc_agents(estimates, report, inst.n, confidence)
-        traces = _sample_traces(run, inst.n, seed, trace_count)
         return RationingResult(ROUTE_KNAPSACK, "mc", target, plan, agents, traces, None, estimates, 0)
-    result = run_knapsack_exact(red.instance, plan)
-    err = result.max_rate_error(plan)
-    if err > RATE_TOL:
-        raise InvariantViolationError(f"size-dependent acceptance (max rate drift {err:.3g})")
     agents = []
     for i in range(inst.n):
         per = {
@@ -772,8 +771,6 @@ def _run_knapsack_route(
         if rep.slack < -CALIBRATION_TOL:
             raise InvariantViolationError(f"service guarantee missed for agent {i}")
         agents.append(rep)
-    tables = {tag: result.branches(tag) for tag in (FORWARD, BACKWARD)}
-    traces = _sample_traces(_knapsack_runner(inst, red, target, tables), inst.n, seed, trace_count)
     return RationingResult(ROUTE_KNAPSACK, "exact", target, plan, tuple(agents), traces, None, None, 0)
 
 
@@ -786,7 +783,6 @@ def run_rationing(
     seed: int = 0,
     workers: int = 1,
     confidence: float = 0.999,
-    pool_size: int = DEFAULT_POOL_SIZE,
     trace_count: int = 8,
 ) -> RationingResult:
     """Execute the rationing scheme for a solved service target.
@@ -809,9 +805,7 @@ def run_rationing(
     if mode == "mc" and trials < 1:
         raise InvalidInstanceError("mc mode needs trials >= 1")
     if inst.has_type_i:
-        return _run_knapsack_route(
-            inst, target, plan, mode, trials, seed, workers, confidence, pool_size, trace_count
-        )
+        return _run_knapsack_route(inst, target, plan, mode, trials, seed, workers, confidence, trace_count)
     return _run_single_unit_route(
         inst, target, plan, mode, trials, seed, workers, confidence, trace_count
     )

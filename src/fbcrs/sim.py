@@ -2,9 +2,10 @@
 
 Streams are PCG64 generators seeded by ``SeedSequence((seed, *path))``, so the
 stream for a given path is a pure function of the root seed: trial chunk i
-always sees the same randomness no matter how many workers run, and pool
-streams never collide with trial streams because they live under a different
-path prefix.  Executors draw one uniform per row and arrival (`two_orders`).
+always sees the same randomness no matter how many workers run.  Trial
+streams live under the path prefix NS_TRIALS; other namespaces (the rationing
+module's) never collide with them.  Executors draw one uniform per row and
+arrival (`two_orders`).
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from .instances import BACKWARD, FORWARD
 # results are bit-identical for any worker count.
 CHUNK = 1 << 16
 
-# Path namespaces (first path component after the seed).
+# Path namespace of trial chunks (first path component after the seed).
 NS_TRIALS = 0
-NS_POOL = 1
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -52,12 +52,14 @@ def slice_index(u: np.ndarray, edges) -> np.ndarray:
     [0, 1) that u falls in.
 
     A few compare-and-adds, counted in bytes, beat np.searchsorted by an
-    order of magnitude on the handful of edges an atom table has.
+    order of magnitude on the handful of edges an atom table has.  The result
+    is int8 for fewer than 127 edges and intp otherwise; numpy's take and
+    bincount read either.
     """
     k = np.zeros(u.shape, dtype=np.int8 if len(edges) < 127 else np.intp)
     for edge in edges:
-        k += u >= edge
-    return k.astype(np.intp)
+        k += (u >= edge).view(np.int8)
+    return k
 
 
 def wilson_interval(successes: float, count: int, confidence: float = 0.999) -> tuple[float, float]:

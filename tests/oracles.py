@@ -4,9 +4,11 @@ Each helper recomputes a quantity the library produces, by a deliberately
 different method: scipy's normal quantile instead of statistics.NormalDist,
 HiGHS instead of the library's simplex, explicit enumeration over activation
 patterns instead of the linear recursion, exhaustive outcome-path replay
-instead of distribution propagation, and the fill step as first written (one
-accept vector per size atom) instead of the one-buffer fold.  The
-enumerations are exponential in n; keep n small there.
+instead of distribution propagation, the fill step as first written (one
+accept vector per size atom) instead of the one-buffer fold, and knapsack
+admission row by row, or vectorised on intp indices with bincount counts,
+instead of the int8 kernel.  The enumerations are exponential in n; keep n
+small there.
 """
 
 import math
@@ -211,3 +213,70 @@ def propagate_fill_reference(dist, law, c):
     if abs(mass - 1.0) > 1e-12:
         raise InvariantViolationError(f"fill mass drifted to {mass}")
     return new, branches
+
+
+def admit_reference(upper, sizes, b1, b2, u, fill):
+    """Admission.admit for the table Admission.build(upper, sizes, b1, b2),
+    one row at a time in plain Python.
+
+    A row's slice is the first k with u < upper[k] (the last slice runs on to
+    1).  Fill 0 takes b2, a fill of at most 1 - size + BOUNDARY_TOL takes b1,
+    a larger one is turned away; the row is admitted when u lies below
+    lo + width * b within its slice.  Returns (codes 2k + admitted, fills
+    after admission) as lists.
+    """
+    codes, fills = [], []
+    for x, t in zip(np.asarray(u).tolist(), np.asarray(fill).tolist()):
+        k = 0
+        while k < len(upper) - 1 and x >= upper[k]:
+            k += 1
+        lo = upper[k - 1] if k else 0.0
+        if t <= 0.0:
+            b = b2[k]
+        elif t <= 1.0 - sizes[k] + BOUNDARY_TOL:
+            b = b1[k]
+        else:
+            b = 0.0
+        admitted = x < lo + (upper[k] - lo) * b
+        codes.append(2 * k + admitted)
+        fills.append(t + sizes[k] if admitted else t)
+    return codes, fills
+
+
+def admit_wide(rule, u, fill):
+    """Admission.admit as first vectorised: intp slice indices from
+    np.searchsorted, comparison results added in as bools."""
+    k = np.searchsorted(np.asarray(rule.edges, dtype=float), u, side="right")
+    branch = 3 * k
+    branch += fill > 0.0
+    branch += fill > rule.room.take(k)
+    code = k + k
+    code += u < rule.thresholds.take(branch)
+    fill += rule.gains.take(code)
+    return code
+
+
+def knapsack_mc_reference(inst, exact, trials, seed, confidence=0.999):
+    """run_knapsack_mc's estimates from the Branches of `exact` (a
+    KnapsackExactResult), through admit_wide and bincount outcome counts."""
+    from fbcrs.instances import BACKWARD, FORWARD
+    from fbcrs.knapsack import Admission
+    from fbcrs.sim import run_trials, two_orders
+
+    rules = {
+        tag: [Admission.of_law(law, br) for law, br in zip(inst.laws, exact.branches(tag))]
+        for tag in (FORWARD, BACKWARD)
+    }
+
+    def experiment(rng, m):
+        fills = np.zeros(m)
+        out = {}
+        for u, halves in two_orders(rng, m, inst.n):
+            for tag, rows, i in halves:
+                code = admit_wide(rules[tag][i], u[rows], fills[rows])
+                active = 2 * len(inst.laws[i].atoms)
+                counts = np.bincount(code, minlength=active)
+                out[(tag[0], i)] = (float(counts[1::2].sum()), int(counts[:active].sum()))
+        return out
+
+    return run_trials(experiment, trials, seed, confidence=confidence)

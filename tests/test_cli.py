@@ -194,7 +194,7 @@ def test_simulate_knapsack_monitor(knapsack_path, capsys):
 def test_simulate_knapsack_mc(knapsack_path, capsys):
     code = cli.main(
         ["simulate-knapsack", "--instance", knapsack_path, "--mode", "mc",
-         "--trials", "20000", "--seed", "3", "--pool-size", "20000"]
+         "--trials", "20000", "--seed", "3"]
     )
     assert code == 0
     rows = _rows(capsys.readouterr().out)
@@ -202,7 +202,10 @@ def test_simulate_knapsack_mc(knapsack_path, capsys):
                        "rate_f", "ci_low_f", "ci_high_f",
                        "rate_b", "ci_low_b", "ci_high_b"]
     for row in rows[1:]:
-        assert float(row[4]) <= float(row[3]) <= float(row[5])
+        c_f, c_b, rate_f, low_f, high_f, rate_b, low_b, high_b = map(float, row[1:])
+        for c, rate, low, high in ((c_f, rate_f, low_f, high_f), (c_b, rate_b, low_b, high_b)):
+            assert low <= rate <= high
+            assert abs(rate - c) <= 3.0 * (high - low) / 2.0
 
 
 def test_simulate_knapsack_rejects_trials_in_exact(knapsack_path, capsys):

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from fbcrs.knapsack import (
     Admission,
     Branches,
     FiniteLaw,
-    build_branch_tables,
     check_knapsack_feasible,
     closed_form_knapsack_plan,
     initial_fill,
@@ -38,9 +37,15 @@ from fbcrs.knapsack import (
 
 from fbcrs.lp_si import SelectionPlan
 from fbcrs.rationing import REM_ATOM_CAP
-from fbcrs.sim import stream, wilson_interval
+from fbcrs.sim import CHUNK, stream, wilson_interval
 
-from oracles import match_fill_atoms, propagate_fill_reference, replay_knapsack_paths
+from oracles import (
+    admit_reference,
+    knapsack_mc_reference,
+    match_fill_atoms,
+    propagate_fill_reference,
+    replay_knapsack_paths,
+)
 
 B_GRID = tuple(0.05 * k for k in range(1, 11))
 
@@ -525,19 +530,102 @@ def test_single_uniform_threshold_gives_each_atom_its_branch(fill):
     assert not admitted[k == 2].any()
 
 
-def test_branch_tables_deterministic():
+@st.composite
+def admission_tables(draw):
+    """(size law, Branches) for one admission table.
+
+    1-4 size atoms on a 1/1000 grid, 0 and 1 included, with or without
+    inactive mass (an inactive slice); branch probabilities are 0, 1 or
+    random.  The kernel does not read the rates.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    sizes = rng.choice(1001, k, replace=False) / 1000.0
+    inactive = draw(st.sampled_from((0.0, 0.3)))
+    weights = rng.uniform(0.05, 1.0, k)
+    law = SizeLaw(tuple(zip(sizes.tolist(), (weights / weights.sum() * (1.0 - inactive)).tolist())), inactive)
+    b1, b2 = rng.choice([0.0, 1.0, *rng.uniform(0.0, 1.0, 4).tolist()], (2, k)).tolist()
+    return law, Branches(tuple(b1), tuple(b2), (0.0,) * k)
+
+
+def _kernel_rows(rule, rng, randoms: int = 10):
+    """Every pairing of u and fill: u on every slice edge, just below it and
+    on every threshold; fills at 0, at 1 - s, at each slice's room
+    1 - s + ATOM_TOL and just above it; and random values of both."""
+    edges = np.array(rule.edges)
+    u = np.concatenate(([0.0], edges, np.nextafter(edges, 0.0), rule.thresholds, rng.random(randoms)))
+    sizes = rule.gains[1::2]
+    fills = np.concatenate(([0.0], 1.0 - sizes, rule.room, np.nextafter(rule.room, 2.0), rng.random(randoms)))
+    u, fills = np.meshgrid(u[u < 1.0], fills[fills <= 1.0])
+    return u.ravel(), fills.ravel()
+
+
+def _check_against_reference(rule, upper, sizes, b1, b2, rng):
+    u, fill = _kernel_rows(rule, rng)
+    want_codes, want_fills = admit_reference(upper, sizes, b1, b2, u, fill)
+    code = rule.admit(u, fill)
+    assert code.tolist() == want_codes
+    assert fill.tolist() == want_fills
+    return code
+
+
+@settings(deadline=None, max_examples=100)
+@given(table=admission_tables(), seed=st.integers(0, 2**32 - 1))
+def test_admission_kernel_matches_row_reference(table, seed):
+    law, branches = table
+    rule = Admission.of_law(law, branches)
+    inactive = [0.0] if law.inactive_mass > 0.0 else []
+    upper = list(accumulate(p for _, p in law.atoms)) + [1.0] * len(inactive)
+    sizes = [s for s, _ in law.atoms] + inactive
+    code = _check_against_reference(
+        rule, upper, sizes, [*branches.b1, *inactive], [*branches.b2, *inactive], np.random.default_rng(seed)
+    )
+    assert code.dtype == np.int8
+
+
+@pytest.mark.parametrize("slices", [42, 43, 60, 130])
+def test_admission_kernel_wide_tables(slices):
+    # int8 holds the branch index 3 * slice + state while 3 * slices < 128;
+    # larger tables run on intp and must give the same answers
+    rng = np.random.default_rng(slices)
+    upper = ((np.arange(slices) + 1) / slices).tolist()
+    active = slices - 3  # the last three slices are inactive
+    sizes = (rng.choice(1001, active) / 1000.0).tolist() + [0.0] * 3
+    b1 = rng.uniform(0.0, 1.0, active).tolist() + [0.0] * 3
+    b2 = rng.uniform(0.0, 1.0, active).tolist() + [0.0] * 3
+    rule = Admission.build(upper, sizes, b1, b2)
+    code = _check_against_reference(rule, upper, sizes, b1, b2, rng)
+    assert code.dtype == (np.int8 if 3 * slices < 128 else np.intp)
+
+
+# multi-atom size laws with inactive mass (the CI smoke-test instance)
+MC_INSTANCE = KnapsackInstance(
+    (
+        SizeLaw(((0.1, 0.5), (0.4, 0.3)), 0.2),
+        SizeLaw(((0.2, 0.4), (0.5, 0.3), (1.0, 0.1)), 0.2),
+        SizeLaw(((0.05, 0.6), (0.3, 0.4))),
+        SizeLaw(((0.15, 0.3), (0.35, 0.3), (0.6, 0.2)), 0.2),
+    )
+)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_mc_matches_wide_kernel_bit_for_bit(seed):
+    # same Branches (the exact run's), same draws: the int8 kernel and
+    # count_nonzero totals must reproduce the intp kernel and bincount
+    # estimates exactly, over two chunks, the second ragged
+    plan = closed_form_knapsack_plan(MC_INSTANCE)
+    got = run_knapsack_mc(MC_INSTANCE, plan, CHUNK + 1234, seed)
+    want = knapsack_mc_reference(MC_INSTANCE, run_knapsack_exact(MC_INSTANCE, plan), CHUNK + 1234, seed)
+    assert got == want
+
+
+def test_mc_deterministic_by_seed():
     inst = KnapsackInstance((SizeLaw(((0.2, 0.5), (0.7, 0.3)), 0.2),) * 2)
     plan = closed_form_knapsack_plan(inst)
-    a = build_branch_tables(inst, plan, seed=4, pool_size=500)
-    b = build_branch_tables(inst, plan, seed=4, pool_size=500)
-    c = build_branch_tables(inst, plan, seed=5, pool_size=500)
-    for tag in (FORWARD, BACKWARD):
-        assert len(a[tag]) == inst.n
-        for br, law in zip(a[tag], inst.laws):
-            assert isinstance(br, Branches)
-            assert len(br.b1) == len(br.b2) == len(br.rate) == len(law.atoms)
-    assert a == b
-    assert any(x.b1 != y.b1 for x, y in zip(a[FORWARD], c[FORWARD]))
+    a = run_knapsack_mc(inst, plan, trials=5_000, seed=4)
+    assert a == run_knapsack_mc(inst, plan, trials=5_000, seed=4)
+    assert a != run_knapsack_mc(inst, plan, trials=5_000, seed=5)
 
 
 def test_mc_agrees_with_exact():
@@ -549,9 +637,9 @@ def test_mc_agrees_with_exact():
     )
     plan = closed_form_knapsack_plan(inst)
     exact = run_knapsack_exact(inst, plan)
-    est = run_knapsack_mc(inst, plan, trials=200_000, seed=3, pool_size=100_000)
+    est = run_knapsack_mc(inst, plan, trials=200_000, seed=3)
     for i in range(inst.n):
         for tag, key in ((FORWARD, ("f", i)), (BACKWARD, ("b", i))):
             e = est[key]
-            truth = exact.rates(tag)[i]
-            assert abs(e.point - truth) <= 3.0 * e.half_width, (key, e.point, truth)
+            for truth in (exact.rates(tag)[i], plan.rates(tag)[i]):
+                assert abs(e.point - truth) <= 3.0 * e.half_width, (key, e.point, truth)

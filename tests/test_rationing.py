@@ -374,7 +374,7 @@ def test_mc_agrees_with_exact_knapsack():
     beta = 0.8 * max_uniform_beta(inst)
     target = exante_check(inst, (beta, beta))
     exact = run_rationing(inst, target, mode="exact", seed=4)
-    mc = run_rationing(inst, target, mode="mc", trials=100_000, seed=4, pool_size=50_000)
+    mc = run_rationing(inst, target, mode="mc", trials=100_000, seed=4)
     for ex, sampled in zip(exact.agents, mc.agents):
         hw = (sampled.service_high - sampled.service_low) / 2.0
         assert abs(sampled.expected_service - ex.expected_service) <= 3.0 * hw

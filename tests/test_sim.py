@@ -172,7 +172,7 @@ def _single_unit_mc(workers):
 def _knapsack_mc(workers):
     inst = KnapsackInstance((SizeLaw(((0.5, 1.0),)), SizeLaw(((0.2, 0.5), (0.7, 0.3)), 0.2)))
     plan = closed_form_knapsack_plan(inst)
-    return run_knapsack_mc(inst, plan, CHUNK + 1234, seed=3, workers=workers, pool_size=2_000)
+    return run_knapsack_mc(inst, plan, CHUNK + 1234, seed=3, workers=workers)
 
 
 def _rationing_mc(service):
@@ -180,9 +180,7 @@ def _rationing_mc(service):
         laws = (DemandLaw(((0.5, 0.5), (2.0, 0.5))), DemandLaw(((0.3, 0.4), (1.0, 0.6))))
         inst = RationingInstance(laws, service)
         target = exante_check(inst, (0.4, 0.4))
-        result = run_rationing(
-            inst, target, mode="mc", trials=CHUNK + 1234, seed=3, workers=workers, pool_size=2_000
-        )
+        result = run_rationing(inst, target, mode="mc", trials=CHUNK + 1234, seed=3, workers=workers)
         return result.estimates
 
     return run
