@@ -191,8 +191,8 @@ def cmd_ration(args) -> int:
     result = run_rationing(inst, target, plan=plan, mode=args.mode, trials=trials, seed=seed, workers=args.workers)
     if result.resamples:
         print(
-            f"warning: the remaining-supply law was resampled {result.resamples} times; "
-            "the thresholds, and in exact mode the service values, rest on a sample",
+            f"warning: the remaining-supply law was merged {result.resamples} times; "
+            "the thresholds, and in exact mode the service values, rest on the merged laws",
             file=sys.stderr,
         )
     rows = []

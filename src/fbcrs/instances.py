@@ -70,10 +70,6 @@ class Permutation:
         return Permutation(BACKWARD if self.tag == FORWARD else FORWARD, self.n)
 
 
-def both_orders(n: int) -> tuple[Permutation, Permutation]:
-    return Permutation(FORWARD, n), Permutation(BACKWARD, n)
-
-
 @dataclass(frozen=True)
 class SingleUnitInstance:
     """n elements, each active independently with probability x_i."""
@@ -249,13 +245,6 @@ def inverse_cdf(law: DemandLaw, q: float) -> float:
     if idx >= len(law.atoms):  # float shortfall in the last cumulative
         idx = len(law.atoms) - 1
     return law.atoms[idx][0]
-
-
-def draw_quantile_demand(law: DemandLaw, rng) -> tuple[float, float]:
-    """Draw the quantile first, then read the demand off the inverse CDF, so
-    anything conditioned on the quantile stays exact."""
-    q = float(rng.random())
-    return q, inverse_cdf(law, q)
 
 
 def split_element(inst: SingleUnitInstance, k: int) -> SingleUnitInstance:

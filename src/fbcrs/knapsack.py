@@ -350,14 +350,6 @@ class KnapsackExactResult:
     def traces(self, tag: str) -> tuple[FiniteLaw, ...]:
         return self.traces_f if tag == FORWARD else self.traces_b
 
-    @property
-    def final_fill_f(self) -> FiniteLaw:
-        return self.traces_f[-1]
-
-    @property
-    def final_fill_b(self) -> FiniteLaw:
-        return self.traces_b[-1]
-
     def rate_errors(self, plan: SelectionPlan) -> tuple[float, ...]:
         """Per element, the worst |rate(s) - planned c| over sizes and orders."""
         return tuple(

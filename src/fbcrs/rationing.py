@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -51,11 +52,10 @@ from .sim import MeanEstimate, run_trials, slice_index, stream, two_orders
 SUPPLY_TOL = 1e-10
 CALIBRATION_TOL = 1e-9
 
-# Exact propagation falls back to a sampled remaining-supply law past this
-# support size; the resample has its own stream namespace (sim uses 0).
+# Exact propagation merges a remaining-supply law past REM_ATOM_CAP atoms
+# into REM_BUCKETS mean-preserving atoms (see _merge_rem).
 REM_ATOM_CAP = 100_000
-REM_SAMPLES = 10_000
-NS_REM = 2
+REM_BUCKETS = 10_000
 NS_TRACE = 3
 
 ROUTE_SINGLE_UNIT = "single-unit"
@@ -294,15 +294,23 @@ class _OrderTables:
     alloc: tuple[float, ...]  # E[Y_i | order]
     service: tuple[float, ...]  # E[s_i | order]
     rem_slack: float  # worst margin of the supply invariant across arrivals
-    final_rem: FiniteLaw
-    resamples: int  # arrivals whose remaining-supply law was resampled
+    resamples: int  # arrivals whose remaining-supply law was merged
 
 
-def _resample_rem(rem: FiniteLaw, rng) -> FiniteLaw:
-    """Collapse an oversized remaining-supply law to a sampled empirical one."""
-    draws = rng.choice(rem.values, size=REM_SAMPLES, p=rem.probs / rem.probs.sum())
-    unique, counts = np.unique(draws, return_counts=True)
-    return FiniteLaw.merged(unique, counts / REM_SAMPLES, tag=rem.tag)
+def _merge_rem(rem: FiniteLaw) -> FiniteLaw:
+    """Merge an oversized remaining-supply law into REM_BUCKETS atoms.
+
+    The sorted atoms are cut into buckets of equal mass (each atom joins the
+    bucket its mass starts in) and every bucket sits at its conditional mean.
+    E[R] is kept, so the supply floor (1 - consumed) * x stays reachable:
+    E[min(D, R)] >= E[min(D, 1)] * E[R] because min(d, r) >= min(d, 1) * r.
+    """
+    start = np.cumsum(rem.probs) - rem.probs
+    bucket = np.minimum((start * REM_BUCKETS).astype(np.intp), REM_BUCKETS - 1)
+    mass = np.bincount(bucket, weights=rem.probs)
+    keep = mass > 0.0
+    mean = np.bincount(bucket, weights=rem.probs * rem.values)[keep] / mass[keep]
+    return FiniteLaw.merged(mean, mass[keep], tag=rem.tag)
 
 
 def _exact_order(
@@ -310,7 +318,6 @@ def _exact_order(
     target: ServiceTarget,
     rates: tuple[float, ...],
     tag: str,
-    rng,
 ) -> _OrderTables:
     """Propagate the remaining-supply law through one arrival order.
 
@@ -363,10 +370,10 @@ def _exact_order(
             tag=tag,
         )
         if rem.support_size > REM_ATOM_CAP:
-            rem = _resample_rem(rem, rng)
+            rem = _merge_rem(rem)
             resamples += 1
         consumed += rates[i] * x
-    return _OrderTables(tuple(taus), tuple(alloc), tuple(service), slack, rem, resamples)
+    return _OrderTables(tuple(taus), tuple(alloc), tuple(service), slack, resamples)
 
 
 @dataclass(frozen=True)
@@ -477,9 +484,9 @@ class RationingResult:
     traces: tuple[AllocationTrace, ...]
     rem_slack: float | None  # single-unit route only
     estimates: dict | None  # raw MC estimates, mc mode only
-    # Remaining-supply laws replaced by a REM_SAMPLES-draw empirical law
+    # Remaining-supply laws merged into REM_BUCKETS mean-preserving atoms
     # (single-unit route, both orders).  When nonzero, the thresholds, and
-    # in exact mode the service values, rest on that sample: not exact.
+    # in exact mode the service values, rest on the merged laws: not exact.
     resamples: int
 
     @property
@@ -602,39 +609,6 @@ def _knapsack_runner(
     return run
 
 
-def _knapsack_agent_expectations(
-    inst: RationingInstance,
-    target: ServiceTarget,
-    red: KnapsackReduction,
-    rates: tuple[float, ...],
-    i: int,
-) -> tuple[float, float]:
-    """Exact (E[Y_i | order], E[s_i | order]) for the knapsack route.
-
-    Valid because the verified executor accepts at the planned rate for every
-    size, so acceptance is independent of the size atom drawn.
-    """
-    law, stype = inst.demands[i], inst.service[i]
-    below, above = _below_above(law, target.q[i])
-    e = red.element_of_agent[i]
-    c = 0.0 if e is None else rates[e]
-    alloc_terms, service_terms = [], []
-    for (d, _), length, tail in zip(law.atoms, below, above):
-        if length > 0.0:
-            y = min(d, 1.0)
-            alloc_terms.append(length * c * y)
-            service_terms.append(
-                length
-                * (
-                    c * service_value(stype, y, d, law.mean)
-                    + (1.0 - c) * service_value(stype, 0.0, d, law.mean)
-                )
-            )
-        if tail > 0.0:
-            service_terms.append(tail * service_value(stype, 0.0, d, law.mean))
-    return math.fsum(alloc_terms), math.fsum(service_terms)
-
-
 def _sample_traces(run, n: int, seed: int, count: int) -> tuple[AllocationTrace, ...]:
     """AllocationTraces of `count` runs of the route's own runner (stream NS_TRACE)."""
     rows = {key: np.zeros((n, count)) for key in ("q", "d", "y", "s")}
@@ -646,22 +620,27 @@ def _sample_traces(run, n: int, seed: int, count: int) -> tuple[AllocationTrace,
     )
 
 
-def _mc_agents(estimates: dict, report, n: int, confidence: float) -> tuple[AgentReport, ...]:
-    """Agent reports from the per-order estimates, pooled over the random order."""
+@dataclass(frozen=True)
+class _Route:
+    """One route of run_rationing, built and checked, ready to run.
 
-    def pooled(kind: str, i: int) -> MeanEstimate:
-        f, b = estimates[(kind, FORWARD[0], i)], estimates[(kind, BACKWARD[0], i)]
-        return MeanEstimate(f.total + b.total, f.total_sq + b.total_sq, f.count + b.count, confidence)
+    run(rng, m, rows=None) is the route's executor; exact() returns
+    {order tag: (alloc, service)}, the exact per-order E[Y_i] and E[s_i].
+    Per agent: rates (c_f, c_b), taus (tau_f, tau_b) and the guarantee bound.
+    """
 
-    return tuple(
-        report(i, est.point, est.ci_low, est.ci_high, pooled("alloc", i).point)
-        for i, est in enumerate(pooled("service", i) for i in range(n))
-    )
+    name: str
+    plan: SelectionPlan
+    run: Callable
+    exact: Callable[[], dict]
+    rates: tuple[tuple[float | None, float | None], ...]
+    taus: tuple[tuple[float | None, float | None], ...]
+    bounds: tuple[float, ...]
+    rem_slack: float | None
+    resamples: int
 
 
-def _run_single_unit_route(
-    inst, target, plan, mode, trials, seed, workers, confidence, trace_count
-) -> RationingResult:
+def _single_unit_route(inst: RationingInstance, target: ServiceTarget, plan: SelectionPlan | None) -> _Route:
     su = target.single_unit()
     if plan is None:
         plan = solve_lp_si(su)
@@ -669,57 +648,54 @@ def _run_single_unit_route(
         raise InvalidInstanceError("the single-unit route needs one plan entry per agent")
     if not plan.is_feasible(su):
         raise InfeasibleError("the selection plan is infeasible for these supply shares")
-    tables = {
-        tag: _exact_order(inst, target, plan.rates(tag), tag, stream(seed, NS_REM, k))
-        for k, tag in enumerate((FORWARD, BACKWARD))
-    }
+    tables = {tag: _exact_order(inst, target, plan.rates(tag), tag) for tag in (FORWARD, BACKWARD)}
     taus = {tag: tables[tag].taus for tag in tables}
-    pair = plan.pair_means
-    run = _single_unit_runner(inst, target, taus)
-    traces = _sample_traces(run, inst.n, seed, trace_count)
-    rem_slack = min(t.rem_slack for t in tables.values())
-    resamples = sum(t.resamples for t in tables.values())
-
-    def report(i, es, lo, hi, ey):
-        bound = pair[i] * target.beta[i]
-        return AgentReport(
-            index=i,
-            beta=target.beta[i],
-            q=target.q[i],
-            x=target.x[i],
-            c_f=plan.c_f[i],
-            c_b=plan.c_b[i],
-            tau_f=taus[FORWARD][i],
-            tau_b=taus[BACKWARD][i],
-            expected_service=es,
-            service_low=lo,
-            service_high=hi,
-            expected_alloc=ey,
-            bound=bound,
-            slack=es - bound,
-        )
-
-    if mode == "exact":
-        agents = []
-        for i in range(inst.n):
-            es = (tables[FORWARD].service[i] + tables[BACKWARD].service[i]) / 2
-            ey = (tables[FORWARD].alloc[i] + tables[BACKWARD].alloc[i]) / 2
-            if es < pair[i] * target.beta[i] - CALIBRATION_TOL:
-                raise InvariantViolationError(f"service guarantee missed for agent {i}")
-            agents.append(report(i, es, None, None, ey))
-        return RationingResult(
-            ROUTE_SINGLE_UNIT, "exact", target, plan, tuple(agents), traces, rem_slack, None, resamples
-        )
-    estimates = run_trials(run, trials, seed, workers, confidence)
-    agents = _mc_agents(estimates, report, inst.n, confidence)
-    return RationingResult(
-        ROUTE_SINGLE_UNIT, "mc", target, plan, agents, traces, rem_slack, estimates, resamples
+    return _Route(
+        ROUTE_SINGLE_UNIT,
+        plan,
+        _single_unit_runner(inst, target, taus),
+        lambda: {tag: (t.alloc, t.service) for tag, t in tables.items()},
+        tuple(zip(plan.c_f, plan.c_b)),
+        tuple(zip(taus[FORWARD], taus[BACKWARD])),
+        tuple(p * b for p, b in zip(plan.pair_means, target.beta)),
+        min(t.rem_slack for t in tables.values()),
+        sum(t.resamples for t in tables.values()),
     )
 
 
-def _run_knapsack_route(
-    inst, target, plan, mode, trials, seed, workers, confidence, trace_count
-) -> RationingResult:
+def _knapsack_tables(
+    inst: RationingInstance, target: ServiceTarget, red: KnapsackReduction, rates: tuple[float, ...]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Exact per-agent (E[Y_i | order], E[s_i | order]) on the knapsack route.
+
+    Valid because the verified executor accepts at the planned rate for every
+    size, so acceptance is independent of the size atom drawn.  Closed form,
+    independent of the executor's outcome tables, so exact mode cross-checks MC.
+    """
+    alloc, service = [], []
+    for i, (law, stype, e) in enumerate(zip(inst.demands, inst.service, red.element_of_agent)):
+        below, above = _below_above(law, target.q[i])
+        c = 0.0 if e is None else rates[e]
+        alloc_terms, service_terms = [], []
+        for (d, _), length, tail in zip(law.atoms, below, above):
+            if length > 0.0:
+                y = min(d, 1.0)
+                alloc_terms.append(length * c * y)
+                service_terms.append(
+                    length
+                    * (
+                        c * service_value(stype, y, d, law.mean)
+                        + (1.0 - c) * service_value(stype, 0.0, d, law.mean)
+                    )
+                )
+            if tail > 0.0:
+                service_terms.append(tail * service_value(stype, 0.0, d, law.mean))
+        alloc.append(math.fsum(alloc_terms))
+        service.append(math.fsum(service_terms))
+    return tuple(alloc), tuple(service)
+
+
+def _knapsack_route(inst: RationingInstance, target: ServiceTarget, plan: SelectionPlan | None) -> _Route:
     red = knapsack_reduction(inst, target)
     if plan is None:
         plan = closed_form_knapsack_plan(red.instance)
@@ -729,49 +705,21 @@ def _run_knapsack_route(
     err = result.max_rate_error(plan)
     if err > RATE_TOL:
         raise InvariantViolationError(f"size-dependent acceptance (max rate drift {err:.3g})")
+    elements = red.element_of_agent
     pair = plan.pair_means
-    run = _knapsack_runner(inst, red, target, result)
-    traces = _sample_traces(run, inst.n, seed, trace_count)
-
-    def report(i, es, lo, hi, ey):
-        e = red.element_of_agent[i]
+    return _Route(
+        ROUTE_KNAPSACK,
+        plan,
+        _knapsack_runner(inst, red, target, result),
+        lambda: {tag: _knapsack_tables(inst, target, red, plan.rates(tag)) for tag in (FORWARD, BACKWARD)},
+        tuple((None, None) if e is None else (plan.c_f[e], plan.c_b[e]) for e in elements),
+        ((None, None),) * inst.n,
         # Skipped agents have no pair mean of their own; the scheme guarantee
         # still covers them at the plan objective.
-        bound = (plan.objective if e is None else pair[e]) * target.beta[i]
-        return AgentReport(
-            index=i,
-            beta=target.beta[i],
-            q=target.q[i],
-            x=target.x[i],
-            c_f=None if e is None else plan.c_f[e],
-            c_b=None if e is None else plan.c_b[e],
-            tau_f=None,
-            tau_b=None,
-            expected_service=es,
-            service_low=lo,
-            service_high=hi,
-            expected_alloc=ey,
-            bound=bound,
-            slack=es - bound,
-        )
-
-    if mode == "mc":
-        estimates = run_trials(run, trials, seed, workers, confidence)
-        agents = _mc_agents(estimates, report, inst.n, confidence)
-        return RationingResult(ROUTE_KNAPSACK, "mc", target, plan, agents, traces, None, estimates, 0)
-    agents = []
-    for i in range(inst.n):
-        per = {
-            tag: _knapsack_agent_expectations(inst, target, red, plan.rates(tag), i)
-            for tag in (FORWARD, BACKWARD)
-        }
-        ey = (per[FORWARD][0] + per[BACKWARD][0]) / 2
-        es = (per[FORWARD][1] + per[BACKWARD][1]) / 2
-        rep = report(i, es, None, None, ey)
-        if rep.slack < -CALIBRATION_TOL:
-            raise InvariantViolationError(f"service guarantee missed for agent {i}")
-        agents.append(rep)
-    return RationingResult(ROUTE_KNAPSACK, "exact", target, plan, tuple(agents), traces, None, None, 0)
+        tuple((plan.objective if e is None else pair[e]) * b for e, b in zip(elements, target.beta)),
+        rem_slack=None,
+        resamples=0,
+    )
 
 
 def run_rationing(
@@ -789,14 +737,16 @@ def run_rationing(
 
     Instances with a Type-I agent run through the knapsack scheme (sizes
     min(D, 1)); all others use the single-unit scheme with per-order
-    calibrated thresholds.  Mode "exact" propagates the remaining-supply or
-    fill law in closed form; "mc" simulates trials runs on top of the same
+    calibrated thresholds.  Both routes promise every agent expected service
+    of at least the pair-mean rate times beta.  Mode "exact" propagates the
+    remaining-supply or fill law in closed form and raises when an agent
+    misses the guarantee; "mc" simulates trials runs on top of the same
     calibration.  plan covers the agents (single-unit route) or the reduced
     elements (knapsack route); it defaults to the LP optimum or the closed
     form, and an infeasible plan raises InfeasibleError in both modes.
     On the single-unit route a remaining-supply law past REM_ATOM_CAP atoms
-    is resampled; result.resamples counts those events, and when it is
-    nonzero exact mode is not exact.
+    is merged into REM_BUCKETS mean-preserving atoms; result.resamples
+    counts those merges, and when it is nonzero exact mode is not exact.
     """
     if inst.n != target.n:
         raise InvalidInstanceError("target does not match the instance")
@@ -804,8 +754,49 @@ def run_rationing(
         raise InvalidInstanceError(f"unknown mode {mode!r}")
     if mode == "mc" and trials < 1:
         raise InvalidInstanceError("mc mode needs trials >= 1")
-    if inst.has_type_i:
-        return _run_knapsack_route(inst, target, plan, mode, trials, seed, workers, confidence, trace_count)
-    return _run_single_unit_route(
-        inst, target, plan, mode, trials, seed, workers, confidence, trace_count
+    route = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, plan)
+    traces = _sample_traces(route.run, inst.n, seed, trace_count)
+    if mode == "exact":
+        estimates = None
+        per = route.exact()
+        alloc, service = (
+            [(f + b) / 2 for f, b in zip(per[FORWARD][k], per[BACKWARD][k])] for k in (0, 1)
+        )
+        bands = [(None, None)] * inst.n
+    else:
+        estimates = run_trials(route.run, trials, seed, workers, confidence)
+
+        def pooled(kind: str, i: int) -> MeanEstimate:
+            f, b = estimates[(kind, FORWARD[0], i)], estimates[(kind, BACKWARD[0], i)]
+            return MeanEstimate(f.total + b.total, f.total_sq + b.total_sq, f.count + b.count, confidence)
+
+        alloc = [pooled("alloc", i).point for i in range(inst.n)]
+        pooled_service = [pooled("service", i) for i in range(inst.n)]
+        service = [e.point for e in pooled_service]
+        bands = [(e.ci_low, e.ci_high) for e in pooled_service]
+    agents = tuple(
+        AgentReport(
+            index=i,
+            beta=target.beta[i],
+            q=target.q[i],
+            x=target.x[i],
+            c_f=route.rates[i][0],
+            c_b=route.rates[i][1],
+            tau_f=route.taus[i][0],
+            tau_b=route.taus[i][1],
+            expected_service=service[i],
+            service_low=bands[i][0],
+            service_high=bands[i][1],
+            expected_alloc=alloc[i],
+            bound=route.bounds[i],
+            slack=service[i] - route.bounds[i],
+        )
+        for i in range(inst.n)
+    )
+    if mode == "exact":
+        for a in agents:
+            if a.slack < -CALIBRATION_TOL:
+                raise InvariantViolationError(f"service guarantee missed for agent {a.index}")
+    return RationingResult(
+        route.name, mode, target, route.plan, agents, traces, route.rem_slack, estimates, route.resamples
     )

@@ -116,34 +116,6 @@ def bernoulli_params(
     return tuple(params), tuple(flagged)
 
 
-@dataclass(frozen=True)
-class CrsRunResult:
-    """Outcome of one executor run."""
-
-    accepted: int | None
-    order: Permutation
-    activations: tuple[bool, ...]
-
-    def __post_init__(self):
-        if self.accepted is not None and not self.activations[self.accepted]:
-            raise AssertionError("accepted an inactive element")
-
-
-def run_single_unit(inst: SingleUnitInstance, plan: SelectionPlan, rng) -> CrsRunResult:
-    """One run of the online executor: draw an order, activations, and bits;
-    accept the first active element whose bit fires."""
-    tag = FORWARD if rng.random() < 0.5 else BACKWARD
-    perm = Permutation(tag, inst.n)
-    params, _ = bernoulli_params(inst, plan, tag)
-    active = tuple(bool(u < xi) for u, xi in zip(rng.random(inst.n), inst.x))
-    accepted = None
-    for i in perm.order():
-        if active[i] and rng.random() < params[i]:
-            accepted = i
-            break
-    return CrsRunResult(accepted, perm, active)
-
-
 def exact_selection_rates(
     inst: SingleUnitInstance, plan: SelectionPlan
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:

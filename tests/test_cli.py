@@ -232,12 +232,11 @@ def test_ration_auto_single_unit_route(rationing_path, capsys):
 def test_ration_warns_when_exact_mode_resamples(rationing_path, capsys, monkeypatch):
     assert cli.main(["ration", "--instance", rationing_path]) == 0
     assert "warning" not in capsys.readouterr().err
-    # A one-atom cap makes every law take the fallback; the fallback keeps
-    # the law as it is, so the run stays exact and only the count moves.
+    # A one-atom cap merges every law; the run still meets its guarantee
+    # and says it is no longer exact.
     monkeypatch.setattr("fbcrs.rationing.REM_ATOM_CAP", 1)
-    monkeypatch.setattr("fbcrs.rationing._resample_rem", lambda rem, rng: rem)
     assert cli.main(["ration", "--instance", rationing_path]) == 0
-    assert "warning: the remaining-supply law was resampled" in capsys.readouterr().err
+    assert "warning: the remaining-supply law was merged" in capsys.readouterr().err
 
 
 def test_ration_knapsack_route_empty_taus(type_i_path, capsys):

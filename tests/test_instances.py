@@ -21,8 +21,6 @@ from fbcrs.instances import (
     ServiceType,
     SingleUnitInstance,
     SizeLaw,
-    both_orders,
-    draw_quantile_demand,
     dump_instance,
     instance_from_dict,
     instance_to_dict,
@@ -34,7 +32,7 @@ from fbcrs.instances import (
 
 
 def test_permutation_orders():
-    fwd, bwd = both_orders(4)
+    fwd, bwd = Permutation(FORWARD, 4), Permutation(BACKWARD, 4)
     assert fwd.order() == (0, 1, 2, 3)
     assert bwd.order() == (3, 2, 1, 0)
     assert fwd.reverse.tag == BACKWARD
@@ -163,14 +161,6 @@ def test_inverse_cdf_clamps_float_shortfall():
     law = DemandLaw(((0.5, 0.3), (1.0, 0.3), (2.0, 0.4 - 1e-13)))
     assert law.cum[-1] < 1.0
     assert inverse_cdf(law, 1.0) == 2.0
-
-
-def test_draw_quantile_demand_consistency():
-    law = DemandLaw(((0.5, 0.25), (1.0, 0.5), (3.0, 0.25)))
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        q, d = draw_quantile_demand(law, rng)
-        assert d == inverse_cdf(law, q)
 
 
 def test_empirical_cdf_dkw():

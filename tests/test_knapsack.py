@@ -257,7 +257,7 @@ def test_hardness_instance_accepts_at_most_one():
     plan = closed_form_knapsack_plan(inst)
     result = run_knapsack_exact(inst, plan)
     # element size is 1, so the final fill only ever holds 0 or 1
-    for dist in (result.final_fill_f, result.final_fill_b):
+    for dist in (result.traces(FORWARD)[-1], result.traces(BACKWARD)[-1]):
         assert set(v for v, _ in dist.atoms) <= {0.0, 1.0}
 
 

@@ -20,6 +20,7 @@ from fbcrs.knapsack import FiniteLaw, closed_form_knapsack_plan
 from fbcrs.lp_si import SelectionPlan, alpha_0, solve_lp_si
 from fbcrs.rationing import (
     ServiceTarget,
+    _merge_rem,
     calibrate_tau,
     exante_check,
     knapsack_reduction,
@@ -295,19 +296,28 @@ def test_mc_agrees_with_exact_single_unit():
         assert abs(sampled.expected_alloc - ex.expected_alloc) <= 0.01
 
 
-def test_traces_are_consistent():
-    inst = RationingInstance((MIXED, UNIT), ("TypeIII", "TypeII"))
+@pytest.mark.parametrize("route", ["single-unit", "knapsack"])
+def test_traces_are_consistent(route):
+    # the knapsack route admits an active agent whole, at min(d, 1), or not at all
+    service = ("TypeIII", "TypeII") if route == "single-unit" else ("TypeIII", "TypeI")
+    inst = RationingInstance((MIXED, UNIT), service)
     target = exante_check(inst, (0.4, 0.4))
     result = run_rationing(inst, target, mode="exact", seed=3, trace_count=6)
+    assert result.route == route
     assert len(result.traces) == 6
     tags = {t.tag for t in result.traces}
     assert tags <= {"forward", "backward"}
     for trace in result.traces:
-        for i, (q, d) in enumerate(zip(trace.quantiles, trace.demands)):
+        rows = zip(trace.quantiles, trace.demands, trace.allocations, trace.services)
+        for i, (q, d, y, s) in enumerate(rows):
+            law = inst.demands[i]
+            assert s == service_value(inst.service[i], y, d, law.mean)
             if q < target.q[i]:
-                assert d == inverse_cdf(inst.demands[i], q)
+                assert d == inverse_cdf(law, q)
+                if route == "knapsack":
+                    assert y in (0.0, min(d, 1.0))
             else:
-                assert trace.allocations[i] == 0.0
+                assert y == 0.0
 
 
 # --- knapsack route --------------------------------------------------------------
@@ -479,12 +489,40 @@ def _ration_mc_single_unit_instance(n, seed=5):
 @pytest.mark.parametrize("n, resampled", [(12, False), (14, True)])
 def test_exact_mode_reports_resampling(n, resampled):
     # At n = 14 the remaining-supply law outgrows REM_ATOM_CAP atoms and is
-    # swapped for a sampled one, so exact mode must say it was not exact.
+    # merged into REM_BUCKETS atoms, so exact mode must say it was not exact.
     inst = _ration_mc_single_unit_instance(n)
     target = exante_check(inst, (0.95 * max_uniform_beta(inst),) * n)
     result = run_rationing(inst, target, mode="exact", seed=0)
     assert result.route == "single-unit" and result.mode == "exact"
     assert (result.resamples > 0) == resampled
+
+
+@pytest.mark.parametrize("buckets", [7, 10_000])
+def test_merge_rem_keeps_the_mean(monkeypatch, buckets):
+    monkeypatch.setattr("fbcrs.rationing.REM_BUCKETS", buckets)
+    rng = np.random.default_rng(8)
+    values = np.sort(rng.random(5000))
+    probs = rng.random(5000)
+    rem = FiniteLaw.merged(values, probs / probs.sum(), tag=BACKWARD)
+    merged = _merge_rem(rem)
+    assert merged.support_size <= buckets and merged.tag == BACKWARD
+    assert merged.expectation == pytest.approx(rem.expectation, abs=1e-15)
+    assert rem.values[0] <= merged.values[0] and merged.values[-1] <= rem.values[-1]
+
+
+@pytest.mark.parametrize("buckets", [1, 2, 10_000])
+def test_exact_mode_survives_merging_every_law(monkeypatch, buckets):
+    # A one-atom cap merges the remaining-supply law after every arrival.
+    # The merge keeps E[R], so every supply floor stays reachable and the
+    # guarantee holds on the merged laws; the result says it is not exact.
+    monkeypatch.setattr("fbcrs.rationing.REM_ATOM_CAP", 1)
+    monkeypatch.setattr("fbcrs.rationing.REM_BUCKETS", buckets)
+    inst = RationingInstance((UNIT, MIXED), ("TypeII", "TypeIII"))
+    target = exante_check(inst, (max_uniform_beta(inst),) * 2)
+    result = run_rationing(inst, target, mode="exact", seed=0)
+    assert result.resamples > 0
+    assert result.rem_slack >= -1e-12
+    assert result.guarantee_ok(), result.min_slack
 
 
 def test_random_instances_exact_guarantee():

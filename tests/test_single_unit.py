@@ -9,7 +9,6 @@ from fbcrs.errors import InfeasibleError, InvalidInstanceError
 from fbcrs.instances import BACKWARD, FORWARD, Permutation, SingleUnitInstance
 from fbcrs.lp_si import SelectionPlan, alpha_0, solve_lp_si
 from fbcrs.single_unit import (
-    CrsRunResult,
     PhiCurve,
     _phi_antiderivative,
     bernoulli_params,
@@ -17,9 +16,7 @@ from fbcrs.single_unit import (
     exact_selection_rates,
     mc_selection_rates,
     phi,
-    run_single_unit,
 )
-from fbcrs.sim import stream
 
 from oracles import enumerated_selection_rates
 
@@ -161,25 +158,6 @@ def test_exact_rates_match_enumeration_oracle():
                 inst.x, params, Permutation(tag, n).order()
             )
             assert rates == pytest.approx(oracle, abs=1e-12)
-
-
-def test_run_result_rejects_inactive_acceptance():
-    with pytest.raises(AssertionError):
-        CrsRunResult(0, Permutation(FORWARD, 2), (False, True))
-
-
-def test_run_single_unit_invariants():
-    inst = SingleUnitInstance((0.4, 0.3, 0.3))
-    plan = closed_form_plan(inst)
-    rng = stream(2024)
-    hits = 0
-    for _ in range(3000):
-        result = run_single_unit(inst, plan, rng)
-        if result.accepted is not None:
-            assert result.activations[result.accepted]
-            hits += 1
-    # overall acceptance probability is sum_i x_i * alpha_0(1) ~ 0.622
-    assert abs(hits / 3000 - alpha_0(1.0)) < 0.05
 
 
 def test_mc_rates_agree_with_exact():
