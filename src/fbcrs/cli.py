@@ -23,11 +23,19 @@ import os
 import sys
 
 from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError, SolverError
-from .instances import KnapsackInstance, RationingInstance, SingleUnitInstance, SizeLaw, load_instance
+from .instances import (
+    KnapsackInstance,
+    RationingInstance,
+    SingleUnitInstance,
+    SizeLaw,
+    load_instance,
+    load_service_levels,
+)
 from .knapsack import closed_form_knapsack_plan, monitor_trace, run_knapsack_exact, run_knapsack_mc
-from .lp_si import LP_TOL, alpha_0, dual_certificate_uniform, dual_feasibility, solve_lp_si
+from .lp_si import alpha_0, dual_certificate_uniform, dual_feasibility, solve_lp_si
 from .rationing import exante_check, max_uniform_beta, run_rationing
 from .single_unit import closed_form_plan, mc_selection_rates
+from .tolerances import LP_TOL, RATE_TOL
 
 MONITOR_GRID = tuple(round(0.05 * k, 10) for k in range(1, 11))
 
@@ -180,8 +188,7 @@ def cmd_ration(args) -> int:
     if args.beta == "auto":
         betas = (max_uniform_beta(inst),) * inst.n
     else:
-        with open(args.beta, encoding="utf-8") as fh:
-            betas = tuple(float(b) for b in json.load(fh))
+        betas = load_service_levels(args.beta)
     target = exante_check(inst, betas)
     if target is None:
         raise InfeasibleError("requested service levels need more than the unit supply")
@@ -195,17 +202,13 @@ def cmd_ration(args) -> int:
             "the thresholds, and in exact mode the service values, rest on the merged laws",
             file=sys.stderr,
         )
-    rows = []
-    code = 0
-    for a in result.agents:
-        rows.append(
-            [a.index + 1, a.beta, a.q, a.x, a.c_f, a.c_b, a.tau_f, a.tau_b,
-             a.expected_service, a.bound, a.slack]
-        )
-        if args.mode == "mc" and a.service_low is not None:
-            half = (a.service_high - a.service_low) / 2
-            if a.slack < -3 * half:
-                code = 2
+    rows = [
+        [a.index + 1, a.beta, a.q, a.x, a.c_f, a.c_b, a.tau_f, a.tau_b,
+         a.expected_service, a.bound, a.slack]
+        for a in result.agents
+    ]
+    # Exact mode raises on a missed guarantee; a merged run only warns.
+    code = 2 if args.mode == "mc" and not result.guarantee_ok() else 0
     _emit_csv(
         args.out,
         ["agent", "beta", "q", "x", "c_f", "c_b", "tau_f", "tau_b",
@@ -237,10 +240,15 @@ def cmd_dual_certificate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ns = [int(v) for v in args.n.split(",") if v]
-    rhos = [float(v) for v in args.rho.split(",") if v]
+    try:
+        ns = [int(v) for v in args.n.split(",") if v]
+        rhos = [float(v) for v in args.rho.split(",") if v]
+    except ValueError as exc:
+        raise InvalidInstanceError(f"sweep grids must be comma-separated numbers: {exc}") from None
     if not ns or not rhos:
         raise InvalidInstanceError("sweep needs nonempty --n and --rho grids")
+    if min(ns) < 1:
+        raise InvalidInstanceError("sweep needs element counts n >= 1")
     rows = []
     code = 0
     for n in ns:
@@ -254,7 +262,7 @@ def cmd_sweep(args) -> int:
                 primal = plan.objective
                 dual = (4.0 - rho) / 9.0
                 gap = max(abs(primal - dual), result.max_rate_error(plan))
-                bound = 1e-10
+                bound = RATE_TOL
             else:
                 inst = SingleUnitInstance((rho / n,) * n)
                 primal = solve_lp_si(inst).objective
@@ -313,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-knapsack", help="knapsack executor rates, exact or sampled")
     p.add_argument("--instance", required=True)
-    p.add_argument("--plan", choices=("closed",), default="closed")
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--monitor", action="store_true",
                    help="check induction invariants; JSON report to stderr, exit 2 on violations")

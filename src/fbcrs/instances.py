@@ -2,7 +2,8 @@
 
 All instances are immutable after construction and safe to share across
 worker threads.  Constructors validate and reject; nothing is renormalized
-silently.  Probability sums are checked to an absolute 1e-12.
+silently.  Probability sums are checked to an absolute MASS_TOL (see
+tolerances.py).  Malformed JSON input raises InvalidInstanceError.
 
 Element arrays are 0-based positional throughout the library; the one
 exception is `split_element`, whose index argument is 1-based (documented
@@ -19,8 +20,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import InvalidInstanceError
-
-MASS_TOL = 1e-12
+from .tolerances import MASS_TOL
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -311,31 +311,49 @@ def instance_from_dict(data: dict):
         n = data["n"]
     except (KeyError, TypeError):
         raise InvalidInstanceError("instance JSON needs 'kind' and 'n'") from None
-    if kind == "single_unit":
-        inst = SingleUnitInstance(tuple(data["x"]))
-    elif kind == "knapsack":
-        laws = tuple(
-            SizeLaw(tuple((s, p) for s, p in law["atoms"]), law.get("inactive", 0.0))
-            for law in data["laws"]
-        )
-        inst = KnapsackInstance(laws)
-    elif kind == "rationing":
-        demands = tuple(DemandLaw(tuple((d, p) for d, p in law["atoms"])) for law in data["demands"])
-        inst = RationingInstance(demands, tuple(data["service"]))
-    else:
-        raise InvalidInstanceError(f"unknown instance kind {kind!r}")
+    try:
+        if kind == "single_unit":
+            inst = SingleUnitInstance(tuple(data["x"]))
+        elif kind == "knapsack":
+            laws = tuple(
+                SizeLaw(tuple((s, p) for s, p in law["atoms"]), law.get("inactive", 0.0))
+                for law in data["laws"]
+            )
+            inst = KnapsackInstance(laws)
+        elif kind == "rationing":
+            demands = tuple(DemandLaw(tuple((d, p) for d, p in law["atoms"])) for law in data["demands"])
+            inst = RationingInstance(demands, tuple(data["service"]))
+        else:
+            raise InvalidInstanceError(f"unknown instance kind {kind!r}")
+    except KeyError as exc:
+        raise InvalidInstanceError(f"{kind} instance JSON needs {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidInstanceError(f"malformed {kind} instance JSON: {exc}") from None
     if inst.n != n:
         raise InvalidInstanceError(f"declared n={n} but payload has {inst.n} entries")
     return inst
 
 
-def load_instance(path: str):
+def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInstanceError(f"cannot read instance file {path}: {exc}") from None
-    return instance_from_dict(data)
+        raise InvalidInstanceError(f"cannot read {what} file {path}: {exc}") from None
+
+
+def load_instance(path: str):
+    return instance_from_dict(_read_json(path, "instance"))
+
+
+def load_service_levels(path: str) -> tuple[float, ...]:
+    """Per-agent service levels from a JSON list of numbers."""
+    data = _read_json(path, "service-level")
+    if not isinstance(data, list) or not all(
+        isinstance(b, (int, float)) and not isinstance(b, bool) for b in data
+    ):
+        raise InvalidInstanceError(f"{path} must hold a JSON list of service levels")
+    return tuple(float(b) for b in data)
 
 
 def dump_instance(inst, path: str) -> None:

@@ -25,18 +25,20 @@ from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationErr
 from .instances import BACKWARD, FORWARD, KnapsackInstance, Permutation, SizeLaw
 from .lp_si import SelectionPlan
 from .sim import run_trials, slice_index, two_orders
-
-# Law values closer than this merge onto the earlier value.  Sizes on a common
-# grid still trigger merges: float sums of the same grid points taken in
-# different orders differ in the last bits.
-ATOM_TOL = 1e-12
-RATE_TOL = 1e-10
-FEAS_TOL = 1e-9
+from .tolerances import (
+    ATOM_TOL,
+    CURVE_TOL,
+    FEAS_TOL,
+    LAW_MASS_TOL,
+    MASS_TOL,
+    MONOTONE_TOL,
+    RATE_TOL,
+)
 
 
 def phi_knapsack(z: float) -> float:
     """The knapsack selection curve 4/9 - 2z/9 on [0, 1]."""
-    if not -1e-12 <= z <= 1.0 + 1e-12:
+    if not -CURVE_TOL <= z <= 1.0 + CURVE_TOL:
         raise ValueError(f"z={z} outside [0, 1]")
     z = min(max(z, 0.0), 1.0)
     return 4.0 / 9.0 - 2.0 * z / 9.0
@@ -74,8 +76,8 @@ class KnapsackFeasibilityReport:
     monotone_violations: tuple[tuple[str, int], ...]
     zero_first_flagged: bool
 
-    def ok(self, tol: float = FEAS_TOL) -> bool:
-        return self.max_violation <= tol and not self.monotone_violations
+    def ok(self) -> bool:
+        return self.max_violation <= FEAS_TOL and not self.monotone_violations
 
     def require(self) -> None:
         """Raise InfeasibleError unless ok()."""
@@ -103,7 +105,7 @@ def check_knapsack_feasible(plan: SelectionPlan, inst: KnapsackInstance) -> Knap
         consumed = 0.0  # sum of c_sigma(j) * mu_j over arrived elements
         for i in order:
             c = rates[i]
-            if c > prev + 1e-12:
+            if c > prev + MONOTONE_TOL:
                 monotone.append((tag, i))
             prev = c
             worst = max(worst, c - (1.0 - c_first - consumed))
@@ -156,7 +158,7 @@ class FiniteLaw:
             raise InvariantViolationError(f"law values [{values[0]}, {values[-1]}] outside [0, 1]")
         if not (probs > 0.0).all():
             raise InvariantViolationError("law probabilities must be positive")
-        if abs(self.mass - 1.0) > 1e-10:
+        if abs(self.mass - 1.0) > LAW_MASS_TOL:
             raise InvariantViolationError(f"law mass {self.mass} != 1")
 
     @classmethod
@@ -267,7 +269,7 @@ def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tu
     """Fold one element into the fill law; also return its Branches.
 
     Raises InfeasibleError when c exceeds Pr[T = 0] + Pr[0 < T <= 1-s] for
-    some size s.  Total mass is preserved to 1e-12.
+    some size s.  Total mass is preserved to MASS_TOL.
 
     One rank query on [0, 1-s_1, ..., 1-s_k] splits the sorted fills into
     the zero branch [0, r0), size s_j's interval branch [r0, fit_j) and the
@@ -321,7 +323,7 @@ def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tu
         at += fit
     np.minimum(out_v[n:], 1.0, out=out_v[n:])
     new = FiniteLaw.merged(out_v, out_p, element=dist.element + 1, tag=dist.tag)
-    if abs(new.mass - 1.0) > 1e-12:
+    if abs(new.mass - 1.0) > MASS_TOL:
         raise InvariantViolationError(f"fill mass drifted to {new.mass} {ctx}")
     return new, branches
 
@@ -407,8 +409,8 @@ class InvariantReport:
     zero_slack: float | None
     zero_first_flagged: bool
 
-    def ok(self, tol: float = FEAS_TOL) -> bool:
-        if self.zero_slack is not None and self.zero_slack < -tol:
+    def ok(self) -> bool:
+        if self.zero_slack is not None and self.zero_slack < -FEAS_TOL:
             return False
         return not self.violations
 
@@ -446,10 +448,8 @@ class MonitorTraceReport:
     step_reports: tuple[tuple[str, int, InvariantReport], ...]
     max_expectation_error: float
 
-    def ok(self, tol: float = FEAS_TOL) -> bool:
-        return self.max_expectation_error <= RATE_TOL and all(
-            rep.ok(tol) for _, _, rep in self.step_reports
-        )
+    def ok(self) -> bool:
+        return self.max_expectation_error <= RATE_TOL and all(rep.ok() for _, _, rep in self.step_reports)
 
     @property
     def total_violations(self) -> int:
@@ -466,7 +466,7 @@ def monitor_trace(
 
     The expectation identity E[T before element at position k] =
     sum of c_sigma(j) * mu_j over the k-1 earlier elements must hold to
-    1e-10 at every step.
+    RATE_TOL at every step.
     """
     reports = []
     worst_exp = 0.0
@@ -545,7 +545,6 @@ def run_knapsack_mc(
     trials: int,
     seed: int,
     workers: int = 1,
-    confidence: float = 0.999,
 ):
     """Monte Carlo executor on the exact run's branch parameters.
 
@@ -571,4 +570,4 @@ def run_knapsack_mc(
             raise InvariantViolationError("accepted sizes exceeded the knapsack")
         return out
 
-    return run_trials(experiment, trials, seed, workers=workers, confidence=confidence)
+    return run_trials(experiment, trials, seed, workers=workers)

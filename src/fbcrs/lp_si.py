@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import InvalidInstanceError, SolverError
 from .instances import FORWARD, SingleUnitInstance
-
-LP_TOL = 1e-9
+from .tolerances import CURVE_TOL, LP_TOL
 
 # Consecutive degenerate pivots tolerated under Dantzig's rule before
 # switching to Bland's rule, which then holds until the next nondegenerate
@@ -93,11 +92,11 @@ class SelectionPlan:
                 consumed += inst.x[i] * rates[i]
         return worst
 
-    def is_feasible(self, inst: SingleUnitInstance, tol: float = LP_TOL) -> bool:
-        return self.max_violation(inst) <= tol
+    def is_feasible(self, inst: SingleUnitInstance) -> bool:
+        return self.max_violation(inst) <= LP_TOL
 
 
-def _simplex(obj, A, b, *, start=(), tol: float = LP_TOL, max_iter: int | None = None):
+def _simplex(obj, A, b, *, start=(), max_iter: int | None = None):
     """Maximize obj @ v subject to A @ v <= b, v >= 0, with b >= 0.
 
     Condensed (Tucker) tableau: one column per nonbasic variable and one row
@@ -112,11 +111,11 @@ def _simplex(obj, A, b, *, start=(), tol: float = LP_TOL, max_iter: int | None =
     start is a crash basis: (row, col) pairs whose slacks leave for column
     col before the first ratio test.  Every start row needs b[row] = 0, and
     the block A[rows][:, cols] must be diagonal with entries larger than
-    tol in magnitude; otherwise SolverError.  Then the exchanges do not touch each other's
-    rows or columns, each updates only the columns where its row is
-    nonzero, and none moves a basic value, so the crash basis is primal
-    feasible with the all-slack objective.  The exchanges are not pivots:
-    they do not count against max_iter.
+    LP_TOL in magnitude; otherwise SolverError.  Then the exchanges do not
+    touch each other's rows or columns, each updates only the columns where
+    its row is nonzero, and none moves a basic value, so the crash basis is
+    primal feasible with the all-slack objective.  The exchanges are not
+    pivots: they do not count against max_iter.
 
     This terminates from the crash basis as from the all-slack one: every
     nondegenerate pivot strictly raises the objective, so no basis repeats
@@ -143,7 +142,7 @@ def _simplex(obj, A, b, *, start=(), tol: float = LP_TOL, max_iter: int | None =
         raise SolverError("crash start indices outside the constraint matrix")
     if np.any(b[rows] != 0.0):
         raise SolverError("crash start rows need a zero right-hand side")
-    if np.any(np.abs(A[rows, cols]) <= tol) or np.count_nonzero(A[np.ix_(rows, cols)]) != len(rows):
+    if np.any(np.abs(A[rows, cols]) <= LP_TOL) or np.count_nonzero(A[np.ix_(rows, cols)]) != len(rows):
         raise SolverError("crash start block must be diagonal with a nonzero diagonal")
     for row, col in zip(rows.tolist(), cols.tolist()):
         # The pivot of the loop below, restricted to the few columns where
@@ -163,26 +162,26 @@ def _simplex(obj, A, b, *, start=(), tol: float = LP_TOL, max_iter: int | None =
     for pivots in range(max_iter + 1):
         z = T[m, :-1]
         if stall >= _STALL_LIMIT:
-            negative = np.nonzero(z < -tol)[0]
+            negative = np.nonzero(z < -LP_TOL)[0]
             if negative.size == 0:
                 break
             col = int(negative[np.argmin(nonbasic[negative])])
         else:
             col = int(np.argmin(z))
-            if z[col] >= -tol:
+            if z[col] >= -LP_TOL:
                 break
         if pivots == max_iter:
             raise SolverError(f"simplex did not converge within {max_iter} pivots")
         column = T[:m, col]
-        positive = column > tol
+        positive = column > LP_TOL
         if not positive.any():
             raise SolverError("LP unbounded above; formulation error")
         ratios = np.full(m, np.inf)
         np.divide(T[:m, -1], column, out=ratios, where=positive)
         best = float(ratios.min())
-        ties = np.nonzero(ratios <= best + tol * max(1.0, best))[0]
+        ties = np.nonzero(ratios <= best + LP_TOL * max(1.0, best))[0]
         row = int(ties[np.argmin(basis[ties])])  # smallest label: anti-cycling
-        stall = stall + 1 if best <= tol else 0
+        stall = stall + 1 if best <= LP_TOL else 0
 
         # Exchange: the pivot row is divided by the pivot p, the other rows
         # take the rank-1 update, and the leaving variable's column becomes
@@ -201,10 +200,10 @@ def _simplex(obj, A, b, *, start=(), tol: float = LP_TOL, max_iter: int | None =
     return v[:k], float(T[m, -1]), pivots
 
 
-def _clip_unit(values, tol: float = LP_TOL):
+def _clip_unit(values):
     arr = np.asarray(values, dtype=float)
-    if arr.min(initial=0.0) < -tol or arr.max(initial=0.0) > 1.0 + tol:
-        raise SolverError(f"solver produced probability outside [0,1] by more than {tol}")
+    if arr.min(initial=0.0) < -LP_TOL or arr.max(initial=0.0) > 1.0 + LP_TOL:
+        raise SolverError(f"solver produced probability outside [0,1] by more than {LP_TOL}")
     return tuple(np.clip(arr, 0.0, 1.0))
 
 
@@ -274,7 +273,7 @@ def gamma(z: float, rho: float) -> float:
     """
     if rho < 0:
         raise ValueError(f"rho={rho} must be nonnegative")
-    if not rho / 2.0 - 1e-12 <= z <= rho + 1e-12:
+    if not rho / 2.0 - CURVE_TOL <= z <= rho + CURVE_TOL:
         raise ValueError(f"z={z} outside [{rho / 2.0}, {rho}]")
     z = min(max(z, rho / 2.0), rho)
     return rho * math.exp(z - rho) / (2.0 * (math.exp(-rho / 2.0) + rho))
@@ -331,15 +330,17 @@ def dual_certificate_uniform(N: int, rho: float) -> DualCertificate:
 
 @dataclass(frozen=True)
 class DualFeasibilityReport:
-    """Worst constraint violation of a certificate; all <= tol means the
-    certificate objective upper-bounds the LP optimum."""
+    """Worst constraint violation of a certificate; all within LP_TOL means
+    the certificate objective upper-bounds the LP optimum."""
 
     max_violation: float
-    xi_sum_slack: float  # sum(xi)/N - 1; ok() needs it >= -tol (LP_TOL)
+    xi_sum_slack: float  # sum(xi)/N - 1; ok() needs it >= -LP_TOL
     min_entry: float
 
-    def ok(self, tol: float = LP_TOL) -> bool:
-        return self.max_violation <= tol and self.xi_sum_slack >= -tol and self.min_entry >= -tol
+    def ok(self) -> bool:
+        return (
+            self.max_violation <= LP_TOL and self.xi_sum_slack >= -LP_TOL and self.min_entry >= -LP_TOL
+        )
 
 
 def dual_feasibility(cert: DualCertificate, rho: float) -> DualFeasibilityReport:

@@ -28,7 +28,6 @@ from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationErr
 from .instances import (
     BACKWARD,
     FORWARD,
-    MASS_TOL,
     DemandLaw,
     KnapsackInstance,
     Permutation,
@@ -38,8 +37,6 @@ from .instances import (
     SizeLaw,
 )
 from .knapsack import (
-    FEAS_TOL,
-    RATE_TOL,
     Admission,
     FiniteLaw,
     KnapsackExactResult,
@@ -48,14 +45,23 @@ from .knapsack import (
 )
 from .lp_si import SelectionPlan, solve_lp_si
 from .sim import MeanEstimate, run_trials, slice_index, stream, two_orders
-
-SUPPLY_TOL = 1e-10
-CALIBRATION_TOL = 1e-9
+from .tolerances import (
+    BISECTION_TOL,
+    CALIBRATION_TOL,
+    CROSSING_TOL,
+    FEAS_TOL,
+    MASS_TOL,
+    MC_HALF_WIDTHS,
+    RATE_TOL,
+    SUPPLY_TOL,
+)
 
 # Exact propagation merges a remaining-supply law past REM_ATOM_CAP atoms
 # into REM_BUCKETS mean-preserving atoms (see _merge_rem).
 REM_ATOM_CAP = 100_000
 REM_BUCKETS = 10_000
+# Sampled runs kept as AllocationTraces (stream NS_TRACE).
+TRACE_COUNT = 8
 NS_TRACE = 3
 
 ROUTE_SINGLE_UNIT = "single-unit"
@@ -134,11 +140,11 @@ def solve_q_for_beta(law: DemandLaw, stype, beta: float) -> float:
         return 0.0
     acc, prev = 0.0, 0.0
     for (d, _), cum in zip(law.atoms, law.cum):
-        if acc >= beta - 1e-15:
+        if acc >= beta - CROSSING_TOL:
             return prev
         v = _service_density(stype, d, law.mean)
         seg = cum - prev
-        if v > 0.0 and acc + v * seg >= beta - 1e-15:
+        if v > 0.0 and acc + v * seg >= beta - CROSSING_TOL:
             return min(prev + (beta - acc) / v, 1.0)
         acc += v * seg
         prev = cum
@@ -206,10 +212,10 @@ def exante_check(inst: RationingInstance, beta) -> ServiceTarget | None:
 def max_uniform_beta(inst: RationingInstance) -> float:
     """Largest common service level all agents can be promised at once.
 
-    Capped by each agent's own achievable range, then bisected to 1e-9 on
-    the unit-supply constraint (total x is nondecreasing in beta).  The
-    bisection tests total x <= 1 with no tolerance, so the level it returns
-    passes every later supply check, which allow MASS_TOL.
+    Capped by each agent's own achievable range, then bisected to
+    BISECTION_TOL on the unit-supply constraint (total x is nondecreasing in
+    beta).  The bisection tests total x <= 1 with no tolerance, so the level
+    it returns passes every later supply check, which allow MASS_TOL.
     """
     caps = []
     for law, stype in zip(inst.demands, inst.service):
@@ -232,7 +238,7 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     if fits(upper):
         return upper
     lo, hi = 0.0, upper
-    while hi - lo > 1e-9:
+    while hi - lo > BISECTION_TOL:
         mid = (lo + hi) / 2
         if fits(mid):
             lo = mid
@@ -279,7 +285,7 @@ def calibrate_tau(law: DemandLaw, q: float, rem: FiniteLaw, target: float) -> fl
     # E[min(cap, tau)] at tau = caps[j]: full caps below j, tau above.
     below_sum = np.concatenate(([0.0], np.cumsum(caps * weight)[:-1]))
     at_or_above = np.cumsum(weight[::-1])[::-1]
-    hit = np.flatnonzero(below_sum + caps * at_or_above >= target - 1e-15)
+    hit = np.flatnonzero(below_sum + caps * at_or_above >= target - CROSSING_TOL)
     if not hit.size:
         return min(float(caps[-1]), 1.0)
     j = hit[0]
@@ -466,9 +472,9 @@ class AllocationTrace:
     services: tuple[float, ...]
 
     def __post_init__(self):
-        if any(y > d + 1e-9 for y, d in zip(self.allocations, self.demands)):
+        if any(y > d + FEAS_TOL for y, d in zip(self.allocations, self.demands)):
             raise InvariantViolationError("an allocation exceeds its demand")
-        if math.fsum(self.allocations) > 1.0 + 1e-9:
+        if math.fsum(self.allocations) > 1.0 + FEAS_TOL:
             raise InvariantViolationError("allocations exceed the unit supply")
 
 
@@ -493,8 +499,20 @@ class RationingResult:
     def min_slack(self) -> float:
         return min(a.slack for a in self.agents)
 
-    def guarantee_ok(self, tol: float = CALIBRATION_TOL) -> bool:
-        return self.min_slack >= -tol
+    def guarantee_ok(self) -> bool:
+        """Whether every agent's service certifiably clears its bound.
+
+        Exact mode: every slack is at least -CALIBRATION_TOL and no
+        remaining-supply law was merged (a merged run is not certified).
+        Mc mode: every slack is at least -(MC_HALF_WIDTHS half-widths of the
+        agent's service interval + CALIBRATION_TOL).
+        """
+        if self.mode == "exact":
+            return not self.resamples and self.min_slack >= -CALIBRATION_TOL
+        return all(
+            a.slack >= -(MC_HALF_WIDTHS * (a.service_high - a.service_low) / 2.0 + CALIBRATION_TOL)
+            for a in self.agents
+        )
 
 
 def _service_array(stype: ServiceType, y: np.ndarray, d: np.ndarray, mean: float) -> np.ndarray:
@@ -558,7 +576,7 @@ def _single_unit_runner(inst: RationingInstance, target: ServiceTarget, taus: di
                 # vectors, and a stalled thread shows up as latency spikes.
                 out[("service", tag[0], i)] = (float(s.sum()), float(np.einsum("i,i->", s, s)), y.size)
                 out[("alloc", tag[0], i)] = (float(y.sum()), float(np.einsum("i,i->", y, y)), y.size)
-        if m and float(rems.min()) < -1e-9:
+        if m and float(rems.min()) < -FEAS_TOL:
             raise InvariantViolationError("negative remaining supply in simulation")
         return out
 
@@ -730,8 +748,6 @@ def run_rationing(
     trials: int = 0,
     seed: int = 0,
     workers: int = 1,
-    confidence: float = 0.999,
-    trace_count: int = 8,
 ) -> RationingResult:
     """Execute the rationing scheme for a solved service target.
 
@@ -746,7 +762,8 @@ def run_rationing(
     form, and an infeasible plan raises InfeasibleError in both modes.
     On the single-unit route a remaining-supply law past REM_ATOM_CAP atoms
     is merged into REM_BUCKETS mean-preserving atoms; result.resamples
-    counts those merges, and when it is nonzero exact mode is not exact.
+    counts those merges, and when it is nonzero exact mode is not exact
+    and result.guarantee_ok() is False.
     """
     if inst.n != target.n:
         raise InvalidInstanceError("target does not match the instance")
@@ -755,7 +772,7 @@ def run_rationing(
     if mode == "mc" and trials < 1:
         raise InvalidInstanceError("mc mode needs trials >= 1")
     route = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, plan)
-    traces = _sample_traces(route.run, inst.n, seed, trace_count)
+    traces = _sample_traces(route.run, inst.n, seed, TRACE_COUNT)
     if mode == "exact":
         estimates = None
         per = route.exact()
@@ -764,11 +781,11 @@ def run_rationing(
         )
         bands = [(None, None)] * inst.n
     else:
-        estimates = run_trials(route.run, trials, seed, workers, confidence)
+        estimates = run_trials(route.run, trials, seed, workers)
 
         def pooled(kind: str, i: int) -> MeanEstimate:
             f, b = estimates[(kind, FORWARD[0], i)], estimates[(kind, BACKWARD[0], i)]
-            return MeanEstimate(f.total + b.total, f.total_sq + b.total_sq, f.count + b.count, confidence)
+            return MeanEstimate(f.total + b.total, f.total_sq + b.total_sq, f.count + b.count)
 
         alloc = [pooled("alloc", i).point for i in range(inst.n)]
         pooled_service = [pooled("service", i) for i in range(inst.n)]

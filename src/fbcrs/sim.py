@@ -18,6 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .instances import BACKWARD, FORWARD
+from .tolerances import MC_CONFIDENCE
 
 # Trials are processed in fixed-size chunks; chunk index = stream index, so
 # results are bit-identical for any worker count.
@@ -62,7 +63,7 @@ def slice_index(u: np.ndarray, edges) -> np.ndarray:
     return k
 
 
-def wilson_interval(successes: float, count: int, confidence: float = 0.999) -> tuple[float, float]:
+def wilson_interval(successes: float, count: int, confidence: float = MC_CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -80,11 +81,10 @@ def wilson_interval(successes: float, count: int, confidence: float = 0.999) -> 
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """Empirical conditional rate with a Wilson interval."""
+    """Empirical conditional rate with a Wilson interval at MC_CONFIDENCE."""
 
     successes: float
     conditioning_count: int
-    confidence: float = 0.999
 
     @property
     def point(self) -> float:
@@ -96,13 +96,13 @@ class RateEstimate:
     def ci_low(self) -> float:
         if self.conditioning_count == 0:
             return 0.0
-        return wilson_interval(self.successes, self.conditioning_count, self.confidence)[0]
+        return wilson_interval(self.successes, self.conditioning_count)[0]
 
     @property
     def ci_high(self) -> float:
         if self.conditioning_count == 0:
             return 1.0
-        return wilson_interval(self.successes, self.conditioning_count, self.confidence)[1]
+        return wilson_interval(self.successes, self.conditioning_count)[1]
 
     @property
     def half_width(self) -> float:
@@ -111,7 +111,8 @@ class RateEstimate:
 
 @dataclass(frozen=True)
 class MeanEstimate:
-    """Empirical mean of a real-valued outcome with a normal-theory interval.
+    """Empirical mean of a real-valued outcome with a normal-theory interval
+    at MC_CONFIDENCE.
 
     Used where the per-trial outcome is a fraction that is not 0/1 (service
     values); the interval uses the sample variance, so unlike Wilson it does
@@ -121,7 +122,6 @@ class MeanEstimate:
     total: float
     total_sq: float
     count: int
-    confidence: float = 0.999
 
     @property
     def point(self) -> float:
@@ -133,7 +133,7 @@ class MeanEstimate:
     def half_width(self) -> float:
         if self.count < 2:
             return float("inf")
-        z = NormalDist().inv_cdf((1 + self.confidence) / 2)
+        z = NormalDist().inv_cdf((1 + MC_CONFIDENCE) / 2)
         var = max(0.0, self.total_sq / self.count - self.point**2)
         return z * math.sqrt(var / self.count)
 
@@ -146,7 +146,7 @@ class MeanEstimate:
         return self.point + self.half_width
 
 
-def run_trials(experiment, trials: int, seed: int, workers: int = 1, confidence: float = 0.999) -> dict:
+def run_trials(experiment, trials: int, seed: int, workers: int = 1) -> dict:
     """Run ``experiment(rng, m)`` over ``trials`` trials in deterministic chunks.
 
     The experiment returns ``{key: (successes, count)}`` (or
@@ -180,9 +180,9 @@ def run_trials(experiment, trials: int, seed: int, workers: int = 1, confidence:
     estimates = {}
     for key, value in sums.items():
         if len(value) == 2:
-            estimates[key] = RateEstimate(value[0], int(value[1]), confidence)
+            estimates[key] = RateEstimate(value[0], int(value[1]))
         elif len(value) == 3:
-            estimates[key] = MeanEstimate(value[0], value[1], int(value[2]), confidence)
+            estimates[key] = MeanEstimate(value[0], value[1], int(value[2]))
         else:
             raise ValueError(f"experiment value for {key!r} must be a 2- or 3-tuple")
     return estimates

@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .instances import BACKWARD, FORWARD, Permutation, SingleUnitInstance
-from .lp_si import LP_TOL, SelectionPlan
+from .lp_si import SelectionPlan
 from .sim import run_trials, two_orders
+from .tolerances import CURVE_TOL, LP_TOL, MASS_TOL, WINDOW_TOL
 
 
 def phi(z: float, rho: float) -> float:
@@ -25,7 +26,7 @@ def phi(z: float, rho: float) -> float:
     e^{rho-z}/(1+e^{rho/2}rho) above; evaluated in overflow-safe form."""
     if rho < 0:
         raise ValueError(f"rho={rho} must be nonnegative")
-    if not -1e-12 <= z <= rho + 1e-12:
+    if not -CURVE_TOL <= z <= rho + CURVE_TOL:
         raise ValueError(f"z={z} outside [0, {rho}]")
     z = min(max(z, 0.0), rho)
     denom = math.exp(-rho / 2.0) + rho
@@ -52,7 +53,7 @@ class PhiCurve:
         return phi(z, self.rho)
 
     def integral(self, a: float, b: float) -> float:
-        if not -1e-12 <= a <= b <= self.rho + 1e-9:
+        if not -CURVE_TOL <= a <= b <= self.rho + WINDOW_TOL:
             raise ValueError(f"window [{a}, {b}] outside [0, {self.rho}]")
         a = min(max(a, 0.0), self.rho)
         b = min(max(b, 0.0), self.rho)
@@ -94,7 +95,7 @@ def bernoulli_params(
 
     A parameter is flagged when its denominator has been fully consumed
     (0/0); the convention is parameter 0 there.  Raises InfeasibleError when
-    the plan asks for more than the remaining mass plus 1e-9.
+    the plan asks for more than the remaining mass plus LP_TOL.
     """
     rates = plan.rates(tag)
     params = [0.0] * inst.n
@@ -107,7 +108,7 @@ def bernoulli_params(
             raise InfeasibleError(
                 f"plan infeasible: c_{tag}({i}) = {c} exceeds remaining mass {remaining}"
             )
-        if remaining <= 1e-12:
+        if remaining <= MASS_TOL:
             params[i] = 0.0
             flagged[i] = True
         else:
@@ -144,7 +145,6 @@ def mc_selection_rates(
     trials: int,
     seed: int,
     workers: int = 1,
-    confidence: float = 0.999,
 ):
     """Monte Carlo conditional acceptance rates.
 
@@ -174,4 +174,4 @@ def mc_selection_rates(
             out[("overall", i)] = (sf + sb, cf + cb)
         return out
 
-    return run_trials(experiment, trials, seed, workers=workers, confidence=confidence)
+    return run_trials(experiment, trials, seed, workers=workers)

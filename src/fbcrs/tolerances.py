@@ -1,0 +1,112 @@
+"""Every tolerance the library applies, in one table.
+
+The paper's guarantees are certified by chains of checks: the LP plan feeds
+the rationing calibration, the knapsack plan feeds fill propagation and then
+the rate check, and Monte Carlo cross-checks the exact runs.  Each entry
+below names the layer that produces the values it is applied to and the
+checks that receive it.  Where a value crosses layers, the receiving check
+applies the producing layer's entry or a looser one, so a value one layer
+accepts is not rejected by the next.  Modules import their tolerances from
+here and nowhere else.
+"""
+
+# --- inputs -------------------------------------------------------------------
+
+# Probability sums and total masses.  Produced by instance files and the
+# rationing service targets; received by the SizeLaw, DemandLaw and
+# KnapsackInstance constructors (mass sums, total mean size <= 1), by
+# exante_check and ServiceTarget (total supply share <= 1), by
+# propagate_fill (fill-law mass drift after each step) and by
+# bernoulli_params (an element whose remaining mass is at most this is
+# flagged 0/0).  exante_check and knapsack_reduction apply the same entry to
+# the same total, so a target the one accepts the other accepts.
+MASS_TOL = 1e-12
+
+# Per-agent service levels, quantiles and shares in [0, 1].  Produced by the
+# requested levels, solve_q_for_beta and supply_x; received by
+# ServiceTarget's range check and by solve_q_for_beta's top-of-range test.
+SUPPLY_TOL = 1e-10
+
+# Arguments of the selection curves.  Produced by prefix sums of masses in
+# the closed-form plans and the dual certificate; received by the domain
+# checks of phi (single_unit), phi_knapsack (knapsack) and gamma (lp_si),
+# and by the lower end of PhiCurve windows.
+CURVE_TOL = 1e-12
+
+# Upper end of a PhiCurve window past rho.  Produced by prefix sums of
+# masses in callers of PhiCurve.integral; received by its range check.
+WINDOW_TOL = 1e-9
+
+# --- plans ----------------------------------------------------------------------
+
+# Selection LP.  Produced by the simplex (lp_si); received by its pivot and
+# ratio tests, by the [0, 1] range check on its solution, by
+# SelectionPlan.is_feasible, by DualFeasibilityReport.ok, by the CLI's
+# primal-dual comparisons and by bernoulli_params (a plan rate may exceed
+# the remaining mass by this much).
+LP_TOL = 1e-9
+
+# Ordering of a knapsack plan's rates (the first arrival weakly largest).
+# Produced by closed_form_knapsack_plan; received by check_knapsack_feasible.
+MONOTONE_TOL = 1e-12
+
+# --- exact propagation ----------------------------------------------------------
+
+# Law values closer than this merge onto the earlier value, and fill
+# boundaries resolve at it.  Sizes on a common grid still trigger merges:
+# float sums of the same grid points taken in different orders differ in
+# the last bits.  Produced by fill propagation; received by FiniteLaw's
+# merge and queries and by Admission's fit bound 1 - s + ATOM_TOL, so the
+# Monte Carlo executor admits exactly the fills the exact run fits.
+ATOM_TOL = 1e-12
+
+# Total mass of any FiniteLaw at construction.  Produced by fill and
+# remaining-supply propagation and by _merge_rem; received by the FiniteLaw
+# constructor.  propagate_fill then holds each new fill law to the tighter
+# MASS_TOL.
+LAW_MASS_TOL = 1e-10
+
+# Knapsack feasibility.  Produced by plans, fill laws and executors; received
+# by KnapsackFeasibilityReport.ok, InvariantReport.ok, monitor_invariants,
+# propagate_fill's reachability check, and the allocation bounds of every
+# executor: fills at most 1, remaining supply at least 0, allocations at
+# most demand and summing to at most 1 (AllocationTrace).
+FEAS_TOL = 1e-9
+
+# Planned against realized acceptance rates.  Produced by run_knapsack_exact;
+# received by MonitorTraceReport.ok (the E[T] bookkeeping), the rationing
+# knapsack route and the CLI's knapsack-min sweep bound.
+RATE_TOL = 1e-10
+
+# --- rationing calibration ------------------------------------------------------
+
+# Crossing tests of the piecewise-linear walks: the service level reached
+# by an activation quantile (solve_q_for_beta) and the allocation reached by
+# a threshold (calibrate_tau).  Produced by float sums of segment lengths;
+# received by those walks only.
+CROSSING_TOL = 1e-15
+
+# Width at which max_uniform_beta stops bisecting.  Its level passes every
+# supply check without tolerance (it tests total x <= 1 exactly).
+BISECTION_TOL = 1e-9
+
+# Rationing calibration.  Produced by calibrate_tau and the exact
+# remaining-supply propagation; received by calibrate_tau's reachability
+# check, the supply floor, allocation and service invariants of
+# _exact_order, knapsack_reduction's element means, exact mode's guarantee
+# check and RationingResult.guarantee_ok in both modes.
+CALIBRATION_TOL = 1e-9
+
+# --- Monte Carlo ------------------------------------------------------------------
+
+# Confidence of every Monte Carlo interval (Wilson for rates, normal theory
+# for means).  Produced by run_trials; received by the estimates' ci_low,
+# ci_high and half_width.
+MC_CONFIDENCE = 0.999
+
+# A Monte Carlo estimate agrees with a bound when it misses it by at most
+# MC_HALF_WIDTHS interval half-widths plus CALIBRATION_TOL, the absolute
+# slack for agents whose service never varies.  Produced by run_rationing in
+# mc mode; received by RationingResult.guarantee_ok and so by the exit code
+# of `fbcrs ration --mode mc`.
+MC_HALF_WIDTHS = 3.0

@@ -256,7 +256,7 @@ def admit_wide(rule, u, fill):
     return code
 
 
-def knapsack_mc_reference(inst, exact, trials, seed, confidence=0.999):
+def knapsack_mc_reference(inst, exact, trials, seed):
     """run_knapsack_mc's estimates from the Branches of `exact` (a
     KnapsackExactResult), through admit_wide and bincount outcome counts."""
     from fbcrs.instances import BACKWARD, FORWARD
@@ -279,4 +279,4 @@ def knapsack_mc_reference(inst, exact, trials, seed, confidence=0.999):
                 out[(tag[0], i)] = (float(counts[1::2].sum()), int(counts[:active].sum()))
         return out
 
-    return run_trials(experiment, trials, seed, confidence=confidence)
+    return run_trials(experiment, trials, seed)

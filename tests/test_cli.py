@@ -398,6 +398,33 @@ def test_out_writes_csv_file(knapsack_path, tmp_path, capsys):
     assert rows[0][0] == "element"
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        # an instance missing "x"
+        (["lp-solve", "--instance", "{bad}"], {"bad": '{"kind": "single_unit", "n": 2}'}),
+        # a knapsack atom with three numbers
+        (
+            ["simulate-knapsack", "--instance", "{bad}"],
+            {"bad": '{"kind": "knapsack", "n": 1, "laws": [{"atoms": [[0.5, 0.5, 0.1]], "inactive": 0.5}]}'},
+        ),
+        # --beta on a missing file
+        (["ration", "--instance", "{ra}", "--beta", "{missing}"], {}),
+        # --beta on a JSON object, not a list of levels
+        (["ration", "--instance", "{ra}", "--beta", "{beta}"], {"beta": '{"a": 0.4, "b": 0.4}'}),
+        (["sweep", "--kind", "lpopt", "--n", "0", "--rho", "1.0"], {}),
+    ],
+    ids=["missing-x", "three-number-atom", "missing-beta-file", "beta-object", "sweep-n-0"],
+)
+def test_malformed_outside_input_exits_3(rationing_path, tmp_path, capsys, argv, files):
+    paths = {"ra": rationing_path, "missing": str(tmp_path / "missing.json")}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    assert cli.main([arg.format(**paths) for arg in argv]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("exc", [InvariantViolationError, SolverError])
 def test_invariant_errors_map_to_exit_2(monkeypatch, capsys, exc):
     def boom(args):

@@ -8,7 +8,6 @@ import pytest
 from fbcrs.errors import InvalidInstanceError, SolverError
 from fbcrs.instances import SingleUnitInstance, split_element
 from fbcrs.lp_si import (
-    LP_TOL,
     SelectionPlan,
     _simplex,
     _solve_general,
@@ -210,7 +209,7 @@ def test_lp_beats_alpha0_on_random_instances():
         x = rng.random(n) * min(1.0, 1.5 / n)
         inst = SingleUnitInstance(tuple(x))
         plan = solve_lp_si(inst)
-        assert plan.is_feasible(inst, LP_TOL)
+        assert plan.is_feasible(inst)
         assert plan.objective >= alpha_0(inst.rho) - 1e-9
         assert plan.objective <= 1.0 + 1e-12
 

@@ -50,7 +50,7 @@ def test_wilson_frozen_values():
     low, high = wilson_interval(500_000, 10**6, 0.999)
     assert low == pytest.approx(WILSON_LOW_FROZEN, abs=1e-13)
     assert high == pytest.approx(WILSON_HIGH_FROZEN, abs=1e-13)
-    est = RateEstimate(500_000, 10**6, 0.999)
+    est = RateEstimate(500_000, 10**6)  # at MC_CONFIDENCE, 0.999
     assert est.half_width == pytest.approx(WILSON_HALF_FROZEN, abs=1e-13)
 
 
@@ -84,7 +84,7 @@ def test_mean_estimate_small_counts():
 
 def test_mean_estimate_known_sample():
     # sample {1, 3}: mean 2, population variance 1
-    est = MeanEstimate(total=4.0, total_sq=10.0, count=2, confidence=0.999)
+    est = MeanEstimate(total=4.0, total_sq=10.0, count=2)  # at MC_CONFIDENCE, 0.999
     z = float(stats.norm.ppf(0.9995))
     assert est.point == pytest.approx(2.0)
     assert est.half_width == pytest.approx(z * math.sqrt(1.0 / 2.0), rel=1e-12)
