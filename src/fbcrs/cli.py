@@ -262,11 +262,12 @@ def cmd_sweep(args) -> int:
                 primal = plan.objective
                 dual = (4.0 - rho) / 9.0
                 gap = max(abs(primal - dual), result.max_rate_error(plan))
-                bound = RATE_TOL
+                bound = limit = RATE_TOL
             else:
                 inst = SingleUnitInstance((rho / n,) * n)
                 primal = solve_lp_si(inst).objective
                 bound = (rho + 2.0) / n
+                limit = bound + LP_TOL
                 if args.kind == "lpopt":
                     dual = alpha_0(rho)
                     gap = primal - dual
@@ -280,7 +281,7 @@ def cmd_sweep(args) -> int:
                     gap = dual - primal
                     if gap < -LP_TOL:
                         code = 2
-            if gap > bound + LP_TOL:
+            if gap > limit:
                 code = 2
             rows.append([n, rho, primal, dual, gap, bound])
     _emit_csv(args.out, ["n", "rho", "primal", "dual", "gap", "bound"], rows)

@@ -58,17 +58,6 @@ class Permutation:
             return tuple(range(self.n))
         return tuple(range(self.n - 1, -1, -1))
 
-    def position(self, i: int) -> int:
-        """1-based arrival rank of element i; forward and backward ranks of
-        the same element always sum to n + 1."""
-        if not 0 <= i < self.n:
-            raise InvalidInstanceError(f"element index {i} out of range")
-        return i + 1 if self.tag == FORWARD else self.n - i
-
-    @property
-    def reverse(self) -> "Permutation":
-        return Permutation(BACKWARD if self.tag == FORWARD else FORWARD, self.n)
-
 
 @dataclass(frozen=True)
 class SingleUnitInstance:
@@ -197,12 +186,6 @@ class DemandLaw:
             acc += p
             out.append(acc)
         return tuple(out)
-
-    @property
-    def has_zero_demand(self) -> bool:
-        """Zero-demand atoms are legal but worth flagging: allocation can
-        never serve them with supply, only the 0/0-counts-as-served rule."""
-        return self.atoms[0][0] == 0.0
 
     def cdf(self, d: float) -> float:
         """Pr[D <= d]."""

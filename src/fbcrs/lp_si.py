@@ -8,13 +8,14 @@ and Bland's rule only while the objective stalls; uniform odd-length
 instances also get a closed-form dual certificate whose objective
 upper-bounds the optimum by weak duality.
 
-The pair rows beta - (c_f(i) + c_b(i))/2 <= 0 have a zero right-hand side,
-so from the all-slack basis the first pivots would all be degenerate.  The
-simplex instead starts from a crash basis: each pair row's slack is
-exchanged for the rate of the order in which element i arrives later.
-Those exchanges move no basic value, so the start is feasible, and the
-pivot rules terminate from it for the same reason as from the all-slack
-basis (see _simplex).
+The pair rows beta <= (c_f(i) + c_b(i))/2 are substituted out.  Some optimum
+has every pair row tight: lowering a rate only loosens the order
+constraints, so any optimum can lower c_f(i) or c_b(i) until
+c_f(i) + c_b(i) = 2 beta.  The solver therefore keeps c_f and beta as
+variables, writes c_b = 2 beta - c_f, and adds the bound rows
+c_f(i) - 2 beta <= 0 that keep c_b >= 0.  Those rows have a zero
+right-hand side but a negative beta coefficient, so from the all-slack
+basis the first pivot, beta entering, already raises the objective.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class SelectionPlan:
         return self.max_violation(inst) <= LP_TOL
 
 
-def _simplex(obj, A, b, *, start=(), max_iter: int | None = None):
+def _simplex(obj, A, b, *, max_iter: int | None = None):
     """Maximize obj @ v subject to A @ v <= b, v >= 0, with b >= 0.
 
     Condensed (Tucker) tableau: one column per nonbasic variable and one row
@@ -108,20 +109,11 @@ def _simplex(obj, A, b, *, start=(), max_iter: int | None = None):
     with a negative reduced cost), until the next nondegenerate pivot.  Ratio
     ties go to the smallest basic label.
 
-    start is a crash basis: (row, col) pairs whose slacks leave for column
-    col before the first ratio test.  Every start row needs b[row] = 0, and
-    the block A[rows][:, cols] must be diagonal with entries larger than
-    LP_TOL in magnitude; otherwise SolverError.  Then the exchanges do not
-    touch each other's rows or columns, each updates only the columns where
-    its row is nonzero, and none moves a basic value, so the crash basis is
-    primal feasible with the all-slack objective.  The exchanges are not
-    pivots: they do not count against max_iter.
-
-    This terminates from the crash basis as from the all-slack one: every
-    nondegenerate pivot strictly raises the objective, so no basis repeats
-    across them, and within one run of degenerate pivots Bland's rule cannot
-    cycle.  Returns (v, value, pivots); raises SolverError when the optimum
-    needs more than max_iter pivots.
+    This terminates from the all-slack basis: every nondegenerate pivot
+    strictly raises the objective, so no basis repeats across them, and
+    within one run of degenerate pivots Bland's rule cannot cycle.  Returns
+    (v, value, pivots); raises SolverError when the optimum needs more than
+    max_iter pivots.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -136,27 +128,6 @@ def _simplex(obj, A, b, *, start=(), max_iter: int | None = None):
     T[m, :k] = -obj
     basis = np.arange(k, k + m)
     nonbasic = np.arange(k)
-
-    rows, cols = np.asarray(start, dtype=int).reshape(-1, 2).T
-    if np.any((rows < 0) | (rows >= m) | (cols < 0) | (cols >= k)):
-        raise SolverError("crash start indices outside the constraint matrix")
-    if np.any(b[rows] != 0.0):
-        raise SolverError("crash start rows need a zero right-hand side")
-    if np.any(np.abs(A[rows, cols]) <= LP_TOL) or np.count_nonzero(A[np.ix_(rows, cols)]) != len(rows):
-        raise SolverError("crash start block must be diagonal with a nonzero diagonal")
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        # The pivot of the loop below, restricted to the few columns where
-        # the row is nonzero; its right-hand side is zero.
-        column = T[:, col].copy()
-        pivot = column[row]
-        column[row] = 0.0
-        for j in np.flatnonzero(T[row, :-1]).tolist():
-            if j != col:
-                T[row, j] /= pivot
-                T[:, j] -= T[row, j] * column
-        np.multiply(column, -1.0 / pivot, out=T[:, col])
-        T[row, col] = 1.0 / pivot
-        basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
     stall = 0
     for pivots in range(max_iter + 1):
@@ -208,25 +179,27 @@ def _clip_unit(values):
 
 
 def _solve_general(inst: SingleUnitInstance) -> SelectionPlan:
-    """Variables (c_f, c_b, beta); 3n constraints."""
+    """Variables (c_f, beta) with c_b = 2 beta - c_f; 3n constraints.
+
+    The backward rows B c_b <= 1 become -B c_f + 2 beta B 1 <= 1, and the
+    bound rows c_f(i) - 2 beta <= 0 keep c_b >= 0.
+    """
     n = inst.n
     x = np.asarray(inst.x)
 
-    A = np.zeros((3 * n, 2 * n + 1))
+    backward = np.triu(np.broadcast_to(x, (n, n)), 1) + np.eye(n)
+    A = np.zeros((3 * n, n + 1))
     A[:n, :n] = np.tril(np.broadcast_to(x, (n, n)), -1) + np.eye(n)
-    A[n : 2 * n, n : 2 * n] = np.triu(np.broadcast_to(x, (n, n)), 1) + np.eye(n)
-    A[2 * n :, :n] = -np.eye(n) / 2.0
-    A[2 * n :, n : 2 * n] = -np.eye(n) / 2.0
-    A[2 * n :, 2 * n] = 1.0
+    A[n : 2 * n, :n] = -backward
+    A[n : 2 * n, n] = 2.0 * backward.sum(axis=1)
+    A[2 * n :, :n] = np.eye(n)
+    A[2 * n :, n] = -2.0
     b = np.concatenate([np.ones(2 * n), np.zeros(n)])
-    obj = np.zeros(2 * n + 1)
-    obj[2 * n] = 1.0
-    # Crash basis: each pair row takes the rate of the order where i
-    # arrives later, c_b(i) in the first half and c_f(i) in the second.
-    start = [(2 * n + i, n + i if i < n // 2 else i) for i in range(n)]
+    obj = np.zeros(n + 1)
+    obj[n] = 1.0
 
-    v, _, _ = _simplex(obj, A, b, start=start)
-    return SelectionPlan(_clip_unit(v[:n]), _clip_unit(v[n : 2 * n]))
+    v, _, _ = _simplex(obj, A, b)
+    return SelectionPlan(_clip_unit(v[:n]), _clip_unit(2.0 * v[n] - v[:n]))
 
 
 def _solve_palindromic(inst: SingleUnitInstance) -> SelectionPlan:
@@ -234,28 +207,33 @@ def _solve_palindromic(inst: SingleUnitInstance) -> SelectionPlan:
 
     Reversal symmetry gives an optimal plan with c_b = reversed(c_f): the
     mirror of any optimum is again optimal, the average of the two is
-    feasible, and the worst pair mean only improves under averaging.  So we
-    solve over u = c_f alone with half the variables and constraints.
+    feasible, and the worst pair mean only improves under averaging.  With
+    the pair rows tight, c_f(n-1-r) = 2 beta - c_f(r), and the middle rate
+    of odd n is beta.  So we solve over the first half u = c_f[:n//2] and
+    beta: the n forward rows, and n//2 bound rows u_r - 2 beta <= 0.
     """
     n = inst.n
     x = np.asarray(inst.x)
-    pairs = (n + 1) // 2
+    half = n // 2
 
-    A = np.zeros((n + pairs, n + 1))
-    A[:n, :n] = np.tril(np.broadcast_to(x, (n, n)), -1) + np.eye(n)
-    for r in range(pairs):
-        A[n + r, r] -= 0.5
-        A[n + r, n - 1 - r] -= 0.5
-        A[n + r, n] = 1.0
-    b = np.concatenate([np.ones(n), np.zeros(pairs)])
-    obj = np.zeros(n + 1)
-    obj[n] = 1.0
-    # Crash basis: pair row r takes u[n-1-r], its later-arriving rate.
-    start = [(n + r, n - 1 - r) for r in range(pairs)]
+    # Column j of the forward-row matrix holds c_f(j)'s coefficients, so
+    # each reduced column is a signed sum of its columns.
+    forward = np.tril(np.broadcast_to(x, (n, n)), -1) + np.eye(n)
+    A = np.zeros((n + half, half + 1))
+    A[:n, :half] = forward[:, :half] - forward[:, ::-1][:, :half]
+    A[:n, half] = 2.0 * forward[:, n - half :].sum(axis=1)
+    if n % 2:
+        A[:n, half] += forward[:, half]
+    A[n:, :half] = np.eye(half)
+    A[n:, half] = -2.0
+    b = np.concatenate([np.ones(n), np.zeros(half)])
+    obj = np.zeros(half + 1)
+    obj[half] = 1.0
 
-    v, _, _ = _simplex(obj, A, b, start=start)
-    u = _clip_unit(v[:n])
-    return SelectionPlan(u, tuple(reversed(u)))
+    v, _, _ = _simplex(obj, A, b)
+    u, beta = v[:half], v[half]
+    c_f = _clip_unit(np.concatenate([u, [beta] * (n % 2), 2.0 * beta - u[::-1]]))
+    return SelectionPlan(c_f, tuple(reversed(c_f)))
 
 
 def solve_lp_si(inst: SingleUnitInstance) -> SelectionPlan:

@@ -394,7 +394,6 @@ class KnapsackReduction:
 
     instance: KnapsackInstance
     element_of_agent: tuple[int | None, ...]
-    agent_of_element: tuple[int, ...]
     atom_of_segment: tuple[tuple[int | None, ...], ...]
 
 
@@ -404,9 +403,8 @@ def knapsack_reduction(inst: RationingInstance, target: ServiceTarget) -> Knapsa
         raise InvalidInstanceError("target does not match the instance")
     laws: list[SizeLaw] = []
     element_of_agent: list[int | None] = []
-    agent_of_element: list[int] = []
     atom_maps: list[tuple[int | None, ...]] = []
-    for i, (law, q, x) in enumerate(zip(inst.demands, target.q, target.x)):
+    for law, q, x in zip(inst.demands, target.q, target.x):
         below, _ = _below_above(law, q)
         if x <= 0.0:
             element_of_agent.append(None)
@@ -429,14 +427,12 @@ def knapsack_reduction(inst: RationingInstance, target: ServiceTarget) -> Knapsa
             )
         )
         element_of_agent.append(len(laws))
-        agent_of_element.append(i)
         laws.append(size_law)
     if not laws:
         raise InfeasibleError("no agent buys any supply; nothing to allocate")
     return KnapsackReduction(
         KnapsackInstance(tuple(laws)),
         tuple(element_of_agent),
-        tuple(agent_of_element),
         tuple(atom_maps),
     )
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -357,7 +358,17 @@ def test_sweep_knapsack_min(capsys):
     assert cli.main(["sweep", "--kind", "knapsack-min", "--n", "10", "--rho", "0.5,1.0"]) == 0
     rows = _rows(capsys.readouterr().out)
     for row in rows[1:]:
-        assert float(row[4]) <= 1e-10 + 1e-9
+        assert float(row[4]) <= float(row[5])
+
+
+def test_sweep_knapsack_min_gap_above_bound_exits_2(capsys, monkeypatch):
+    # A rate error of 5e-10 exceeds the printed bound RATE_TOL = 1e-10, so
+    # the row fails even though it is within RATE_TOL + LP_TOL.
+    off = SimpleNamespace(max_rate_error=lambda plan: 5e-10)
+    monkeypatch.setattr(cli, "run_knapsack_exact", lambda inst, plan: off)
+    assert cli.main(["sweep", "--kind", "knapsack-min", "--n", "10", "--rho", "1.0"]) == 2
+    row = _rows(capsys.readouterr().out)[1]
+    assert float(row[4]) == 5e-10 and float(row[5]) == 1e-10
 
 
 def test_sweep_knapsack_min_rejects_rho_above_one(capsys):

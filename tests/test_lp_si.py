@@ -124,69 +124,40 @@ def test_simplex_pivot_budget():
     assert _simplex(obj, A, b, max_iter=3)[1] == pytest.approx(3.0, abs=1e-12)
 
 
-# max v2 st v0 <= 1, v1 <= 1, v2 <= (v0 + v1)/2, v2 <= v0; optimum 1 at (1, 1, 1).
-# Rows 2 and 3 have a zero right-hand side, so they can start a crash basis.
-CRASH_OBJ = [0.0, 0.0, 1.0]
-CRASH_A = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.5, -0.5, 1.0], [-1.0, 0.0, 1.0]]
-CRASH_B = [1.0, 1.0, 0.0, 0.0]
-
-
-def test_simplex_crash_start():
-    plain = _simplex(CRASH_OBJ, CRASH_A, CRASH_B)
-    crash = _simplex(CRASH_OBJ, CRASH_A, CRASH_B, start=[(2, 1)])
-    assert crash[1] == pytest.approx(plain[1], abs=1e-12) == 1.0
-    assert crash[0] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
-    assert crash[2] < plain[2]
-    # the crash exchange is not a pivot: a budget of the pivots alone is enough
-    assert _simplex(CRASH_OBJ, CRASH_A, CRASH_B, start=[(2, 1)], max_iter=crash[2])[1] == 1.0
-
-
-@pytest.mark.parametrize(
-    "start, match",
-    [
-        ([(0, 0)], "right-hand side"),  # b[0] = 1
-        ([(2, 0), (3, 0)], "diagonal"),  # one column twice
-        ([(2, 1), (3, 0)], "diagonal"),  # A[2, 0] sits off the diagonal
-        ([(3, 1)], "diagonal"),  # A[3, 1] = 0
-        ([(4, 0)], "outside"),
-        ([(-1, 0)], "outside"),
-    ],
-)
-def test_simplex_rejects_bad_crash_start(start, match):
-    with pytest.raises(SolverError, match=match):
-        _simplex(CRASH_OBJ, CRASH_A, CRASH_B, start=start)
-
-
 def _solve_pivots(monkeypatch, inst):
-    """Solve inst; return its plan and the pivot count of each simplex call."""
-    counts = []
+    """Solve inst; return its plan and (matrix shape, pivots) of each simplex call."""
+    calls = []
 
-    def counting(*args, **kwargs):
-        result = _simplex(*args, **kwargs)
-        counts.append(result[2])
+    def counting(obj, A, b, **kwargs):
+        result = _simplex(obj, A, b, **kwargs)
+        calls.append((np.shape(A), result[2]))
         return result
 
     monkeypatch.setattr("fbcrs.lp_si._simplex", counting)
-    return solve_lp_si(inst), counts
+    return solve_lp_si(inst), calls
 
 
 @pytest.mark.parametrize("n", [64, 112])
 @pytest.mark.parametrize("rho", [0.5, 2.0])
 def test_general_lp_pivot_count(monkeypatch, n, rho):
-    # The crash basis skips the n degenerate pivots that the all-slack
-    # basis starts with.
+    # With c_b substituted out the LP has 3n rows and n + 1 columns, and no
+    # zero right-hand side blocks beta from entering.
     w = np.random.default_rng(n).uniform(0.05, 1.0, n)
     inst = SingleUnitInstance(tuple(float(v) for v in rho * w / w.sum()))
     assert inst.x != tuple(reversed(inst.x))
-    plan, counts = _solve_pivots(monkeypatch, inst)
-    assert len(counts) == 1 and counts[0] <= n + 16
+    plan, calls = _solve_pivots(monkeypatch, inst)
+    assert len(calls) == 1
+    shape, pivots = calls[0]
+    assert shape == (3 * n, n + 1) and pivots <= 2 * n
     assert plan.objective >= alpha_0(rho) - 1e-9
 
 
 @pytest.mark.parametrize("N", [151, 225])
 def test_uniform_lp_pivot_count(monkeypatch, N):
-    plan, counts = _solve_pivots(monkeypatch, SingleUnitInstance((1.0 / N,) * N))
-    assert len(counts) == 1 and counts[0] <= math.ceil(N / 2) + 4
+    plan, calls = _solve_pivots(monkeypatch, SingleUnitInstance((1.0 / N,) * N))
+    assert len(calls) == 1
+    shape, pivots = calls[0]
+    assert shape == (N + N // 2, N // 2 + 1) and pivots <= math.ceil(N / 2) + 4
     assert plan.objective >= alpha_0(1.0) - 1e-9
 
 
@@ -225,7 +196,7 @@ def test_lp_reversal_invariance():
 
 def test_lp_palindromic_and_general_agree():
     # palindromic x hits the reduced solve; the general simplex must agree
-    for x in [(0.3, 0.1, 0.3), (0.25, 0.25, 0.25, 0.25), (0.6, 0.6)]:
+    for x in [(0.3, 0.1, 0.3), (0.25, 0.25, 0.25, 0.25), (0.6, 0.6), (1.0 / 151,) * 151]:
         inst = SingleUnitInstance(x)
         reduced = solve_lp_si(inst)
         general = _solve_general(inst)
@@ -281,6 +252,18 @@ def test_lp_matches_highs_edge_cases(x):
     plan = solve_lp_si(inst)
     assert plan.is_feasible(inst)
     assert plan.objective == pytest.approx(highs_lp_optimum(x), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "x", [(0.0,), (1.0,), (1.0, 0.5), (0.0, 0.3, 0.0, 0.2), (1.0,) * 5, (0.0,) * 3]
+)
+def test_lp_substituted_rates_at_their_bounds(x):
+    # c_b = 2 beta - c_f meets its bounds 0 and 1 on these instances; both
+    # the dispatching solve and the general LP must reach the optimum.
+    inst = SingleUnitInstance(x)
+    for plan in (solve_lp_si(inst), _solve_general(inst)):
+        assert plan.is_feasible(inst)
+        assert plan.objective == pytest.approx(highs_lp_optimum(x), abs=1e-9)
 
 
 def test_lp_handles_zero_mass_elements():

@@ -353,7 +353,6 @@ def test_knapsack_reduction_structure():
     target = exante_check(inst, (0.5, 0.5))
     red = knapsack_reduction(inst, target)
     assert red.instance.n == 2
-    assert red.agent_of_element == (0, 1)
     # sizes are min(d, 1) restricted to the below-q region
     law = red.instance.laws[1]
     assert all(0.0 < s <= 1.0 for s, _ in law.atoms)
