@@ -3,19 +3,34 @@
 The LP maximizes the worst pair-mean guarantee beta over conditional
 acceptance probabilities (c_f, c_b) subject to the order constraints
 c_sigma(i) <= 1 - sum of x_j c_sigma(j) over elements j arriving earlier.
-A simplex method on a condensed tableau solves it, with Dantzig's rule
-and Bland's rule only while the objective stalls; uniform odd-length
-instances also get a closed-form dual certificate whose objective
-upper-bounds the optimum by weak duality.
+Uniform odd-length instances also get the paper's closed-form dual
+certificate, whose objective upper-bounds the optimum by weak duality;
+check_certificate verifies any dual on any instance.
 
-The pair rows beta <= (c_f(i) + c_b(i))/2 are substituted out.  Some optimum
-has every pair row tight: lowering a rate only loosens the order
-constraints, so any optimum can lower c_f(i) or c_b(i) until
-c_f(i) + c_b(i) = 2 beta.  The solver therefore keeps c_f and beta as
-variables, writes c_b = 2 beta - c_f, and adds the bound rows
-c_f(i) - 2 beta <= 0 that keep c_b >= 0.  Those rows have a zero
-right-hand side but a negative beta coefficient, so from the all-slack
-basis the first pivot, beta entering, already raises the objective.
+Most instances are solved at a split basis in O(n).  At split k every
+element before k is tight in the backward order, every element after k in
+the forward order, k in both, and every pair row is tight; this is the
+shape of the paper's uniform certificate (zero before the middle element,
+a spike at it, a curve after it).  With q = 1 - x, tight runs make the
+rates prefix products of q, so each split is a 3 x 3 system solved for all
+k at once from prefix sums and products.  Its complementary dual has the
+same closed form, objective beta_k, and is feasible exactly when its two
+spikes at k are nonnegative.  The smallest beta_k over dual-feasible splits
+is an upper bound; the plan at that split is returned only when its primal
+is feasible, its dual passes check_certificate, and the gap is at most
+LP_TOL.
+
+Otherwise a simplex method on a condensed tableau solves the LP, with
+Dantzig's rule and Bland's rule only while the objective stalls.  The pair
+rows beta <= (c_f(i) + c_b(i))/2 are substituted out.  Some optimum has
+every pair row tight: lowering a rate only loosens the order constraints,
+so any optimum can lower c_f(i) or c_b(i) until c_f(i) + c_b(i) = 2 beta.
+The solver therefore keeps c_f and beta as variables, writes
+c_b = 2 beta - c_f, and adds the bound rows c_f(i) - 2 beta <= 0 that keep
+c_b >= 0.  Those rows have a zero right-hand side but a negative beta
+coefficient, so from the all-slack basis the first pivot, beta entering,
+already raises the objective.  Palindromic instances solve a reduced LP
+over half the rates.
 """
 
 from __future__ import annotations
@@ -59,8 +74,8 @@ class SelectionPlan:
     c_b: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "c_f", tuple(float(v) for v in self.c_f))
-        object.__setattr__(self, "c_b", tuple(float(v) for v in self.c_b))
+        object.__setattr__(self, "c_f", tuple(map(float, self.c_f)))
+        object.__setattr__(self, "c_b", tuple(map(float, self.c_b)))
         if len(self.c_f) != len(self.c_b) or not self.c_f:
             raise InvalidInstanceError("plan orders must have equal positive length")
         for v in self.c_f + self.c_b:
@@ -85,12 +100,11 @@ class SelectionPlan:
 
     def max_violation(self, inst: SingleUnitInstance) -> float:
         """Largest violation of the order constraints on inst (<= 0 if feasible)."""
+        x = np.asarray(inst.x)
         worst = 0.0
-        for rates, order in ((self.c_f, range(inst.n)), (self.c_b, range(inst.n - 1, -1, -1))):
-            consumed = 0.0
-            for i in order:
-                worst = max(worst, rates[i] - (1.0 - consumed))
-                consumed += inst.x[i] * rates[i]
+        for rates, mass in ((np.asarray(self.c_f), x), (np.asarray(self.c_b[::-1]), x[::-1])):
+            consumed = np.concatenate([[0.0], np.cumsum(mass * rates)[:-1]])
+            worst = max(worst, float((rates - (1.0 - consumed)).max()))
         return worst
 
     def is_feasible(self, inst: SingleUnitInstance) -> bool:
@@ -171,9 +185,13 @@ def _simplex(obj, A, b, *, max_iter: int | None = None):
     return v[:k], float(T[m, -1]), pivots
 
 
+def _within_unit(arr) -> bool:
+    return arr.min(initial=0.0) >= -LP_TOL and arr.max(initial=0.0) <= 1.0 + LP_TOL
+
+
 def _clip_unit(values):
     arr = np.asarray(values, dtype=float)
-    if arr.min(initial=0.0) < -LP_TOL or arr.max(initial=0.0) > 1.0 + LP_TOL:
+    if not _within_unit(arr):
         raise SolverError(f"solver produced probability outside [0,1] by more than {LP_TOL}")
     return tuple(np.clip(arr, 0.0, 1.0))
 
@@ -236,13 +254,6 @@ def _solve_palindromic(inst: SingleUnitInstance) -> SelectionPlan:
     return SelectionPlan(c_f, tuple(reversed(c_f)))
 
 
-def solve_lp_si(inst: SingleUnitInstance) -> SelectionPlan:
-    """Optimal selection plan; .objective equals the LP optimum."""
-    if inst.x == tuple(reversed(inst.x)):
-        return _solve_palindromic(inst)
-    return _solve_general(inst)
-
-
 def gamma(z: float, rho: float) -> float:
     """Dual weight rho*e^{z-rho/2}/(2(1+e^{rho/2}rho)) on [rho/2, rho].
 
@@ -259,16 +270,17 @@ def gamma(z: float, rho: float) -> float:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Explicit dual solution (xi, y_f, y_b) for a uniform instance."""
+    """Explicit dual solution (xi, y_f, y_b) of an N-element selection LP,
+    scaled by N: xi sums to N and the objective is (sum y_f + sum y_b)/N."""
 
     xi: tuple[float, ...]
     y_f: tuple[float, ...]
     y_b: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", tuple(float(v) for v in self.xi))
-        object.__setattr__(self, "y_f", tuple(float(v) for v in self.y_f))
-        object.__setattr__(self, "y_b", tuple(float(v) for v in self.y_b))
+        object.__setattr__(self, "xi", tuple(map(float, self.xi)))
+        object.__setattr__(self, "y_f", tuple(map(float, self.y_f)))
+        object.__setattr__(self, "y_b", tuple(map(float, self.y_b)))
         if not len(self.xi) == len(self.y_f) == len(self.y_b) or not self.xi:
             raise InvalidInstanceError("certificate vectors must share a positive length")
 
@@ -321,9 +333,19 @@ class DualFeasibilityReport:
         )
 
 
-def dual_feasibility(cert: DualCertificate, rho: float) -> DualFeasibilityReport:
-    """Evaluate every dual constraint of the uniform instance x_i = rho/N."""
+def check_certificate(cert: DualCertificate, x) -> DualFeasibilityReport:
+    """Evaluate every dual constraint of the selection LP on instance x.
+
+    The certificate is scaled by N = len(x): the pair-row duals are xi/N and
+    the order-row duals y/N.  The c_f(i) column needs
+    y_f(i) + x_i * (sum of y_f after i in the forward order) >= xi_i/2, the
+    c_b(i) column the same in the backward order, and the beta column
+    sum(xi)/N >= 1.
+    """
     N = cert.N
+    x = np.asarray(x, dtype=float)
+    if x.shape != (N,):
+        raise InvalidInstanceError(f"certificate has {N} entries, instance {x.size}")
     xi = np.asarray(cert.xi)
     y_f = np.asarray(cert.y_f)
     y_b = np.asarray(cert.y_b)
@@ -331,10 +353,106 @@ def dual_feasibility(cert: DualCertificate, rho: float) -> DualFeasibilityReport
     # Forward: elements after i are the larger indices; backward: the smaller.
     after_f = np.concatenate([np.cumsum(y_f[::-1])[::-1][1:], [0.0]])
     after_b = np.concatenate([[0.0], np.cumsum(y_b)[:-1]])
-    viol_f = xi / 2.0 - y_f - rho * after_f / N
-    viol_b = xi / 2.0 - y_b - rho * after_b / N
+    viol_f = xi / 2.0 - y_f - x * after_f
+    viol_b = xi / 2.0 - y_b - x * after_b
     max_violation = float(max(0.0, viol_f.max(), viol_b.max()))
 
     xi_sum_slack = math.fsum(cert.xi) / N - 1.0
     min_entry = float(min(xi.min(), y_f.min(), y_b.min()))
     return DualFeasibilityReport(max_violation, xi_sum_slack, min_entry)
+
+
+def dual_feasibility(cert: DualCertificate, rho: float) -> DualFeasibilityReport:
+    """Evaluate every dual constraint of the uniform instance x_i = rho/N."""
+    return check_certificate(cert, np.full(cert.N, rho / cert.N))
+
+
+# --- the split basis ------------------------------------------------------------
+
+
+def _certified_split(inst: SingleUnitInstance) -> tuple[SelectionPlan, DualCertificate] | None:
+    """The optimal plan at a split basis and the dual that certifies it.
+
+    At split k every element before k is tight in the backward order, every
+    element after k in the forward order, and k in both; every pair row is
+    tight.  Tight runs make the rates prefix products of q = 1 - x, so each
+    split reduces to a 3 x 3 system in (c_f(k), c_b(k), beta), solved for
+    every k at once from prefix sums and products.  Its complementary dual
+    puts xi on the x mass, y on the tight runs and a spike on k; its
+    objective equals beta_k, and it is feasible exactly when both spikes are
+    nonnegative.  The smallest beta_k among dual-feasible splits bounds the
+    optimum from above, so that split is optimal if its primal is feasible.
+
+    Returns None unless the plan is feasible, the dual passes
+    check_certificate, and the duality gap is at most LP_TOL.
+    """
+    x = np.asarray(inst.x, dtype=float)
+    n = x.size
+    q = 1.0 - x
+    # Mass X and products P of q strictly before (lt) and after (gt) each k.
+    X_lt = np.concatenate([[0.0], np.cumsum(x[:-1])])
+    X_gt = np.concatenate([np.cumsum(x[:0:-1])[::-1], [0.0]])
+    P_lt = np.concatenate([[1.0], np.cumprod(q[:-1])])
+    P_gt = np.concatenate([np.cumprod(q[:0:-1])[::-1], [1.0]])
+    a = q * (1.0 - P_lt)
+    c = q * (1.0 - P_gt)
+    beta = (2.0 + a + c) / (2.0 * (1.0 + X_lt + X_gt + c * X_lt + a * X_gt - a * c))
+    r = (1.0 + a) / (1.0 + c)
+    Y_f = 0.5 / (1.0 + X_lt - c * r + X_gt * r)
+    Y_b = r * Y_f
+    spike_f = Y_f - Y_b * (1.0 - P_gt)
+    spike_b = Y_b - Y_f * (1.0 - P_lt)
+
+    feasible = np.flatnonzero((spike_f >= 0.0) & (spike_b >= 0.0))
+    if feasible.size == 0:
+        return None
+    feasible = feasible[np.argsort(beta[feasible], kind="stable")]
+    for k in feasible[beta[feasible] <= beta[feasible[0]] + LP_TOL]:
+        b2 = 2.0 * beta[k]
+        u = (1.0 + b2 * (a[k] - X_lt[k])) / (1.0 + a[k])
+        v = b2 - u
+        c_f = np.empty(n)
+        c_b = np.empty(n)
+        c_f[k], c_b[k] = u, v
+        c_f[k + 1 :] = u * np.cumprod(q[k:-1])
+        c_b[:k] = v * np.cumprod(q[k:0:-1])[::-1]
+        c_f[:k] = b2 - c_b[:k]
+        c_b[k + 1 :] = b2 - c_f[k + 1 :]
+        if not (_within_unit(c_f) and _within_unit(c_b)):
+            continue
+        plan = SelectionPlan(np.clip(c_f, 0.0, 1.0).tolist(), np.clip(c_b, 0.0, 1.0).tolist())
+        if not plan.is_feasible(inst):
+            continue
+
+        xi = np.empty(n)
+        y_f = np.zeros(n)
+        y_b = np.zeros(n)
+        xi[:k] = 2.0 * Y_f[k] * x[:k]
+        xi[k + 1 :] = 2.0 * Y_b[k] * x[k + 1 :]
+        xi[k] = 2.0 * (Y_f[k] - c[k] * Y_b[k])
+        y_b[:k] = Y_f[k] * x[:k] * P_lt[:k]
+        y_f[k + 1 :] = Y_b[k] * x[k + 1 :] * P_gt[k + 1 :]
+        y_f[k], y_b[k] = spike_f[k], spike_b[k]
+        cert = DualCertificate((n * xi).tolist(), (n * y_f).tolist(), (n * y_b).tolist())
+        if check_certificate(cert, x).ok() and cert.objective - plan.objective <= LP_TOL:
+            return plan, cert
+    return None
+
+
+def _solve_split(inst: SingleUnitInstance) -> SelectionPlan | None:
+    """The certified split plan of _certified_split, or None."""
+    found = _certified_split(inst)
+    return None if found is None else found[0]
+
+
+def solve_lp_si(inst: SingleUnitInstance) -> SelectionPlan:
+    """Optimal selection plan; .objective equals the LP optimum.
+
+    The certified split basis first; the simplex when no split certifies.
+    """
+    plan = _solve_split(inst)
+    if plan is not None:
+        return plan
+    if inst.x == tuple(reversed(inst.x)):
+        return _solve_palindromic(inst)
+    return _solve_general(inst)

@@ -8,15 +8,21 @@ import pytest
 from fbcrs.errors import InvalidInstanceError, SolverError
 from fbcrs.instances import SingleUnitInstance, split_element
 from fbcrs.lp_si import (
+    DualFeasibilityReport,
     SelectionPlan,
+    _certified_split,
     _simplex,
     _solve_general,
+    _solve_palindromic,
+    _solve_split,
     alpha_0,
+    check_certificate,
     dual_certificate_uniform,
     dual_feasibility,
     gamma,
     solve_lp_si,
 )
+from fbcrs.tolerances import LP_TOL
 from oracles import highs_lp_optimum
 
 # Frozen from a high-precision evaluation of e^{rho/2}/(1 + e^{rho/2} rho).
@@ -80,6 +86,25 @@ def test_plan_feasibility_bookkeeping():
     assert not bad.is_feasible(inst)
 
 
+def _max_violation_loop(plan, inst):
+    worst = 0.0
+    for rates, order in ((plan.c_f, range(inst.n)), (plan.c_b, range(inst.n - 1, -1, -1))):
+        consumed = 0.0
+        for i in order:
+            worst = max(worst, rates[i] - (1.0 - consumed))
+            consumed += inst.x[i] * rates[i]
+    return worst
+
+
+def test_max_violation_matches_the_loop():
+    # The cumulative sums add in the loop's order, so the results are equal.
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 40, 225):
+        inst = SingleUnitInstance(tuple(rng.random(n) * min(1.0, 2.0 / n)))
+        for plan in (SelectionPlan(rng.random(n), rng.random(n)), solve_lp_si(inst)):
+            assert plan.max_violation(inst) == _max_violation_loop(plan, inst)
+
+
 def test_simplex_solves_tiny_lp():
     # max x + y st x <= 1, y <= 2
     sol, value, pivots = _simplex([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
@@ -124,7 +149,7 @@ def test_simplex_pivot_budget():
     assert _simplex(obj, A, b, max_iter=3)[1] == pytest.approx(3.0, abs=1e-12)
 
 
-def _solve_pivots(monkeypatch, inst):
+def _solve_pivots(monkeypatch, inst, solve=solve_lp_si):
     """Solve inst; return its plan and (matrix shape, pivots) of each simplex call."""
     calls = []
 
@@ -134,7 +159,7 @@ def _solve_pivots(monkeypatch, inst):
         return result
 
     monkeypatch.setattr("fbcrs.lp_si._simplex", counting)
-    return solve_lp_si(inst), calls
+    return solve(inst), calls
 
 
 @pytest.mark.parametrize("n", [64, 112])
@@ -145,7 +170,7 @@ def test_general_lp_pivot_count(monkeypatch, n, rho):
     w = np.random.default_rng(n).uniform(0.05, 1.0, n)
     inst = SingleUnitInstance(tuple(float(v) for v in rho * w / w.sum()))
     assert inst.x != tuple(reversed(inst.x))
-    plan, calls = _solve_pivots(monkeypatch, inst)
+    plan, calls = _solve_pivots(monkeypatch, inst, _solve_general)
     assert len(calls) == 1
     shape, pivots = calls[0]
     assert shape == (3 * n, n + 1) and pivots <= 2 * n
@@ -154,7 +179,7 @@ def test_general_lp_pivot_count(monkeypatch, n, rho):
 
 @pytest.mark.parametrize("N", [151, 225])
 def test_uniform_lp_pivot_count(monkeypatch, N):
-    plan, calls = _solve_pivots(monkeypatch, SingleUnitInstance((1.0 / N,) * N))
+    plan, calls = _solve_pivots(monkeypatch, SingleUnitInstance((1.0 / N,) * N), _solve_palindromic)
     assert len(calls) == 1
     shape, pivots = calls[0]
     assert shape == (N + N // 2, N // 2 + 1) and pivots <= math.ceil(N / 2) + 4
@@ -195,10 +220,10 @@ def test_lp_reversal_invariance():
 
 
 def test_lp_palindromic_and_general_agree():
-    # palindromic x hits the reduced solve; the general simplex must agree
+    # the reduced palindromic solve and the general simplex must agree
     for x in [(0.3, 0.1, 0.3), (0.25, 0.25, 0.25, 0.25), (0.6, 0.6), (1.0 / 151,) * 151]:
         inst = SingleUnitInstance(x)
-        reduced = solve_lp_si(inst)
+        reduced = _solve_palindromic(inst)
         general = _solve_general(inst)
         assert reduced.objective == pytest.approx(general.objective, abs=1e-9)
         assert reduced.c_b == tuple(reversed(reduced.c_f))
@@ -261,9 +286,79 @@ def test_lp_substituted_rates_at_their_bounds(x):
     # c_b = 2 beta - c_f meets its bounds 0 and 1 on these instances; both
     # the dispatching solve and the general LP must reach the optimum.
     inst = SingleUnitInstance(x)
-    for plan in (solve_lp_si(inst), _solve_general(inst)):
+    split = _solve_split(inst)
+    for plan in (solve_lp_si(inst), _solve_general(inst)) + ((split,) if split else ()):
         assert plan.is_feasible(inst)
         assert plan.objective == pytest.approx(highs_lp_optimum(x), abs=1e-9)
+
+
+# --- the split basis ------------------------------------------------------------
+
+
+def _assert_split_certified(monkeypatch, inst):
+    plan, calls = _solve_pivots(monkeypatch, inst)
+    assert calls == []
+    assert plan.is_feasible(inst)
+    split_plan, cert = _certified_split(inst)
+    assert split_plan == plan
+    assert check_certificate(cert, inst.x).ok()
+    assert cert.objective - plan.objective <= LP_TOL
+    assert plan.objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+
+
+# Seeded general instances (weights from default_rng(n)) whose optimum sits
+# at a split basis.
+@pytest.mark.parametrize(
+    "n, rho",
+    [(3, 0.5), (3, 1.0), (4, 2.0), (7, 1.0), (12, 0.5), (20, 2.0), (33, 1.0), (48, 2.0),
+     (64, 0.5), (80, 1.0), (96, 2.0), (112, 0.5), (112, 1.0), (112, 2.0)],
+)
+def test_split_path_general(monkeypatch, n, rho):
+    w = np.random.default_rng(n).uniform(0.05, 1.0, n)
+    inst = SingleUnitInstance(tuple(float(v) for v in rho * w / w.sum()))
+    assert inst.x != tuple(reversed(inst.x))
+    _assert_split_certified(monkeypatch, inst)
+
+
+@pytest.mark.parametrize("N", [5, 6, 21, 50, 151, 224, 225])
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+def test_split_path_uniform(monkeypatch, N, rho):
+    _assert_split_certified(monkeypatch, SingleUnitInstance((rho / N,) * N))
+
+
+def test_split_falls_back_to_the_simplex(monkeypatch):
+    # No split basis is optimal here; the general simplex solves it once.
+    inst = SingleUnitInstance((0.07, 0.45, 0.15))
+    assert _solve_split(inst) is None
+    plan, calls = _solve_pivots(monkeypatch, inst)
+    assert plan.objective == pytest.approx(27.0 / 35.0, abs=1e-12)
+    assert len(calls) == 1
+
+
+def test_split_needs_a_passing_dual_check(monkeypatch):
+    # A plan whose dual the checker rejects is never returned.
+    inst = SingleUnitInstance((0.1, 0.2, 0.3, 0.15))
+    assert _solve_split(inst) is not None
+    monkeypatch.setattr(
+        "fbcrs.lp_si.check_certificate", lambda cert, x: DualFeasibilityReport(1.0, 0.0, 0.0)
+    )
+    assert _solve_split(inst) is None
+    plan, calls = _solve_pivots(monkeypatch, inst)
+    assert len(calls) == 1
+    assert plan.objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+
+
+@pytest.mark.parametrize("N", [11, 101, 225])
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+def test_split_dual_between_alpha0_and_the_uniform_certificate(N, rho):
+    # The split dual is the LP optimum, so it lies between the paper's lower
+    # bound alpha_0 and the closed-form certificate's upper bound.
+    inst = SingleUnitInstance((rho / N,) * N)
+    _, split = _certified_split(inst)
+    uniform = dual_certificate_uniform(N, rho)
+    assert alpha_0(rho) - LP_TOL <= split.objective <= uniform.objective + LP_TOL
+    assert check_certificate(split, inst.x).ok()
+    assert check_certificate(uniform, inst.x).ok()
 
 
 def test_lp_handles_zero_mass_elements():
@@ -326,6 +421,8 @@ def test_dual_certificate_rejects_even_or_negative():
         dual_certificate_uniform(0, 1.0)
     with pytest.raises(InvalidInstanceError):
         dual_certificate_uniform(3, -1.0)
+    with pytest.raises(InvalidInstanceError):
+        check_certificate(dual_certificate_uniform(3, 1.0), (0.25,) * 4)
 
 
 @pytest.mark.parametrize("N", [3, 11, 21, 101])
