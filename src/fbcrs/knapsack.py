@@ -407,7 +407,6 @@ class InvariantReport:
 
     violations: tuple[tuple[float, float, float], ...]
     zero_slack: float | None
-    zero_first_flagged: bool
 
     def ok(self) -> bool:
         if self.zero_slack is not None and self.zero_slack < -FEAS_TOL:
@@ -438,7 +437,7 @@ def monitor_invariants(
     bad = np.flatnonzero(lhs > rhs + FEAS_TOL)
     violations = tuple(zip(b[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
     zero_slack = None if c_current is None else dist.p_zero - c_current
-    return InvariantReport(violations, zero_slack, c_first <= 0.0)
+    return InvariantReport(violations, zero_slack)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ The solver therefore keeps c_f and beta as variables, writes
 c_b = 2 beta - c_f, and adds the bound rows c_f(i) - 2 beta <= 0 that keep
 c_b >= 0.  Those rows have a zero right-hand side but a negative beta
 coefficient, so from the all-slack basis the first pivot, beta entering,
-already raises the objective.  Palindromic instances solve a reduced LP
-over half the rates.
+already raises the objective.
 """
 
 from __future__ import annotations
@@ -220,40 +219,6 @@ def _solve_general(inst: SingleUnitInstance) -> SelectionPlan:
     return SelectionPlan(_clip_unit(v[:n]), _clip_unit(2.0 * v[n] - v[:n]))
 
 
-def _solve_palindromic(inst: SingleUnitInstance) -> SelectionPlan:
-    """Reduced LP for instances with x equal to its own reversal.
-
-    Reversal symmetry gives an optimal plan with c_b = reversed(c_f): the
-    mirror of any optimum is again optimal, the average of the two is
-    feasible, and the worst pair mean only improves under averaging.  With
-    the pair rows tight, c_f(n-1-r) = 2 beta - c_f(r), and the middle rate
-    of odd n is beta.  So we solve over the first half u = c_f[:n//2] and
-    beta: the n forward rows, and n//2 bound rows u_r - 2 beta <= 0.
-    """
-    n = inst.n
-    x = np.asarray(inst.x)
-    half = n // 2
-
-    # Column j of the forward-row matrix holds c_f(j)'s coefficients, so
-    # each reduced column is a signed sum of its columns.
-    forward = np.tril(np.broadcast_to(x, (n, n)), -1) + np.eye(n)
-    A = np.zeros((n + half, half + 1))
-    A[:n, :half] = forward[:, :half] - forward[:, ::-1][:, :half]
-    A[:n, half] = 2.0 * forward[:, n - half :].sum(axis=1)
-    if n % 2:
-        A[:n, half] += forward[:, half]
-    A[n:, :half] = np.eye(half)
-    A[n:, half] = -2.0
-    b = np.concatenate([np.ones(n), np.zeros(half)])
-    obj = np.zeros(half + 1)
-    obj[half] = 1.0
-
-    v, _, _ = _simplex(obj, A, b)
-    u, beta = v[:half], v[half]
-    c_f = _clip_unit(np.concatenate([u, [beta] * (n % 2), 2.0 * beta - u[::-1]]))
-    return SelectionPlan(c_f, tuple(reversed(c_f)))
-
-
 def gamma(z: float, rho: float) -> float:
     """Dual weight rho*e^{z-rho/2}/(2(1+e^{rho/2}rho)) on [rho/2, rho].
 
@@ -439,20 +404,10 @@ def _certified_split(inst: SingleUnitInstance) -> tuple[SelectionPlan, DualCerti
     return None
 
 
-def _solve_split(inst: SingleUnitInstance) -> SelectionPlan | None:
-    """The certified split plan of _certified_split, or None."""
-    found = _certified_split(inst)
-    return None if found is None else found[0]
-
-
 def solve_lp_si(inst: SingleUnitInstance) -> SelectionPlan:
     """Optimal selection plan; .objective equals the LP optimum.
 
     The certified split basis first; the simplex when no split certifies.
     """
-    plan = _solve_split(inst)
-    if plan is not None:
-        return plan
-    if inst.x == tuple(reversed(inst.x)):
-        return _solve_palindromic(inst)
-    return _solve_general(inst)
+    found = _certified_split(inst)
+    return _solve_general(inst) if found is None else found[0]

@@ -260,17 +260,17 @@ def _caps(law: DemandLaw, q: float, rem: FiniteLaw):
     return d, np.minimum(d, rem.values), weight
 
 
-def calibrate_tau(law: DemandLaw, q: float, rem: FiniteLaw, target: float) -> float:
+def calibrate_tau(caps, weight, target: float) -> float:
     """Threshold tau with E[min(D, R, tau); Q < q] = target, exactly.
 
-    The expectation is concave piecewise linear in tau with breakpoints at
-    the caps min(d, r), so one sorted walk finds the crossing segment.
-    Raises InvariantViolationError when the target exceeds the reachable
-    maximum; a nonpositive target calibrates to zero.
+    caps and weight are the caps min(d, r) and their joint weights, as
+    _caps returns them.  The expectation is concave piecewise linear in tau
+    with breakpoints at the caps, so one sorted walk finds the crossing
+    segment.  Raises InvariantViolationError when the target exceeds the
+    reachable maximum; a nonpositive target calibrates to zero.
     """
     if target <= 0.0:
         return 0.0
-    _, caps, weight = _caps(law, q, rem)
     positive = caps > 0.0
     caps, weight = caps[positive], weight[positive]
     order = np.argsort(caps, kind="stable")
@@ -351,7 +351,7 @@ def _exact_order(
                 f"supply invariant broken before agent {i} ({tag}): "
                 f"reachable {reachable:.12g} < floor {floor:.12g}"
             )
-        tau = calibrate_tau(law, q, rem, rates[i] * x)
+        tau = calibrate_tau(caps, weight, rates[i] * x)
         taus[i] = tau
         y = np.minimum(caps, tau)
         alloc[i] = float(np.sum(weight * y))

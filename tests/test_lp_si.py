@@ -13,8 +13,6 @@ from fbcrs.lp_si import (
     _certified_split,
     _simplex,
     _solve_general,
-    _solve_palindromic,
-    _solve_split,
     alpha_0,
     check_certificate,
     dual_certificate_uniform,
@@ -177,15 +175,6 @@ def test_general_lp_pivot_count(monkeypatch, n, rho):
     assert plan.objective >= alpha_0(rho) - 1e-9
 
 
-@pytest.mark.parametrize("N", [151, 225])
-def test_uniform_lp_pivot_count(monkeypatch, N):
-    plan, calls = _solve_pivots(monkeypatch, SingleUnitInstance((1.0 / N,) * N), _solve_palindromic)
-    assert len(calls) == 1
-    shape, pivots = calls[0]
-    assert shape == (N + N // 2, N // 2 + 1) and pivots <= math.ceil(N / 2) + 4
-    assert plan.objective >= alpha_0(1.0) - 1e-9
-
-
 def test_lp_two_elements_exact():
     # x = (0.5, 0.5): optimum 3/4 with c = (1, 1/2) forward and mirrored
     plan = solve_lp_si(SingleUnitInstance((0.5, 0.5)))
@@ -219,16 +208,6 @@ def test_lp_reversal_invariance():
         assert fwd.objective == pytest.approx(rev.objective, abs=1e-9)
 
 
-def test_lp_palindromic_and_general_agree():
-    # the reduced palindromic solve and the general simplex must agree
-    for x in [(0.3, 0.1, 0.3), (0.25, 0.25, 0.25, 0.25), (0.6, 0.6), (1.0 / 151,) * 151]:
-        inst = SingleUnitInstance(x)
-        reduced = _solve_palindromic(inst)
-        general = _solve_general(inst)
-        assert reduced.objective == pytest.approx(general.objective, abs=1e-9)
-        assert reduced.c_b == tuple(reversed(reduced.c_f))
-
-
 def test_lp_matches_highs_general():
     rng = np.random.default_rng(2718)
     for n, rho in (
@@ -244,7 +223,7 @@ def test_lp_matches_highs_general():
 
 
 def test_lp_matches_highs_palindromic():
-    # The reduced palindromic LP must reach the optimum of the full LP.
+    # Palindromic x that no split certifies run the general LP.
     rng = np.random.default_rng(3141)
     for n in (3, 8, 15, 40):
         half = rng.uniform(0.05, 1.0, (n + 1) // 2)
@@ -286,8 +265,8 @@ def test_lp_substituted_rates_at_their_bounds(x):
     # c_b = 2 beta - c_f meets its bounds 0 and 1 on these instances; both
     # the dispatching solve and the general LP must reach the optimum.
     inst = SingleUnitInstance(x)
-    split = _solve_split(inst)
-    for plan in (solve_lp_si(inst), _solve_general(inst)) + ((split,) if split else ()):
+    split = _certified_split(inst)
+    for plan in (solve_lp_si(inst), _solve_general(inst)) + ((split[0],) if split else ()):
         assert plan.is_feasible(inst)
         assert plan.objective == pytest.approx(highs_lp_optimum(x), abs=1e-9)
 
@@ -327,22 +306,24 @@ def test_split_path_uniform(monkeypatch, N, rho):
 
 
 def test_split_falls_back_to_the_simplex(monkeypatch):
-    # No split basis is optimal here; the general simplex solves it once.
-    inst = SingleUnitInstance((0.07, 0.45, 0.15))
-    assert _solve_split(inst) is None
-    plan, calls = _solve_pivots(monkeypatch, inst)
-    assert plan.objective == pytest.approx(27.0 / 35.0, abs=1e-12)
-    assert len(calls) == 1
+    # No split basis is optimal here, palindromic x included; the general
+    # simplex solves each once.
+    for x, optimum in (((0.07, 0.45, 0.15), 27.0 / 35.0), ((0.05, 0.1, 0.05), 13.0 / 14.0)):
+        inst = SingleUnitInstance(x)
+        assert _certified_split(inst) is None
+        plan, calls = _solve_pivots(monkeypatch, inst)
+        assert plan.objective == pytest.approx(optimum, abs=1e-12)
+        assert [shape for shape, _ in calls] == [(9, 4)]
 
 
 def test_split_needs_a_passing_dual_check(monkeypatch):
     # A plan whose dual the checker rejects is never returned.
     inst = SingleUnitInstance((0.1, 0.2, 0.3, 0.15))
-    assert _solve_split(inst) is not None
+    assert _certified_split(inst) is not None
     monkeypatch.setattr(
         "fbcrs.lp_si.check_certificate", lambda cert, x: DualFeasibilityReport(1.0, 0.0, 0.0)
     )
-    assert _solve_split(inst) is None
+    assert _certified_split(inst) is None
     plan, calls = _solve_pivots(monkeypatch, inst)
     assert len(calls) == 1
     assert plan.objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
@@ -442,3 +423,19 @@ def test_weak_duality_uniform(N):
     cert = dual_certificate_uniform(N, rho)
     assert primal <= cert.objective + 1e-9
     assert primal >= alpha_0(rho) - 1e-9
+
+
+@pytest.mark.parametrize("N", [301, 501, 1001])
+@pytest.mark.parametrize("rho", [0.05, 1.0, 16.0])
+def test_split_certifies_large_uniform(monkeypatch, N, rho):
+    # The split certifies uniform x at every size, so they never reach the
+    # simplex.  No HiGHS here: it takes seconds per instance at N = 1001 and
+    # lands 2.9e-8 above the certified optimum at rho = 0.05.
+    inst = SingleUnitInstance((rho / N,) * N)
+    plan, calls = _solve_pivots(monkeypatch, inst)
+    assert calls == []
+    split_plan, cert = _certified_split(inst)
+    assert split_plan == plan
+    assert check_certificate(cert, inst.x).ok()
+    assert cert.objective - plan.objective <= LP_TOL
+    assert plan.objective >= alpha_0(rho) - LP_TOL

@@ -21,6 +21,7 @@ from fbcrs.lp_si import SelectionPlan, alpha_0, solve_lp_si
 from fbcrs.rationing import (
     TRACE_COUNT,
     ServiceTarget,
+    _caps,
     _merge_rem,
     calibrate_tau,
     exante_check,
@@ -217,26 +218,26 @@ def test_every_accepted_target_passes_the_knapsack_reduction(data):
 
 
 def test_calibrate_tau_examples():
-    rem = FiniteLaw([1.0], [1.0])
+    caps = _caps(MIXED, 0.7, FiniteLaw([1.0], [1.0]))[1:]
     # full supply and tau = 1 reproduce the ex-ante x
-    assert calibrate_tau(MIXED, 0.7, rem, 0.45) == pytest.approx(1.0)
+    assert calibrate_tau(*caps, 0.45) == pytest.approx(1.0)
     # kink: 0.7 tau below 0.5, then 0.25 + 0.2 tau
-    assert calibrate_tau(MIXED, 0.7, rem, 0.35) == pytest.approx(0.5, abs=1e-12)
-    assert calibrate_tau(MIXED, 0.7, rem, 0.07) == pytest.approx(0.1, abs=1e-12)
-    assert calibrate_tau(MIXED, 0.7, rem, 0.0) == 0.0
+    assert calibrate_tau(*caps, 0.35) == pytest.approx(0.5, abs=1e-12)
+    assert calibrate_tau(*caps, 0.07) == pytest.approx(0.1, abs=1e-12)
+    assert calibrate_tau(*caps, 0.0) == 0.0
 
 
 def test_calibrate_tau_unreachable_target():
     rem = FiniteLaw([0.25], [1.0])
     # caps: min(0.5, 0.25) * 0.5 + min(2, 0.25) * 0.2 = 0.175 max
     with pytest.raises(InvariantViolationError):
-        calibrate_tau(MIXED, 0.7, rem, 0.2)
+        calibrate_tau(*_caps(MIXED, 0.7, rem)[1:], 0.2)
 
 
 def test_calibrate_tau_mixed_rem():
     rem = FiniteLaw([0.0, 1.0], [0.5, 0.5])
     # only the rem = 1 branch contributes: weights halve
-    assert calibrate_tau(MIXED, 0.7, rem, 0.225) == pytest.approx(1.0)
+    assert calibrate_tau(*_caps(MIXED, 0.7, rem)[1:], 0.225) == pytest.approx(1.0)
 
 
 # --- single-unit route ----------------------------------------------------------
