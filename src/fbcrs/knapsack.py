@@ -124,11 +124,10 @@ def check_knapsack_feasible(plan: SelectionPlan, inst: KnapsackInstance) -> Knap
 class FiniteLaw:
     """Exact finite law of a quantity in [0, 1]: sorted values, positive masses.
 
-    The knapsack executor propagates the fill before each arrival (`element`
-    counts the elements folded in, 0 before the first arrival); the rationing
-    executor propagates the remaining supply.  `tag` records the order the law
-    is conditioned on.  The arrays are read-only copies; `atoms` views the same
-    law as (value, probability) pairs.  Queries resolve boundaries at ATOM_TOL.
+    The knapsack executor propagates the fill before each arrival; the
+    rationing executor propagates the remaining supply.  The arrays are
+    read-only copies; `atoms` views the same law as (value, probability)
+    pairs.  Queries resolve boundaries at ATOM_TOL.
 
     `mass` sums the probabilities in extended precision (np.longdouble) and
     rounds once to float.  Where longdouble is the x87 80-bit type (x86-64
@@ -139,8 +138,6 @@ class FiniteLaw:
 
     values: np.ndarray
     probs: np.ndarray
-    element: int = 0
-    tag: str = FORWARD
 
     def __post_init__(self):
         for name in ("values", "probs"):
@@ -148,8 +145,6 @@ class FiniteLaw:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         values, probs = self.values, self.probs
-        if self.tag not in (FORWARD, BACKWARD):
-            raise InvalidInstanceError(f"unknown order tag {self.tag!r}")
         if values.ndim != 1 or values.shape != probs.shape or not values.size:
             raise InvariantViolationError("a law needs equally long, nonempty values and probabilities")
         if not (values[1:] >= values[:-1]).all():
@@ -162,7 +157,7 @@ class FiniteLaw:
             raise InvariantViolationError(f"law mass {self.mass} != 1")
 
     @classmethod
-    def merged(cls, values, probs, element: int = 0, tag: str = FORWARD) -> FiniteLaw:
+    def merged(cls, values, probs) -> FiniteLaw:
         """Drop nonpositive masses, sort and merge values within ATOM_TOL.
 
         Walking up the sorted values, a value joins the current atom (keeping
@@ -196,7 +191,7 @@ class FiniteLaw:
                         head = values[k]
                         extra.append(k)
             heads = np.union1d(heads, extra)
-        return cls(values[heads], np.add.reduceat(probs, heads), element, tag)
+        return cls(values[heads], np.add.reduceat(probs, heads))
 
     @cached_property
     def atoms(self) -> tuple[tuple[float, float], ...]:
@@ -229,10 +224,6 @@ class FiniteLaw:
     @cached_property
     def expectation(self) -> float:
         return float(self.values @ self.probs)
-
-
-def initial_fill(tag: str = FORWARD) -> FiniteLaw:
-    return FiniteLaw([0.0], [1.0], element=0, tag=tag)
 
 
 class Branches(NamedTuple):
@@ -322,7 +313,7 @@ def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tu
         moved[r0:] *= b1
         at += fit
     np.minimum(out_v[n:], 1.0, out=out_v[n:])
-    new = FiniteLaw.merged(out_v, out_p, element=dist.element + 1, tag=dist.tag)
+    new = FiniteLaw.merged(out_v, out_p)
     if abs(new.mass - 1.0) > MASS_TOL:
         raise InvariantViolationError(f"fill mass drifted to {new.mass} {ctx}")
     return new, branches
@@ -371,7 +362,7 @@ def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackE
     branches: dict[str, list[Branches]] = {}
     traces: dict[str, list[FiniteLaw]] = {}
     for tag in (FORWARD, BACKWARD):
-        dist = initial_fill(tag)
+        dist = FiniteLaw([0.0], [1.0])
         trace = [dist]
         out = [0.0] * inst.n
         per_element: list = [None] * inst.n

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,50 +79,76 @@ def service_value(stype, y: float, d: float, mean: float | None = None) -> float
     stype = ServiceType.parse(stype)
     if y < 0.0 or d < 0.0:
         raise InvalidInstanceError("allocation and demand must be nonnegative")
+    if stype is ServiceType.TYPE_II and (mean is None or mean <= 0.0):
+        raise InvalidInstanceError("Type-II service needs the positive demand mean")
+    return _service(stype, y, d, mean)
+
+
+def _service(stype: ServiceType, y: float, d: float, mean: float) -> float:
+    """service_value without the parse and the checks, for the library's own walks."""
     if stype is ServiceType.TYPE_I:
         return 1.0 if y >= d else 0.0
     if stype is ServiceType.TYPE_II:
-        if mean is None or mean <= 0.0:
-            raise InvalidInstanceError("Type-II service needs the positive demand mean")
         return min(y, d) / mean
     if d == 0.0:
         return 1.0
     return min(y, d) / d
 
 
-def _below_above(law: DemandLaw, q: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-atom quantile lengths below and above q, aligned with law.atoms."""
-    below, above, prev = [], [], 0.0
-    for cum in law.cum:
-        below.append(max(0.0, min(cum, q) - min(prev, q)))
-        above.append(max(0.0, cum - max(prev, q)))
+class _Slices(NamedTuple):
+    """An agent's quantile range [0, 1) cut at every demand atom's CDF value and at q.
+
+    One row per nonempty slice, in quantile order: its upper end, its demand
+    value, its width, and whether it lies below q (the agent is active
+    there).  The last slice runs on to 1, which absorbs float shortfall in the
+    last CDF value.
+    """
+
+    upper: tuple[float, ...]
+    demand: tuple[float, ...]
+    width: tuple[float, ...]
+    active: tuple[bool, ...]
+
+
+def _slices(law: DemandLaw, q: float) -> _Slices:
+    rows, prev = [], 0.0
+    for (d, _), cum in zip(law.atoms, law.cum):
+        below = min(cum, q) - min(prev, q)
+        above = cum - max(prev, q)
+        if below > 0.0:
+            rows.append((min(cum, q), d, below, True))
+        if above > 0.0:
+            rows.append((cum, d, above, False))
         prev = cum
-    return tuple(below), tuple(above)
+    return _Slices(*zip(*rows))
+
+
+def _sizes(law: DemandLaw, q: float) -> dict[float, float]:
+    """Quantile length below q of each size min(d, 1), sizes ascending.
+
+    The one source of the supply share (supply_x) and of the knapsack
+    reduction's size law, so the two agree to the last bit.
+    """
+    sizes: dict[float, float] = {}
+    prev = 0.0
+    for (d, _), cum in zip(law.atoms, law.cum):
+        if prev >= q:
+            break
+        length = min(cum, q) - prev
+        if length > 0.0:
+            s = min(d, 1.0)
+            sizes[s] = sizes.get(s, 0.0) + length
+        prev = cum
+    return sizes
 
 
 def supply_x(law: DemandLaw, q: float) -> float:
     """Supply share bought by activation quantile q: integral of min(F^-1, 1).
 
-    Demands of 1 or more all buy size 1, so their quantile lengths are summed
-    first, in atom order, exactly as the knapsack reduction merges them: x
-    then equals the mean of the reduction's size law to the last bit.
+    It is the mean of the size law _sizes gives, which knapsack_reduction
+    builds its element from, so the two are equal to the last bit.
     """
-    below, _ = _below_above(law, q)
-    capped = 0.0
-    for (d, _), length in zip(law.atoms, below):
-        capped += length if d >= 1.0 else 0.0
-    return math.fsum([length * d for (d, _), length in zip(law.atoms, below) if d < 1.0] + [capped])
-
-
-def _service_density(stype: ServiceType, d: float, mean: float) -> float:
-    """Marginal service per unit of activation quantile at demand value d."""
-    if stype is ServiceType.TYPE_I:
-        return 1.0 if d <= 1.0 else 0.0
-    if stype is ServiceType.TYPE_II:
-        return min(d, 1.0) / mean
-    if d == 0.0:
-        return 1.0
-    return min(d, 1.0) / d
+    return math.fsum(s * length for s, length in _sizes(law, q).items())
 
 
 def solve_q_for_beta(law: DemandLaw, stype, beta: float) -> float:
@@ -142,7 +168,7 @@ def solve_q_for_beta(law: DemandLaw, stype, beta: float) -> float:
     for (d, _), cum in zip(law.atoms, law.cum):
         if acc >= beta - CROSSING_TOL:
             return prev
-        v = _service_density(stype, d, law.mean)
+        v = _service(stype, min(d, 1.0), d, law.mean)
         seg = cum - prev
         if v > 0.0 and acc + v * seg >= beta - CROSSING_TOL:
             return min(prev + (beta - acc) / v, 1.0)
@@ -192,9 +218,9 @@ def exante_check(inst: RationingInstance, beta) -> ServiceTarget | None:
     Raises InfeasibleError when some agent cannot reach its own beta with the
     whole quantile range; returns None when every agent can individually but
     the supply shares add up to more than the unit supply.  The total is held
-    to MASS_TOL, the tolerance of the knapsack reduction's total mean size,
-    which equals the total of the shares bit for bit (see supply_x), so every
-    target accepted here also passes knapsack_reduction.
+    to MASS_TOL, the tolerance of the knapsack reduction's total mean size.
+    Each share is the mean of its element's size law bit for bit, as both come
+    from _sizes, so every target accepted here also passes knapsack_reduction.
     """
     betas = tuple(float(b) for b in beta)
     if len(betas) != inst.n:
@@ -221,7 +247,7 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     for law, stype in zip(inst.demands, inst.service):
         acc, prev = 0.0, 0.0
         for (d, _), cum in zip(law.atoms, law.cum):
-            acc += _service_density(stype, d, law.mean) * (cum - prev)
+            acc += _service(stype, min(d, 1.0), d, law.mean) * (cum - prev)
             prev = cum
         caps.append(min(1.0, acc))
     upper = min(caps)
@@ -247,16 +273,15 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     return lo
 
 
-def _caps(law: DemandLaw, q: float, rem: FiniteLaw):
-    """Demand atoms below q against remaining-supply atoms.
+def _caps(sl: _Slices, rem: FiniteLaw):
+    """An agent's active slices against remaining-supply atoms.
 
     Returns the demand values as a column, the caps min(d, r) and their joint
-    weights Pr[D = d, Q < q] * Pr[R = r], one row per demand atom below q.
+    weights Pr[slice] * Pr[R = r], one row per active slice.
     """
-    below, _ = _below_above(law, q)
-    rows = [(d, length) for (d, _), length in zip(law.atoms, below) if length > 0.0]
+    rows = [(d, width) for d, width, on in zip(sl.demand, sl.width, sl.active) if on]
     d = np.array([d for d, _ in rows]).reshape(-1, 1)
-    weight = np.array([length for _, length in rows]).reshape(-1, 1) * rem.probs
+    weight = np.array([width for _, width in rows]).reshape(-1, 1) * rem.probs
     return d, np.minimum(d, rem.values), weight
 
 
@@ -316,12 +341,13 @@ def _merge_rem(rem: FiniteLaw) -> FiniteLaw:
     mass = np.bincount(bucket, weights=rem.probs)
     keep = mass > 0.0
     mean = np.bincount(bucket, weights=rem.probs * rem.values)[keep] / mass[keep]
-    return FiniteLaw.merged(mean, mass[keep], tag=rem.tag)
+    return FiniteLaw.merged(mean, mass[keep])
 
 
 def _exact_order(
     inst: RationingInstance,
     target: ServiceTarget,
+    slices: tuple[_Slices, ...],
     rates: tuple[float, ...],
     tag: str,
 ) -> _OrderTables:
@@ -335,14 +361,14 @@ def _exact_order(
     taus = [0.0] * n
     alloc = [0.0] * n
     service = [0.0] * n
-    rem = FiniteLaw([1.0], [1.0], tag=tag)
+    rem = FiniteLaw([1.0], [1.0])
     consumed = 0.0
     slack = math.inf
     resamples = 0
     for i in Permutation(tag, n).order():
-        law, stype = inst.demands[i], inst.service[i]
+        law, stype, sl = inst.demands[i], inst.service[i], slices[i]
         q, x, b = target.q[i], target.x[i], target.beta[i]
-        d, caps, weight = _caps(law, q, rem)
+        d, caps, weight = _caps(sl, rem)
         reachable = float(np.sum(weight * caps))
         floor = (1.0 - consumed) * x
         slack = min(slack, reachable - floor)
@@ -359,11 +385,10 @@ def _exact_order(
             raise InvariantViolationError(
                 f"calibrated allocation {alloc[i]:.12g} misses {rates[i] * x:.12g} for agent {i}"
             )
-        _, above = _below_above(law, q)
         unserved = math.fsum(
-            tail * service_value(stype, 0.0, dv, law.mean)
-            for (dv, _), tail in zip(law.atoms, above)
-            if tail > 0.0
+            width * _service(stype, 0.0, dv, law.mean)
+            for dv, width, on in zip(sl.demand, sl.width, sl.active)
+            if not on
         )
         service[i] = float(np.sum(weight * _service_array(stype, y, d, law.mean))) + unserved
         if service[i] < rates[i] * b - CALIBRATION_TOL:
@@ -373,7 +398,6 @@ def _exact_order(
         rem = FiniteLaw.merged(
             np.concatenate((rem.values, (rem.values - y).ravel())),
             np.concatenate((rem.probs * (1.0 - q), weight.ravel())),
-            tag=tag,
         )
         if rem.support_size > REM_ATOM_CAP:
             rem = _merge_rem(rem)
@@ -387,14 +411,11 @@ class KnapsackReduction:
     """Knapsack view of a rationing instance: one element per supplied agent.
 
     Agents with x = 0 buy nothing and stay out of the contention; their
-    service comes from the zero allocation alone.  atom_of_segment maps each
-    demand atom of an agent to its size-atom index in the element's law
-    (None when the atom has no mass below q or the agent is skipped).
+    service comes from the zero allocation alone.
     """
 
     instance: KnapsackInstance
     element_of_agent: tuple[int | None, ...]
-    atom_of_segment: tuple[tuple[int | None, ...], ...]
 
 
 def knapsack_reduction(inst: RationingInstance, target: ServiceTarget) -> KnapsackReduction:
@@ -403,38 +424,19 @@ def knapsack_reduction(inst: RationingInstance, target: ServiceTarget) -> Knapsa
         raise InvalidInstanceError("target does not match the instance")
     laws: list[SizeLaw] = []
     element_of_agent: list[int | None] = []
-    atom_maps: list[tuple[int | None, ...]] = []
     for law, q, x in zip(inst.demands, target.q, target.x):
-        below, _ = _below_above(law, q)
         if x <= 0.0:
             element_of_agent.append(None)
-            atom_maps.append((None,) * len(law.atoms))
             continue
-        sizes: dict[float, float] = {}
-        for (d, _), length in zip(law.atoms, below):
-            if length > 0.0:
-                s = min(d, 1.0)
-                sizes[s] = sizes.get(s, 0.0) + length
-        active = math.fsum(sizes.values())
-        size_law = SizeLaw(tuple(sorted(sizes.items())), inactive_mass=1.0 - active)
+        sizes = _sizes(law, q)
+        size_law = SizeLaw(tuple(sizes.items()), inactive_mass=1.0 - math.fsum(sizes.values()))
         if abs(size_law.mean - x) > CALIBRATION_TOL:
             raise InvariantViolationError("element mean drifted from the supply share")
-        index_of_size = {s: j for j, (s, _) in enumerate(size_law.atoms)}
-        atom_maps.append(
-            tuple(
-                index_of_size[min(d, 1.0)] if length > 0.0 else None
-                for (d, _), length in zip(law.atoms, below)
-            )
-        )
         element_of_agent.append(len(laws))
         laws.append(size_law)
     if not laws:
         raise InfeasibleError("no agent buys any supply; nothing to allocate")
-    return KnapsackReduction(
-        KnapsackInstance(tuple(laws)),
-        tuple(element_of_agent),
-        tuple(atom_maps),
-    )
+    return KnapsackReduction(KnapsackInstance(tuple(laws)), tuple(element_of_agent))
 
 
 @dataclass(frozen=True)
@@ -520,40 +522,24 @@ def _service_array(stype: ServiceType, y: np.ndarray, d: np.ndarray, mean: float
     return np.where(d > 0.0, np.minimum(y, d) / safe, 1.0)
 
 
-def _slices(law: DemandLaw, q: float) -> list[tuple[float, int, bool]]:
-    """Cut the quantile range [0, 1) at every demand atom's CDF value and at q.
-
-    Returns (upper end, demand atom, below q) per nonempty slice; the agent is
-    active on slices below q.  The last slice runs on to 1, which absorbs
-    float shortfall in the last CDF value.
-    """
-    below, above = _below_above(law, q)
-    out = []
-    for j, (cum, length, tail) in enumerate(zip(law.cum, below, above)):
-        out += [(end, j, on) for width, end, on in ((length, min(cum, q), True), (tail, cum, False)) if width > 0]
-    return out
-
-
 def _record(rows, tag, r, i, u, d, y, s) -> None:
     rows["tag"][r] = tag
     for key, value in zip(("q", "d", "y", "s"), (u, d, y, s)):
         rows[key][i, r] = value
 
 
-def _single_unit_runner(inst: RationingInstance, target: ServiceTarget, taus: dict):
+def _single_unit_runner(inst: RationingInstance, slices: tuple[_Slices, ...], taus: dict):
     """Threshold allocation y = min(D, R, tau) on both orders at once.
 
     Returns run(rng, m, rows=None), an experiment for run_trials; given
     `rows`, it records every row there instead of summing (see _sample_traces).
     """
     edges, demand, caps = [], [], {FORWARD: [], BACKWARD: []}
-    for i, law in enumerate(inst.demands):
-        upper, atom, active = zip(*_slices(law, target.q[i]))
-        d = [law.atoms[j][0] for j in atom]
-        edges.append(upper[:-1])
-        demand.append(np.array(d))
+    for i, sl in enumerate(slices):
+        edges.append(sl.upper[:-1])
+        demand.append(np.array(sl.demand))
         for tag in caps:
-            caps[tag].append(np.array([min(v, taus[tag][i]) if on else 0.0 for v, on in zip(d, active)]))
+            caps[tag].append(np.array([min(v, taus[tag][i]) if on else 0.0 for v, on in zip(sl.demand, sl.active)]))
 
     def run(rng, m: int, rows=None):
         rems = np.ones(m)
@@ -580,7 +566,7 @@ def _single_unit_runner(inst: RationingInstance, target: ServiceTarget, taus: di
 
 
 def _knapsack_runner(
-    inst: RationingInstance, red: KnapsackReduction, target: ServiceTarget, exact: KnapsackExactResult
+    inst: RationingInstance, slices: tuple[_Slices, ...], red: KnapsackReduction, exact: KnapsackExactResult
 ):
     """The knapsack admission rule on both orders at once, sizes min(D, 1).
 
@@ -590,18 +576,17 @@ def _knapsack_runner(
     tables.  Returns run(rng, m, rows=None) as _single_unit_runner.
     """
     rules, demand, service = {FORWARD: [], BACKWARD: []}, [], []
-    for i, law in enumerate(inst.demands):
-        upper, atom, active = zip(*_slices(law, target.q[i]))
-        e = red.element_of_agent[i]
-        size_atom = [red.atom_of_segment[i][j] if on and e is not None else None for j, on in zip(atom, active)]
-        d = [law.atoms[j][0] for j in atom]
-        sizes = [0.0 if a is None else min(v, 1.0) for a, v in zip(size_atom, d)]
+    for i, (law, sl, e) in enumerate(zip(inst.demands, slices, red.element_of_agent)):
+        # each active slice buys the size atom of value min(d, 1)
+        atom_of_size = {} if e is None else {s: j for j, (s, _) in enumerate(red.instance.laws[e].atoms)}
+        size_atom = [atom_of_size[min(d, 1.0)] if on and e is not None else None for d, on in zip(sl.demand, sl.active)]
+        sizes = [0.0 if a is None else min(d, 1.0) for a, d in zip(size_atom, sl.demand)]
         for tag in rules:
             branches = ((), ()) if e is None else exact.branches(tag)[e][:2]
             b1, b2 = ([0.0 if a is None else b[a] for a in size_atom] for b in branches)
-            rules[tag].append(Admission.build(upper, sizes, b1, b2))
-        demand.append(np.array(d))
-        service.append(_service_array(inst.service[i], rules[FORWARD][i].gains, np.repeat(d, 2), law.mean))
+            rules[tag].append(Admission.build(sl.upper, sizes, b1, b2))
+        demand.append(np.array(sl.demand))
+        service.append(_service_array(inst.service[i], rules[FORWARD][i].gains, np.repeat(sl.demand, 2), law.mean))
 
     def run(rng, m: int, rows=None):
         fills = np.zeros(m)
@@ -654,7 +639,9 @@ class _Route:
     resamples: int
 
 
-def _single_unit_route(inst: RationingInstance, target: ServiceTarget, plan: SelectionPlan | None) -> _Route:
+def _single_unit_route(
+    inst: RationingInstance, target: ServiceTarget, slices: tuple[_Slices, ...], plan: SelectionPlan | None
+) -> _Route:
     su = target.single_unit()
     if plan is None:
         plan = solve_lp_si(su)
@@ -662,12 +649,12 @@ def _single_unit_route(inst: RationingInstance, target: ServiceTarget, plan: Sel
         raise InvalidInstanceError("the single-unit route needs one plan entry per agent")
     if not plan.is_feasible(su):
         raise InfeasibleError("the selection plan is infeasible for these supply shares")
-    tables = {tag: _exact_order(inst, target, plan.rates(tag), tag) for tag in (FORWARD, BACKWARD)}
+    tables = {tag: _exact_order(inst, target, slices, plan.rates(tag), tag) for tag in (FORWARD, BACKWARD)}
     taus = {tag: tables[tag].taus for tag in tables}
     return _Route(
         ROUTE_SINGLE_UNIT,
         plan,
-        _single_unit_runner(inst, target, taus),
+        _single_unit_runner(inst, slices, taus),
         lambda: {tag: (t.alloc, t.service) for tag, t in tables.items()},
         tuple(zip(plan.c_f, plan.c_b)),
         tuple(zip(taus[FORWARD], taus[BACKWARD])),
@@ -678,7 +665,7 @@ def _single_unit_route(inst: RationingInstance, target: ServiceTarget, plan: Sel
 
 
 def _knapsack_tables(
-    inst: RationingInstance, target: ServiceTarget, red: KnapsackReduction, rates: tuple[float, ...]
+    inst: RationingInstance, slices: tuple[_Slices, ...], red: KnapsackReduction, rates: tuple[float, ...]
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Exact per-agent (E[Y_i | order], E[s_i | order]) on the knapsack route.
 
@@ -687,29 +674,25 @@ def _knapsack_tables(
     independent of the executor's outcome tables, so exact mode cross-checks MC.
     """
     alloc, service = [], []
-    for i, (law, stype, e) in enumerate(zip(inst.demands, inst.service, red.element_of_agent)):
-        below, above = _below_above(law, target.q[i])
+    for law, stype, sl, e in zip(inst.demands, inst.service, slices, red.element_of_agent):
         c = 0.0 if e is None else rates[e]
         alloc_terms, service_terms = [], []
-        for (d, _), length, tail in zip(law.atoms, below, above):
-            if length > 0.0:
+        for d, width, on in zip(sl.demand, sl.width, sl.active):
+            unserved = _service(stype, 0.0, d, law.mean)
+            if on:
                 y = min(d, 1.0)
-                alloc_terms.append(length * c * y)
-                service_terms.append(
-                    length
-                    * (
-                        c * service_value(stype, y, d, law.mean)
-                        + (1.0 - c) * service_value(stype, 0.0, d, law.mean)
-                    )
-                )
-            if tail > 0.0:
-                service_terms.append(tail * service_value(stype, 0.0, d, law.mean))
+                alloc_terms.append(width * c * y)
+                service_terms.append(width * (c * _service(stype, y, d, law.mean) + (1.0 - c) * unserved))
+            else:
+                service_terms.append(width * unserved)
         alloc.append(math.fsum(alloc_terms))
         service.append(math.fsum(service_terms))
     return tuple(alloc), tuple(service)
 
 
-def _knapsack_route(inst: RationingInstance, target: ServiceTarget, plan: SelectionPlan | None) -> _Route:
+def _knapsack_route(
+    inst: RationingInstance, target: ServiceTarget, slices: tuple[_Slices, ...], plan: SelectionPlan | None
+) -> _Route:
     red = knapsack_reduction(inst, target)
     if plan is None:
         plan = closed_form_knapsack_plan(red.instance)
@@ -724,8 +707,8 @@ def _knapsack_route(inst: RationingInstance, target: ServiceTarget, plan: Select
     return _Route(
         ROUTE_KNAPSACK,
         plan,
-        _knapsack_runner(inst, red, target, result),
-        lambda: {tag: _knapsack_tables(inst, target, red, plan.rates(tag)) for tag in (FORWARD, BACKWARD)},
+        _knapsack_runner(inst, slices, red, result),
+        lambda: {tag: _knapsack_tables(inst, slices, red, plan.rates(tag)) for tag in (FORWARD, BACKWARD)},
         tuple((None, None) if e is None else (plan.c_f[e], plan.c_b[e]) for e in elements),
         ((None, None),) * inst.n,
         # Skipped agents have no pair mean of their own; the scheme guarantee
@@ -767,7 +750,8 @@ def run_rationing(
         raise InvalidInstanceError(f"unknown mode {mode!r}")
     if mode == "mc" and trials < 1:
         raise InvalidInstanceError("mc mode needs trials >= 1")
-    route = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, plan)
+    slices = tuple(_slices(law, q) for law, q in zip(inst.demands, target.q))
+    route = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, slices, plan)
     traces = _sample_traces(route.run, inst.n, seed, TRACE_COUNT)
     if mode == "exact":
         estimates = None

@@ -19,7 +19,9 @@ here and nowhere else.
 # propagate_fill (fill-law mass drift after each step) and by
 # bernoulli_params (an element whose remaining mass is at most this is
 # flagged 0/0).  exante_check and knapsack_reduction apply the same entry to
-# the same total, so a target the one accepts the other accepts.
+# the same total: each supply share and its element's mean size are computed
+# from one size table (rationing._sizes), so they are equal bit for bit and a
+# target the one accepts the other accepts.
 MASS_TOL = 1e-12
 
 # Per-agent service levels, quantiles and shares in [0, 1].  Produced by the

@@ -208,7 +208,7 @@ def propagate_fill_reference(dist, law, c):
         shifted.append(np.minimum(values[:fit_end] + s, 1.0))
         moved.append(mass[:fit_end] * accept[:fit_end])
     new_values, new_probs = _merge_reference(np.concatenate([values] + shifted), np.concatenate([stay] + moved))
-    new = FiniteLaw(new_values, new_probs, element=dist.element + 1, tag=dist.tag)
+    new = FiniteLaw(new_values, new_probs)
     mass = math.fsum(new.probs.tolist())
     if abs(mass - 1.0) > 1e-12:
         raise InvariantViolationError(f"fill mass drifted to {mass}")

@@ -26,7 +26,6 @@ from fbcrs.knapsack import (
     FiniteLaw,
     check_knapsack_feasible,
     closed_form_knapsack_plan,
-    initial_fill,
     monitor_invariants,
     monitor_trace,
     phi_knapsack,
@@ -126,24 +125,23 @@ def test_propagate_fill_rejects_unreachable_acceptance():
 
 def test_propagate_fill_rejects_bad_probability():
     with pytest.raises(InvalidInstanceError):
-        propagate_fill(initial_fill(), SizeLaw(((0.5, 1.0),)), 1.2)
+        propagate_fill(FiniteLaw([0.0], [1.0]), SizeLaw(((0.5, 1.0),)), 1.2)
 
 
 def test_fill_distribution_validation():
-    # the fill law before each arrival is a FiniteLaw counted by element
-    fill = FiniteLaw([0.0, 0.4], [0.85, 0.15], element=3)
-    assert fill.element == 3 and fill.tag == FORWARD
+    # the fill law before each arrival is a FiniteLaw
+    FiniteLaw([0.0, 0.4], [0.85, 0.15])
     with pytest.raises(InvariantViolationError):
-        FiniteLaw([0.0], [0.5], element=1)  # mass 0.5
+        FiniteLaw([0.0], [0.5])  # mass 0.5
     with pytest.raises(InvariantViolationError):
-        FiniteLaw([1.5], [1.0], element=1)  # fill above 1
+        FiniteLaw([1.5], [1.0])  # fill above 1
 
 
 def test_finite_law_validation():
-    law = FiniteLaw([0.0, 1.0], [0.25, 0.75], tag=BACKWARD)
+    law = FiniteLaw([0.0, 1.0], [0.25, 0.75])
     assert law.atoms == ((0.0, 0.25), (1.0, 0.75))
     assert law.expectation == pytest.approx(0.75, abs=1e-15)
-    assert law.support_size == 2 and law.tag == BACKWARD
+    assert law.support_size == 2
     with pytest.raises(ValueError):
         law.values[0] = 0.5  # the arrays are read-only
     for values, probs in (
@@ -156,8 +154,6 @@ def test_finite_law_validation():
     ):
         with pytest.raises(InvariantViolationError):
             FiniteLaw(values, probs)
-    with pytest.raises(InvalidInstanceError):
-        FiniteLaw([0.0], [1.0], tag="sideways")
 
 
 def test_finite_law_queries():
@@ -249,7 +245,7 @@ def test_monitor_zero_slack():
 
 def test_monitor_rejects_bad_grid():
     with pytest.raises(ValueError):
-        monitor_invariants(initial_fill(), 0.3, (0.6,))
+        monitor_invariants(FiniteLaw([0.0], [1.0]), 0.3, (0.6,))
 
 
 def test_hardness_instance_accepts_at_most_one():
@@ -344,7 +340,6 @@ CHAIN_TOL = 1e-14
 
 def _max_gap(got: FiniteLaw, want: FiniteLaw) -> float:
     assert got.support_size == want.support_size
-    assert (got.element, got.tag) == (want.element, want.tag)
     return max(np.abs(got.values - want.values).max(), np.abs(got.probs - want.probs).max())
 
 

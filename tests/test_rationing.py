@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fbcrs.errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
 from fbcrs.instances import (
-    BACKWARD,
     DemandLaw,
     RationingInstance,
     ServiceType,
@@ -23,6 +22,7 @@ from fbcrs.rationing import (
     ServiceTarget,
     _caps,
     _merge_rem,
+    _slices,
     calibrate_tau,
     exante_check,
     knapsack_reduction,
@@ -36,6 +36,9 @@ from fbcrs.tolerances import CALIBRATION_TOL
 
 UNIT = DemandLaw(((1.0, 1.0),))
 MIXED = DemandLaw(((0.5, 0.5), (2.0, 0.5)))
+# demands 1.2 and 1.7 both buy size 1: past q = 0.5 two active slices share
+# one size atom of the knapsack reduction
+SHARED = DemandLaw(((0.3, 0.3), (1.2, 0.2), (1.7, 0.5)))
 
 
 # --- service conventions ------------------------------------------------------
@@ -126,16 +129,14 @@ def test_max_uniform_beta():
 
 
 def test_rem_distribution_validation():
-    # the remaining-supply law is a FiniteLaw tagged with its order
-    rem = FiniteLaw([0.0, 1.0], [0.25, 0.75], tag=BACKWARD)
+    # the remaining-supply law is a FiniteLaw
+    rem = FiniteLaw([0.0, 1.0], [0.25, 0.75])
     assert rem.expectation == pytest.approx(0.75)
-    assert rem.support_size == 2 and rem.tag == BACKWARD
+    assert rem.support_size == 2
     with pytest.raises(InvariantViolationError):
         FiniteLaw([1.5], [1.0])  # supply above 1
     with pytest.raises(InvariantViolationError):
         FiniteLaw([0.5], [0.7])  # lost probability mass
-    with pytest.raises(InvalidInstanceError):
-        FiniteLaw([0.5], [1.0], tag="sideways")
 
 
 @st.composite
@@ -176,13 +177,12 @@ def test_max_uniform_beta_is_certifiable_on_both_routes(data, route):
 
 
 def test_supply_x_is_the_reduction_mean_to_the_bit():
-    # demands 1.2 and 1.7 both buy size 1; the reduction adds their quantile
-    # lengths before weighting, and summing them apart gives 0.79 here, one
-    # ulp above the reduction's mean
-    law = DemandLaw(((0.3, 0.3), (1.2, 0.2), (1.7, 0.5)))
-    x = supply_x(law, 1.0)
+    # demands 1.2 and 1.7 both buy size 1; both sides read one size table,
+    # which adds their quantile lengths before weighting (summing them apart
+    # gives 0.79 here, one ulp above the reduction's mean)
+    x = supply_x(SHARED, 1.0)
     target = ServiceTarget((0.3,), (1.0,), (x,))
-    reduced = knapsack_reduction(RationingInstance((law,), ("TypeI",)), target).instance
+    reduced = knapsack_reduction(RationingInstance((SHARED,), ("TypeI",)), target).instance
     assert reduced.laws[0].mean == x == 0.7899999999999999
 
 
@@ -210,15 +210,18 @@ def test_every_accepted_target_passes_the_knapsack_reduction(data):
             lo = mid
     target = _accepted(inst, lo)
     assert target is not None
-    reduced = knapsack_reduction(inst, target).instance
-    assert reduced.total_mu == target.total_supply
+    red = knapsack_reduction(inst, target)
+    assert red.instance.total_mu == target.total_supply
+    for i, e in enumerate(red.element_of_agent):
+        if e is not None:
+            assert red.instance.laws[e].mean == target.x[i]
 
 
 # --- threshold calibration ------------------------------------------------------
 
 
 def test_calibrate_tau_examples():
-    caps = _caps(MIXED, 0.7, FiniteLaw([1.0], [1.0]))[1:]
+    caps = _caps(_slices(MIXED, 0.7), FiniteLaw([1.0], [1.0]))[1:]
     # full supply and tau = 1 reproduce the ex-ante x
     assert calibrate_tau(*caps, 0.45) == pytest.approx(1.0)
     # kink: 0.7 tau below 0.5, then 0.25 + 0.2 tau
@@ -231,13 +234,13 @@ def test_calibrate_tau_unreachable_target():
     rem = FiniteLaw([0.25], [1.0])
     # caps: min(0.5, 0.25) * 0.5 + min(2, 0.25) * 0.2 = 0.175 max
     with pytest.raises(InvariantViolationError):
-        calibrate_tau(*_caps(MIXED, 0.7, rem)[1:], 0.2)
+        calibrate_tau(*_caps(_slices(MIXED, 0.7), rem)[1:], 0.2)
 
 
 def test_calibrate_tau_mixed_rem():
     rem = FiniteLaw([0.0, 1.0], [0.5, 0.5])
     # only the rem = 1 branch contributes: weights halve
-    assert calibrate_tau(*_caps(MIXED, 0.7, rem)[1:], 0.225) == pytest.approx(1.0)
+    assert calibrate_tau(*_caps(_slices(MIXED, 0.7), rem)[1:], 0.225) == pytest.approx(1.0)
 
 
 # --- single-unit route ----------------------------------------------------------
@@ -302,25 +305,30 @@ def test_mc_agrees_with_exact_single_unit():
 @pytest.mark.parametrize("route", ["single-unit", "knapsack"])
 def test_traces_are_consistent(route):
     # the knapsack route admits an active agent whole, at min(d, 1), or not at all
-    service = ("TypeIII", "TypeII") if route == "single-unit" else ("TypeIII", "TypeI")
-    inst = RationingInstance((MIXED, UNIT), service)
-    target = exante_check(inst, (0.4, 0.4))
-    result = run_rationing(inst, target, mode="exact", seed=3)
-    assert result.route == route
-    assert len(result.traces) == TRACE_COUNT
-    tags = {t.tag for t in result.traces}
-    assert tags <= {"forward", "backward"}
-    for trace in result.traces:
-        rows = zip(trace.quantiles, trace.demands, trace.allocations, trace.services)
-        for i, (q, d, y, s) in enumerate(rows):
-            law = inst.demands[i]
-            assert s == service_value(inst.service[i], y, d, law.mean)
-            if q < target.q[i]:
-                assert d == inverse_cdf(law, q)
-                if route == "knapsack":
-                    assert y in (0.0, min(d, 1.0))
-            else:
-                assert y == 0.0
+    if route == "single-unit":
+        cases = [((MIXED, UNIT), ("TypeIII", "TypeII"))]
+    else:
+        # SHARED at Type-II and 0.4 has q near 0.68, past both size-1 slices' start
+        cases = [((MIXED, UNIT), ("TypeIII", "TypeI")), ((SHARED, UNIT), ("TypeII", "TypeI"))]
+    for demands, service in cases:
+        inst = RationingInstance(demands, service)
+        target = exante_check(inst, (0.4, 0.4))
+        result = run_rationing(inst, target, mode="exact", seed=3)
+        assert result.route == route
+        assert len(result.traces) == TRACE_COUNT
+        tags = {t.tag for t in result.traces}
+        assert tags <= {"forward", "backward"}
+        for trace in result.traces:
+            rows = zip(trace.quantiles, trace.demands, trace.allocations, trace.services)
+            for i, (q, d, y, s) in enumerate(rows):
+                law = inst.demands[i]
+                assert s == service_value(inst.service[i], y, d, law.mean)
+                if q < target.q[i]:
+                    assert d == inverse_cdf(law, q)
+                    if route == "knapsack":
+                        assert y in (0.0, min(d, 1.0))
+                else:
+                    assert y == 0.0
 
 
 # --- knapsack route --------------------------------------------------------------
@@ -379,17 +387,16 @@ def test_knapsack_route_skips_zero_supply_agents():
 
 
 def test_mc_agrees_with_exact_knapsack():
-    inst = RationingInstance(
-        (DemandLaw(((0.5, 1.0),)), DemandLaw(((0.4, 0.5), (1.5, 0.5)))),
-        ("TypeI", "TypeII"),
-    )
-    beta = 0.8 * max_uniform_beta(inst)
-    target = exante_check(inst, (beta, beta))
-    exact = run_rationing(inst, target, mode="exact", seed=4)
-    mc = run_rationing(inst, target, mode="mc", trials=100_000, seed=4)
-    for ex, sampled in zip(exact.agents, mc.agents):
-        hw = (sampled.service_high - sampled.service_low) / 2.0
-        assert abs(sampled.expected_service - ex.expected_service) <= 3.0 * hw
+    # at SHARED's q near 0.77 two active slices buy the same size atom 1
+    for law in (DemandLaw(((0.4, 0.5), (1.5, 0.5))), SHARED):
+        inst = RationingInstance((DemandLaw(((0.5, 1.0),)), law), ("TypeI", "TypeII"))
+        beta = 0.8 * max_uniform_beta(inst)
+        target = exante_check(inst, (beta, beta))
+        exact = run_rationing(inst, target, mode="exact", seed=4)
+        mc = run_rationing(inst, target, mode="mc", trials=100_000, seed=4)
+        for ex, sampled in zip(exact.agents, mc.agents):
+            hw = (sampled.service_high - sampled.service_low) / 2.0
+            assert abs(sampled.expected_service - ex.expected_service) <= 3.0 * hw
 
 
 def test_knapsack_route_explicit_plan():
@@ -507,9 +514,9 @@ def test_merge_rem_keeps_the_mean(monkeypatch, buckets):
     rng = np.random.default_rng(8)
     values = np.sort(rng.random(5000))
     probs = rng.random(5000)
-    rem = FiniteLaw.merged(values, probs / probs.sum(), tag=BACKWARD)
+    rem = FiniteLaw.merged(values, probs / probs.sum())
     merged = _merge_rem(rem)
-    assert merged.support_size <= buckets and merged.tag == BACKWARD
+    assert merged.support_size <= buckets
     assert merged.expectation == pytest.approx(rem.expectation, abs=1e-15)
     assert rem.values[0] <= merged.values[0] and merged.values[-1] <= rem.values[-1]
 
