@@ -19,11 +19,19 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
 from .errors import InvalidInstanceError
 from .tolerances import MASS_TOL
 
 FORWARD = "forward"
 BACKWARD = "backward"
+
+
+def read_only_array(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only so a cached array cannot drift from its tuple."""
+    arr.setflags(write=False)
+    return arr
 
 
 class ServiceType(str, Enum):
@@ -81,6 +89,11 @@ class SingleUnitInstance:
     def rho(self) -> float:
         """Total activeness mass, compensated summation."""
         return math.fsum(self.x)
+
+    @cached_property
+    def x_array(self) -> np.ndarray:
+        """x as a read-only float array, built once for the array code."""
+        return read_only_array(np.array(self.x))
 
 
 @dataclass(frozen=True)

@@ -35,13 +35,13 @@ already raises the objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInstanceError, SolverError
-from .instances import FORWARD, SingleUnitInstance
+from .instances import FORWARD, SingleUnitInstance, read_only_array
 from .tolerances import CURVE_TOL, LP_TOL
 
 # Consecutive degenerate pivots tolerated under Dantzig's rule before
@@ -66,20 +66,25 @@ class SelectionPlan:
     """Conditional acceptance probabilities for both arrival orders.
 
     The one plan type of both schemes: the single-unit LP and closed form,
-    and the knapsack closed form, all return it.
+    and the knapsack closed form, all return it.  Besides the tuples it
+    holds `array`, the read-only (2, n) array of the rows c_f and c_b, which
+    the array code reads without converting the tuples again.
     """
 
     c_f: tuple[float, ...]
     c_b: tuple[float, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c_f", tuple(map(float, self.c_f)))
-        object.__setattr__(self, "c_b", tuple(map(float, self.c_b)))
-        if len(self.c_f) != len(self.c_b) or not self.c_f:
+        if len(self.c_f) != len(self.c_b) or not len(self.c_f):
             raise InvalidInstanceError("plan orders must have equal positive length")
-        for v in self.c_f + self.c_b:
-            if not 0.0 <= v <= 1.0:
-                raise InvalidInstanceError(f"acceptance probability {v} outside [0, 1]")
+        array = read_only_array(np.array([self.c_f, self.c_b], dtype=float))
+        if not (array.min() >= 0.0 and array.max() <= 1.0):  # NaN fails both
+            outside = array[~((array >= 0.0) & (array <= 1.0))]
+            raise InvalidInstanceError(f"acceptance probability {float(outside[0])} outside [0, 1]")
+        object.__setattr__(self, "c_f", tuple(array[0].tolist()))
+        object.__setattr__(self, "c_b", tuple(array[1].tolist()))
+        object.__setattr__(self, "array", array)
 
     @property
     def n(self) -> int:
@@ -90,7 +95,7 @@ class SelectionPlan:
 
     @cached_property
     def pair_means(self) -> tuple[float, ...]:
-        return tuple((f + b) / 2.0 for f, b in zip(self.c_f, self.c_b))
+        return tuple(((self.array[0] + self.array[1]) / 2.0).tolist())
 
     @cached_property
     def objective(self) -> float:
@@ -99,15 +104,20 @@ class SelectionPlan:
 
     def max_violation(self, inst: SingleUnitInstance) -> float:
         """Largest violation of the order constraints on inst (<= 0 if feasible)."""
-        x = np.asarray(inst.x)
-        worst = 0.0
-        for rates, mass in ((np.asarray(self.c_f), x), (np.asarray(self.c_b[::-1]), x[::-1])):
-            consumed = np.concatenate([[0.0], np.cumsum(mass * rates)[:-1]])
-            worst = max(worst, float((rates - (1.0 - consumed)).max()))
-        return worst
+        return _max_violation(self.array, inst.x_array)
 
     def is_feasible(self, inst: SingleUnitInstance) -> bool:
         return self.max_violation(inst) <= LP_TOL
+
+
+def _max_violation(rates: np.ndarray, x: np.ndarray) -> float:
+    """Largest excess of a rate over the mass its order leaves, both orders
+    at once (0 when there is none); rates has the rows c_f and c_b.  The
+    cumulative sums add in arrival order, as a loop over the elements would."""
+    arrival = np.array([rates[0], rates[1, ::-1]])
+    consumed = np.zeros_like(arrival)
+    consumed[:, 1:] = np.cumsum((np.array([x, x[::-1]]) * arrival)[:, :-1], axis=1)
+    return max(0.0, float((arrival - (1.0 - consumed)).max()))
 
 
 def _simplex(obj, A, b, *, max_iter: int | None = None):
@@ -188,11 +198,10 @@ def _within_unit(arr) -> bool:
     return arr.min(initial=0.0) >= -LP_TOL and arr.max(initial=0.0) <= 1.0 + LP_TOL
 
 
-def _clip_unit(values):
-    arr = np.asarray(values, dtype=float)
+def _clip_unit(arr):
     if not _within_unit(arr):
         raise SolverError(f"solver produced probability outside [0,1] by more than {LP_TOL}")
-    return tuple(np.clip(arr, 0.0, 1.0))
+    return np.clip(arr, 0.0, 1.0)
 
 
 def _solve_general(inst: SingleUnitInstance) -> SelectionPlan:
@@ -202,7 +211,7 @@ def _solve_general(inst: SingleUnitInstance) -> SelectionPlan:
     bound rows c_f(i) - 2 beta <= 0 keep c_b >= 0.
     """
     n = inst.n
-    x = np.asarray(inst.x)
+    x = inst.x_array
 
     backward = np.triu(np.broadcast_to(x, (n, n)), 1) + np.eye(n)
     A = np.zeros((3 * n, n + 1))
@@ -229,25 +238,32 @@ def gamma(z: float, rho: float) -> float:
         raise ValueError(f"rho={rho} must be nonnegative")
     if not rho / 2.0 - CURVE_TOL <= z <= rho + CURVE_TOL:
         raise ValueError(f"z={z} outside [{rho / 2.0}, {rho}]")
-    z = min(max(z, rho / 2.0), rho)
-    return rho * math.exp(z - rho) / (2.0 * (math.exp(-rho / 2.0) + rho))
+    return float(_gamma_curve(min(max(z, rho / 2.0), rho), rho))
+
+
+def _gamma_curve(z, rho: float):
+    """gamma at z in [rho/2, rho], unchecked; z may be an array."""
+    return rho * np.exp(z - rho) / (2.0 * (math.exp(-rho / 2.0) + rho))
 
 
 @dataclass(frozen=True)
 class DualCertificate:
     """Explicit dual solution (xi, y_f, y_b) of an N-element selection LP,
-    scaled by N: xi sums to N and the objective is (sum y_f + sum y_b)/N."""
+    scaled by N: xi sums to N and the objective is (sum y_f + sum y_b)/N.
+    `array` is the read-only (3, N) array of the rows xi, y_f and y_b."""
 
     xi: tuple[float, ...]
     y_f: tuple[float, ...]
     y_b: tuple[float, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", tuple(map(float, self.xi)))
-        object.__setattr__(self, "y_f", tuple(map(float, self.y_f)))
-        object.__setattr__(self, "y_b", tuple(map(float, self.y_b)))
-        if not len(self.xi) == len(self.y_f) == len(self.y_b) or not self.xi:
+        if not len(self.xi) == len(self.y_f) == len(self.y_b) or not len(self.xi):
             raise InvalidInstanceError("certificate vectors must share a positive length")
+        array = read_only_array(np.array([self.xi, self.y_f, self.y_b], dtype=float))
+        for name, row in zip(("xi", "y_f", "y_b"), array):
+            object.__setattr__(self, name, tuple(row.tolist()))
+        object.__setattr__(self, "array", array)
 
     @property
     def N(self) -> int:
@@ -272,15 +288,15 @@ def dual_certificate_uniform(N: int, rho: float) -> DualCertificate:
     mid = (N - 1) // 2
     a0 = alpha_0(rho)
 
-    xi = [rho * a0] * N
+    xi = np.full(N, rho * a0)
     xi[mid] = (1.0 - rho * a0 * (N - 1) / N) * N
 
-    y_f = [0.0] * N
+    y_f = np.zeros(N)
     y_f[mid] = xi[mid] / 2.0 + 0.5
-    for i in range(mid + 1, N):
-        y_f[i] = gamma(rho * (i + 1) / N, rho)
+    # gamma(rho (i + 1)/N) for every i after the middle.
+    y_f[mid + 1 :] = _gamma_curve(rho * np.arange(mid + 2, N + 1) / N, rho)
 
-    return DualCertificate(tuple(xi), tuple(y_f), tuple(y_f[::-1]))
+    return DualCertificate(xi, y_f, y_f[::-1])
 
 
 @dataclass(frozen=True)
@@ -311,9 +327,7 @@ def check_certificate(cert: DualCertificate, x) -> DualFeasibilityReport:
     x = np.asarray(x, dtype=float)
     if x.shape != (N,):
         raise InvalidInstanceError(f"certificate has {N} entries, instance {x.size}")
-    xi = np.asarray(cert.xi)
-    y_f = np.asarray(cert.y_f)
-    y_b = np.asarray(cert.y_b)
+    xi, y_f, y_b = cert.array
 
     # Forward: elements after i are the larger indices; backward: the smaller.
     after_f = np.concatenate([np.cumsum(y_f[::-1])[::-1][1:], [0.0]])
@@ -323,7 +337,7 @@ def check_certificate(cert: DualCertificate, x) -> DualFeasibilityReport:
     max_violation = float(max(0.0, viol_f.max(), viol_b.max()))
 
     xi_sum_slack = math.fsum(cert.xi) / N - 1.0
-    min_entry = float(min(xi.min(), y_f.min(), y_b.min()))
+    min_entry = float(cert.array.min())
     return DualFeasibilityReport(max_violation, xi_sum_slack, min_entry)
 
 
@@ -349,9 +363,11 @@ def _certified_split(inst: SingleUnitInstance) -> tuple[SelectionPlan, DualCerti
     optimum from above, so that split is optimal if its primal is feasible.
 
     Returns None unless the plan is feasible, the dual passes
-    check_certificate, and the duality gap is at most LP_TOL.
+    check_certificate, and the duality gap is at most LP_TOL.  The primal
+    is checked on arrays; the plan and its certificate are built only for a
+    split that passes.
     """
-    x = np.asarray(inst.x, dtype=float)
+    x = inst.x_array
     n = x.size
     q = 1.0 - x
     # Mass X and products P of q strictly before (lt) and after (gt) each k.
@@ -376,17 +392,17 @@ def _certified_split(inst: SingleUnitInstance) -> tuple[SelectionPlan, DualCerti
         b2 = 2.0 * beta[k]
         u = (1.0 + b2 * (a[k] - X_lt[k])) / (1.0 + a[k])
         v = b2 - u
-        c_f = np.empty(n)
-        c_b = np.empty(n)
+        rates = np.empty((2, n))
+        c_f, c_b = rates
         c_f[k], c_b[k] = u, v
         c_f[k + 1 :] = u * np.cumprod(q[k:-1])
         c_b[:k] = v * np.cumprod(q[k:0:-1])[::-1]
         c_f[:k] = b2 - c_b[:k]
         c_b[k + 1 :] = b2 - c_f[k + 1 :]
-        if not (_within_unit(c_f) and _within_unit(c_b)):
+        if not _within_unit(rates):
             continue
-        plan = SelectionPlan(np.clip(c_f, 0.0, 1.0).tolist(), np.clip(c_b, 0.0, 1.0).tolist())
-        if not plan.is_feasible(inst):
+        np.clip(rates, 0.0, 1.0, out=rates)
+        if _max_violation(rates, x) > LP_TOL:
             continue
 
         xi = np.empty(n)
@@ -398,8 +414,11 @@ def _certified_split(inst: SingleUnitInstance) -> tuple[SelectionPlan, DualCerti
         y_b[:k] = Y_f[k] * x[:k] * P_lt[:k]
         y_f[k + 1 :] = Y_b[k] * x[k + 1 :] * P_gt[k + 1 :]
         y_f[k], y_b[k] = spike_f[k], spike_b[k]
-        cert = DualCertificate((n * xi).tolist(), (n * y_f).tolist(), (n * y_b).tolist())
-        if check_certificate(cert, x).ok() and cert.objective - plan.objective <= LP_TOL:
+        cert = DualCertificate(n * xi, n * y_f, n * y_b)
+        if not check_certificate(cert, x).ok():
+            continue
+        plan = SelectionPlan(c_f, c_b)
+        if cert.objective - plan.objective <= LP_TOL:
             return plan, cert
     return None
 

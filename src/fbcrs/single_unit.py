@@ -5,6 +5,11 @@ The curve phi decreases from phi(0) to phi(rho) = 1 - alpha_0(rho)*rho over
 whose every pair mean equals alpha_0 exactly.  The executor accepts the first
 active element whose Bernoulli bit fires, with parameters chosen so the
 conditional acceptance probability reproduces the plan.
+
+The plan, the Bernoulli parameters and the exact rates are array code: a
+few numpy calls per order, no loop over the elements.  The window averages
+come from one formula, _phi_average, which keeps full relative precision on
+windows of any width, down to zero.
 """
 
 from __future__ import annotations
@@ -15,10 +20,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .instances import BACKWARD, FORWARD, Permutation, SingleUnitInstance
+from .instances import BACKWARD, FORWARD, SingleUnitInstance
 from .lp_si import SelectionPlan
 from .sim import run_trials, two_orders
 from .tolerances import CURVE_TOL, LP_TOL, MASS_TOL, WINDOW_TOL
+
+
+def _phi_average(a, w, rho: float):
+    """Average of phi over the windows [a, a + w], elementwise; phi(a) where
+    w = 0.  Needs 0 <= a, w >= 0 and a + w <= rho; a and w may be arrays.
+
+    With h = rho/2, d1 the part of the window below h and d2 = w - d1, the
+    integral is (2 d1 - e^{a-h} expm1(d1) - e^{h-max(a,h)} expm1(-d2)) /
+    (e^{-h} + rho), written below with no positive exponent so that no rho
+    overflows.  Each term is of the order of the width, so a narrow window
+    keeps full relative precision where a difference of antiderivatives
+    would cancel.
+    """
+    h = rho / 2.0
+    d1 = np.minimum(np.maximum(h - a, 0.0), w)
+    area = (
+        2.0 * d1
+        + np.exp(np.minimum(a, h) + d1 - h) * np.expm1(-d1)
+        - np.exp(h - np.maximum(a, h)) * np.expm1(d1 - w)
+    )
+    tail = np.exp(-np.abs(a - h))
+    point = np.where(a <= h, 2.0 - tail, tail)
+    return np.divide(area, w, out=point, where=w > 0.0) / (math.exp(-h) + rho)
 
 
 def phi(z: float, rho: float) -> float:
@@ -28,19 +56,7 @@ def phi(z: float, rho: float) -> float:
         raise ValueError(f"rho={rho} must be nonnegative")
     if not -CURVE_TOL <= z <= rho + CURVE_TOL:
         raise ValueError(f"z={z} outside [0, {rho}]")
-    z = min(max(z, 0.0), rho)
-    denom = math.exp(-rho / 2.0) + rho
-    if z <= rho / 2.0:
-        return (2.0 - math.exp(z - rho / 2.0)) / denom
-    return math.exp(rho / 2.0 - z) / denom
-
-
-def _phi_antiderivative(z: float, rho: float) -> float:
-    """Closed-form integral of phi from 0 to z (no quadrature)."""
-    denom = math.exp(-rho / 2.0) + rho
-    if z <= rho / 2.0:
-        return (2.0 * z - math.exp(z - rho / 2.0) + math.exp(-rho / 2.0)) / denom
-    return (rho + math.exp(-rho / 2.0) - math.exp(rho / 2.0 - z)) / denom
+    return float(_phi_average(min(max(z, 0.0), rho), 0.0, rho))
 
 
 @dataclass(frozen=True)
@@ -52,40 +68,71 @@ class PhiCurve:
     def value(self, z: float) -> float:
         return phi(z, self.rho)
 
-    def integral(self, a: float, b: float) -> float:
+    def _window(self, a: float, b: float) -> tuple[float, float]:
         if not -CURVE_TOL <= a <= b <= self.rho + WINDOW_TOL:
             raise ValueError(f"window [{a}, {b}] outside [0, {self.rho}]")
-        a = min(max(a, 0.0), self.rho)
-        b = min(max(b, 0.0), self.rho)
-        return _phi_antiderivative(b, self.rho) - _phi_antiderivative(a, self.rho)
+        return min(max(a, 0.0), self.rho), min(max(b, 0.0), self.rho)
+
+    def integral(self, a: float, b: float) -> float:
+        a, b = self._window(a, b)
+        return float(_phi_average(a, b - a, self.rho)) * (b - a)
 
     def average(self, a: float, b: float) -> float:
         if b <= a:
             raise ValueError("window must have positive width")
-        return self.integral(a, b) / (b - a)
+        a, b = self._window(a, b)
+        return float(_phi_average(a, b - a, self.rho))
 
 
 def closed_form_plan(inst: SingleUnitInstance) -> SelectionPlan:
     """Average phi over each element's mass window in both orders.
 
     Every pair mean equals alpha_0(rho) by the reflection identity
-    phi(z) + phi(rho - z) = 2*alpha_0(rho); zero-mass elements get the
-    limiting value phi at their window start so indices never have holes.
+    phi(z) + phi(rho - z) = 2*alpha_0(rho).  The windows of both orders are
+    one (2, n) array: starts are prefix sums clipped at rho, and widths
+    min(x_i, rho - start) come from x itself, not from a difference of
+    starts, so narrow windows stay exact.  A zero-width window (a zero-mass
+    element, or one that starts at rho) gets the limit phi at its start, so indices
+    never have holes.
     """
-    curve = PhiCurve(inst.rho)
-    rates: dict[str, list[float]] = {}
-    for tag in (FORWARD, BACKWARD):
-        out = [0.0] * inst.n
-        prefix = 0.0
-        for i in Permutation(tag, inst.n).order():
-            if inst.x[i] == 0.0:
-                out[i] = curve.value(prefix)
-            else:
-                upper = min(prefix + inst.x[i], inst.rho)
-                out[i] = curve.average(prefix, upper)
-                prefix = upper
-        rates[tag] = out
-    return SelectionPlan(tuple(rates[FORWARD]), tuple(rates[BACKWARD]))
+    x = inst.x_array
+    mass = np.array([x, x[::-1]])
+    starts = np.zeros_like(mass)
+    np.minimum(np.cumsum(mass[:, :-1], axis=1), inst.rho, out=starts[:, 1:])
+    rates = _phi_average(starts, np.minimum(mass, inst.rho - starts), inst.rho)
+    return SelectionPlan(rates[0], rates[1, ::-1])
+
+
+def _bernoulli(
+    inst: SingleUnitInstance, plan: SelectionPlan, tags: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, the parameters and the 0/0 flags of the orders in tags, each as a
+    (len(tags), n) array with one row per order in its arrival order.
+
+    Raises InfeasibleError for the first offending element of the first
+    order in tags that has one.
+    """
+    x = inst.x_array
+    mass = np.array([x if tag == FORWARD else x[::-1] for tag in tags])
+    rates = np.array([plan.array[0] if tag == FORWARD else plan.array[1, ::-1] for tag in tags])
+    # The mass claimed before each arrival, summed in arrival order.
+    remaining = np.ones_like(rates)
+    remaining[:, 1:] -= np.cumsum(mass[:, :-1] * rates[:, :-1], axis=1)
+    over = rates > remaining + LP_TOL
+    first = int(over.argmax())  # row-major: the first order, then arrival order
+    if over.flat[first]:
+        row, pos = divmod(first, inst.n)
+        tag = tags[row]
+        i = pos if tag == FORWARD else inst.n - 1 - pos
+        raise InfeasibleError(
+            f"plan infeasible: c_{tag}({i}) = {float(rates[row, pos])} "
+            f"exceeds remaining mass {float(remaining[row, pos])}"
+        )
+    flagged = remaining <= MASS_TOL
+    # Unflagged elements have remaining > MASS_TOL, which the floor leaves as is.
+    params = np.minimum(rates / np.maximum(remaining, MASS_TOL), 1.0)
+    params[flagged] = 0.0
+    return mass, params, flagged
 
 
 def bernoulli_params(
@@ -94,27 +141,13 @@ def bernoulli_params(
     """Acceptance-bit parameters c_sigma(i)/(1 - mass already claimed).
 
     A parameter is flagged when its denominator has been fully consumed
-    (0/0); the convention is parameter 0 there.  Raises InfeasibleError when
-    the plan asks for more than the remaining mass plus LP_TOL.
+    (0/0); the convention is parameter 0 there.  Raises InfeasibleError,
+    naming the first offending element in arrival order, when the plan asks
+    for more than the remaining mass plus LP_TOL.
     """
-    rates = plan.rates(tag)
-    params = [0.0] * inst.n
-    flagged = [False] * inst.n
-    consumed = 0.0
-    for i in Permutation(tag, inst.n).order():
-        remaining = 1.0 - consumed
-        c = rates[i]
-        if c > remaining + LP_TOL:
-            raise InfeasibleError(
-                f"plan infeasible: c_{tag}({i}) = {c} exceeds remaining mass {remaining}"
-            )
-        if remaining <= MASS_TOL:
-            params[i] = 0.0
-            flagged[i] = True
-        else:
-            params[i] = min(max(c / remaining, 0.0), 1.0)
-        consumed += inst.x[i] * c
-    return tuple(params), tuple(flagged)
+    _, params, flagged = _bernoulli(inst, plan, (tag,))
+    step = 1 if tag == FORWARD else -1
+    return tuple(params[0, ::step].tolist()), tuple(flagged[0, ::step].tolist())
 
 
 def exact_selection_rates(
@@ -123,20 +156,14 @@ def exact_selection_rates(
     """Conditional acceptance rates by direct recursion, no simulation.
 
     Pr[accept i | active, order] = param_i * (1 - Pr[someone earlier
-    accepted]), and the prior-acceptance probability accumulates as
-    rate_j * x_j over earlier elements.  Equals the plan exactly whenever the
-    plan is feasible.
+    accepted]), and nobody earlier accepted with probability
+    prod_j (1 - param_j x_j) over the earlier elements j.  Equals the plan
+    exactly whenever the plan is feasible.
     """
-    out = {}
-    for tag in (FORWARD, BACKWARD):
-        params, _ = bernoulli_params(inst, plan, tag)
-        rates = [0.0] * inst.n
-        prior = 0.0
-        for i in Permutation(tag, inst.n).order():
-            rates[i] = params[i] * (1.0 - prior)
-            prior += rates[i] * inst.x[i]
-        out[tag] = tuple(rates)
-    return out[FORWARD], out[BACKWARD]
+    mass, params, _ = _bernoulli(inst, plan, (FORWARD, BACKWARD))
+    rates = params.copy()
+    rates[:, 1:] *= np.cumprod(1.0 - params[:, :-1] * mass[:, :-1], axis=1)
+    return tuple(rates[0].tolist()), tuple(rates[1, ::-1].tolist())
 
 
 def mc_selection_rates(
@@ -152,13 +179,12 @@ def mc_selection_rates(
     (conditioned on the element being active and that order being drawn) and
     ("overall", i) pooling both orders.
     """
-    x = np.asarray(inst.x)
+    x = inst.x_array
     n = inst.n
     # One uniform per element: active when u < x_i; given that, u / x_i is a
     # fresh uniform, so the acceptance bit fires when u < x_i * param_i.
-    bits = {
-        tag: x * np.asarray(bernoulli_params(inst, plan, tag)[0]) for tag in (FORWARD, BACKWARD)
-    }
+    _, params, _ = _bernoulli(inst, plan, (FORWARD, BACKWARD))
+    bits = {FORWARD: x * params[0], BACKWARD: x * params[1, ::-1]}
 
     def experiment(rng, m: int):
         taken = np.zeros(m, dtype=bool)

@@ -29,14 +29,18 @@ MASS_TOL = 1e-12
 # ServiceTarget's range check and by solve_q_for_beta's top-of-range test.
 SUPPLY_TOL = 1e-10
 
-# Arguments of the selection curves.  Produced by prefix sums of masses in
-# the closed-form plans and the dual certificate; received by the domain
-# checks of phi (single_unit), phi_knapsack (knapsack) and gamma (lp_si),
-# and by the lower end of PhiCurve windows.
+# Arguments of the selection curves.  Produced by callers of phi, PhiCurve
+# and gamma and by the prefix sums of closed_form_knapsack_plan; received by
+# the domain checks of phi (single_unit), phi_knapsack (knapsack) and gamma
+# (lp_si), and by the lower end of PhiCurve windows.  closed_form_plan and
+# dual_certificate_uniform evaluate their curves on arrays whose arguments
+# they build inside [0, rho] themselves, so they apply no check.
 CURVE_TOL = 1e-12
 
 # Upper end of a PhiCurve window past rho.  Produced by prefix sums of
-# masses in callers of PhiCurve.integral; received by its range check.
+# masses in callers of PhiCurve.integral and PhiCurve.average; received by
+# their range check.  closed_form_plan averages phi by the same window
+# formula (single_unit._phi_average) on windows it clips at rho, unchecked.
 WINDOW_TOL = 1e-9
 
 # --- plans ----------------------------------------------------------------------

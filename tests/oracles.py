@@ -7,8 +7,10 @@ patterns instead of the linear recursion, exhaustive outcome-path replay
 instead of distribution propagation, the fill step as first written (one
 accept vector per size atom) instead of the one-buffer fold, and knapsack
 admission row by row, or vectorised on intp indices with bincount counts,
-instead of the int8 kernel.  The enumerations are exponential in n; keep n
-small there.
+instead of the int8 kernel, and the single-unit chain as first written (one
+element at a time: phi windows through the antiderivative, the claimed mass
+and the acceptance probability summed up sequentially) instead of the array
+code.  The enumerations are exponential in n; keep n small there.
 """
 
 import math
@@ -86,6 +88,84 @@ def enumerated_selection_rates(x, params, order):
                 weight *= x[j] * (1.0 - params[j]) if bit else 1.0 - x[j]
             survive += weight
         rates[i] = params[i] * survive
+    return tuple(rates)
+
+
+def phi_antiderivative(z, rho, exp=math.exp):
+    """Closed-form integral of phi from 0 to z (no quadrature), in floats or,
+    with exp=Decimal.exp, in Decimals."""
+    half = rho / 2
+    denom = exp(-half) + rho
+    if z <= half:
+        return (2 * z - exp(z - half) + exp(-half)) / denom
+    return (rho + exp(-half) - exp(half - z)) / denom
+
+
+def _phi_point(z, rho, exp):
+    half = rho / 2
+    denom = exp(-half) + rho
+    if z <= half:
+        return (2 - exp(z - half)) / denom
+    return exp(half - z) / denom
+
+
+def _arrival(tag: str, n: int):
+    return range(n) if tag == "forward" else range(n - 1, -1, -1)
+
+
+def closed_form_plan_loop(x, number=float):
+    """(c_f, c_b) of the closed-form plan, one element at a time: phi
+    averaged over each mass window as a difference of antiderivatives, phi
+    at the window start for zero-mass elements.  In floats (number=float)
+    this loses precision on windows much narrower than their start (the
+    difference cancels) and cannot average a positive-mass window that
+    starts at rho; with number=Decimal under a high-precision context it is
+    a reference for the rates themselves."""
+    exp = math.exp if number is float else number.exp
+    rho = number(math.fsum(x))
+    x = [number(v) for v in x]
+    rates = []
+    for tag in ("forward", "backward"):
+        out = [0.0] * len(x)
+        prefix = number(0)
+        for i in _arrival(tag, len(x)):
+            if x[i] == 0:
+                out[i] = float(_phi_point(prefix, rho, exp))
+            else:
+                upper = min(prefix + x[i], rho)
+                area = phi_antiderivative(upper, rho, exp) - phi_antiderivative(prefix, rho, exp)
+                out[i] = float(area / (upper - prefix))
+                prefix = upper
+        rates.append(tuple(out))
+    return tuple(rates)
+
+
+def bernoulli_params_loop(x, rates, tag, lp_tol, mass_tol):
+    """Acceptance-bit parameters and 0/0 flags, one element at a time;
+    None when some rate exceeds the remaining mass by more than lp_tol."""
+    params = [0.0] * len(x)
+    flagged = [False] * len(x)
+    consumed = 0.0
+    for i in _arrival(tag, len(x)):
+        remaining = 1.0 - consumed
+        if rates[i] > remaining + lp_tol:
+            return None
+        if remaining <= mass_tol:
+            flagged[i] = True
+        else:
+            params[i] = min(max(rates[i] / remaining, 0.0), 1.0)
+        consumed += x[i] * rates[i]
+    return tuple(params), tuple(flagged)
+
+
+def selection_rates_loop(x, params, tag):
+    """Conditional acceptance rates by the sequential recursion: each rate is
+    param * (1 - prior), and prior grows by rate * x."""
+    rates = [0.0] * len(x)
+    prior = 0.0
+    for i in _arrival(tag, len(x)):
+        rates[i] = params[i] * (1.0 - prior)
+        prior += rates[i] * x[i]
     return tuple(rates)
 
 

@@ -172,6 +172,19 @@ def test_simulate_single_unit_lp_plan(single_unit_path, capsys):
     assert float(rows[1][1]) == pytest.approx(truth.c_f[0], abs=1e-12)
 
 
+def test_simulate_single_unit_closed_plan_narrow_window(tmp_path, capsys):
+    # The middle element's window is far narrower than one ulp of its start.
+    path = _write(tmp_path, "narrow.json", SingleUnitInstance((0.5, 1e-20, 0.2)))
+    code = cli.main(
+        ["simulate-single-unit", "--instance", path, "--plan", "closed", "--trials", "2000"]
+    )
+    assert code == 0
+    rows = _rows(capsys.readouterr().out)
+    for row in rows[1:]:
+        pair = (float(row[1]) + float(row[2])) / 2.0
+        assert pair == pytest.approx(alpha_0(0.7), abs=1e-12)
+
+
 # --- simulate-knapsack ---------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """The phi curve, closed-form plans, and the single-unit executor."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,15 +11,21 @@ from fbcrs.instances import BACKWARD, FORWARD, Permutation, SingleUnitInstance
 from fbcrs.lp_si import SelectionPlan, alpha_0, solve_lp_si
 from fbcrs.single_unit import (
     PhiCurve,
-    _phi_antiderivative,
     bernoulli_params,
     closed_form_plan,
     exact_selection_rates,
     mc_selection_rates,
     phi,
 )
+from fbcrs.tolerances import LP_TOL, MASS_TOL
 
-from oracles import enumerated_selection_rates
+from oracles import (
+    bernoulli_params_loop,
+    closed_form_plan_loop,
+    enumerated_selection_rates,
+    phi_antiderivative,
+    selection_rates_loop,
+)
 
 # Frozen from a high-precision evaluation of the phi closed form.
 PHI_FROZEN = {
@@ -60,7 +67,7 @@ def test_phi_consumption_identity(rho):
     # phi(z) + int_0^z phi: strictly below 1 before rho/2, exactly 1 after;
     # this is the tightness pattern behind plan feasibility
     for z in np.linspace(0.0, rho, 41):
-        total = phi(float(z), rho) + _phi_antiderivative(float(z), rho)
+        total = phi(float(z), rho) + phi_antiderivative(float(z), rho)
         assert total <= 1.0 + 1e-12
         if z >= rho / 2.0:
             assert total == pytest.approx(1.0, abs=1e-12)
@@ -69,7 +76,7 @@ def test_phi_consumption_identity(rho):
 def test_phi_curve_window_average():
     curve = PhiCurve(1.0)
     assert curve.integral(0.0, 1.0) == pytest.approx(
-        _phi_antiderivative(1.0, 1.0), abs=1e-15
+        phi_antiderivative(1.0, 1.0), abs=1e-15
     )
     mid = curve.average(0.4, 0.6)
     assert phi(0.6, 1.0) < mid < phi(0.4, 1.0)  # phi is strictly decreasing
@@ -77,6 +84,14 @@ def test_phi_curve_window_average():
         curve.average(0.5, 0.5)
     with pytest.raises(ValueError):
         curve.integral(0.5, 1.5)
+
+
+def test_phi_curve_narrow_window_average():
+    # A window one ulp wide: a difference of antiderivatives returns 1.0
+    # here; the average must be phi at the window.
+    curve = PhiCurve(0.7)
+    assert curve.average(0.5, 0.5 + 1e-16) == pytest.approx(phi(0.5, 0.7), abs=1e-15)
+    assert phi(0.5, 0.7) == pytest.approx(0.6127, abs=1e-4)
 
 
 def _grid_instances(rho, n, rng):
@@ -111,6 +126,81 @@ def test_closed_form_zero_mass_elements():
     assert plan.objective == pytest.approx(alpha_0(1.0), abs=1e-12)
     # the zero-mass element sits at prefix 0.5 = rho/2 in both orders
     assert plan.c_f[1] == pytest.approx(alpha_0(1.0), abs=1e-12)
+
+
+NARROW_WINDOW_INSTANCES = [
+    (0.5, 1e-20, 0.2),
+    (0.5, 1e-16, 0.2),
+    (0.5, 3e-16, 0.2),
+    (0.1, 0.2, 0.3, 1e-17),  # the last window starts at rho
+    (1e-300,) * 5,
+]
+
+
+@pytest.mark.parametrize("x", NARROW_WINDOW_INSTANCES)
+def test_closed_form_narrow_windows(x):
+    inst = SingleUnitInstance(x)
+    plan = closed_form_plan(inst)
+    assert plan.is_feasible(inst)
+    for pm in plan.pair_means:
+        assert abs(pm - alpha_0(inst.rho)) <= 1e-12
+
+
+def _oracle_instances():
+    """Random x with n 1-225: general, with zero-mass elements, and uniform."""
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 3, 8, 31, 64, 112, 225):
+        rho = float(rng.choice([0.5, 1.0, 2.0]))
+        yield (rho / n,) * n
+        if n > 1:
+            raw = rng.random(n) + 0.01
+            raw[rng.random(n) < 0.2] = 0.0
+            if raw.sum() == 0.0:
+                raw[0] = 1.0
+            x = raw / raw.sum() * rho
+            yield tuple((x / max(1.0, x.max())).tolist())
+
+
+@pytest.mark.parametrize("x", list(_oracle_instances()), ids=lambda x: f"n{len(x)}-{x[0]:.3g}")
+def test_array_code_matches_the_loops(x):
+    inst = SingleUnitInstance(x)
+    closed = closed_form_plan(inst)
+    rates = np.array([closed.c_f, closed.c_b])
+    # The float loop is off by up to about 1e-12 on narrow windows; the same
+    # loop in 40-digit decimals is the reference for the rates themselves.
+    assert np.abs(rates - closed_form_plan_loop(x)).max() <= 1e-12
+    with localcontext() as ctx:
+        ctx.prec = 40
+        assert np.abs(rates - closed_form_plan_loop(x, Decimal)).max() <= 1e-14
+    for plan in (closed, solve_lp_si(inst)):
+        rates = exact_selection_rates(inst, plan)
+        for tag, got in zip((FORWARD, BACKWARD), rates):
+            params, flagged = bernoulli_params(inst, plan, tag)
+            assert (params, flagged) == bernoulli_params_loop(x, plan.rates(tag), tag, LP_TOL, MASS_TOL)
+            assert np.abs(np.array(got) - selection_rates_loop(x, params, tag)).max() <= 1e-14
+
+
+def test_bernoulli_params_names_the_first_offending_element():
+    inst = SingleUnitInstance((0.5, 0.5, 0.5))
+    # forward: element 1 asks 0.9 of the 0.5 left; element 2 is over as well
+    plan = SelectionPlan((1.0, 0.9, 0.9), (0.2, 0.2, 0.2))
+    with pytest.raises(InfeasibleError, match=r"c_forward\(1\) = 0\.9 exceeds remaining mass 0\.5$"):
+        bernoulli_params(inst, plan, FORWARD)
+    bernoulli_params(inst, plan, BACKWARD)  # the other order is feasible
+    # backward arrives 2, 1, 0: element 1 comes first after the full claim
+    plan = SelectionPlan((0.2, 0.2, 0.2), (0.9, 0.8, 1.0))
+    with pytest.raises(InfeasibleError, match=r"c_backward\(1\) = 0\.8 exceeds remaining mass 0\.5$"):
+        bernoulli_params(inst, plan, BACKWARD)
+    with pytest.raises(InfeasibleError, match=r"c_backward\(1\)"):
+        exact_selection_rates(inst, plan)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5, float("inf")])
+def test_plan_rejects_rates_outside_the_unit_interval(bad):
+    with pytest.raises(InvalidInstanceError, match="outside"):
+        SelectionPlan((0.5, bad), (0.5, 0.5))
+    with pytest.raises(InvalidInstanceError, match="outside"):
+        SelectionPlan((0.5, 0.5), (bad, 0.5))
 
 
 def test_bernoulli_params_flagged_zero_denominator():
