@@ -2,8 +2,9 @@
 
 All instances are immutable after construction and safe to share across
 worker threads.  Constructors validate and reject; nothing is renormalized
-silently.  Probability sums are checked to an absolute MASS_TOL (see
-tolerances.py).  Malformed JSON input raises InvalidInstanceError.
+silently, and every check is written so that NaN fails it.  Probability
+sums are checked to an absolute MASS_TOL (see tolerances.py).  Malformed
+JSON input raises InvalidInstanceError.
 
 Element arrays are 0-based positional throughout the library; the one
 exception is `split_element`, whose index argument is 1-based (documented
@@ -67,6 +68,26 @@ class Permutation:
         return tuple(range(self.n - 1, -1, -1))
 
 
+def arrival(rows) -> np.ndarray:
+    """A (2, n) pair of per-element rows, forward then backward, in arrival
+    order: row 1 reversed.  Its own inverse, so it also takes arrival-order
+    rows back to element order."""
+    return np.array((rows[0], rows[1][::-1]))
+
+
+def before(rows, op=np.add) -> np.ndarray:
+    """Exclusive prefix sums (op=np.add) or products (np.multiply) of a
+    (2, n) pair of per-element rows, each over the elements arriving earlier
+    in its order, in element order.  They accumulate in arrival order, one
+    element at a time as a loop would, from op's identity at the first
+    arrival; adding an element's own entry gives the loop's value after it."""
+    ordered = arrival(rows)
+    out = np.empty_like(ordered)
+    out[:, 0] = op.identity
+    op.accumulate(ordered[:, :-1], axis=1, out=out[:, 1:])
+    return arrival(out)
+
+
 @dataclass(frozen=True)
 class SingleUnitInstance:
     """n elements, each active independently with probability x_i."""
@@ -114,15 +135,15 @@ class SizeLaw:
         for s, p in atoms:
             if not 0.0 <= s <= 1.0:
                 raise InvalidInstanceError(f"size {s} outside [0, 1]")
-            if p <= 0.0:
+            if not p > 0.0:
                 raise InvalidInstanceError("atom probabilities must be positive")
         sizes = [s for s, _ in atoms]
         if len(set(sizes)) != len(sizes):
             raise InvalidInstanceError("duplicate size atoms")
-        if self.inactive_mass < 0.0:
+        if not self.inactive_mass >= 0.0:
             raise InvalidInstanceError("inactive mass must be nonnegative")
         total = math.fsum([p for _, p in atoms] + [self.inactive_mass])
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise InvalidInstanceError(f"size law mass {total} != 1")
 
     @cached_property
@@ -174,15 +195,15 @@ class DemandLaw:
         atoms = tuple(sorted((float(d), float(p)) for d, p in self.atoms))
         object.__setattr__(self, "atoms", atoms)
         for d, p in atoms:
-            if d < 0.0:
-                raise InvalidInstanceError(f"negative demand {d}")
-            if p <= 0.0:
+            if not 0.0 <= d < math.inf:
+                raise InvalidInstanceError(f"demand {d} is not finite and nonnegative")
+            if not p > 0.0:
                 raise InvalidInstanceError("atom probabilities must be positive")
         demands = [d for d, _ in atoms]
         if len(set(demands)) != len(demands):
             raise InvalidInstanceError("duplicate demand atoms")
         total = math.fsum(p for _, p in atoms)
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise InvalidInstanceError(f"demand law mass {total} != 1")
         if self.mean <= 0.0:
             raise InvalidInstanceError("demand law must have positive mean")

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
-from .instances import BACKWARD, FORWARD, KnapsackInstance, Permutation, SizeLaw
+from .instances import BACKWARD, FORWARD, KnapsackInstance, Permutation, SizeLaw, arrival, before
 from .lp_si import SelectionPlan
 from .sim import run_trials, slice_index, two_orders
 from .tolerances import (
@@ -36,12 +36,13 @@ from .tolerances import (
 )
 
 
-def phi_knapsack(z: float) -> float:
-    """The knapsack selection curve 4/9 - 2z/9 on [0, 1]."""
-    if not -CURVE_TOL <= z <= 1.0 + CURVE_TOL:
-        raise ValueError(f"z={z} outside [0, 1]")
-    z = min(max(z, 0.0), 1.0)
-    return 4.0 / 9.0 - 2.0 * z / 9.0
+def phi_knapsack(z):
+    """The knapsack selection curve 4/9 - 2z/9 on [0, 1]; z may be an array."""
+    z = np.asarray(z, dtype=float)
+    outside = ~((z >= -CURVE_TOL) & (z <= 1.0 + CURVE_TOL))  # NaN is outside
+    if outside.any():
+        raise ValueError(f"z={z[outside][0]} outside [0, 1]")
+    return 4.0 / 9.0 - 2.0 * np.clip(z, 0.0, 1.0) / 9.0
 
 
 def closed_form_knapsack_plan(inst: KnapsackInstance) -> SelectionPlan:
@@ -52,15 +53,9 @@ def closed_form_knapsack_plan(inst: KnapsackInstance) -> SelectionPlan:
     sum to 1; smaller totals only loosen the constraints (the plan maps onto
     [0, total mu] without rescaling, deliberately conservative).
     """
-    rates: dict[str, list[float]] = {}
-    for tag in (FORWARD, BACKWARD):
-        out = [0.0] * inst.n
-        prefix = 0.0
-        for i in Permutation(tag, inst.n).order():
-            out[i] = phi_knapsack(min(prefix + inst.mu[i] / 2.0, 1.0))
-            prefix += inst.mu[i]
-        rates[tag] = out
-    return SelectionPlan(tuple(rates[FORWARD]), tuple(rates[BACKWARD]))
+    mu = np.array(inst.mu)
+    rates = phi_knapsack(np.minimum(before(np.array((mu, mu))) + mu / 2.0, 1.0))
+    return SelectionPlan(rates[0], rates[1])
 
 
 @dataclass(frozen=True)
@@ -89,35 +84,22 @@ class KnapsackFeasibilityReport:
 
 
 def check_knapsack_feasible(plan: SelectionPlan, inst: KnapsackInstance) -> KnapsackFeasibilityReport:
-    """Evaluate both constraint families of the feasible-plan definition."""
+    """Evaluate both constraint families of the feasible-plan definition,
+    both orders at once."""
     if plan.n != inst.n:
         raise InvalidInstanceError("plan and instance sizes differ")
-    worst = 0.0
-    monotone = []
-    zero_first = False
-    for tag in (FORWARD, BACKWARD):
-        rates = plan.rates(tag)
-        order = Permutation(tag, inst.n).order()
-        c_first = rates[order[0]]
-        if c_first == 0.0:
-            zero_first = True
-        prev = math.inf
-        consumed = 0.0  # sum of c_sigma(j) * mu_j over arrived elements
-        for i in order:
-            c = rates[i]
-            if c > prev + MONOTONE_TOL:
-                monotone.append((tag, i))
-            prev = c
-            worst = max(worst, c - (1.0 - c_first - consumed))
-            if c_first > 0.0:
-                survival = c_first * math.exp(-2.0 * consumed / c_first)
-            else:
-                # limit of c1*exp(-2u/c1) as c1 -> 0 is 0 for u > 0; at u = 0
-                # the term is c1 itself, still 0.
-                survival = 0.0
-            worst = max(worst, c - (1.0 - 2.0 * consumed - survival))
-            consumed += c * inst.mu[i]
-    return KnapsackFeasibilityReport(worst, tuple(monotone), zero_first)
+    rates = plan.array
+    arrived = arrival(rates)
+    first = arrived[:, :1]  # c_first of each order
+    consumed = before(rates * np.array(inst.mu))  # c_sigma(j) * mu_j over earlier arrivals
+    # c1*exp(-2u/c1) is 0 in the limit c1 -> 0, so a zero c1 divides by 1 instead.
+    survival = first * np.exp(-2.0 * consumed / np.where(first > 0.0, first, 1.0))
+    excess = np.concatenate((rates - (1.0 - first - consumed), rates - (1.0 - 2.0 * consumed - survival)))
+    worst = max(0.0, float(excess.max()))
+    rows, pos = np.nonzero(arrived[:, 1:] > arrived[:, :-1] + MONOTONE_TOL)
+    index = arrival(np.array((range(inst.n), range(inst.n))))[rows, pos + 1]  # element arriving there
+    monotone = tuple(zip(((FORWARD, BACKWARD)[r] for r in rows.tolist()), index.tolist()))
+    return KnapsackFeasibilityReport(worst, monotone, bool((first == 0.0).any()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,20 +441,15 @@ def monitor_trace(
     RATE_TOL at every step.
     """
     reports = []
-    worst_exp = 0.0
-    for tag in (FORWARD, BACKWARD):
-        order = Permutation(tag, inst.n).order()
-        planned = plan.rates(tag)
-        c_first = planned[order[0]]
-        trace = result.traces(tag)
-        expected = 0.0
-        for step, dist in enumerate(trace):
-            current = planned[order[step]] if step < inst.n else None
-            reports.append((tag, step, monitor_invariants(dist, c_first, b_grid, current)))
-            worst_exp = max(worst_exp, abs(dist.expectation - expected))
-            if step < inst.n:
-                expected += planned[order[step]] * inst.mu[order[step]]
-    return MonitorTraceReport(tuple(reports), worst_exp)
+    for tag, planned in zip((FORWARD, BACKWARD), arrival(plan.array).tolist()):
+        for step, dist in enumerate(result.traces(tag)):
+            current = planned[step] if step < inst.n else None
+            reports.append((tag, step, monitor_invariants(dist, planned[0], b_grid, current)))
+    claimed = plan.array * np.array(inst.mu)
+    expected = np.zeros((2, inst.n + 1))  # E[T] before each arrival, and at the end
+    expected[:, 1:] = arrival(before(claimed) + claimed)
+    actual = np.array([[dist.expectation for dist in result.traces(tag)] for tag in (FORWARD, BACKWARD)])
+    return MonitorTraceReport(tuple(reports), float(np.abs(actual - expected).max()))
 
 
 class Admission(NamedTuple):

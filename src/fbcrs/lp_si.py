@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInstanceError, SolverError
-from .instances import FORWARD, SingleUnitInstance, read_only_array
+from .instances import FORWARD, SingleUnitInstance, before, read_only_array
 from .tolerances import CURVE_TOL, LP_TOL
 
 # Consecutive degenerate pivots tolerated under Dantzig's rule before
@@ -112,12 +112,8 @@ class SelectionPlan:
 
 def _max_violation(rates: np.ndarray, x: np.ndarray) -> float:
     """Largest excess of a rate over the mass its order leaves, both orders
-    at once (0 when there is none); rates has the rows c_f and c_b.  The
-    cumulative sums add in arrival order, as a loop over the elements would."""
-    arrival = np.array([rates[0], rates[1, ::-1]])
-    consumed = np.zeros_like(arrival)
-    consumed[:, 1:] = np.cumsum((np.array([x, x[::-1]]) * arrival)[:, :-1], axis=1)
-    return max(0.0, float((arrival - (1.0 - consumed)).max()))
+    at once (0 when there is none); rates has the rows c_f and c_b."""
+    return max(0.0, float((rates - (1.0 - before(x * rates))).max()))
 
 
 def _simplex(obj, A, b, *, max_iter: int | None = None):
@@ -329,9 +325,8 @@ def check_certificate(cert: DualCertificate, x) -> DualFeasibilityReport:
         raise InvalidInstanceError(f"certificate has {N} entries, instance {x.size}")
     xi, y_f, y_b = cert.array
 
-    # Forward: elements after i are the larger indices; backward: the smaller.
-    after_f = np.concatenate([np.cumsum(y_f[::-1])[::-1][1:], [0.0]])
-    after_b = np.concatenate([[0.0], np.cumsum(y_b)[:-1]])
+    # What follows i in one order arrives before it in the other.
+    after_b, after_f = before(np.array((y_b, y_f)))
     viol_f = xi / 2.0 - y_f - x * after_f
     viol_b = xi / 2.0 - y_b - x * after_b
     max_violation = float(max(0.0, viol_f.max(), viol_b.max()))
@@ -370,11 +365,10 @@ def _certified_split(inst: SingleUnitInstance) -> tuple[SelectionPlan, DualCerti
     x = inst.x_array
     n = x.size
     q = 1.0 - x
-    # Mass X and products P of q strictly before (lt) and after (gt) each k.
-    X_lt = np.concatenate([[0.0], np.cumsum(x[:-1])])
-    X_gt = np.concatenate([np.cumsum(x[:0:-1])[::-1], [0.0]])
-    P_lt = np.concatenate([[1.0], np.cumprod(q[:-1])])
-    P_gt = np.concatenate([np.cumprod(q[:0:-1])[::-1], [1.0]])
+    # Mass X and products P of q strictly before (lt) and after (gt) each k:
+    # what arrives before k in the forward and in the backward order.
+    X_lt, X_gt = before(np.array((x, x)))
+    P_lt, P_gt = before(np.array((q, q)), np.multiply)
     a = q * (1.0 - P_lt)
     c = q * (1.0 - P_gt)
     beta = (2.0 + a + c) / (2.0 * (1.0 + X_lt + X_gt + c * X_lt + a * X_gt - a * c))

@@ -35,6 +35,7 @@ from .instances import (
     ServiceType,
     SingleUnitInstance,
     SizeLaw,
+    before,
 )
 from .knapsack import (
     Admission,
@@ -349,12 +350,14 @@ def _exact_order(
     target: ServiceTarget,
     slices: tuple[_Slices, ...],
     rates: tuple[float, ...],
+    consumed: list[float],
     tag: str,
 ) -> _OrderTables:
     """Propagate the remaining-supply law through one arrival order.
 
     Checks three invariants at every arrival: the worst-case supply floor
-    (1 - consumed) * x_i stays reachable, the calibrated allocation hits
+    (1 - consumed) * x_i stays reachable, where consumed[i] sums rate * x
+    over the agents arriving before i, the calibrated allocation hits
     rate * x_i, and the conditional service clears rate * beta_i.
     """
     n = inst.n
@@ -362,7 +365,6 @@ def _exact_order(
     alloc = [0.0] * n
     service = [0.0] * n
     rem = FiniteLaw([1.0], [1.0])
-    consumed = 0.0
     slack = math.inf
     resamples = 0
     for i in Permutation(tag, n).order():
@@ -370,7 +372,7 @@ def _exact_order(
         q, x, b = target.q[i], target.x[i], target.beta[i]
         d, caps, weight = _caps(sl, rem)
         reachable = float(np.sum(weight * caps))
-        floor = (1.0 - consumed) * x
+        floor = (1.0 - consumed[i]) * x
         slack = min(slack, reachable - floor)
         if reachable < floor - CALIBRATION_TOL:
             raise InvariantViolationError(
@@ -402,7 +404,6 @@ def _exact_order(
         if rem.support_size > REM_ATOM_CAP:
             rem = _merge_rem(rem)
             resamples += 1
-        consumed += rates[i] * x
     return _OrderTables(tuple(taus), tuple(alloc), tuple(service), slack, resamples)
 
 
@@ -649,7 +650,8 @@ def _single_unit_route(
         raise InvalidInstanceError("the single-unit route needs one plan entry per agent")
     if not plan.is_feasible(su):
         raise InfeasibleError("the selection plan is infeasible for these supply shares")
-    tables = {tag: _exact_order(inst, target, slices, plan.rates(tag), tag) for tag in (FORWARD, BACKWARD)}
+    consumed = dict(zip((FORWARD, BACKWARD), before(plan.array * np.array(target.x)).tolist()))
+    tables = {tag: _exact_order(inst, target, slices, plan.rates(tag), consumed[tag], tag) for tag in consumed}
     taus = {tag: tables[tag].taus for tag in tables}
     return _Route(
         ROUTE_SINGLE_UNIT,

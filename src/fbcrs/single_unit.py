@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .instances import BACKWARD, FORWARD, SingleUnitInstance
+from .instances import BACKWARD, FORWARD, SingleUnitInstance, before
 from .lp_si import SelectionPlan
 from .sim import run_trials, two_orders
 from .tolerances import CURVE_TOL, LP_TOL, MASS_TOL, WINDOW_TOL
@@ -96,43 +96,36 @@ def closed_form_plan(inst: SingleUnitInstance) -> SelectionPlan:
     never have holes.
     """
     x = inst.x_array
-    mass = np.array([x, x[::-1]])
-    starts = np.zeros_like(mass)
-    np.minimum(np.cumsum(mass[:, :-1], axis=1), inst.rho, out=starts[:, 1:])
-    rates = _phi_average(starts, np.minimum(mass, inst.rho - starts), inst.rho)
-    return SelectionPlan(rates[0], rates[1, ::-1])
+    starts = np.minimum(before(np.array((x, x))), inst.rho)
+    rates = _phi_average(starts, np.minimum(x, inst.rho - starts), inst.rho)
+    return SelectionPlan(rates[0], rates[1])
 
 
 def _bernoulli(
-    inst: SingleUnitInstance, plan: SelectionPlan, tags: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x, the parameters and the 0/0 flags of the orders in tags, each as a
-    (len(tags), n) array with one row per order in its arrival order.
+    inst: SingleUnitInstance, plan: SelectionPlan, tags: tuple[str, ...] = (FORWARD, BACKWARD)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The parameters and 0/0 flags of both orders, each a (2, n) array with
+    the rows forward and backward, in element order.
 
-    Raises InfeasibleError for the first offending element of the first
-    order in tags that has one.
+    Raises InfeasibleError for the first offending element, in arrival
+    order, of the first order in tags that has one.
     """
-    x = inst.x_array
-    mass = np.array([x if tag == FORWARD else x[::-1] for tag in tags])
-    rates = np.array([plan.array[0] if tag == FORWARD else plan.array[1, ::-1] for tag in tags])
-    # The mass claimed before each arrival, summed in arrival order.
-    remaining = np.ones_like(rates)
-    remaining[:, 1:] -= np.cumsum(mass[:, :-1] * rates[:, :-1], axis=1)
-    over = rates > remaining + LP_TOL
-    first = int(over.argmax())  # row-major: the first order, then arrival order
-    if over.flat[first]:
-        row, pos = divmod(first, inst.n)
-        tag = tags[row]
-        i = pos if tag == FORWARD else inst.n - 1 - pos
-        raise InfeasibleError(
-            f"plan infeasible: c_{tag}({i}) = {float(rates[row, pos])} "
-            f"exceeds remaining mass {float(remaining[row, pos])}"
-        )
+    remaining = 1.0 - before(inst.x_array * plan.array)  # mass left at each arrival
+    over = plan.array > remaining + LP_TOL
+    for tag in tags:
+        row = 0 if tag == FORWARD else 1
+        hits = np.flatnonzero(over[row])
+        if hits.size:
+            i = int(hits[0] if tag == FORWARD else hits[-1])
+            raise InfeasibleError(
+                f"plan infeasible: c_{tag}({i}) = {float(plan.array[row, i])} "
+                f"exceeds remaining mass {float(remaining[row, i])}"
+            )
     flagged = remaining <= MASS_TOL
     # Unflagged elements have remaining > MASS_TOL, which the floor leaves as is.
-    params = np.minimum(rates / np.maximum(remaining, MASS_TOL), 1.0)
+    params = np.minimum(plan.array / np.maximum(remaining, MASS_TOL), 1.0)
     params[flagged] = 0.0
-    return mass, params, flagged
+    return params, flagged
 
 
 def bernoulli_params(
@@ -145,9 +138,9 @@ def bernoulli_params(
     naming the first offending element in arrival order, when the plan asks
     for more than the remaining mass plus LP_TOL.
     """
-    _, params, flagged = _bernoulli(inst, plan, (tag,))
-    step = 1 if tag == FORWARD else -1
-    return tuple(params[0, ::step].tolist()), tuple(flagged[0, ::step].tolist())
+    params, flagged = _bernoulli(inst, plan, (tag,))
+    row = 0 if tag == FORWARD else 1
+    return tuple(params[row].tolist()), tuple(flagged[row].tolist())
 
 
 def exact_selection_rates(
@@ -160,10 +153,9 @@ def exact_selection_rates(
     prod_j (1 - param_j x_j) over the earlier elements j.  Equals the plan
     exactly whenever the plan is feasible.
     """
-    mass, params, _ = _bernoulli(inst, plan, (FORWARD, BACKWARD))
-    rates = params.copy()
-    rates[:, 1:] *= np.cumprod(1.0 - params[:, :-1] * mass[:, :-1], axis=1)
-    return tuple(rates[0].tolist()), tuple(rates[1, ::-1].tolist())
+    params, _ = _bernoulli(inst, plan)
+    rates = params * before(1.0 - params * inst.x_array, np.multiply)
+    return tuple(rates[0].tolist()), tuple(rates[1].tolist())
 
 
 def mc_selection_rates(
@@ -183,8 +175,8 @@ def mc_selection_rates(
     n = inst.n
     # One uniform per element: active when u < x_i; given that, u / x_i is a
     # fresh uniform, so the acceptance bit fires when u < x_i * param_i.
-    _, params, _ = _bernoulli(inst, plan, (FORWARD, BACKWARD))
-    bits = {FORWARD: x * params[0], BACKWARD: x * params[1, ::-1]}
+    params, _ = _bernoulli(inst, plan)
+    bits = {FORWARD: x * params[0], BACKWARD: x * params[1]}
 
     def experiment(rng, m: int):
         taken = np.zeros(m, dtype=bool)

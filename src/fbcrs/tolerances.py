@@ -29,12 +29,12 @@ MASS_TOL = 1e-12
 # ServiceTarget's range check and by solve_q_for_beta's top-of-range test.
 SUPPLY_TOL = 1e-10
 
-# Arguments of the selection curves.  Produced by callers of phi, PhiCurve
-# and gamma and by the prefix sums of closed_form_knapsack_plan; received by
-# the domain checks of phi (single_unit), phi_knapsack (knapsack) and gamma
-# (lp_si), and by the lower end of PhiCurve windows.  closed_form_plan and
-# dual_certificate_uniform evaluate their curves on arrays whose arguments
-# they build inside [0, rho] themselves, so they apply no check.
+# Arguments of the selection curves.  Produced by callers of phi, PhiCurve,
+# phi_knapsack and gamma, closed_form_knapsack_plan's (2, n) array of window
+# midpoints among them; received by the domain checks of phi (single_unit),
+# phi_knapsack (knapsack) and gamma (lp_si), and by the lower end of
+# PhiCurve windows.  closed_form_plan and dual_certificate_uniform evaluate
+# their curves on arrays they build inside [0, rho], so they apply no check.
 CURVE_TOL = 1e-12
 
 # Upper end of a PhiCurve window past rho.  Produced by prefix sums of
@@ -45,8 +45,10 @@ WINDOW_TOL = 1e-9
 
 # --- plans ----------------------------------------------------------------------
 
-# Selection LP.  Produced by the simplex (lp_si); received by its pivot and
-# ratio tests, by the [0, 1] range check on its solution, by
+# Selection LP.  Produced by both solver paths (lp_si); received by the
+# simplex's pivot and ratio tests, by the split path's primal feasibility
+# check, its window of splits tied with the best beta and its duality gap,
+# by the [0, 1] range check on either path's rates, by
 # SelectionPlan.is_feasible, by DualFeasibilityReport.ok, by the CLI's
 # primal-dual comparisons and by bernoulli_params (a plan rate may exceed
 # the remaining mass by this much).

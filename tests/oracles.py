@@ -7,10 +7,11 @@ patterns instead of the linear recursion, exhaustive outcome-path replay
 instead of distribution propagation, the fill step as first written (one
 accept vector per size atom) instead of the one-buffer fold, and knapsack
 admission row by row, or vectorised on intp indices with bincount counts,
-instead of the int8 kernel, and the single-unit chain as first written (one
-element at a time: phi windows through the antiderivative, the claimed mass
-and the acceptance probability summed up sequentially) instead of the array
-code.  The enumerations are exponential in n; keep n small there.
+instead of the int8 kernel, and the single-unit chain and the knapsack
+plan, feasibility check and E[T] bookkeeping as first written (one element
+at a time: phi windows through the antiderivative, the claimed mass and the
+acceptance probability summed up sequentially) instead of the array code.
+The enumerations are exponential in n; keep n small there.
 """
 
 import math
@@ -167,6 +168,61 @@ def selection_rates_loop(x, params, tag):
         rates[i] = params[i] * (1.0 - prior)
         prior += rates[i] * x[i]
     return tuple(rates)
+
+
+def knapsack_plan_loop(mu):
+    """(c_f, c_b) of the closed-form knapsack plan, one element at a time:
+    the line 4/9 - 2z/9 at the middle of each mean-size window, z capped
+    at 1."""
+    rates = []
+    for tag in ("forward", "backward"):
+        out = [0.0] * len(mu)
+        prefix = 0.0
+        for i in _arrival(tag, len(mu)):
+            out[i] = 4.0 / 9.0 - 2.0 * min(prefix + mu[i] / 2.0, 1.0) / 9.0
+            prefix += mu[i]
+        rates.append(tuple(out))
+    return tuple(rates)
+
+
+def knapsack_feasibility_loop(rates_f, rates_b, mu, monotone_tol, exp=math.exp):
+    """(max_violation, monotone_violations, zero_first_flagged) of a
+    knapsack plan, one element at a time with the consumed mass summed up
+    sequentially.  exp evaluates the survival term c1*exp(-2u/c1); math.exp
+    and np.exp can differ in the last bit."""
+    worst = 0.0
+    monotone = []
+    zero_first = False
+    for tag, rates in (("forward", rates_f), ("backward", rates_b)):
+        order = list(_arrival(tag, len(mu)))
+        c_first = rates[order[0]]
+        zero_first = zero_first or c_first == 0.0
+        prev = math.inf
+        consumed = 0.0
+        for i in order:
+            c = rates[i]
+            if c > prev + monotone_tol:
+                monotone.append((tag, i))
+            prev = c
+            worst = max(worst, c - (1.0 - c_first - consumed))
+            survival = c_first * exp(-2.0 * consumed / c_first) if c_first > 0.0 else 0.0
+            worst = max(worst, c - (1.0 - 2.0 * consumed - survival))
+            consumed += c * mu[i]
+    return worst, tuple(monotone), zero_first
+
+
+def expectation_error_loop(rates_f, rates_b, mu, traces_f, traces_b):
+    """Largest |E[T] - claimed mean size| over the fill laws before each
+    arrival and at the end, the claimed mass summed up sequentially."""
+    worst = 0.0
+    for tag, rates, trace in (("forward", rates_f, traces_f), ("backward", rates_b, traces_b)):
+        expected = 0.0
+        order = list(_arrival(tag, len(mu)))
+        for step, dist in enumerate(trace):
+            worst = max(worst, abs(dist.expectation - expected))
+            if step < len(mu):
+                expected += rates[order[step]] * mu[order[step]]
+    return worst
 
 
 def replay_knapsack_paths(inst, branches, order):

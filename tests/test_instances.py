@@ -64,6 +64,10 @@ def test_single_unit_rho():
         (((0.5, 0.5), (0.5, 0.5)), 0.0),  # duplicate sizes
         (((0.5, 0.5),), 0.0),  # mass 0.5, no inactive
         (((0.5, 0.5),), -0.5),  # negative inactive mass
+        (((0.5, math.nan),), 0.0),  # NaN probability
+        (((0.5, 0.5),), math.nan),  # NaN inactive mass
+        (((0.5, math.inf),), 0.0),  # infinite probability
+        (((0.5, 0.5),), math.inf),  # infinite inactive mass
     ],
 )
 def test_size_law_rejects(atoms, inactive):
@@ -102,6 +106,10 @@ def test_knapsack_mu():
         ((1.0, 0.5), (1.0, 0.5)),  # duplicates
         ((1.0, 0.7),),  # mass != 1
         ((0.0, 1.0),),  # zero mean
+        ((math.nan, 1.0),),  # NaN demand
+        ((1.0, 0.5), (math.inf, 0.5)),  # infinite demand
+        ((1.0, math.nan),),  # NaN probability
+        ((1.0, 0.5), (2.0, math.inf)),  # infinite probability
     ],
 )
 def test_demand_law_rejects(atoms):

@@ -37,10 +37,14 @@ from fbcrs.knapsack import (
 from fbcrs.lp_si import SelectionPlan
 from fbcrs.rationing import REM_ATOM_CAP
 from fbcrs.sim import CHUNK, stream, wilson_interval
+from fbcrs.tolerances import MONOTONE_TOL
 
 from oracles import (
     admit_reference,
+    expectation_error_loop,
+    knapsack_feasibility_loop,
     knapsack_mc_reference,
+    knapsack_plan_loop,
     match_fill_atoms,
     propagate_fill_reference,
     replay_knapsack_paths,
@@ -90,6 +94,63 @@ def test_feasibility_checker_flags_zero_first():
     plan = SelectionPlan((0.0, 0.0), (0.0, 0.0))
     report = check_knapsack_feasible(plan, inst)
     assert report.zero_first_flagged
+
+
+@st.composite
+def knapsack_plan_cases(draw):
+    """(instance, plan) for the array code of the plan, its checks and the
+    monitor's bookkeeping.
+
+    Instances have 1-8 elements with 1-3 size atoms on a 1/1000 grid, with
+    or without inactive mass, and total mean size 1 or below it.  The plan
+    is the closed-form plan, that plan with a zero first rate or a monotone
+    break in the forward or the backward order, or uniform random rates.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 9))
+    total = draw(st.sampled_from((1.0, 0.6, 0.2)))
+    laws = []
+    for _ in range(n):
+        sizes = (rng.choice(1000, int(rng.integers(1, 4)), replace=False) + 1) / 1000.0
+        w = rng.uniform(0.2, 1.0, sizes.size)
+        w = w / w.sum()
+        active = min(1.0, total / (n * float(sizes @ w)))
+        probs = (active * w).tolist()
+        laws.append(SizeLaw(tuple(zip(sizes.tolist(), probs)), max(0.0, 1.0 - math.fsum(probs))))
+    inst = KnapsackInstance(tuple(laws))
+    rates = closed_form_knapsack_plan(inst).array.copy()
+    arrived = rates[0] if draw(st.booleans()) else rates[1, ::-1]  # a view in arrival order
+    variant = draw(st.sampled_from(("closed", "zero-first", "break", "random")))
+    if variant == "zero-first":
+        arrived[0] = 0.0
+    elif variant == "break" and n > 1:
+        pos = int(rng.integers(1, n))
+        arrived[pos] = min(1.0, arrived[pos - 1] + float(rng.uniform(0.0, 0.1)))
+    elif variant == "random":
+        rates = rng.uniform(0.0, 1.0, (2, n))
+    return inst, SelectionPlan(tuple(rates[0].tolist()), tuple(rates[1].tolist()))
+
+
+@settings(deadline=None, max_examples=120, derandomize=True)
+@given(case=knapsack_plan_cases())
+def test_array_checks_match_the_loops(case):
+    # The plan, the feasibility report and the E[T] bookkeeping sum and
+    # multiply in the loops' order, so they agree bit for bit.  The survival
+    # term goes through numpy's exp, which may differ from math.exp in the
+    # last bit.
+    inst, plan = case
+    assert closed_form_knapsack_plan(inst) == SelectionPlan(*knapsack_plan_loop(inst.mu))
+    report = check_knapsack_feasible(plan, inst)
+    got = (report.max_violation, report.monotone_violations, report.zero_first_flagged)
+    assert got == knapsack_feasibility_loop(plan.c_f, plan.c_b, inst.mu, MONOTONE_TOL, exp=np.exp)
+    want = knapsack_feasibility_loop(plan.c_f, plan.c_b, inst.mu, MONOTONE_TOL)
+    assert report.max_violation == pytest.approx(want[0], rel=0.0, abs=1e-15)
+    if report.ok():
+        result = run_knapsack_exact(inst, plan)
+        monitor = monitor_trace(inst, plan, result, B_GRID)
+        assert monitor.max_expectation_error == expectation_error_loop(
+            plan.c_f, plan.c_b, inst.mu, result.traces_f, result.traces_b
+        )
 
 
 def test_propagate_fill_hand_example():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbcrs.errors import InvalidInstanceError, SolverError
 from fbcrs.instances import SingleUnitInstance, split_element
@@ -197,6 +199,42 @@ def test_lp_beats_alpha0_on_random_instances():
         assert plan.is_feasible(inst)
         assert plan.objective >= alpha_0(inst.rho) - 1e-9
         assert plan.objective <= 1.0 + 1e-12
+
+
+@st.composite
+def lp_instances(draw):
+    """Selection-LP inputs with 1-39 elements, one family per draw: random
+    weights scaled to a total mass in [0.05, 3] (each x capped at 1), mixes
+    of {0, 1e-12, 0.5, 1}, and uniform x in [0, 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 40))
+    family = draw(st.sampled_from(("scaled", "mix", "uniform")))
+    if family == "scaled":
+        w = rng.uniform(0.0, 1.0, n)
+        x = np.minimum(w / w.sum() * rng.uniform(0.05, 3.0), 1.0)
+    elif family == "mix":
+        x = rng.choice([0.0, 1e-12, 0.5, 1.0], n)
+    else:
+        x = np.full(n, rng.uniform(0.0, 1.0))
+    return SingleUnitInstance(tuple(x.tolist()))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(inst=lp_instances())
+def test_lp_plans_and_split_certificates(inst):
+    # Every answer is judged by its own guarantees, not by another solver:
+    # a feasible plan at or above alpha_0, and on the split path a dual that
+    # passes the checker within LP_TOL of the plan.  The split certifies
+    # every uniform instance.
+    plan = solve_lp_si(inst)
+    assert plan.max_violation(inst) <= LP_TOL
+    assert plan.objective >= alpha_0(inst.rho) - LP_TOL
+    split = _certified_split(inst)
+    assert split is not None or len(set(inst.x)) > 1
+    if split is not None:
+        split_plan, cert = split
+        assert check_certificate(cert, inst.x).ok()
+        assert cert.objective - split_plan.objective <= LP_TOL
 
 
 def test_lp_reversal_invariance():
