@@ -357,6 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise InvalidInstanceError("--workers must be >= 1")
         return args.handler(args)
     except (InvalidInstanceError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

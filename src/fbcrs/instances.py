@@ -48,30 +48,11 @@ class ServiceType(str, Enum):
             raise InvalidInstanceError(f"unknown service type {tag!r}") from None
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """One of the two arrival orders: forward (1..n) or backward (n..1)."""
-
-    tag: str
-    n: int
-
-    def __post_init__(self):
-        if self.tag not in (FORWARD, BACKWARD):
-            raise InvalidInstanceError(f"unknown order tag {self.tag!r}")
-        if self.n < 1:
-            raise InvalidInstanceError("n must be positive")
-
-    def order(self) -> tuple[int, ...]:
-        """Element indices (0-based) in arrival order."""
-        if self.tag == FORWARD:
-            return tuple(range(self.n))
-        return tuple(range(self.n - 1, -1, -1))
-
-
 def arrival(rows) -> np.ndarray:
     """A (2, n) pair of per-element rows, forward then backward, in arrival
     order: row 1 reversed.  Its own inverse, so it also takes arrival-order
-    rows back to element order."""
+    rows back to element order; arrival((range(n), range(n))) holds each
+    order's element sequence."""
     return np.array((rows[0], rows[1][::-1]))
 
 

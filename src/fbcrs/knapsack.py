@@ -8,8 +8,9 @@ conditional acceptance probability is the planned c regardless of size.
 Each element's parameters are one Branches table, by size atom.  The fill
 law is propagated exactly, all atoms at once, which makes the executor its
 own test oracle.  The Monte Carlo executor replays the exact run's Branches
-through one admission kernel (Admission), so it cross-checks the exact fill
-law itself.
+through one admission kernel (Admission) in one replay loop
+(replay_admissions, which the rationing knapsack route shares), so it
+cross-checks the exact fill law itself.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
-from .instances import BACKWARD, FORWARD, KnapsackInstance, Permutation, SizeLaw, arrival, before
+from .instances import BACKWARD, FORWARD, KnapsackInstance, SizeLaw, arrival, before
 from .lp_si import SelectionPlan
 from .sim import run_trials, slice_index, two_orders
 from .tolerances import (
@@ -340,33 +341,23 @@ class KnapsackExactResult:
 def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackExactResult:
     """Propagate the fill law through both orders and read off exact rates."""
     check_knapsack_feasible(plan, inst).require()
-    rates: dict[str, list[float]] = {}
-    branches: dict[str, list[Branches]] = {}
-    traces: dict[str, list[FiniteLaw]] = {}
-    for tag in (FORWARD, BACKWARD):
+    per_order = []  # (rates, branches, traces) of each order
+    orders = arrival((range(inst.n), range(inst.n))).tolist()
+    for tag, order, planned in zip((FORWARD, BACKWARD), orders, (plan.c_f, plan.c_b)):
         dist = FiniteLaw([0.0], [1.0])
-        trace = [dist]
-        out = [0.0] * inst.n
-        per_element: list = [None] * inst.n
-        planned = plan.rates(tag)
-        for pos, i in enumerate(Permutation(tag, inst.n).order()):
+        traces = [dist]
+        rates = [0.0] * inst.n
+        branches: list = [None] * inst.n
+        for pos, i in enumerate(order):
             law = inst.laws[i]
-            dist, per_element[i] = propagate_fill(
+            dist, branches[i] = propagate_fill(
                 dist, law, planned[i], ctx=f"order {tag}, element {i}, position {pos + 1}"
             )
-            trace.append(dist)
-            out[i] = math.fsum(ps * r for (_, ps), r in zip(law.atoms, per_element[i].rate)) / law.active_mass
-        rates[tag] = out
-        branches[tag] = per_element
-        traces[tag] = trace
-    return KnapsackExactResult(
-        tuple(rates[FORWARD]),
-        tuple(rates[BACKWARD]),
-        tuple(branches[FORWARD]),
-        tuple(branches[BACKWARD]),
-        tuple(traces[FORWARD]),
-        tuple(traces[BACKWARD]),
-    )
+            traces.append(dist)
+            rates[i] = math.fsum(ps * r for (_, ps), r in zip(law.atoms, branches[i].rate)) / law.active_mass
+        per_order.append((tuple(rates), tuple(branches), tuple(traces)))
+    (rates_f, branches_f, traces_f), (rates_b, branches_b, traces_b) = per_order
+    return KnapsackExactResult(rates_f, rates_b, branches_f, branches_b, traces_f, traces_b)
 
 
 @dataclass(frozen=True)
@@ -506,6 +497,21 @@ class Admission(NamedTuple):
         return code
 
 
+def replay_admissions(rules: dict, rng: np.random.Generator, m: int, n: int):
+    """Run the knapsack admission rule on m rows, both orders at once.
+
+    rules[tag][i] is element i's Admission in order tag.  Yields
+    (tag, rows, element, uniforms, outcome codes) per arrival half, as
+    two_orders and Admission.admit give them, and after the last arrival
+    raises InvariantViolationError if a row's fill exceeds 1 + FEAS_TOL.
+    """
+    fills = np.zeros(m)
+    for tag, rows, i, u in two_orders(rng, m, n):
+        yield tag, rows, i, u, rules[tag][i].admit(u, fills[rows])
+    if m and fills.max() > 1.0 + FEAS_TOL:
+        raise InvariantViolationError("accepted sizes exceeded the knapsack")
+
+
 def run_knapsack_mc(
     inst: KnapsackInstance,
     plan: SelectionPlan,
@@ -526,15 +532,10 @@ def run_knapsack_mc(
     }
 
     def experiment(rng, m: int):
-        fills = np.zeros(m)
         out = {}
-        for u, halves in two_orders(rng, m, inst.n):
-            for tag, rows, i in halves:
-                code = rules[tag][i].admit(u[rows], fills[rows])
-                active = 2 * len(inst.laws[i].atoms)  # codes of the atoms' slices
-                out[(tag[0], i)] = (float(np.count_nonzero(code & 1)), np.count_nonzero(code < active))
-        if m and fills.max() > 1.0 + FEAS_TOL:
-            raise InvariantViolationError("accepted sizes exceeded the knapsack")
+        for tag, _, i, _, code in replay_admissions(rules, rng, m, inst.n):
+            active = 2 * len(inst.laws[i].atoms)  # codes of the atoms' slices
+            out[(tag[0], i)] = (float(np.count_nonzero(code & 1)), np.count_nonzero(code < active))
         return out
 
     return run_trials(experiment, trials, seed, workers=workers)

@@ -56,7 +56,7 @@ def alpha_0(rho: float) -> float:
     Evaluated as 1/(e^{-rho/2} + rho), which never overflows and keeps the
     identity 1 - alpha*rho = alpha*e^{-rho/2} to machine precision.
     """
-    if rho < 0:
+    if not rho >= 0:  # NaN fails it
         raise ValueError(f"rho={rho} must be nonnegative")
     return 1.0 / (math.exp(-rho / 2.0) + rho)
 
@@ -279,8 +279,8 @@ def dual_certificate_uniform(N: int, rho: float) -> DualCertificate:
     """
     if N < 1 or N % 2 == 0:
         raise InvalidInstanceError(f"certificate is defined for odd N only, got {N}")
-    if rho < 0:
-        raise InvalidInstanceError(f"rho={rho} must be nonnegative")
+    if not 0 <= rho < math.inf:  # NaN fails it
+        raise InvalidInstanceError(f"rho={rho} must be finite and nonnegative")
     mid = (N - 1) // 2
     a0 = alpha_0(rho)
 

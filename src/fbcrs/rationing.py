@@ -30,11 +30,11 @@ from .instances import (
     FORWARD,
     DemandLaw,
     KnapsackInstance,
-    Permutation,
     RationingInstance,
     ServiceType,
     SingleUnitInstance,
     SizeLaw,
+    arrival,
     before,
 )
 from .knapsack import (
@@ -42,6 +42,7 @@ from .knapsack import (
     FiniteLaw,
     KnapsackExactResult,
     closed_form_knapsack_plan,
+    replay_admissions,
     run_knapsack_exact,
 )
 from .lp_si import SelectionPlan, solve_lp_si
@@ -351,9 +352,11 @@ def _exact_order(
     slices: tuple[_Slices, ...],
     rates: tuple[float, ...],
     consumed: list[float],
+    order: list[int],
     tag: str,
 ) -> _OrderTables:
-    """Propagate the remaining-supply law through one arrival order.
+    """Propagate the remaining-supply law through one arrival order, the
+    agents `order` lists, tagged `tag` in messages.
 
     Checks three invariants at every arrival: the worst-case supply floor
     (1 - consumed) * x_i stays reachable, where consumed[i] sums rate * x
@@ -367,7 +370,7 @@ def _exact_order(
     rem = FiniteLaw([1.0], [1.0])
     slack = math.inf
     resamples = 0
-    for i in Permutation(tag, n).order():
+    for i in order:
         law, stype, sl = inst.demands[i], inst.service[i], slices[i]
         q, x, b = target.q[i], target.x[i], target.beta[i]
         d, caps, weight = _caps(sl, rem)
@@ -545,20 +548,19 @@ def _single_unit_runner(inst: RationingInstance, slices: tuple[_Slices, ...], ta
     def run(rng, m: int, rows=None):
         rems = np.ones(m)
         out = {}
-        for u, halves in two_orders(rng, m, inst.n):
-            for tag, r, i in halves:
-                k = slice_index(u[r], edges[i])
-                d = demand[i].take(k)
-                y = np.minimum(caps[tag][i].take(k), rems[r])
-                rems[r] -= y
-                s = _service_array(inst.service[i], y, d, inst.demands[i].mean)
-                if rows is not None:
-                    _record(rows, tag, r, i, u[r], d, y, s)
-                    continue
-                # einsum, not a BLAS dot: OpenBLAS threads ddot on long
-                # vectors, and a stalled thread shows up as latency spikes.
-                out[("service", tag[0], i)] = (float(s.sum()), float(np.einsum("i,i->", s, s)), y.size)
-                out[("alloc", tag[0], i)] = (float(y.sum()), float(np.einsum("i,i->", y, y)), y.size)
+        for tag, r, i, u in two_orders(rng, m, inst.n):
+            k = slice_index(u, edges[i])
+            d = demand[i].take(k)
+            y = np.minimum(caps[tag][i].take(k), rems[r])
+            rems[r] -= y
+            s = _service_array(inst.service[i], y, d, inst.demands[i].mean)
+            if rows is not None:
+                _record(rows, tag, r, i, u, d, y, s)
+                continue
+            # einsum, not a BLAS dot: OpenBLAS threads ddot on long
+            # vectors, and a stalled thread shows up as latency spikes.
+            out[("service", tag[0], i)] = (float(s.sum()), float(np.einsum("i,i->", s, s)), y.size)
+            out[("alloc", tag[0], i)] = (float(y.sum()), float(np.einsum("i,i->", y, y)), y.size)
         if m and float(rems.min()) < -FEAS_TOL:
             raise InvariantViolationError("negative remaining supply in simulation")
         return out
@@ -590,20 +592,15 @@ def _knapsack_runner(
         service.append(_service_array(inst.service[i], rules[FORWARD][i].gains, np.repeat(sl.demand, 2), law.mean))
 
     def run(rng, m: int, rows=None):
-        fills = np.zeros(m)
         out = {}
-        for u, halves in two_orders(rng, m, inst.n):
-            for tag, r, i in halves:
-                code = rules[tag][i].admit(u[r], fills[r])
-                y, s = rules[tag][i].gains, service[i]
-                if rows is not None:
-                    _record(rows, tag, r, i, u[r], demand[i].take(code >> 1), y.take(code), s.take(code))
-                    continue
-                counts = np.bincount(code, minlength=y.size)
-                out[("service", tag[0], i)] = (float(counts @ s), float(counts @ (s * s)), code.size)
-                out[("alloc", tag[0], i)] = (float(counts @ y), float(counts @ (y * y)), code.size)
-        if m and float(fills.max()) > 1.0 + FEAS_TOL:
-            raise InvariantViolationError("knapsack fill exceeded the unit supply")
+        for tag, r, i, u, code in replay_admissions(rules, rng, m, inst.n):
+            y, s = rules[tag][i].gains, service[i]
+            if rows is not None:
+                _record(rows, tag, r, i, u, demand[i].take(code >> 1), y.take(code), s.take(code))
+                continue
+            counts = np.bincount(code, minlength=y.size)
+            out[("service", tag[0], i)] = (float(counts @ s), float(counts @ (s * s)), code.size)
+            out[("alloc", tag[0], i)] = (float(counts @ y), float(counts @ (y * y)), code.size)
         return out
 
     return run
@@ -650,8 +647,12 @@ def _single_unit_route(
         raise InvalidInstanceError("the single-unit route needs one plan entry per agent")
     if not plan.is_feasible(su):
         raise InfeasibleError("the selection plan is infeasible for these supply shares")
-    consumed = dict(zip((FORWARD, BACKWARD), before(plan.array * np.array(target.x)).tolist()))
-    tables = {tag: _exact_order(inst, target, slices, plan.rates(tag), consumed[tag], tag) for tag in consumed}
+    consumed = before(plan.array * np.array(target.x)).tolist()
+    orders = arrival((range(inst.n), range(inst.n))).tolist()
+    tables = {
+        tag: _exact_order(inst, target, slices, rates, used, order, tag)
+        for tag, rates, used, order in zip((FORWARD, BACKWARD), (plan.c_f, plan.c_b), consumed, orders)
+    }
     taus = {tag: tables[tag].taus for tag in tables}
     return _Route(
         ROUTE_SINGLE_UNIT,

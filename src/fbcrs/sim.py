@@ -38,14 +38,22 @@ def two_orders(rng: np.random.Generator, m: int, n: int):
     """Both arrival orders of n elements in one array of m rows.
 
     The order draw gives f forward rows; rows [0, f) run the forward order and
-    rows [f, m) the backward one.  Yields, per arrival position, one fresh
-    uniform per row and the (tag, rows, element) of both halves: forward rows
-    meet element pos, backward rows element n - 1 - pos.
+    rows [f, m) the backward one.  Yields (tag, rows, element, uniforms) per
+    arrival half: at position pos, forward rows meet element pos and backward
+    rows element n - 1 - pos, and both halves read their rows of one fresh
+    draw of m uniforms, taken before either half.
+
+    Every draw goes into one buffer, so a half's uniforms are valid only
+    until the next position's draw: a fresh array per position, held by the
+    consumers' loop variables into the next half, doubled the page faults.
     """
     f = int(rng.binomial(m, 0.5))
     forward, backward = slice(0, f), slice(f, m)
+    u = np.empty(m)
     for pos in range(n):
-        yield rng.random(m), ((FORWARD, forward, pos), (BACKWARD, backward, n - 1 - pos))
+        rng.random(m, out=u)
+        yield FORWARD, forward, pos, u[forward]
+        yield BACKWARD, backward, n - 1 - pos, u[backward]
 
 
 def slice_index(u: np.ndarray, edges) -> np.ndarray:
@@ -157,6 +165,8 @@ def run_trials(experiment, trials: int, seed: int, workers: int = 1) -> dict:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     chunks = [(i, min(CHUNK, trials - i * CHUNK)) for i in range((trials + CHUNK - 1) // CHUNK)]
 
     def one(chunk):

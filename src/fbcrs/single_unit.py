@@ -181,11 +181,10 @@ def mc_selection_rates(
     def experiment(rng, m: int):
         taken = np.zeros(m, dtype=bool)
         out = {}
-        for u, halves in two_orders(rng, m, n):
-            for tag, rows, i in halves:
-                accepted = (u[rows] < bits[tag][i]) > taken[rows]
-                taken[rows] |= accepted
-                out[(tag[0], i)] = (float(np.count_nonzero(accepted)), int(np.count_nonzero(u[rows] < x[i])))
+        for tag, rows, i, u in two_orders(rng, m, n):
+            accepted = (u < bits[tag][i]) > taken[rows]
+            taken[rows] |= accepted
+            out[(tag[0], i)] = (float(np.count_nonzero(accepted)), int(np.count_nonzero(u < x[i])))
         for i in range(n):
             sf, cf = out[("f", i)]
             sb, cb = out[("b", i)]

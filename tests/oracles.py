@@ -110,7 +110,8 @@ def _phi_point(z, rho, exp):
     return exp(half - z) / denom
 
 
-def _arrival(tag: str, n: int):
+def arrival_order(tag: str, n: int):
+    """Element indices in arrival order, written out independently of the library."""
     return range(n) if tag == "forward" else range(n - 1, -1, -1)
 
 
@@ -129,7 +130,7 @@ def closed_form_plan_loop(x, number=float):
     for tag in ("forward", "backward"):
         out = [0.0] * len(x)
         prefix = number(0)
-        for i in _arrival(tag, len(x)):
+        for i in arrival_order(tag, len(x)):
             if x[i] == 0:
                 out[i] = float(_phi_point(prefix, rho, exp))
             else:
@@ -147,7 +148,7 @@ def bernoulli_params_loop(x, rates, tag, lp_tol, mass_tol):
     params = [0.0] * len(x)
     flagged = [False] * len(x)
     consumed = 0.0
-    for i in _arrival(tag, len(x)):
+    for i in arrival_order(tag, len(x)):
         remaining = 1.0 - consumed
         if rates[i] > remaining + lp_tol:
             return None
@@ -164,7 +165,7 @@ def selection_rates_loop(x, params, tag):
     param * (1 - prior), and prior grows by rate * x."""
     rates = [0.0] * len(x)
     prior = 0.0
-    for i in _arrival(tag, len(x)):
+    for i in arrival_order(tag, len(x)):
         rates[i] = params[i] * (1.0 - prior)
         prior += rates[i] * x[i]
     return tuple(rates)
@@ -178,7 +179,7 @@ def knapsack_plan_loop(mu):
     for tag in ("forward", "backward"):
         out = [0.0] * len(mu)
         prefix = 0.0
-        for i in _arrival(tag, len(mu)):
+        for i in arrival_order(tag, len(mu)):
             out[i] = 4.0 / 9.0 - 2.0 * min(prefix + mu[i] / 2.0, 1.0) / 9.0
             prefix += mu[i]
         rates.append(tuple(out))
@@ -194,7 +195,7 @@ def knapsack_feasibility_loop(rates_f, rates_b, mu, monotone_tol, exp=math.exp):
     monotone = []
     zero_first = False
     for tag, rates in (("forward", rates_f), ("backward", rates_b)):
-        order = list(_arrival(tag, len(mu)))
+        order = list(arrival_order(tag, len(mu)))
         c_first = rates[order[0]]
         zero_first = zero_first or c_first == 0.0
         prev = math.inf
@@ -217,7 +218,7 @@ def expectation_error_loop(rates_f, rates_b, mu, traces_f, traces_b):
     worst = 0.0
     for tag, rates, trace in (("forward", rates_f, traces_f), ("backward", rates_b, traces_b)):
         expected = 0.0
-        order = list(_arrival(tag, len(mu)))
+        order = list(arrival_order(tag, len(mu)))
         for step, dist in enumerate(trace):
             worst = max(worst, abs(dist.expectation - expected))
             if step < len(mu):
@@ -407,12 +408,11 @@ def knapsack_mc_reference(inst, exact, trials, seed):
     def experiment(rng, m):
         fills = np.zeros(m)
         out = {}
-        for u, halves in two_orders(rng, m, inst.n):
-            for tag, rows, i in halves:
-                code = admit_wide(rules[tag][i], u[rows], fills[rows])
-                active = 2 * len(inst.laws[i].atoms)
-                counts = np.bincount(code, minlength=active)
-                out[(tag[0], i)] = (float(counts[1::2].sum()), int(counts[:active].sum()))
+        for tag, rows, i, u in two_orders(rng, m, inst.n):
+            code = admit_wide(rules[tag][i], u, fills[rows])
+            active = 2 * len(inst.laws[i].atoms)
+            counts = np.bincount(code, minlength=active)
+            out[(tag[0], i)] = (float(counts[1::2].sum()), int(counts[:active].sum()))
         return out
 
     return run_trials(experiment, trials, seed)

@@ -18,7 +18,6 @@ from fbcrs.instances import (
     FORWARD,
     DemandLaw,
     KnapsackInstance,
-    Permutation,
     RationingInstance,
     SingleUnitInstance,
     SizeLaw,
@@ -34,7 +33,7 @@ from fbcrs.lp_si import alpha_0, dual_certificate_uniform, solve_lp_si
 from fbcrs.rationing import exante_check, max_uniform_beta, run_rationing
 from fbcrs.single_unit import closed_form_plan, exact_selection_rates, mc_selection_rates
 
-from oracles import match_fill_atoms, replay_knapsack_paths
+from oracles import arrival_order, match_fill_atoms, replay_knapsack_paths
 
 B_GRID = tuple(0.05 * k for k in range(1, 11))
 
@@ -268,7 +267,7 @@ def test_criterion_9_brute_force_equivalence():
             result = run_knapsack_exact(inst, plan)
             count += 1
             for tag in (FORWARD, BACKWARD):
-                order = Permutation(tag, inst.n).order()
+                order = arrival_order(tag, inst.n)
                 rates, states = replay_knapsack_paths(inst, result.branches(tag), order)
                 err = max(abs(a - b) for a, b in zip(rates, result.rates(tag)))
                 if err > 1e-12:

@@ -422,6 +422,9 @@ def test_out_writes_csv_file(knapsack_path, tmp_path, capsys):
     assert rows[0][0] == "element"
 
 
+SU_JSON = '{"kind": "single_unit", "n": 2, "x": [0.3, 0.5]}'
+
+
 @pytest.mark.parametrize(
     "argv, files",
     [
@@ -437,8 +440,24 @@ def test_out_writes_csv_file(knapsack_path, tmp_path, capsys):
         # --beta on a JSON object, not a list of levels
         (["ration", "--instance", "{ra}", "--beta", "{beta}"], {"beta": '{"a": 0.4, "b": 0.4}'}),
         (["sweep", "--kind", "lpopt", "--n", "0", "--rho", "1.0"], {}),
+        # a non-finite total mass
+        (["dual-certificate", "--n", "3", "--rho", "nan"], {}),
+        (["dual-certificate", "--n", "3", "--rho", "inf"], {}),
+        # no worker threads
+        (["simulate-single-unit", "--instance", "{su}", "--trials", "1000", "--workers", "0"], {"su": SU_JSON}),
+        (["simulate-single-unit", "--instance", "{su}", "--trials", "1000", "--workers", "-3"], {"su": SU_JSON}),
     ],
-    ids=["missing-x", "three-number-atom", "missing-beta-file", "beta-object", "sweep-n-0"],
+    ids=[
+        "missing-x",
+        "three-number-atom",
+        "missing-beta-file",
+        "beta-object",
+        "sweep-n-0",
+        "rho-nan",
+        "rho-inf",
+        "workers-0",
+        "workers-negative",
+    ],
 )
 def test_malformed_outside_input_exits_3(rationing_path, tmp_path, capsys, argv, files):
     paths = {"ra": rationing_path, "missing": str(tmp_path / "missing.json")}

@@ -12,15 +12,13 @@ from hypothesis import strategies as st
 
 from fbcrs.errors import InvalidInstanceError
 from fbcrs.instances import (
-    BACKWARD,
-    FORWARD,
     DemandLaw,
     KnapsackInstance,
-    Permutation,
     RationingInstance,
     ServiceType,
     SingleUnitInstance,
     SizeLaw,
+    arrival,
     dump_instance,
     instance_from_dict,
     instance_to_dict,
@@ -31,16 +29,10 @@ from fbcrs.instances import (
 )
 
 
-def test_permutation_orders():
-    fwd, bwd = Permutation(FORWARD, 4), Permutation(BACKWARD, 4)
-    assert fwd.order() == (0, 1, 2, 3)
-    assert bwd.order() == (3, 2, 1, 0)
-
-
-@pytest.mark.parametrize("tag, n", [("sideways", 3), (FORWARD, 0)])
-def test_permutation_rejects(tag, n):
-    with pytest.raises(InvalidInstanceError):
-        Permutation(tag, n)
+@pytest.mark.parametrize("n, rows", [(1, [[0], [0]]), (4, [[0, 1, 2, 3], [3, 2, 1, 0]])], ids=["n1", "n4"])
+def test_arrival_index_rows(n, rows):
+    """arrival of the index rows lists each order's elements in arrival order."""
+    assert arrival((range(n), range(n))).tolist() == rows
 
 
 @pytest.mark.parametrize("x", [(), (1.2,), (-0.1, 0.5)])
@@ -294,7 +286,7 @@ def test_instance_to_dict_rejects_unknown():
 probs = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(probs=probs, data=st.data())
 def test_size_law_properties(probs, data):
     total = sum(probs)
@@ -316,7 +308,7 @@ def test_size_law_properties(probs, data):
     assert law.active_mass + law.inactive_mass == pytest.approx(1.0, abs=1e-12)
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_demand_law_quantile_properties(data):
     k = data.draw(st.integers(1, 5))
@@ -337,7 +329,7 @@ def test_demand_law_quantile_properties(data):
         assert law.cdf(smaller[-1]) < q
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(
     xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
     data=st.data(),

@@ -11,12 +11,11 @@ from fbcrs.errors import InfeasibleError, InvalidInstanceError, InvariantViolati
 from fbcrs.instances import (
     DemandLaw,
     RationingInstance,
-    ServiceType,
     SingleUnitInstance,
     inverse_cdf,
 )
 from fbcrs.knapsack import FiniteLaw, closed_form_knapsack_plan
-from fbcrs.lp_si import SelectionPlan, alpha_0, solve_lp_si
+from fbcrs.lp_si import SelectionPlan, alpha_0
 from fbcrs.rationing import (
     TRACE_COUNT,
     ServiceTarget,
@@ -159,7 +158,7 @@ def _grid_rationing_instance(draw, route):
     return RationingInstance(tuple(demands), tuple(service))
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(data=st.data(), route=st.sampled_from(("single-unit", "knapsack")))
 def test_max_uniform_beta_is_certifiable_on_both_routes(data, route):
     # the level `ration --beta auto` promises must pass every later check
@@ -193,7 +192,7 @@ def _accepted(inst, beta):
         return None
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_every_accepted_target_passes_the_knapsack_reduction(data):
     # push the common level to the largest one exante_check still accepts,

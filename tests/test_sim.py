@@ -147,6 +147,12 @@ def test_run_trials_rejects_zero_trials():
         run_trials(_coin_experiment, 0, seed=0)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_trials_rejects_nonpositive_workers(workers):
+    with pytest.raises(ValueError):
+        run_trials(_coin_experiment, 10, seed=0, workers=workers)
+
+
 def test_run_trials_rejects_bad_tuple_width():
     def bad(rng, m):
         return {"k": (1.0,)}

@@ -1,13 +1,12 @@
 """The phi curve, closed-form plans, and the single-unit executor."""
 
-import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from fbcrs.errors import InfeasibleError, InvalidInstanceError
-from fbcrs.instances import BACKWARD, FORWARD, Permutation, SingleUnitInstance
+from fbcrs.instances import BACKWARD, FORWARD, SingleUnitInstance
 from fbcrs.lp_si import SelectionPlan, alpha_0, solve_lp_si
 from fbcrs.single_unit import (
     PhiCurve,
@@ -20,6 +19,7 @@ from fbcrs.single_unit import (
 from fbcrs.tolerances import LP_TOL, MASS_TOL
 
 from oracles import (
+    arrival_order,
     bernoulli_params_loop,
     closed_form_plan_loop,
     enumerated_selection_rates,
@@ -244,9 +244,7 @@ def test_exact_rates_match_enumeration_oracle():
         rates_f, rates_b = exact_selection_rates(inst, plan)
         for tag, rates in ((FORWARD, rates_f), (BACKWARD, rates_b)):
             params, _ = bernoulli_params(inst, plan, tag)
-            oracle = enumerated_selection_rates(
-                inst.x, params, Permutation(tag, n).order()
-            )
+            oracle = enumerated_selection_rates(inst.x, params, arrival_order(tag, n))
             assert rates == pytest.approx(oracle, abs=1e-12)
 
 
