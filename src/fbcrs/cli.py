@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError, SolverError
 from .instances import (
@@ -65,10 +66,21 @@ def _load(path: str, kind):
     return inst
 
 
+@contextmanager
+def _open_out(path: str, newline: str | None = None):
+    """The --out file, open for writing; failing to open, write or close it
+    raises InvalidInstanceError."""
+    try:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InvalidInstanceError(f"cannot write output file {path}: {exc}") from None
+
+
 def _emit_json(out: str | None, payload: dict) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -80,7 +92,7 @@ def _emit_csv(out: str | None, header: list[str], rows: list[list]) -> None:
 
     cleaned = [[_cell(v) for v in row] for row in rows]
     if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
+        with _open_out(out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(cleaned)

@@ -48,6 +48,16 @@ class ServiceType(str, Enum):
             raise InvalidInstanceError(f"unknown service type {tag!r}") from None
 
 
+def order_row(tag: str) -> int:
+    """Row of the arrival order `tag` in every (2, n) pair of rows: 0 for
+    FORWARD, 1 for BACKWARD.  Any other tag raises InvalidInstanceError."""
+    if tag == FORWARD:
+        return 0
+    if tag == BACKWARD:
+        return 1
+    raise InvalidInstanceError(f"unknown order tag {tag!r}")
+
+
 def arrival(rows) -> np.ndarray:
     """A (2, n) pair of per-element rows, forward then backward, in arrival
     order: row 1 reversed.  Its own inverse, so it also takes arrival-order

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
-from .instances import BACKWARD, FORWARD, KnapsackInstance, SizeLaw, arrival, before
+from .instances import BACKWARD, FORWARD, KnapsackInstance, SizeLaw, arrival, before, order_row
 from .lp_si import SelectionPlan
 from .sim import run_trials, slice_index, two_orders
 from .tolerances import (
@@ -318,13 +318,13 @@ class KnapsackExactResult:
     traces_b: tuple[FiniteLaw, ...]
 
     def rates(self, tag: str) -> tuple[float, ...]:
-        return self.rates_f if tag == FORWARD else self.rates_b
+        return (self.rates_f, self.rates_b)[order_row(tag)]
 
     def branches(self, tag: str) -> tuple[Branches, ...]:
-        return self.branches_f if tag == FORWARD else self.branches_b
+        return (self.branches_f, self.branches_b)[order_row(tag)]
 
     def traces(self, tag: str) -> tuple[FiniteLaw, ...]:
-        return self.traces_f if tag == FORWARD else self.traces_b
+        return (self.traces_f, self.traces_b)[order_row(tag)]
 
     def rate_errors(self, plan: SelectionPlan) -> tuple[float, ...]:
         """Per element, the worst |rate(s) - planned c| over sizes and orders."""

@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInstanceError, SolverError
-from .instances import FORWARD, SingleUnitInstance, before, read_only_array
+from .instances import SingleUnitInstance, before, order_row, read_only_array
 from .tolerances import CURVE_TOL, LP_TOL
 
 # Consecutive degenerate pivots tolerated under Dantzig's rule before
@@ -91,7 +91,7 @@ class SelectionPlan:
         return len(self.c_f)
 
     def rates(self, tag: str) -> tuple[float, ...]:
-        return self.c_f if tag == FORWARD else self.c_b
+        return (self.c_f, self.c_b)[order_row(tag)]
 
     @cached_property
     def pair_means(self) -> tuple[float, ...]:

@@ -48,7 +48,6 @@ from .knapsack import (
 from .lp_si import SelectionPlan, solve_lp_si
 from .sim import MeanEstimate, run_trials, slice_index, stream, two_orders
 from .tolerances import (
-    BISECTION_TOL,
     CALIBRATION_TOL,
     CROSSING_TOL,
     FEAS_TOL,
@@ -126,21 +125,18 @@ def _slices(law: DemandLaw, q: float) -> _Slices:
 
 
 def _sizes(law: DemandLaw, q: float) -> dict[float, float]:
-    """Quantile length below q of each size min(d, 1), sizes ascending.
+    """Quantile length below q of each size min(d, 1), sizes ascending: the
+    active rows of _slices, so each demand law has one quantile cut.
 
     The one source of the supply share (supply_x) and of the knapsack
     reduction's size law, so the two agree to the last bit.
     """
+    sl = _slices(law, q)
     sizes: dict[float, float] = {}
-    prev = 0.0
-    for (d, _), cum in zip(law.atoms, law.cum):
-        if prev >= q:
-            break
-        length = min(cum, q) - prev
-        if length > 0.0:
+    for d, width, on in zip(sl.demand, sl.width, sl.active):
+        if on:
             s = min(d, 1.0)
-            sizes[s] = sizes.get(s, 0.0) + length
-        prev = cum
+            sizes[s] = sizes.get(s, 0.0) + width
     return sizes
 
 
@@ -153,32 +149,43 @@ def supply_x(law: DemandLaw, q: float) -> float:
     return math.fsum(s * length for s, length in _sizes(law, q).items())
 
 
+def _climb(law: DemandLaw, stype: ServiceType, beta: float) -> tuple[float, float, float]:
+    """Walk the service level up an agent's quantile range to beta.
+
+    Returns the smallest quantile that reaches beta, the rate size/service of
+    the demand atom reached (how fast the supply share grows with the level
+    there; 0 when beta is reached at q = 0 or is past the top) and the level
+    reached: beta, or the agent's top level when beta is past it.  The level
+    grows piecewise linearly in q (demand laws are stored sorted, so the
+    slope changes only at atom boundaries) and the walk solves the crossing
+    segment exactly.
+    """
+    if beta <= CROSSING_TOL:  # the empty range already reaches beta
+        return 0.0, 0.0, beta
+    acc, prev = 0.0, 0.0
+    for (d, _), cum in zip(law.atoms, law.cum):
+        size = min(d, 1.0)
+        v = _service(stype, size, d, law.mean)
+        seg = cum - prev
+        if v > 0.0 and acc + v * seg >= beta - CROSSING_TOL:
+            return min(prev + (beta - acc) / v, 1.0), size / v, beta
+        acc += v * seg
+        prev = cum
+    return min(prev, 1.0), 0.0, acc
+
+
 def solve_q_for_beta(law: DemandLaw, stype, beta: float) -> float:
     """Smallest activation quantile that achieves service level beta.
 
-    The achieved level grows piecewise linearly in q (demand laws are stored
-    sorted, so the slope changes only at atom boundaries) and the walk solves
-    the crossing segment exactly.  Raises InfeasibleError when even q = 1
-    falls short.
+    Raises InfeasibleError when even q = 1 falls short.
     """
     stype = ServiceType.parse(stype)
     if not 0.0 <= beta <= 1.0:
         raise InvalidInstanceError(f"beta {beta} outside [0, 1]")
-    if beta == 0.0:
-        return 0.0
-    acc, prev = 0.0, 0.0
-    for (d, _), cum in zip(law.atoms, law.cum):
-        if acc >= beta - CROSSING_TOL:
-            return prev
-        v = _service(stype, min(d, 1.0), d, law.mean)
-        seg = cum - prev
-        if v > 0.0 and acc + v * seg >= beta - CROSSING_TOL:
-            return min(prev + (beta - acc) / v, 1.0)
-        acc += v * seg
-        prev = cum
-    if acc >= beta - SUPPLY_TOL:
-        return min(prev, 1.0)
-    raise InfeasibleError(f"service level {beta} is unachievable (agent tops out at {acc:.12g})")
+    q, _, level = _climb(law, stype, beta)
+    if level < beta - SUPPLY_TOL:
+        raise InfeasibleError(f"service level {beta} is unachievable (agent tops out at {level:.12g})")
+    return q
 
 
 @dataclass(frozen=True)
@@ -240,39 +247,31 @@ def exante_check(inst: RationingInstance, beta) -> ServiceTarget | None:
 def max_uniform_beta(inst: RationingInstance) -> float:
     """Largest common service level all agents can be promised at once.
 
-    Capped by each agent's own achievable range, then bisected to
-    BISECTION_TOL on the unit-supply constraint (total x is nondecreasing in
-    beta).  The bisection tests total x <= 1 with no tolerance, so the level
-    it returns passes every later supply check, which allow MASS_TOL.
+    Capped at 1 and at the lowest agent top level (the walk to level inf),
+    then solved exactly on the unit-supply constraint by Newton steps down
+    along the left slope of the total supply share.  The loop tests total
+    x <= 1 with no tolerance, so the level it returns passes every later
+    supply check, which allow MASS_TOL.
+
+    The steps are exact.  Below the lowest top level, an agent's share grows
+    with the level at rate size/service on its current atom: the demand mean
+    for Type-II, the demand d for Type-I and Type-III.  Atoms are sorted by
+    demand, so every rate is nondecreasing and the total share is convex and
+    piecewise linear in the level.  Atoms with zero service add no size below
+    the top: Type-II with d = 0, and Type-I with d > 1, which lies at the top
+    itself.  So a step along the left slope never passes the answer, and a
+    step from the answer's piece lands on it.  Each step moves down at least
+    one ulp, and level 0 buys no supply, so the loop ends.
     """
-    caps = []
-    for law, stype in zip(inst.demands, inst.service):
-        acc, prev = 0.0, 0.0
-        for (d, _), cum in zip(law.atoms, law.cum):
-            acc += _service(stype, min(d, 1.0), d, law.mean) * (cum - prev)
-            prev = cum
-        caps.append(min(1.0, acc))
-    upper = min(caps)
-    if upper <= 0.0:
-        return 0.0
-
-    def fits(b: float) -> bool:
-        total = math.fsum(
-            supply_x(law, solve_q_for_beta(law, stype, b))
-            for law, stype in zip(inst.demands, inst.service)
-        )
-        return total <= 1.0
-
-    if fits(upper):
-        return upper
-    lo, hi = 0.0, upper
-    while hi - lo > BISECTION_TOL:
-        mid = (lo + hi) / 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    agents = tuple(zip(inst.demands, inst.service))
+    beta = min(1.0, *(_climb(law, stype, math.inf)[2] for law, stype in agents))
+    while True:
+        climbs = [_climb(law, stype, beta) for law, stype in agents]
+        total = math.fsum(supply_x(law, q) for (law, _), (q, _, _) in zip(agents, climbs))
+        if total <= 1.0:
+            return beta
+        slope = math.fsum(rate for _, rate, _ in climbs)
+        beta = max(0.0, min(beta - (total - 1.0) / slope, math.nextafter(beta, 0.0)))
 
 
 def _caps(sl: _Slices, rem: FiniteLaw):

@@ -15,15 +15,14 @@ windows of any width, down to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .instances import BACKWARD, FORWARD, SingleUnitInstance, before
+from .instances import BACKWARD, FORWARD, SingleUnitInstance, before, order_row
 from .lp_si import SelectionPlan
 from .sim import run_trials, two_orders
-from .tolerances import CURVE_TOL, LP_TOL, MASS_TOL, WINDOW_TOL
+from .tolerances import CURVE_TOL, LP_TOL, MASS_TOL
 
 
 def _phi_average(a, w, rho: float):
@@ -59,31 +58,6 @@ def phi(z: float, rho: float) -> float:
     return float(_phi_average(min(max(z, 0.0), rho), 0.0, rho))
 
 
-@dataclass(frozen=True)
-class PhiCurve:
-    """phi specialised to one rho, with exact window averages."""
-
-    rho: float
-
-    def value(self, z: float) -> float:
-        return phi(z, self.rho)
-
-    def _window(self, a: float, b: float) -> tuple[float, float]:
-        if not -CURVE_TOL <= a <= b <= self.rho + WINDOW_TOL:
-            raise ValueError(f"window [{a}, {b}] outside [0, {self.rho}]")
-        return min(max(a, 0.0), self.rho), min(max(b, 0.0), self.rho)
-
-    def integral(self, a: float, b: float) -> float:
-        a, b = self._window(a, b)
-        return float(_phi_average(a, b - a, self.rho)) * (b - a)
-
-    def average(self, a: float, b: float) -> float:
-        if b <= a:
-            raise ValueError("window must have positive width")
-        a, b = self._window(a, b)
-        return float(_phi_average(a, b - a, self.rho))
-
-
 def closed_form_plan(inst: SingleUnitInstance) -> SelectionPlan:
     """Average phi over each element's mass window in both orders.
 
@@ -113,10 +87,10 @@ def _bernoulli(
     remaining = 1.0 - before(inst.x_array * plan.array)  # mass left at each arrival
     over = plan.array > remaining + LP_TOL
     for tag in tags:
-        row = 0 if tag == FORWARD else 1
+        row = order_row(tag)
         hits = np.flatnonzero(over[row])
         if hits.size:
-            i = int(hits[0] if tag == FORWARD else hits[-1])
+            i = int(hits[0] if row == 0 else hits[-1])
             raise InfeasibleError(
                 f"plan infeasible: c_{tag}({i}) = {float(plan.array[row, i])} "
                 f"exceeds remaining mass {float(remaining[row, i])}"
@@ -139,7 +113,7 @@ def bernoulli_params(
     for more than the remaining mass plus LP_TOL.
     """
     params, flagged = _bernoulli(inst, plan, (tag,))
-    row = 0 if tag == FORWARD else 1
+    row = order_row(tag)
     return tuple(params[row].tolist()), tuple(flagged[row].tolist())
 
 

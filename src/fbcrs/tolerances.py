@@ -29,19 +29,14 @@ MASS_TOL = 1e-12
 # ServiceTarget's range check and by solve_q_for_beta's top-of-range test.
 SUPPLY_TOL = 1e-10
 
-# Arguments of the selection curves.  Produced by callers of phi, PhiCurve,
+# Arguments of the selection curves.  Produced by callers of phi,
 # phi_knapsack and gamma, closed_form_knapsack_plan's (2, n) array of window
 # midpoints among them; received by the domain checks of phi (single_unit),
-# phi_knapsack (knapsack) and gamma (lp_si), and by the lower end of
-# PhiCurve windows.  closed_form_plan and dual_certificate_uniform evaluate
-# their curves on arrays they build inside [0, rho], so they apply no check.
+# phi_knapsack (knapsack) and gamma (lp_si).  closed_form_plan and
+# dual_certificate_uniform evaluate their curves on arrays they build inside
+# [0, rho] (closed_form_plan's window averages, single_unit._phi_average, on
+# windows it clips at rho), so they apply no check.
 CURVE_TOL = 1e-12
-
-# Upper end of a PhiCurve window past rho.  Produced by prefix sums of
-# masses in callers of PhiCurve.integral and PhiCurve.average; received by
-# their range check.  closed_form_plan averages phi by the same window
-# formula (single_unit._phi_average) on windows it clips at rho, unchecked.
-WINDOW_TOL = 1e-9
 
 # --- plans ----------------------------------------------------------------------
 
@@ -89,14 +84,11 @@ RATE_TOL = 1e-10
 # --- rationing calibration ------------------------------------------------------
 
 # Crossing tests of the piecewise-linear walks: the service level reached
-# by an activation quantile (solve_q_for_beta) and the allocation reached by
-# a threshold (calibrate_tau).  Produced by float sums of segment lengths;
+# by an activation quantile (rationing._climb, the walk of solve_q_for_beta
+# and max_uniform_beta) and the allocation reached by a threshold
+# (calibrate_tau).  Produced by float sums of segment lengths;
 # received by those walks only.
 CROSSING_TOL = 1e-15
-
-# Width at which max_uniform_beta stops bisecting.  Its level passes every
-# supply check without tolerance (it tests total x <= 1 exactly).
-BISECTION_TOL = 1e-9
 
 # Rationing calibration.  Produced by calibrate_tau and the exact
 # remaining-supply propagation; received by calibrate_tau's reachability

@@ -10,7 +10,9 @@ admission row by row, or vectorised on intp indices with bincount counts,
 instead of the int8 kernel, and the single-unit chain and the knapsack
 plan, feasibility check and E[T] bookkeeping as first written (one element
 at a time: phi windows through the antiderivative, the claimed mass and the
-acceptance probability summed up sequentially) instead of the array code.
+acceptance probability summed up sequentially) instead of the array code,
+and the rationing quantile walk, size table and common-level bisection as
+first written instead of the one level walk and its Newton steps.
 The enumerations are exponential in n; keep n small there.
 """
 
@@ -416,3 +418,81 @@ def knapsack_mc_reference(inst, exact, trials, seed):
         return out
 
     return run_trials(experiment, trials, seed)
+
+
+def quantile_sizes_loop(law, q):
+    """rationing._sizes as first written: each atom's quantile length below
+    q, walked atom by atom, added up per size min(d, 1), sizes ascending."""
+    sizes = {}
+    prev = 0.0
+    for (d, _), cum in zip(law.atoms, law.cum):
+        if prev >= q:
+            break
+        length = min(cum, q) - prev
+        if length > 0.0:
+            s = min(d, 1.0)
+            sizes[s] = sizes.get(s, 0.0) + length
+        prev = cum
+    return sizes
+
+
+def solve_q_walk(law, stype, beta, crossing_tol, supply_tol):
+    """solve_q_for_beta as first written, for beta in [0, 1]: the level
+    walked up the atoms with the crossing test inside the loop."""
+    from fbcrs.errors import InfeasibleError
+    from fbcrs.rationing import service_value
+
+    if beta == 0.0:
+        return 0.0
+    acc, prev = 0.0, 0.0
+    for (d, _), cum in zip(law.atoms, law.cum):
+        if acc >= beta - crossing_tol:
+            return prev
+        v = service_value(stype, min(d, 1.0), d, law.mean)
+        seg = cum - prev
+        if v > 0.0 and acc + v * seg >= beta - crossing_tol:
+            return min(prev + (beta - acc) / v, 1.0)
+        acc += v * seg
+        prev = cum
+    if acc >= beta - supply_tol:
+        return min(prev, 1.0)
+    raise InfeasibleError(f"service level {beta} is unachievable (agent tops out at {acc:.12g})")
+
+
+def max_uniform_beta_bisection(inst, crossing_tol, supply_tol):
+    """max_uniform_beta as first written: each agent's top level by a walk
+    over all its atoms, then bisection on total supply share <= 1 (exactly)
+    down to a bracket 1e-9 wide.  Returns the final bracket (lo, hi): lo
+    fits and hi does not, or lo == hi when the lowest top level fits."""
+    from fbcrs.rationing import service_value
+
+    width = 1e-9
+    agents = list(zip(inst.demands, inst.service))
+    caps = []
+    for law, stype in agents:
+        acc, prev = 0.0, 0.0
+        for (d, _), cum in zip(law.atoms, law.cum):
+            acc += service_value(stype, min(d, 1.0), d, law.mean) * (cum - prev)
+            prev = cum
+        caps.append(min(1.0, acc))
+    upper = min(caps)
+    if upper <= 0.0:
+        return 0.0, 0.0
+
+    def fits(b):
+        shares = []
+        for law, stype in agents:
+            q = solve_q_walk(law, stype, b, crossing_tol, supply_tol)
+            shares.append(math.fsum(s * length for s, length in quantile_sizes_loop(law, q).items()))
+        return math.fsum(shares) <= 1.0
+
+    if fits(upper):
+        return upper, upper
+    lo, hi = 0.0, upper
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -422,6 +422,25 @@ def test_out_writes_csv_file(knapsack_path, tmp_path, capsys):
     assert rows[0][0] == "element"
 
 
+FULL_DEVICE = "/dev/full"  # opens, then every write fails with ENOSPC
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        "missing-dir",
+        "a-directory",
+        pytest.param("full-device", marks=pytest.mark.skipif(not os.path.exists(FULL_DEVICE), reason="no /dev/full")),
+    ],
+)
+@pytest.mark.parametrize("command", ["constants-json", "simulate-knapsack-csv"])
+def test_unwritable_out_exits_3(command, target, knapsack_path, tmp_path, capsys):
+    out = {"missing-dir": tmp_path / "missing" / "x.out", "a-directory": tmp_path, "full-device": FULL_DEVICE}[target]
+    argv = ["constants"] if command == "constants-json" else ["simulate-knapsack", "--instance", knapsack_path]
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    assert "cannot write output file" in capsys.readouterr().err
+
+
 SU_JSON = '{"kind": "single_unit", "n": 2, "x": [0.3, 0.5]}'
 
 

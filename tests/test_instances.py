@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from fbcrs.errors import InvalidInstanceError
 from fbcrs.instances import (
+    BACKWARD,
+    FORWARD,
     DemandLaw,
     KnapsackInstance,
     RationingInstance,
@@ -27,12 +29,36 @@ from fbcrs.instances import (
     load_instance,
     split_element,
 )
+from fbcrs.knapsack import closed_form_knapsack_plan, run_knapsack_exact
+from fbcrs.single_unit import bernoulli_params, closed_form_plan
 
 
 @pytest.mark.parametrize("n, rows", [(1, [[0], [0]]), (4, [[0, 1, 2, 3], [3, 2, 1, 0]])], ids=["n1", "n4"])
 def test_arrival_index_rows(n, rows):
     """arrival of the index rows lists each order's elements in arrival order."""
     assert arrival((range(n), range(n))).tolist() == rows
+
+
+@pytest.mark.parametrize(
+    "accessor", ["SelectionPlan.rates", "exact.rates", "exact.branches", "exact.traces", "bernoulli_params"]
+)
+def test_unknown_order_tag_raises(accessor):
+    # "f" and "b" are the Monte Carlo estimate keys, not order tags
+    su = SingleUnitInstance((0.3, 0.5))
+    knapsack = KnapsackInstance((SizeLaw(((0.5, 0.4),), 0.6), SizeLaw(((0.25, 0.8),), 0.2)))
+    plan = closed_form_plan(su)
+    exact = run_knapsack_exact(knapsack, closed_form_knapsack_plan(knapsack))
+    read = {
+        "SelectionPlan.rates": plan.rates,
+        "exact.rates": exact.rates,
+        "exact.branches": exact.branches,
+        "exact.traces": exact.traces,
+        "bernoulli_params": lambda tag: bernoulli_params(su, plan, tag),
+    }[accessor]
+    assert read(FORWARD) != read(BACKWARD)
+    for tag in ("f", "b", "Forward"):
+        with pytest.raises(InvalidInstanceError, match=f"unknown order tag '{tag}'"):
+            read(tag)
 
 
 @pytest.mark.parametrize("x", [(), (1.2,), (-0.1, 0.5)])

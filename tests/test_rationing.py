@@ -21,6 +21,7 @@ from fbcrs.rationing import (
     ServiceTarget,
     _caps,
     _merge_rem,
+    _sizes,
     _slices,
     calibrate_tau,
     exante_check,
@@ -31,7 +32,9 @@ from fbcrs.rationing import (
     solve_q_for_beta,
     supply_x,
 )
-from fbcrs.tolerances import CALIBRATION_TOL
+from fbcrs.tolerances import CALIBRATION_TOL, CROSSING_TOL, SUPPLY_TOL
+
+from oracles import max_uniform_beta_bisection, quantile_sizes_loop, solve_q_walk
 
 UNIT = DemandLaw(((1.0, 1.0),))
 MIXED = DemandLaw(((0.5, 0.5), (2.0, 0.5)))
@@ -125,6 +128,12 @@ def test_max_uniform_beta():
     assert max_uniform_beta(inst) == pytest.approx(0.5, abs=1e-9)
     solo = RationingInstance((UNIT,), ("TypeII",))
     assert max_uniform_beta(solo) == pytest.approx(1.0, abs=1e-9)
+    # a top level one ulp below 1, which a walk to level 1 would round up
+    short = DemandLaw(
+        ((0.0, 0.1835483711894989), (0.19046736968978822, 0.08422940690541368),
+         (0.4299019983412797, 0.3755637978306612), (0.7056793355179811, 0.3566584240744263))
+    )
+    assert max_uniform_beta(RationingInstance((short,), ("TypeII",))) == math.nextafter(1.0, 0.0)
 
 
 def test_rem_distribution_validation():
@@ -173,6 +182,50 @@ def test_max_uniform_beta_is_certifiable_on_both_routes(data, route):
     result = run_rationing(inst, target, mode="exact", seed=0)
     assert result.route == route
     assert result.guarantee_ok(), result.min_slack
+
+
+@st.composite
+def _any_rationing_instance(draw):
+    """2-6 agents of all three types, 1-4 demand atoms each: zero demands,
+    points of a 1/100 grid up to 2 (past 1) and off-grid values."""
+    n = draw(st.integers(2, 6))
+    value = st.one_of(st.just(0.0), st.integers(1, 200).map(lambda g: g / 100.0), st.floats(0.001, 2.0))
+    demands = []
+    for _ in range(n):
+        values = draw(st.lists(value, min_size=1, max_size=4, unique=True).filter(lambda v: max(v) > 0.0))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(values), max_size=len(values)))
+        probs = [w / sum(weights) for w in weights[:-1]]
+        probs.append(1.0 - math.fsum(probs))
+        demands.append(DemandLaw(tuple(zip(values, probs))))
+    service = draw(st.lists(st.sampled_from(("TypeI", "TypeII", "TypeIII")), min_size=n, max_size=n))
+    return RationingInstance(tuple(demands), tuple(service))
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args).hex()
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_level_walk_and_newton_steps_match_the_bisection(data):
+    # the walk reproduces the first-written one bit for bit, and the
+    # common level lies in the bisection's final bracket
+    inst = data.draw(_any_rationing_instance())
+    betas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4)) + [0.0, 1.0]
+    for law, stype in zip(inst.demands, inst.service):
+        for b in betas:
+            walk = _outcome(solve_q_walk, law, stype, b, CROSSING_TOL, SUPPLY_TOL)
+            assert _outcome(solve_q_for_beta, law, stype, b) == walk
+            if not walk.startswith("service level"):
+                q = float.fromhex(walk)
+                assert list(_sizes(law, q).items()) == list(quantile_sizes_loop(law, q).items())
+    beta = max_uniform_beta(inst)
+    lo, hi = max_uniform_beta_bisection(inst, CROSSING_TOL, SUPPLY_TOL)
+    assert lo <= beta <= hi
+    assert exante_check(inst, (beta,) * inst.n).total_supply <= 1.0
 
 
 def test_supply_x_is_the_reduction_mean_to_the_bit():

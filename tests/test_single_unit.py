@@ -9,7 +9,7 @@ from fbcrs.errors import InfeasibleError, InvalidInstanceError
 from fbcrs.instances import BACKWARD, FORWARD, SingleUnitInstance
 from fbcrs.lp_si import SelectionPlan, alpha_0, solve_lp_si
 from fbcrs.single_unit import (
-    PhiCurve,
+    _phi_average,
     bernoulli_params,
     closed_form_plan,
     exact_selection_rates,
@@ -73,24 +73,19 @@ def test_phi_consumption_identity(rho):
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_phi_curve_window_average():
-    curve = PhiCurve(1.0)
-    assert curve.integral(0.0, 1.0) == pytest.approx(
+def test_phi_average_window():
+    # the average over [0, rho] is the integral of phi over it
+    assert float(_phi_average(0.0, 1.0, 1.0)) == pytest.approx(
         phi_antiderivative(1.0, 1.0), abs=1e-15
     )
-    mid = curve.average(0.4, 0.6)
+    mid = float(_phi_average(0.4, 0.6 - 0.4, 1.0))
     assert phi(0.6, 1.0) < mid < phi(0.4, 1.0)  # phi is strictly decreasing
-    with pytest.raises(ValueError):
-        curve.average(0.5, 0.5)
-    with pytest.raises(ValueError):
-        curve.integral(0.5, 1.5)
 
 
-def test_phi_curve_narrow_window_average():
+def test_phi_average_narrow_window():
     # A window one ulp wide: a difference of antiderivatives returns 1.0
     # here; the average must be phi at the window.
-    curve = PhiCurve(0.7)
-    assert curve.average(0.5, 0.5 + 1e-16) == pytest.approx(phi(0.5, 0.7), abs=1e-15)
+    assert float(_phi_average(0.5, (0.5 + 1e-16) - 0.5, 0.7)) == pytest.approx(phi(0.5, 0.7), abs=1e-15)
     assert phi(0.5, 0.7) == pytest.approx(0.6127, abs=1e-4)
 
 
