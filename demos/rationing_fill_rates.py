@@ -1,8 +1,8 @@
 """Ration one unit of supply among agents with random demands.
 
 Solves the largest uniform service level the supply can promise, executes the
-allocation exactly, and cross-checks the per-agent expected service against a
-Monte Carlo run.
+allocation exactly, and cross-checks each agent's expected service and
+expected allocation against a Monte Carlo run.
 """
 
 from fbcrs import (
@@ -28,7 +28,7 @@ def main():
     print(f"uniform service level beta = {beta:.4f}, "
           f"total supply share {target.total_supply:.4f}")
 
-    exact = run_rationing(inst, target, mode="exact", seed=11)
+    exact = run_rationing(inst, target, mode="exact")
     print(f"\nroute: {exact.route}, plan guarantee {exact.plan.objective:.4f}")
     print(f"{'agent':>6} {'q':>8} {'x':>8} {'E[service]':>11} {'bound':>8} {'slack':>9}")
     for a in exact.agents:
@@ -42,10 +42,10 @@ def main():
         print(f"  agent {ex.index + 1}: exact {ex.expected_service:.5f}, "
               f"sampled {sampled.expected_service:.5f} +- {half:.5f}")
 
-    trace = exact.traces[0]
-    print(f"\none sampled {trace.tag} run:")
-    for i, (d, y, s) in enumerate(zip(trace.demands, trace.allocations, trace.services)):
-        print(f"  agent {i + 1}: demand {d:.3f}, allocation {y:.3f}, service {s:.3f}")
+    print("\nexpected allocation, exact against Monte Carlo:")
+    for ex, sampled in zip(exact.agents, mc.agents):
+        print(f"  agent {ex.index + 1}: exact {ex.expected_alloc:.5f}, "
+              f"sampled {sampled.expected_alloc:.5f}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 a guarantee or invariant check failed, 3 infeasible
 or invalid input.  Every subcommand is deterministic given its flags; --seed
-falls back to the FBCRS_SEED environment variable, then to 0.
+falls back to the FBCRS_SEED environment variable, then to 0, and must be a
+nonnegative integer.
 
 CSV headers (RFC 4180, UTF-8, '.' decimal separator):
   simulate-single-unit: element,c_f,c_b,empirical_rate,ci_low,ci_high
@@ -41,10 +42,16 @@ from .tolerances import LP_TOL, RATE_TOL
 MONITOR_GRID = tuple(round(0.05 * k, 10) for k in range(1, 11))
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get("FBCRS_SEED", "0"))
+def _resolve_seed(value: str | None) -> int:
+    """--seed, else $FBCRS_SEED, else 0, as a nonnegative integer."""
+    source, text = ("--seed", value) if value is not None else ("FBCRS_SEED", os.environ.get("FBCRS_SEED", "0"))
+    try:
+        seed = int(text)
+        if seed < 0:
+            raise ValueError
+    except ValueError:
+        raise InvalidInstanceError(f"{source} must be a nonnegative integer, got {text!r}") from None
+    return seed
 
 
 def _require_trials(mode: str, trials: int | None) -> int:
@@ -310,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, trials=True, workers=True):
         if trials:
             p.add_argument("--trials", type=int, default=None, help="Monte Carlo trial count")
-        p.add_argument("--seed", type=int, default=None, help="root seed (default: $FBCRS_SEED or 0)")
+        p.add_argument("--seed", default=None, help="root seed (default: $FBCRS_SEED or 0)")
         if workers:
             p.add_argument("--workers", type=int, default=1, help="worker threads for trials")
         p.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -46,7 +46,7 @@ from .knapsack import (
     run_knapsack_exact,
 )
 from .lp_si import SelectionPlan, solve_lp_si
-from .sim import MeanEstimate, run_trials, slice_index, stream, two_orders
+from .sim import MeanEstimate, run_trials, slice_index, two_orders
 from .tolerances import (
     CALIBRATION_TOL,
     CROSSING_TOL,
@@ -61,9 +61,6 @@ from .tolerances import (
 # into REM_BUCKETS mean-preserving atoms (see _merge_rem).
 REM_ATOM_CAP = 100_000
 REM_BUCKETS = 10_000
-# Sampled runs kept as AllocationTraces (stream NS_TRACE).
-TRACE_COUNT = 8
-NS_TRACE = 3
 
 ROUTE_SINGLE_UNIT = "single-unit"
 ROUTE_KNAPSACK = "knapsack"
@@ -463,32 +460,14 @@ class AgentReport:
 
 
 @dataclass(frozen=True)
-class AllocationTrace:
-    """One sampled run: per-agent quantile, demand, allocation, service."""
-
-    tag: str
-    quantiles: tuple[float, ...]
-    demands: tuple[float, ...]
-    allocations: tuple[float, ...]
-    services: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(y > d + FEAS_TOL for y, d in zip(self.allocations, self.demands)):
-            raise InvariantViolationError("an allocation exceeds its demand")
-        if math.fsum(self.allocations) > 1.0 + FEAS_TOL:
-            raise InvariantViolationError("allocations exceed the unit supply")
-
-
-@dataclass(frozen=True)
 class RationingResult:
-    """Output of run_rationing: route taken, per-agent reports, sample traces."""
+    """Output of run_rationing: route taken, plan and per-agent reports."""
 
     route: str
     mode: str
     target: ServiceTarget
     plan: SelectionPlan
     agents: tuple[AgentReport, ...]
-    traces: tuple[AllocationTrace, ...]
     rem_slack: float | None  # single-unit route only
     estimates: dict | None  # raw MC estimates, mc mode only
     # Remaining-supply laws merged into REM_BUCKETS mean-preserving atoms
@@ -525,17 +504,10 @@ def _service_array(stype: ServiceType, y: np.ndarray, d: np.ndarray, mean: float
     return np.where(d > 0.0, np.minimum(y, d) / safe, 1.0)
 
 
-def _record(rows, tag, r, i, u, d, y, s) -> None:
-    rows["tag"][r] = tag
-    for key, value in zip(("q", "d", "y", "s"), (u, d, y, s)):
-        rows[key][i, r] = value
-
-
 def _single_unit_runner(inst: RationingInstance, slices: tuple[_Slices, ...], taus: dict):
     """Threshold allocation y = min(D, R, tau) on both orders at once.
 
-    Returns run(rng, m, rows=None), an experiment for run_trials; given
-    `rows`, it records every row there instead of summing (see _sample_traces).
+    Returns run(rng, m), an experiment for run_trials.
     """
     edges, demand, caps = [], [], {FORWARD: [], BACKWARD: []}
     for i, sl in enumerate(slices):
@@ -544,7 +516,7 @@ def _single_unit_runner(inst: RationingInstance, slices: tuple[_Slices, ...], ta
         for tag in caps:
             caps[tag].append(np.array([min(v, taus[tag][i]) if on else 0.0 for v, on in zip(sl.demand, sl.active)]))
 
-    def run(rng, m: int, rows=None):
+    def run(rng, m: int):
         rems = np.ones(m)
         out = {}
         for tag, r, i, u in two_orders(rng, m, inst.n):
@@ -553,9 +525,6 @@ def _single_unit_runner(inst: RationingInstance, slices: tuple[_Slices, ...], ta
             y = np.minimum(caps[tag][i].take(k), rems[r])
             rems[r] -= y
             s = _service_array(inst.service[i], y, d, inst.demands[i].mean)
-            if rows is not None:
-                _record(rows, tag, r, i, u, d, y, s)
-                continue
             # einsum, not a BLAS dot: OpenBLAS threads ddot on long
             # vectors, and a stalled thread shows up as latency spikes.
             out[("service", tag[0], i)] = (float(s.sum()), float(np.einsum("i,i->", s, s)), y.size)
@@ -575,9 +544,9 @@ def _knapsack_runner(
     exact is the reduced instance's exact run; exact.branches(tag)[e] is
     element e's Branches.  An arrival's outcome is its slice and whether it
     was admitted, so the sums come from per-outcome allocation and service
-    tables.  Returns run(rng, m, rows=None) as _single_unit_runner.
+    tables.  Returns run(rng, m) as _single_unit_runner.
     """
-    rules, demand, service = {FORWARD: [], BACKWARD: []}, [], []
+    rules, service = {FORWARD: [], BACKWARD: []}, []
     for i, (law, sl, e) in enumerate(zip(inst.demands, slices, red.element_of_agent)):
         # each active slice buys the size atom of value min(d, 1)
         atom_of_size = {} if e is None else {s: j for j, (s, _) in enumerate(red.instance.laws[e].atoms)}
@@ -587,16 +556,12 @@ def _knapsack_runner(
             branches = ((), ()) if e is None else exact.branches(tag)[e][:2]
             b1, b2 = ([0.0 if a is None else b[a] for a in size_atom] for b in branches)
             rules[tag].append(Admission.build(sl.upper, sizes, b1, b2))
-        demand.append(np.array(sl.demand))
         service.append(_service_array(inst.service[i], rules[FORWARD][i].gains, np.repeat(sl.demand, 2), law.mean))
 
-    def run(rng, m: int, rows=None):
+    def run(rng, m: int):
         out = {}
-        for tag, r, i, u, code in replay_admissions(rules, rng, m, inst.n):
+        for tag, _, i, _, code in replay_admissions(rules, rng, m, inst.n):
             y, s = rules[tag][i].gains, service[i]
-            if rows is not None:
-                _record(rows, tag, r, i, u, demand[i].take(code >> 1), y.take(code), s.take(code))
-                continue
             counts = np.bincount(code, minlength=y.size)
             out[("service", tag[0], i)] = (float(counts @ s), float(counts @ (s * s)), code.size)
             out[("alloc", tag[0], i)] = (float(counts @ y), float(counts @ (y * y)), code.size)
@@ -605,22 +570,11 @@ def _knapsack_runner(
     return run
 
 
-def _sample_traces(run, n: int, seed: int, count: int) -> tuple[AllocationTrace, ...]:
-    """AllocationTraces of `count` runs of the route's own runner (stream NS_TRACE)."""
-    rows = {key: np.zeros((n, count)) for key in ("q", "d", "y", "s")}
-    rows["tag"] = np.full(count, FORWARD, dtype=object)
-    run(stream(seed, NS_TRACE), count, rows)
-    return tuple(
-        AllocationTrace(rows["tag"][r], *(tuple(rows[key][:, r].tolist()) for key in ("q", "d", "y", "s")))
-        for r in range(count)
-    )
-
-
 @dataclass(frozen=True)
 class _Route:
     """One route of run_rationing, built and checked, ready to run.
 
-    run(rng, m, rows=None) is the route's executor; exact() returns
+    run(rng, m) is the route's executor; exact() returns
     {order tag: (alloc, service)}, the exact per-order E[Y_i] and E[s_i].
     Per agent: rates (c_f, c_b), taus (tau_f, tau_b) and the guarantee bound.
     """
@@ -738,7 +692,8 @@ def run_rationing(
     of at least the pair-mean rate times beta.  Mode "exact" propagates the
     remaining-supply or fill law in closed form and raises when an agent
     misses the guarantee; "mc" simulates trials runs on top of the same
-    calibration.  plan covers the agents (single-unit route) or the reduced
+    calibration; seed and workers feed mc mode only, as exact mode draws no
+    randomness.  plan covers the agents (single-unit route) or the reduced
     elements (knapsack route); it defaults to the LP optimum or the closed
     form, and an infeasible plan raises InfeasibleError in both modes.
     On the single-unit route a remaining-supply law past REM_ATOM_CAP atoms
@@ -754,7 +709,6 @@ def run_rationing(
         raise InvalidInstanceError("mc mode needs trials >= 1")
     slices = tuple(_slices(law, q) for law, q in zip(inst.demands, target.q))
     route = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, slices, plan)
-    traces = _sample_traces(route.run, inst.n, seed, TRACE_COUNT)
     if mode == "exact":
         estimates = None
         per = route.exact()
@@ -797,5 +751,5 @@ def run_rationing(
             if a.slack < -CALIBRATION_TOL:
                 raise InvariantViolationError(f"service guarantee missed for agent {a.index}")
     return RationingResult(
-        route.name, mode, target, route.plan, agents, traces, route.rem_slack, estimates, route.resamples
+        route.name, mode, target, route.plan, agents, route.rem_slack, estimates, route.resamples
     )

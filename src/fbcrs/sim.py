@@ -3,9 +3,9 @@
 Streams are PCG64 generators seeded by ``SeedSequence((seed, *path))``, so the
 stream for a given path is a pure function of the root seed: trial chunk i
 always sees the same randomness no matter how many workers run.  Trial
-streams live under the path prefix NS_TRIALS; other namespaces (the rationing
-module's) never collide with them.  Executors draw one uniform per row and
-arrival (`two_orders`).
+streams live under the path prefix NS_TRIALS, so any other namespace never
+collides with them.  Executors draw one uniform per row and arrival
+(`two_orders`).
 """
 
 from __future__ import annotations

@@ -71,9 +71,9 @@ LAW_MASS_TOL = 1e-10
 
 # Knapsack feasibility.  Produced by plans, fill laws and executors; received
 # by KnapsackFeasibilityReport.ok, InvariantReport.ok, monitor_invariants,
-# propagate_fill's reachability check, and the allocation bounds of every
-# executor: fills at most 1, remaining supply at least 0, allocations at
-# most demand and summing to at most 1 (AllocationTrace).
+# propagate_fill's reachability check, and the two Monte Carlo bounds: the
+# single-unit rationing runner's remaining-supply check (at least 0) and
+# replay_admissions' fill check (at most 1).
 FEAS_TOL = 1e-9
 
 # Planned against realized acceptance rates.  Produced by run_knapsack_exact;

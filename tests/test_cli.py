@@ -407,6 +407,13 @@ def test_fbcrs_seed_env_fallback(single_unit_path, capsys, monkeypatch):
     assert capsys.readouterr().out == first  # explicit seed equals the env route
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_fbcrs_seed_env_rejects_non_seeds(rationing_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("FBCRS_SEED", value)
+    assert cli.main(["ration", "--instance", rationing_path]) == 3
+    assert "FBCRS_SEED must be a nonnegative integer" in capsys.readouterr().err
+
+
 def test_out_writes_file(single_unit_path, tmp_path, capsys):
     out = tmp_path / "plan.json"
     assert cli.main(["lp-solve", "--instance", single_unit_path, "--out", str(out)]) == 0
@@ -465,6 +472,9 @@ SU_JSON = '{"kind": "single_unit", "n": 2, "x": [0.3, 0.5]}'
         # no worker threads
         (["simulate-single-unit", "--instance", "{su}", "--trials", "1000", "--workers", "0"], {"su": SU_JSON}),
         (["simulate-single-unit", "--instance", "{su}", "--trials", "1000", "--workers", "-3"], {"su": SU_JSON}),
+        # a seed that is not a nonnegative integer, even in exact mode, which draws no randomness
+        (["ration", "--instance", "{ra}", "--mode", "exact", "--seed", "-1"], {}),
+        (["simulate-single-unit", "--instance", "{su}", "--trials", "100", "--seed", "1.5"], {"su": SU_JSON}),
     ],
     ids=[
         "missing-x",
@@ -476,6 +486,8 @@ SU_JSON = '{"kind": "single_unit", "n": 2, "x": [0.3, 0.5]}'
         "rho-inf",
         "workers-0",
         "workers-negative",
+        "seed-negative",
+        "seed-fraction",
     ],
 )
 def test_malformed_outside_input_exits_3(rationing_path, tmp_path, capsys, argv, files):

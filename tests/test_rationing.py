@@ -9,18 +9,22 @@ from hypothesis import strategies as st
 
 from fbcrs.errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
 from fbcrs.instances import (
+    BACKWARD,
+    FORWARD,
     DemandLaw,
     RationingInstance,
     SingleUnitInstance,
     inverse_cdf,
+    order_row,
 )
 from fbcrs.knapsack import FiniteLaw, closed_form_knapsack_plan
 from fbcrs.lp_si import SelectionPlan, alpha_0
 from fbcrs.rationing import (
-    TRACE_COUNT,
     ServiceTarget,
     _caps,
+    _knapsack_route,
     _merge_rem,
+    _single_unit_route,
     _sizes,
     _slices,
     calibrate_tau,
@@ -32,7 +36,8 @@ from fbcrs.rationing import (
     solve_q_for_beta,
     supply_x,
 )
-from fbcrs.tolerances import CALIBRATION_TOL, CROSSING_TOL, SUPPLY_TOL
+from fbcrs.sim import two_orders
+from fbcrs.tolerances import CALIBRATION_TOL, CROSSING_TOL, FEAS_TOL, SUPPLY_TOL
 
 from oracles import max_uniform_beta_bisection, quantile_sizes_loop, solve_q_walk
 
@@ -355,8 +360,11 @@ def test_mc_agrees_with_exact_single_unit():
 
 
 @pytest.mark.parametrize("route", ["single-unit", "knapsack"])
-def test_traces_are_consistent(route):
-    # the knapsack route admits an active agent whole, at min(d, 1), or not at all
+def test_executor_rows_follow_the_allocation_rule(route):
+    # One-row runs of the route's own executor: replaying two_orders on the
+    # same seed recovers each arrival's uniform, and the one row's
+    # ("alloc", tag, i) and ("service", tag, i) sums are its y and s.
+    # The knapsack route admits an active agent whole, at min(d, 1), or not at all.
     if route == "single-unit":
         cases = [((MIXED, UNIT), ("TypeIII", "TypeII"))]
     else:
@@ -365,22 +373,39 @@ def test_traces_are_consistent(route):
     for demands, service in cases:
         inst = RationingInstance(demands, service)
         target = exante_check(inst, (0.4, 0.4))
-        result = run_rationing(inst, target, mode="exact", seed=3)
-        assert result.route == route
-        assert len(result.traces) == TRACE_COUNT
-        tags = {t.tag for t in result.traces}
-        assert tags <= {"forward", "backward"}
-        for trace in result.traces:
-            rows = zip(trace.quantiles, trace.demands, trace.allocations, trace.services)
-            for i, (q, d, y, s) in enumerate(rows):
-                law = inst.demands[i]
+        slices = tuple(_slices(law, q) for law, q in zip(inst.demands, target.q))
+        built = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, slices, None)
+        assert built.name == route
+        seen = set()
+        for seed in range(64):
+            out = built.run(np.random.default_rng(seed), 1)
+            rem = 1.0
+            for tag, _, i, u in two_orders(np.random.default_rng(seed), 1, inst.n):
+                if not u.size:  # the other order's half
+                    continue
+                law, u = inst.demands[i], float(u[0])
+                (y, _, count), (s, _, _) = out[("alloc", tag[0], i)], out[("service", tag[0], i)]
+                assert count == 1
+                d = inverse_cdf(law, u)
                 assert s == service_value(inst.service[i], y, d, law.mean)
-                if q < target.q[i]:
-                    assert d == inverse_cdf(law, q)
-                    if route == "knapsack":
-                        assert y in (0.0, min(d, 1.0))
-                else:
+                active = u < target.q[i]
+                if not active:
                     assert y == 0.0
+                elif route == "knapsack":
+                    assert y in (0.0, min(d, 1.0))
+                else:
+                    assert y == min(d, rem, built.taus[i][order_row(tag)])
+                seen.add((tag, active))
+                rem -= y
+            assert rem >= -FEAS_TOL
+        assert seen == {(tag, active) for tag in (FORWARD, BACKWARD) for active in (True, False)}
+
+
+@pytest.mark.parametrize("service", [("TypeIII", "TypeII"), ("TypeIII", "TypeI")], ids=["single-unit", "knapsack"])
+def test_exact_mode_ignores_the_seed(service):
+    inst = RationingInstance((MIXED, UNIT), service)
+    target = exante_check(inst, (0.4, 0.4))
+    assert run_rationing(inst, target, seed=0) == run_rationing(inst, target, seed=7)
 
 
 # --- knapsack route --------------------------------------------------------------
