@@ -1,9 +1,9 @@
 """Command-line interface: instance I/O, experiments, sweeps, report emission.
 
 Exit codes: 0 success, 2 a guarantee or invariant check failed, 3 infeasible
-or invalid input.  Every subcommand is deterministic given its flags; --seed
-falls back to the FBCRS_SEED environment variable, then to 0, and must be a
-nonnegative integer.
+or invalid input, usage errors included.  Every subcommand is deterministic
+given its flags; --seed falls back to the FBCRS_SEED environment variable,
+then to 0, and must be a nonnegative integer.
 
 CSV headers (RFC 4180, UTF-8, '.' decimal separator):
   simulate-single-unit: element,c_f,c_b,empirical_rate,ci_low,ci_high
@@ -192,6 +192,7 @@ def cmd_simulate_knapsack(args) -> int:
             "total_violations": report.total_violations,
             "max_expectation_error": report.max_expectation_error,
             "ok": report.ok(),
+            "grid": exact.grid,
         }
         print(json.dumps(summary), file=sys.stderr)
         if not report.ok():
@@ -307,8 +308,17 @@ def cmd_sweep(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors (a bad number or choice, a missing command)
+    exiting 3, the code of invalid input; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fbcrs",
         description="Forward-backward contention resolution: LP, executors, rationing.",
     )

@@ -7,16 +7,21 @@ b1 for 0 < t <= 1-s and b2 for t = 0, with parameters chosen so the
 conditional acceptance probability is the planned c regardless of size.
 Each element's parameters are one Branches table, by size atom.  The fill
 law is propagated exactly, all atoms at once, which makes the executor its
-own test oracle.  The Monte Carlo executor replays the exact run's Branches
-through one admission kernel (Admission) in one replay loop
-(replay_admissions, which the rationing knapsack route shares), so it
-cross-checks the exact fill law itself.
+own test oracle.  When every size is a multiple of 1/L for some L up to
+GRID_CAP, run_knapsack_exact keeps each fill law as one dense vector of
+Pr[T = k/L], k = 0..L, and a step is a cumsum and one slice add per size
+atom; otherwise it folds FiniteLaws through propagate_fill.  Both paths
+share the admission arithmetic (_admission).  The Monte Carlo executor
+replays the exact run's Branches through one admission kernel (Admission)
+in one replay loop (replay_admissions, which the rationing knapsack route
+shares), so it cross-checks the exact fill law itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -239,28 +244,25 @@ def branch_probs(c: float, p0: float, p1s) -> Branches:
     return Branches(tuple(b1), tuple(b2), tuple(rate))
 
 
-def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tuple[FiniteLaw, Branches]:
-    """Fold one element into the fill law; also return its Branches.
+def _admission(law: SizeLaw, c: float, cum: np.ndarray, zero_end: int, fit_ends: list, ctx: str):
+    """The admission arithmetic of one fill step, shared by both fill paths.
 
-    Raises InfeasibleError when c exceeds Pr[T = 0] + Pr[0 < T <= 1-s] for
-    some size s.  Total mass is preserved to MASS_TOL.
+    The fills are in ascending order and cum[r] is the mass of the r lowest
+    (cum[0] = 0): fills [0, zero_end) are the empty knapsack, and size atom j
+    fits fills [0, fit_ends[j]).  Returns the element's Branches and, per
+    fill, the factor of its mass that stays.  Raises InfeasibleError when c
+    exceeds Pr[T = 0] + Pr[0 < T <= 1-s] for some size s.
 
-    One rank query on [0, 1-s_1, ..., 1-s_k] splits the sorted fills into
-    the zero branch [0, r0), size s_j's interval branch [r0, fit_j) and the
-    fills s_j does not fit.  The new law's raw atoms go into one buffer:
-    every fill with the mass that stays, its probability times a factor that
-    is constant between those ranks, then per size atom the fills it fits,
-    shifted by s_j (capped at 1), with the mass that moves.
-    `FiniteLaw.merged` sorts the buffer and merges it into the new law.
+    Sizes ascend (SizeLaw sorts them), so the fit ends descend and the fills
+    past the zero branch fall into pieces on which the j smallest sizes fit,
+    j = k, ..., 0.  On a piece the mass that stays is the inactive mass plus,
+    per size atom, its mass times the chance the element is turned away:
+    1 - b2 at fill 0, 1 - b1 where it fits, 1 else.
     """
     if not 0.0 <= c <= 1.0:
         raise InvalidInstanceError(f"acceptance probability {c} outside [0, 1] {ctx}")
-    values, probs = dist.values, dist.probs
-    n = values.size
-    ranks = dist.rank([0.0] + [1.0 - s for s, _ in law.atoms])
-    r0, fits = int(ranks[0]), ranks[1:].tolist()
-    p0 = dist.p_zero  # cached on the law, where monitor_invariants reads it again
-    p1s = [cf - p0 for cf in dist._cum[ranks[1:]].tolist()]
+    p0 = float(cum[zero_end])
+    p1s = [cf - p0 for cf in cum[fit_ends].tolist()]
     branches = branch_probs(c, p0, p1s)
     for (s, _), p1 in zip(law.atoms, p1s):
         if c > p0 + p1 + FEAS_TOL:
@@ -268,11 +270,6 @@ def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tu
                 f"acceptance {c} exceeds reachable probability {p0 + p1} "
                 f"(size {s}{', ' + ctx if ctx else ''})"
             )
-    # Sizes ascend (SizeLaw sorts them), so the fit ranks descend and the
-    # fills past the zero branch fall into pieces on which the j smallest
-    # sizes fit, j = k, ..., 0.  On a piece the mass that stays is the
-    # inactive mass plus, per size atom, its mass times the chance the
-    # element is turned away: 1 - b2 at fill 0, 1 - b1 where it fits, 1 else.
     size_probs = [ps for _, ps in law.atoms]
     turned_zero = [ps * (1.0 - b2) for ps, b2 in zip(size_probs, branches.b2)]
     turned_fit = [ps * (1.0 - b1) for ps, b1 in zip(size_probs, branches.b1)]
@@ -280,11 +277,34 @@ def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tu
     stay += [
         math.fsum([law.inactive_mass, *turned_fit[:j], *size_probs[j:]]) for j in range(len(size_probs), -1, -1)
     ]
-    cuts = [0, r0, *fits[::-1], n]
+    cuts = [0, zero_end, *fit_ends[::-1], cum.size - 1]
+    return branches, np.array(stay).repeat([hi - lo for lo, hi in zip(cuts, cuts[1:])])
+
+
+def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tuple[FiniteLaw, Branches]:
+    """Fold one element into the fill law; also return its Branches.
+
+    Raises InfeasibleError when c exceeds Pr[T = 0] + Pr[0 < T <= 1-s] for
+    some size s.  Total mass is preserved to MASS_TOL.  The fill path for
+    sizes on no grid (run_knapsack_exact takes _grid_step where it can).
+
+    One rank query on [0, 1-s_1, ..., 1-s_k] splits the sorted fills into
+    the zero branch [0, r0), size s_j's interval branch [r0, fit_j) and the
+    fills s_j does not fit.  The new law's raw atoms go into one buffer:
+    every fill with the mass that stays, its probability times _admission's
+    factor, then per size atom the fills it fits, shifted by s_j (capped at
+    1), with the mass that moves.  `FiniteLaw.merged` sorts the buffer and
+    merges it into the new law.
+    """
+    values, probs = dist.values, dist.probs
+    n = values.size
+    ranks = dist.rank([0.0] + [1.0 - s for s, _ in law.atoms])
+    r0, fits = int(ranks[0]), ranks[1:].tolist()
+    branches, stay = _admission(law, c, dist._cum, r0, fits, ctx)
     out_v = np.empty(n + sum(fits))
     out_p = np.empty_like(out_v)
     out_v[:n] = values
-    np.multiply(probs, np.array(stay).repeat([hi - lo for lo, hi in zip(cuts, cuts[1:])]), out=out_p[:n])
+    np.multiply(probs, stay, out=out_p[:n])
     at = n
     for (s, ps), fit, b1, b2 in zip(law.atoms, fits, branches.b1, branches.b2):
         np.add(values[:fit], s, out=out_v[at : at + fit])
@@ -302,20 +322,95 @@ def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tu
     return new, branches
 
 
-@dataclass(frozen=True)
+# The largest grid run_knapsack_exact runs on.  A run keeps every fill law of
+# both orders, 16 * (n + 1) * (L + 1) bytes: 1.9 MB at n = 28 and L = 4096,
+# 13 MB at n = 200.  Finer grids fold FiniteLaws, whose size follows the
+# support the fills reach rather than the grid.
+GRID_CAP = 4096
+
+
+def _grid_size(laws) -> int | None:
+    """The smallest L <= GRID_CAP such that every size atom is the double
+    k/L for an integer k, or None.
+
+    Each pass checks every size at L and, for the first one off it, takes
+    the denominator q of the closest fraction with denominator at most
+    GRID_CAP; L becomes lcm(L, q).  A size no such fraction reproduces
+    exactly, or an L past the cap, means no grid.
+    """
+    sizes = np.array([s for law in laws for s, _ in law.atoms])
+    grid = 1
+    while True:
+        off = np.rint(sizes * grid) / grid != sizes
+        if not off.any():
+            return grid
+        s = float(sizes[off.argmax()])
+        q = Fraction(s).limit_denominator(GRID_CAP)
+        grid = math.lcm(grid, q.denominator)
+        if float(q) != s or grid > GRID_CAP:
+            return None
+
+
+def _grid_step(p: np.ndarray, out: np.ndarray, law: SizeLaw, ks: np.ndarray, c: float, ctx: str) -> Branches:
+    """propagate_fill on a 1/L grid: p[k] = Pr[T = k/L] before the element,
+    out[k] after it; ks[j] = L * s_j.  Returns the element's Branches.
+
+    Size atom j fits fills k <= L - ks[j] exactly, so no boundary needs
+    ATOM_TOL and no atoms merge.  The mass that stays is p times
+    _admission's factors; each size atom then adds one slice, shifted by
+    ks[j], with b2 at fill 0 and b1 above it.
+    """
+    cum = np.empty(p.size + 1)
+    cum[0] = 0.0
+    np.cumsum(p, out=cum[1:])
+    fits = (p.size - ks).tolist()
+    branches, stay = _admission(law, c, cum, 1, fits, ctx)
+    np.multiply(p, stay, out=out)
+    for k, fit, (_, ps), b1, b2 in zip(ks.tolist(), fits, law.atoms, branches.b1, branches.b2):
+        moved = p[:fit] * ps  # (p * ps) * b as in propagate_fill: the order decides what underflows
+        moved[0] *= b2
+        moved[1:] *= b1
+        out[k : k + fit] += moved
+    mass = float(out.sum())  # pairwise: within about 1e-15 of 1, far inside MASS_TOL
+    if abs(mass - 1.0) > MASS_TOL:
+        raise InvariantViolationError(f"fill mass drifted to {mass} {ctx}")
+    return branches
+
+
+@dataclass(frozen=True, eq=False)
 class KnapsackExactResult:
     """Exact conditional rates and the full fill-law traces for both orders.
 
     branches_* hold every element's Branches, so the executor's bit
-    parameters can be replayed without re-propagating.
+    parameters can be replayed without re-propagating.  traces_f and
+    traces_b hold n+1 laws each, before each arrival and final.  grid is
+    the L of the run's 1/L grid, or None when it folded FiniteLaws: then
+    `sparse` holds the two traces.  On a grid, dense[row, step, k] is
+    Pr[T = k/L] (row 0 forward, 1 backward), and the traces are FiniteLaw
+    views of its rows, built on first access.
     """
 
     rates_f: tuple[float, ...]
     rates_b: tuple[float, ...]
     branches_f: tuple[Branches, ...]
     branches_b: tuple[Branches, ...]
-    traces_f: tuple[FiniteLaw, ...]  # n+1 laws, before each arrival and final
-    traces_b: tuple[FiniteLaw, ...]
+    grid: int | None
+    dense: np.ndarray | None = field(repr=False)  # (2, n + 1, L + 1), read-only
+    sparse: tuple[tuple[FiniteLaw, ...], tuple[FiniteLaw, ...]] | None = field(repr=False)
+
+    @cached_property
+    def traces_f(self) -> tuple[FiniteLaw, ...]:
+        return self._trace(0)
+
+    @cached_property
+    def traces_b(self) -> tuple[FiniteLaw, ...]:
+        return self._trace(1)
+
+    def _trace(self, row: int) -> tuple[FiniteLaw, ...]:
+        if self.dense is None:
+            return self.sparse[row]
+        values = _grid_values(self.grid)
+        return tuple(FiniteLaw(values[nz], step[nz]) for step in self.dense[row] for nz in step.nonzero())
 
     def rates(self, tag: str) -> tuple[float, ...]:
         return (self.rates_f, self.rates_b)[order_row(tag)]
@@ -338,26 +433,47 @@ class KnapsackExactResult:
         return max(self.rate_errors(plan))
 
 
+def _grid_values(grid: int) -> np.ndarray:
+    """The fills k/L, k = 0..L, of a 1/L grid."""
+    return np.arange(grid + 1) / grid
+
+
 def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackExactResult:
-    """Propagate the fill law through both orders and read off exact rates."""
+    """Propagate the fill law through both orders and read off exact rates.
+
+    Sizes on a 1/L grid with L <= GRID_CAP run _grid_step on one dense
+    (2, n + 1, L + 1) block; any other sizes fold FiniteLaws through
+    propagate_fill.
+    """
     check_knapsack_feasible(plan, inst).require()
-    per_order = []  # (rates, branches, traces) of each order
+    grid = _grid_size(inst.laws)
+    if grid is None:
+        dense, sparse = None, ([FiniteLaw([0.0], [1.0])], [FiniteLaw([0.0], [1.0])])
+    else:
+        dense, sparse = np.zeros((2, inst.n + 1, grid + 1)), None
+        dense[:, 0, 0] = 1.0
+        ks = [np.rint(np.array([s for s, _ in law.atoms]) * grid).astype(np.intp) for law in inst.laws]
+    per_order = []  # (rates, branches) of each order
     orders = arrival((range(inst.n), range(inst.n))).tolist()
-    for tag, order, planned in zip((FORWARD, BACKWARD), orders, (plan.c_f, plan.c_b)):
-        dist = FiniteLaw([0.0], [1.0])
-        traces = [dist]
+    for row, (tag, order, planned) in enumerate(zip((FORWARD, BACKWARD), orders, (plan.c_f, plan.c_b))):
         rates = [0.0] * inst.n
         branches: list = [None] * inst.n
         for pos, i in enumerate(order):
             law = inst.laws[i]
-            dist, branches[i] = propagate_fill(
-                dist, law, planned[i], ctx=f"order {tag}, element {i}, position {pos + 1}"
-            )
-            traces.append(dist)
+            ctx = f"order {tag}, element {i}, position {pos + 1}"
+            if dense is None:
+                dist, branches[i] = propagate_fill(sparse[row][-1], law, planned[i], ctx)
+                sparse[row].append(dist)
+            else:
+                branches[i] = _grid_step(dense[row, pos], dense[row, pos + 1], law, ks[i], planned[i], ctx)
             rates[i] = math.fsum(ps * r for (_, ps), r in zip(law.atoms, branches[i].rate)) / law.active_mass
-        per_order.append((tuple(rates), tuple(branches), tuple(traces)))
-    (rates_f, branches_f, traces_f), (rates_b, branches_b, traces_b) = per_order
-    return KnapsackExactResult(rates_f, rates_b, branches_f, branches_b, traces_f, traces_b)
+        per_order.append((tuple(rates), tuple(branches)))
+    if dense is None:
+        sparse = tuple(map(tuple, sparse))
+    else:
+        dense.flags.writeable = False
+    (rates_f, branches_f), (rates_b, branches_b) = per_order
+    return KnapsackExactResult(rates_f, rates_b, branches_f, branches_b, grid, dense, sparse)
 
 
 @dataclass(frozen=True)
@@ -378,19 +494,25 @@ class InvariantReport:
         return not self.violations
 
 
-def monitor_invariants(
-    dist: FiniteLaw,
-    c_first: float,
-    b_grid,
-    c_current: float | None = None,
-) -> InvariantReport:
-    """Check the induction inequalities at every b in the grid."""
+def _monitor_points(b_grid) -> tuple[np.ndarray, np.ndarray]:
+    """The b-grid as an array, and the fills 0, b..., 1-b... at which the
+    checks read the CDF (resolved at ATOM_TOL, as FiniteLaw.rank does)."""
     b = np.asarray(b_grid, dtype=float)
     outside = ~((b > 0.0) & (b <= 0.5))
     if outside.any():
         raise ValueError(f"b={b[outside][0]} outside (0, 1/2]")
-    low = dist.p_interval(0.0, b)
-    mid = dist.p_interval(b, 1.0 - b)
+    return b, np.concatenate(([0.0], b, 1.0 - b))
+
+
+def _check_invariants(cdf: np.ndarray, c_first: float, b: np.ndarray, current: list) -> list[InvariantReport]:
+    """The induction checks on m fill laws at once.
+
+    Row r of cdf holds law r's Pr[T <= x] at _monitor_points; current[r] is
+    the acceptance of the element arriving at law r, or None (no zero slack).
+    """
+    zero, below_b, below_top = cdf[:, :1], cdf[:, 1 : 1 + b.size], cdf[:, 1 + b.size :]
+    low = below_b - zero
+    mid = below_top - below_b
     if c_first > 0.0:
         lhs = low / c_first
         rhs = np.exp(-mid / c_first)
@@ -398,10 +520,28 @@ def monitor_invariants(
         # nothing is ever accepted when the first element gets 0
         lhs = low
         rhs = np.zeros_like(low)
-    bad = np.flatnonzero(lhs > rhs + FEAS_TOL)
-    violations = tuple(zip(b[bad].tolist(), lhs[bad].tolist(), rhs[bad].tolist()))
-    zero_slack = None if c_current is None else dist.p_zero - c_current
-    return InvariantReport(violations, zero_slack)
+    bad = lhs > rhs + FEAS_TOL
+    flagged = bad.any(axis=1).tolist()
+    slacks = [None if c is None else z - c for z, c in zip(zero[:, 0].tolist(), current)]
+    reports = []
+    for r, (hit, slack) in enumerate(zip(flagged, slacks)):
+        violations = ()
+        if hit:
+            cols = bad[r]
+            violations = tuple(zip(b[cols].tolist(), lhs[r, cols].tolist(), rhs[r, cols].tolist()))
+        reports.append(InvariantReport(violations, slack))
+    return reports
+
+
+def monitor_invariants(
+    dist: FiniteLaw,
+    c_first: float,
+    b_grid,
+    c_current: float | None = None,
+) -> InvariantReport:
+    """Check the induction inequalities at every b in the grid."""
+    b, points = _monitor_points(b_grid)
+    return _check_invariants(dist._cum[dist.rank(points)][None, :], c_first, b, [c_current])[0]
 
 
 @dataclass(frozen=True)
@@ -425,21 +565,36 @@ def monitor_trace(
     result: KnapsackExactResult,
     b_grid,
 ) -> MonitorTraceReport:
-    """Run monitor_invariants at every step; also check E[T] bookkeeping.
+    """Run the monitor_invariants checks at every step; also check E[T]
+    bookkeeping.
 
-    The expectation identity E[T before element at position k] =
-    sum of c_sigma(j) * mu_j over the k-1 earlier elements must hold to
-    RATE_TOL at every step.
+    Per order, one (n + 1) x points matrix of CDF values feeds the checks of
+    every step: on a grid run one cumsum of the dense block, else each
+    law's prefix sums.  The expectation identity E[T before element at
+    position k] = sum of c_sigma(j) * mu_j over the k-1 earlier elements
+    must hold to RATE_TOL at every step.
     """
+    b, points = _monitor_points(b_grid)
     reports = []
-    for tag, planned in zip((FORWARD, BACKWARD), arrival(plan.array).tolist()):
-        for step, dist in enumerate(result.traces(tag)):
-            current = planned[step] if step < inst.n else None
-            reports.append((tag, step, monitor_invariants(dist, planned[0], b_grid, current)))
+    actual = np.empty((2, inst.n + 1))  # E[T] before each arrival, and at the end
+    if result.grid is not None:
+        values = _grid_values(result.grid)
+        cols = values.searchsorted(points + ATOM_TOL, side="right") - 1
+    for row, (tag, planned) in enumerate(zip((FORWARD, BACKWARD), arrival(plan.array))):
+        if result.grid is None:
+            laws = result.traces(tag)
+            cdf = np.array([dist._cum[dist.rank(points)] for dist in laws])
+            actual[row] = [dist.expectation for dist in laws]
+        else:
+            block = result.dense[row]
+            cdf = np.cumsum(block, axis=1)[:, cols]
+            # values[nz] @ step[nz] is what the trace view's `expectation` computes
+            actual[row] = [values[nz] @ step[nz] for step in block for nz in step.nonzero()]
+        checks = _check_invariants(cdf, float(planned[0]), b, [*planned.tolist(), None])
+        reports += [(tag, step, rep) for step, rep in enumerate(checks)]
     claimed = plan.array * np.array(inst.mu)
-    expected = np.zeros((2, inst.n + 1))  # E[T] before each arrival, and at the end
+    expected = np.zeros((2, inst.n + 1))
     expected[:, 1:] = arrival(before(claimed) + claimed)
-    actual = np.array([[dist.expectation for dist in result.traces(tag)] for tag in (FORWARD, BACKWARD)])
     return MonitorTraceReport(tuple(reports), float(np.abs(actual - expected).max()))
 
 

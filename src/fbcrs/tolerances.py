@@ -15,10 +15,10 @@ here and nowhere else.
 # Probability sums and total masses.  Produced by instance files and the
 # rationing service targets; received by the SizeLaw, DemandLaw and
 # KnapsackInstance constructors (mass sums, total mean size <= 1), by
-# exante_check and ServiceTarget (total supply share <= 1), by
-# propagate_fill (fill-law mass drift after each step) and by
-# bernoulli_params (an element whose remaining mass is at most this is
-# flagged 0/0).  exante_check and knapsack_reduction apply the same entry to
+# exante_check and ServiceTarget (total supply share <= 1), by both fill
+# steps, propagate_fill and run_knapsack_exact's grid step (fill-law mass
+# drift after each step), and by bernoulli_params (an element whose
+# remaining mass is at most this is flagged 0/0).  exante_check and knapsack_reduction apply the same entry to
 # the same total: each supply share and its element's mean size are computed
 # from one size table (rationing._sizes), so they are equal bit for bit and a
 # target the one accepts the other accepts.
@@ -56,24 +56,29 @@ MONOTONE_TOL = 1e-12
 # --- exact propagation ----------------------------------------------------------
 
 # Law values closer than this merge onto the earlier value, and fill
-# boundaries resolve at it.  Sizes on a common grid still trigger merges:
-# float sums of the same grid points taken in different orders differ in
-# the last bits.  Produced by fill propagation; received by FiniteLaw's
-# merge and queries and by Admission's fit bound 1 - s + ATOM_TOL, so the
-# Monte Carlo executor admits exactly the fills the exact run fits.
+# boundaries resolve at it.  Off the grid, sizes on a common grid still
+# trigger merges: float sums of the same grid points taken in different
+# orders differ in the last bits.  run_knapsack_exact's grid path keeps
+# fills as integers k (the fill k/L), so its fits are exact and nothing
+# merges there; only its trace views and the monitor's CDF points (b and
+# 1 - b) still resolve at this entry.  Produced by fill propagation;
+# received by FiniteLaw's merge and queries, by the monitor and by
+# Admission's fit bound 1 - s + ATOM_TOL, so the Monte Carlo executor admits
+# exactly the fills the exact run fits.
 ATOM_TOL = 1e-12
 
 # Total mass of any FiniteLaw at construction.  Produced by fill and
 # remaining-supply propagation and by _merge_rem; received by the FiniteLaw
-# constructor.  propagate_fill then holds each new fill law to the tighter
-# MASS_TOL.
+# constructor, which also checks the views of a grid run's dense fill laws.
+# Both fill steps hold each new fill law to the tighter MASS_TOL.
 LAW_MASS_TOL = 1e-10
 
 # Knapsack feasibility.  Produced by plans, fill laws and executors; received
-# by KnapsackFeasibilityReport.ok, InvariantReport.ok, monitor_invariants,
-# propagate_fill's reachability check, and the two Monte Carlo bounds: the
-# single-unit rationing runner's remaining-supply check (at least 0) and
-# replay_admissions' fill check (at most 1).
+# by KnapsackFeasibilityReport.ok, InvariantReport.ok, monitor_invariants
+# and monitor_trace, the reachability check of both fill steps
+# (propagate_fill and the grid step share it), and the two Monte Carlo
+# bounds: the single-unit rationing runner's remaining-supply check (at
+# least 0) and replay_admissions' fill check (at most 1).
 FEAS_TOL = 1e-9
 
 # Planned against realized acceptance rates.  Produced by run_knapsack_exact;

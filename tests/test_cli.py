@@ -205,6 +205,20 @@ def test_simulate_knapsack_monitor(knapsack_path, capsys):
     assert summary["total_violations"] == 0
 
 
+@pytest.mark.parametrize(
+    "sizes, grid",
+    [((0.5, 0.2, 0.6), 10), ((0.5123456789, 0.2, 0.6), None)],
+    ids=["grid", "ten-digit-sizes"],
+)
+def test_simulate_knapsack_monitor_names_the_path(sizes, grid, tmp_path, capsys):
+    inst = KnapsackInstance((SizeLaw(((sizes[0], 1.0),)), SizeLaw(((sizes[1], 0.5), (sizes[2], 0.3)), 0.2)))
+    path = _write(tmp_path, "kn.json", inst)
+    assert cli.main(["simulate-knapsack", "--instance", path, "--monitor"]) == 0
+    summary = json.loads(capsys.readouterr().err)
+    assert summary["ok"] is True
+    assert summary["grid"] == grid
+
+
 def test_simulate_knapsack_mc(knapsack_path, capsys):
     code = cli.main(
         ["simulate-knapsack", "--instance", knapsack_path, "--mode", "mc",
@@ -497,6 +511,33 @@ def test_malformed_outside_input_exits_3(rationing_path, tmp_path, capsys, argv,
         Path(paths[name]).write_text(text, encoding="utf-8")
     assert cli.main([arg.format(**paths) for arg in argv]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-single-unit", "--instance", "su.json", "--trials", "abc"],
+        ["dual-certificate", "--n", "x", "--rho", "1"],
+        ["dual-certificate", "--n", "3", "--rho", "y"],
+        ["simulate-knapsack", "--instance", "kn.json", "--mode", "bogus"],
+        [],
+    ],
+    ids=["bad-int", "bad-int-n", "bad-float", "bad-choice", "missing-command"],
+)
+def test_usage_errors_exit_3(argv, capsys):
+    # exit 2 would read as a failed guarantee or invariant check
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 3
+    assert "usage: fbcrs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate-knapsack", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    assert "usage: fbcrs" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("exc", [InvariantViolationError, SolverError])
