@@ -33,7 +33,7 @@ from .instances import (
     load_instance,
     load_service_levels,
 )
-from .knapsack import closed_form_knapsack_plan, monitor_trace, run_knapsack_exact, run_knapsack_mc
+from .knapsack import closed_form_knapsack_plan, monitor_trace, replay_branches, run_knapsack_exact
 from .lp_si import alpha_0, dual_certificate_uniform, dual_feasibility, solve_lp_si
 from .rationing import exante_check, max_uniform_beta, run_rationing
 from .single_unit import closed_form_plan, mc_selection_rates
@@ -166,16 +166,16 @@ def cmd_simulate_knapsack(args) -> int:
     trials = _require_trials(args.mode, args.trials)
     seed = _resolve_seed(args.seed)
     plan = closed_form_knapsack_plan(inst)
+    exact = run_knapsack_exact(inst, plan)  # the MC replay and the monitor both read it
     code = 0
     if args.mode == "exact":
-        result = run_knapsack_exact(inst, plan)
         rows = [
-            [i + 1, plan.c_f[i], plan.c_b[i], result.rates_f[i], result.rates_b[i], err]
-            for i, err in enumerate(result.rate_errors(plan))
+            [i + 1, plan.c_f[i], plan.c_b[i], exact.rates_f[i], exact.rates_b[i], err]
+            for i, err in enumerate(exact.rate_errors(plan))
         ]
         header = ["element", "c_f", "c_b", "rate_f", "rate_b", "rate_error"]
     else:
-        estimates = run_knapsack_mc(inst, plan, trials, seed, workers=args.workers)
+        estimates = replay_branches(inst, exact, trials, seed, workers=args.workers)
         rows = []
         for i in range(inst.n):
             ef, eb = estimates[("f", i)], estimates[("b", i)]
@@ -186,7 +186,6 @@ def cmd_simulate_knapsack(args) -> int:
         header = ["element", "c_f", "c_b",
                   "rate_f", "ci_low_f", "ci_high_f", "rate_b", "ci_low_b", "ci_high_b"]
     if args.monitor:
-        exact = result if args.mode == "exact" else run_knapsack_exact(inst, plan)
         report = monitor_trace(inst, plan, exact, MONITOR_GRID)
         summary = {
             "total_violations": report.total_violations,

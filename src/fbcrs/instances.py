@@ -6,16 +6,13 @@ silently, and every check is written so that NaN fails it.  Probability
 sums are checked to an absolute MASS_TOL (see tolerances.py).  Malformed
 JSON input raises InvalidInstanceError.
 
-Element arrays are 0-based positional throughout the library; the one
-exception is `split_element`, whose index argument is 1-based (documented
-there), matching how the transform is usually written.
+Element arrays are 0-based positional throughout the library.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -212,14 +209,6 @@ class DemandLaw:
             out.append(acc)
         return tuple(out)
 
-    def cdf(self, d: float) -> float:
-        """Pr[D <= d]."""
-        total = 0.0
-        for atom_d, p in self.atoms:
-            if atom_d <= d:
-                total += p
-        return total
-
 
 @dataclass(frozen=True)
 class RationingInstance:
@@ -243,30 +232,6 @@ class RationingInstance:
     @property
     def has_type_i(self) -> bool:
         return ServiceType.TYPE_I in self.service
-
-
-def inverse_cdf(law: DemandLaw, q: float) -> float:
-    """Smallest demand atom whose cumulative probability reaches q."""
-    if not 0.0 <= q <= 1.0:
-        raise InvalidInstanceError(f"quantile {q} outside [0, 1]")
-    idx = bisect_left(law.cum, q)
-    if idx >= len(law.atoms):  # float shortfall in the last cumulative
-        idx = len(law.atoms) - 1
-    return law.atoms[idx][0]
-
-
-def split_element(inst: SingleUnitInstance, k: int) -> SingleUnitInstance:
-    """Replace element k (1-based) by two elements of half its mass.
-
-    Halving is exact in binary floating point except below the smallest
-    normal double, so the second half is x - x/2: the total mass is preserved
-    exactly either way.
-    """
-    if not 1 <= k <= inst.n:
-        raise InvalidInstanceError(f"split index {k} outside 1..{inst.n}")
-    i = k - 1
-    half = inst.x[i] / 2.0
-    return SingleUnitInstance(inst.x[:i] + (half, inst.x[i] - half) + inst.x[i + 1 :])
 
 
 def knapsack_hardness_instance(n: int) -> tuple[KnapsackInstance, SingleUnitInstance]:
@@ -319,6 +284,8 @@ def instance_from_dict(data: dict):
         n = data["n"]
     except (KeyError, TypeError):
         raise InvalidInstanceError("instance JSON needs 'kind' and 'n'") from None
+    if type(n) is not int:  # bool is an int subclass, and JSON true is no count
+        raise InvalidInstanceError(f"instance JSON 'n' must be an integer, got {n!r}")
     try:
         if kind == "single_unit":
             inst = SingleUnitInstance(tuple(data["x"]))

@@ -115,7 +115,7 @@ class FiniteLaw:
     The knapsack executor propagates the fill before each arrival; the
     rationing executor propagates the remaining supply.  The arrays are
     read-only copies; `atoms` views the same law as (value, probability)
-    pairs.  Queries resolve boundaries at ATOM_TOL.
+    pairs.  `rank` resolves boundaries at ATOM_TOL.
 
     `mass` sums the probabilities in extended precision (np.longdouble) and
     rounds once to float.  Where longdouble is the x87 80-bit type (x86-64
@@ -200,14 +200,6 @@ class FiniteLaw:
     def rank(self, x):
         """Number of atoms at or below x (scalar or array), resolved at ATOM_TOL."""
         return np.searchsorted(self.values, np.add(x, ATOM_TOL), side="right")
-
-    @cached_property
-    def p_zero(self) -> float:
-        return float(self._cum[self.rank(0.0)])
-
-    def p_interval(self, lo, hi):
-        """Pr[lo < T <= hi], boundaries resolved at ATOM_TOL; bounds may be arrays."""
-        return self._cum[self.rank(hi)] - self._cum[self.rank(lo)]
 
     @cached_property
     def expectation(self) -> float:
@@ -680,7 +672,12 @@ def run_knapsack_mc(
     given active, per order.  The branches come from run_knapsack_exact, so
     each estimate tests the exact fill law: it should cover the planned c.
     """
-    exact = run_knapsack_exact(inst, plan)
+    return replay_branches(inst, run_knapsack_exact(inst, plan), trials, seed, workers)
+
+
+def replay_branches(inst: KnapsackInstance, exact: KnapsackExactResult, trials: int, seed: int, workers: int = 1):
+    """run_knapsack_mc on the Branches of exact, a run_knapsack_exact result
+    for inst, so a caller that also reads the exact run propagates once."""
     rules = {
         tag: [Admission.of_law(law, br) for law, br in zip(inst.laws, exact.branches(tag))]
         for tag in (FORWARD, BACKWARD)

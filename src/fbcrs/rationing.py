@@ -66,24 +66,15 @@ ROUTE_SINGLE_UNIT = "single-unit"
 ROUTE_KNAPSACK = "knapsack"
 
 
-def service_value(stype, y: float, d: float, mean: float | None = None) -> float:
-    """Service delivered by allocation y against demand d.
+def _service(stype: ServiceType, y: float, d: float, mean: float) -> float:
+    """Service delivered by allocation y >= 0 against demand d >= 0; mean is
+    the agent's positive demand mean.
 
     Type-II service is min(y, d) / mean and deliberately exceeds 1 when the
     realized demand does; clamping would break the identity between expected
     service and the calibrated target.  Type-III treats zero demand as fully
     served.
     """
-    stype = ServiceType.parse(stype)
-    if y < 0.0 or d < 0.0:
-        raise InvalidInstanceError("allocation and demand must be nonnegative")
-    if stype is ServiceType.TYPE_II and (mean is None or mean <= 0.0):
-        raise InvalidInstanceError("Type-II service needs the positive demand mean")
-    return _service(stype, y, d, mean)
-
-
-def _service(stype: ServiceType, y: float, d: float, mean: float) -> float:
-    """service_value without the parse and the checks, for the library's own walks."""
     if stype is ServiceType.TYPE_I:
         return 1.0 if y >= d else 0.0
     if stype is ServiceType.TYPE_II:

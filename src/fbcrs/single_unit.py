@@ -75,18 +75,18 @@ def closed_form_plan(inst: SingleUnitInstance) -> SelectionPlan:
     return SelectionPlan(rates[0], rates[1])
 
 
-def _bernoulli(
-    inst: SingleUnitInstance, plan: SelectionPlan, tags: tuple[str, ...] = (FORWARD, BACKWARD)
-) -> tuple[np.ndarray, np.ndarray]:
-    """The parameters and 0/0 flags of both orders, each a (2, n) array with
-    the rows forward and backward, in element order.
+def _bernoulli(inst: SingleUnitInstance, plan: SelectionPlan) -> np.ndarray:
+    """Acceptance-bit parameters c_sigma(i)/(1 - mass already claimed), a
+    (2, n) array with the rows forward and backward, in element order; 0
+    where that mass is used up (0/0, remaining mass at most MASS_TOL).
 
-    Raises InfeasibleError for the first offending element, in arrival
-    order, of the first order in tags that has one.
+    Raises InfeasibleError, naming the first offending element in arrival
+    order, forward before backward, when the plan asks for more than the
+    remaining mass plus LP_TOL.
     """
     remaining = 1.0 - before(inst.x_array * plan.array)  # mass left at each arrival
     over = plan.array > remaining + LP_TOL
-    for tag in tags:
+    for tag in (FORWARD, BACKWARD):
         row = order_row(tag)
         hits = np.flatnonzero(over[row])
         if hits.size:
@@ -95,26 +95,10 @@ def _bernoulli(
                 f"plan infeasible: c_{tag}({i}) = {float(plan.array[row, i])} "
                 f"exceeds remaining mass {float(remaining[row, i])}"
             )
-    flagged = remaining <= MASS_TOL
-    # Unflagged elements have remaining > MASS_TOL, which the floor leaves as is.
+    # The floor changes no remaining > MASS_TOL; the rest are 0/0 and get 0.
     params = np.minimum(plan.array / np.maximum(remaining, MASS_TOL), 1.0)
-    params[flagged] = 0.0
-    return params, flagged
-
-
-def bernoulli_params(
-    inst: SingleUnitInstance, plan: SelectionPlan, tag: str
-) -> tuple[tuple[float, ...], tuple[bool, ...]]:
-    """Acceptance-bit parameters c_sigma(i)/(1 - mass already claimed).
-
-    A parameter is flagged when its denominator has been fully consumed
-    (0/0); the convention is parameter 0 there.  Raises InfeasibleError,
-    naming the first offending element in arrival order, when the plan asks
-    for more than the remaining mass plus LP_TOL.
-    """
-    params, flagged = _bernoulli(inst, plan, (tag,))
-    row = order_row(tag)
-    return tuple(params[row].tolist()), tuple(flagged[row].tolist())
+    params[remaining <= MASS_TOL] = 0.0
+    return params
 
 
 def exact_selection_rates(
@@ -127,7 +111,7 @@ def exact_selection_rates(
     prod_j (1 - param_j x_j) over the earlier elements j.  Equals the plan
     exactly whenever the plan is feasible.
     """
-    params, _ = _bernoulli(inst, plan)
+    params = _bernoulli(inst, plan)
     rates = params * before(1.0 - params * inst.x_array, np.multiply)
     return tuple(rates[0].tolist()), tuple(rates[1].tolist())
 
@@ -149,7 +133,7 @@ def mc_selection_rates(
     n = inst.n
     # One uniform per element: active when u < x_i; given that, u / x_i is a
     # fresh uniform, so the acceptance bit fires when u < x_i * param_i.
-    params, _ = _bernoulli(inst, plan)
+    params = _bernoulli(inst, plan)
     bits = {FORWARD: x * params[0], BACKWARD: x * params[1]}
 
     def experiment(rng, m: int):

@@ -17,11 +17,11 @@ here and nowhere else.
 # KnapsackInstance constructors (mass sums, total mean size <= 1), by
 # exante_check and ServiceTarget (total supply share <= 1), by both fill
 # steps, propagate_fill and run_knapsack_exact's grid step (fill-law mass
-# drift after each step), and by bernoulli_params (an element whose
-# remaining mass is at most this is flagged 0/0).  exante_check and knapsack_reduction apply the same entry to
-# the same total: each supply share and its element's mean size are computed
-# from one size table (rationing._sizes), so they are equal bit for bit and a
-# target the one accepts the other accepts.
+# drift after each step), and by single_unit._bernoulli (a remaining mass
+# at most this is 0/0, parameter 0).  exante_check and knapsack_reduction
+# apply the same entry to the same total: each supply share and its element's
+# mean size are computed from one size table (rationing._sizes), so they are
+# equal bit for bit and a target the one accepts the other accepts.
 MASS_TOL = 1e-12
 
 # Per-agent service levels, quantiles and shares in [0, 1].  Produced by the
@@ -45,8 +45,8 @@ CURVE_TOL = 1e-12
 # check, its window of splits tied with the best beta and its duality gap,
 # by the [0, 1] range check on either path's rates, by
 # SelectionPlan.is_feasible, by DualFeasibilityReport.ok, by the CLI's
-# primal-dual comparisons and by bernoulli_params (a plan rate may exceed
-# the remaining mass by this much).
+# primal-dual comparisons and by single_unit._bernoulli (a plan rate may
+# exceed the remaining mass by this much).
 LP_TOL = 1e-9
 
 # Ordering of a knapsack plan's rates (the first arrival weakly largest).

@@ -14,9 +14,17 @@ acceptance probability summed up sequentially) instead of the array code,
 and the rationing quantile walk, size table and common-level bisection as
 first written instead of the one level walk and its Newton steps.
 The enumerations are exponential in n; keep n small there.
+
+The library's own tests also keep here the checked twins of rules the
+library runs without them: `inverse_cdf` and `demand_cdf` (the executor
+maps a uniform to a demand through `rationing._slices`), `split_element`
+(the LP's monotonicity under splitting), `service_value` (the argument
+checks around `rationing._service`), and `fill_masses` (the fill masses
+propagate_fill reads through `FiniteLaw.rank`, summed atom by atom).
 """
 
 import math
+from bisect import bisect_left
 from itertools import product
 
 import numpy as np
@@ -37,6 +45,81 @@ def wilson_reference(successes: float, count: int, confidence: float = 0.999):
     center = (p + z * z / (2.0 * count)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / count + z * z / (4.0 * count * count))
     return center - half, center + half
+
+
+def demand_cdf(law, d: float) -> float:
+    """Pr[D <= d] of a DemandLaw."""
+    total = 0.0
+    for atom_d, p in law.atoms:
+        if atom_d <= d:
+            total += p
+    return total
+
+
+def inverse_cdf(law, q: float) -> float:
+    """Smallest demand atom whose cumulative probability reaches q."""
+    from fbcrs.errors import InvalidInstanceError
+
+    if not 0.0 <= q <= 1.0:
+        raise InvalidInstanceError(f"quantile {q} outside [0, 1]")
+    idx = bisect_left(law.cum, q)
+    if idx >= len(law.atoms):  # float shortfall in the last cumulative
+        idx = len(law.atoms) - 1
+    return law.atoms[idx][0]
+
+
+def split_element(inst, k: int):
+    """Replace element k (1-based) of a SingleUnitInstance by two elements
+    of half its mass.
+
+    Halving is exact in binary floating point except below the smallest
+    normal double, so the second half is x - x/2: the total mass is preserved
+    exactly either way.
+    """
+    from fbcrs.errors import InvalidInstanceError
+    from fbcrs.instances import SingleUnitInstance
+
+    if not 1 <= k <= inst.n:
+        raise InvalidInstanceError(f"split index {k} outside 1..{inst.n}")
+    i = k - 1
+    half = inst.x[i] / 2.0
+    return SingleUnitInstance(inst.x[:i] + (half, inst.x[i] - half) + inst.x[i + 1 :])
+
+
+def service_value(stype, y: float, d: float, mean: float | None = None) -> float:
+    """Service delivered by allocation y against demand d: rationing._service
+    behind a parse of the service type and checks of its arguments."""
+    from fbcrs.errors import InvalidInstanceError
+    from fbcrs.instances import ServiceType
+    from fbcrs.rationing import _service
+
+    stype = ServiceType.parse(stype)
+    if y < 0.0 or d < 0.0:
+        raise InvalidInstanceError("allocation and demand must be nonnegative")
+    if stype is ServiceType.TYPE_II and (mean is None or mean <= 0.0):
+        raise InvalidInstanceError("Type-II service needs the positive demand mean")
+    return _service(stype, y, d, mean)
+
+
+def fill_masses(dist, rooms):
+    """(p0, p1s) of a FiniteLaw fill: Pr[T = 0] and, per room r, Pr[0 < T <= r],
+    boundaries resolved at BOUNDARY_TOL.
+
+    Each bound's mass is summed up the sorted atoms one at a time, in the
+    order np.cumsum adds them, so the values match the library's bit for bit
+    without its rank queries.
+    """
+
+    def at_most(bound):
+        total = 0.0
+        for v, p in dist.atoms:
+            if v > bound + BOUNDARY_TOL:
+                break
+            total += p
+        return total
+
+    p0 = at_most(0.0)
+    return p0, [at_most(r) - p0 for r in rooms]
 
 
 def highs_lp_optimum(x) -> float:
@@ -145,21 +228,19 @@ def closed_form_plan_loop(x, number=float):
 
 
 def bernoulli_params_loop(x, rates, tag, lp_tol, mass_tol):
-    """Acceptance-bit parameters and 0/0 flags, one element at a time;
-    None when some rate exceeds the remaining mass by more than lp_tol."""
+    """Acceptance-bit parameters, one element at a time, 0 where the
+    remaining mass is at most mass_tol (0/0); None when some rate exceeds
+    the remaining mass by more than lp_tol."""
     params = [0.0] * len(x)
-    flagged = [False] * len(x)
     consumed = 0.0
     for i in arrival_order(tag, len(x)):
         remaining = 1.0 - consumed
         if rates[i] > remaining + lp_tol:
             return None
-        if remaining <= mass_tol:
-            flagged[i] = True
-        else:
+        if remaining > mass_tol:
             params[i] = min(max(rates[i] / remaining, 0.0), 1.0)
         consumed += x[i] * rates[i]
-    return tuple(params), tuple(flagged)
+    return tuple(params)
 
 
 def selection_rates_loop(x, params, tag):
@@ -329,8 +410,7 @@ def propagate_fill_reference(dist, law, c):
         raise InvalidInstanceError(f"acceptance probability {c} outside [0, 1]")
     values, probs = dist.values, dist.probs
     room = 1.0 - np.array([s for s, _ in law.atoms])
-    p0 = dist.p_zero
-    p1s = dist.p_interval(0.0, room).tolist()
+    p0, p1s = fill_masses(dist, room.tolist())
     branches = branch_probs(c, p0, p1s)
     zero_end = int(dist.rank(0.0))
     fit_ends = dist.rank(room).tolist()
@@ -440,7 +520,6 @@ def solve_q_walk(law, stype, beta, crossing_tol, supply_tol):
     """solve_q_for_beta as first written, for beta in [0, 1]: the level
     walked up the atoms with the crossing test inside the loop."""
     from fbcrs.errors import InfeasibleError
-    from fbcrs.rationing import service_value
 
     if beta == 0.0:
         return 0.0
@@ -464,8 +543,6 @@ def max_uniform_beta_bisection(inst, crossing_tol, supply_tol):
     over all its atoms, then bisection on total supply share <= 1 (exactly)
     down to a bracket 1e-9 wide.  Returns the final bracket (lo, hi): lo
     fits and hi does not, or lo == hi when the lowest top level fits."""
-    from fbcrs.rationing import service_value
-
     width = 1e-9
     agents = list(zip(inst.demands, inst.service))
     caps = []

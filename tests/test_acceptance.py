@@ -22,7 +22,6 @@ from fbcrs.instances import (
     SingleUnitInstance,
     SizeLaw,
     knapsack_hardness_instance,
-    split_element,
 )
 from fbcrs.knapsack import (
     closed_form_knapsack_plan,
@@ -33,7 +32,7 @@ from fbcrs.lp_si import alpha_0, dual_certificate_uniform, solve_lp_si
 from fbcrs.rationing import exante_check, max_uniform_beta, run_rationing
 from fbcrs.single_unit import closed_form_plan, exact_selection_rates, mc_selection_rates
 
-from oracles import arrival_order, match_fill_atoms, replay_knapsack_paths
+from oracles import arrival_order, match_fill_atoms, replay_knapsack_paths, split_element
 
 B_GRID = tuple(0.05 * k for k in range(1, 11))
 

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import fbcrs
-from fbcrs import cli
+from fbcrs import cli, knapsack
 from fbcrs.errors import InvariantViolationError, SolverError
 from fbcrs.instances import (
     DemandLaw,
@@ -234,6 +234,46 @@ def test_simulate_knapsack_mc(knapsack_path, capsys):
         for c, rate, low, high in ((c_f, rate_f, low_f, high_f), (c_b, rate_b, low_b, high_b)):
             assert low <= rate <= high
             assert abs(rate - c) <= 3.0 * (high - low) / 2.0
+
+
+# The multi-atom instance of the CI smoke test, and the output of
+# `simulate-knapsack --mode mc --trials 20000 --seed 1 --monitor` on it
+# before the exact run was shared between the replay and the monitor.
+SMOKE_KNAPSACK = (
+    '{"kind": "knapsack", "n": 4, "laws": [{"atoms": [[0.1, 0.5], [0.4, 0.3]], "inactive": 0.2}, '
+    '{"atoms": [[0.2, 0.4], [0.5, 0.3], [1.0, 0.1]], "inactive": 0.2}, {"atoms": [[0.05, 0.6], [0.3, 0.4]]}, '
+    '{"atoms": [[0.15, 0.3], [0.35, 0.3], [0.6, 0.2]], "inactive": 0.2}]}'
+)
+SMOKE_MC_CSV = (
+    "element,c_f,c_b,rate_f,ci_low_f,ci_high_f,rate_b,ci_low_b,ci_high_b\r\n"
+    "1,0.4255555555555555,0.25888888888888884,0.4318811382523294,0.413696583930437,0.4502511766619645,0.2619285535848114,0.24608825626196965,0.27841193180670687\r\n"
+    "2,0.37,0.3144444444444444,0.37248028045574055,0.35486335912587613,0.3904424775970691,0.3147663551401869,0.2979664998538834,0.332065382299017\r\n"
+    "3,0.31666666666666665,0.36777777777777776,0.32222110653680086,0.30701219387240825,0.3378161668491732,0.3697838860671248,0.35407964670337927,0.3857686562260542\r\n"
+    "4,0.26999999999999996,0.4144444444444444,0.26925972396486825,0.2532314016988042,0.2859141355897846,0.4147219463753724,0.3967861936759182,0.43288662519502735\r\n"
+)
+SMOKE_MONITOR_JSON = '{"total_violations": 0, "max_expectation_error": 1.1102230246251565e-16, "ok": true, "grid": 20}' + "\n"
+
+
+def test_simulate_knapsack_mc_monitor_runs_the_exact_propagation_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(run):
+        def wrapper(*args):
+            calls.append(args)
+            return run(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(knapsack, "run_knapsack_exact", counted(knapsack.run_knapsack_exact))
+    monkeypatch.setattr(cli, "run_knapsack_exact", counted(cli.run_knapsack_exact))
+    path = tmp_path / "knapsack.json"
+    path.write_text(SMOKE_KNAPSACK, encoding="utf-8")
+    argv = ["simulate-knapsack", "--instance", str(path), "--mode", "mc", "--trials", "20000", "--seed", "1"]
+    assert cli.main(argv + ["--monitor"]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr()
+    assert out.out == SMOKE_MC_CSV
+    assert out.err == SMOKE_MONITOR_JSON
 
 
 def test_simulate_knapsack_rejects_trials_in_exact(knapsack_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from importlib import resources
 
 import jsonschema
@@ -24,13 +25,13 @@ from fbcrs.instances import (
     dump_instance,
     instance_from_dict,
     instance_to_dict,
-    inverse_cdf,
     knapsack_hardness_instance,
     load_instance,
-    split_element,
 )
 from fbcrs.knapsack import closed_form_knapsack_plan, run_knapsack_exact
-from fbcrs.single_unit import bernoulli_params, closed_form_plan
+from fbcrs.single_unit import closed_form_plan
+
+from oracles import demand_cdf, inverse_cdf, split_element
 
 
 @pytest.mark.parametrize("n, rows", [(1, [[0], [0]]), (4, [[0, 1, 2, 3], [3, 2, 1, 0]])], ids=["n1", "n4"])
@@ -40,7 +41,7 @@ def test_arrival_index_rows(n, rows):
 
 
 @pytest.mark.parametrize(
-    "accessor", ["SelectionPlan.rates", "exact.rates", "exact.branches", "exact.traces", "bernoulli_params"]
+    "accessor", ["SelectionPlan.rates", "exact.rates", "exact.branches", "exact.traces"]
 )
 def test_unknown_order_tag_raises(accessor):
     # "f" and "b" are the Monte Carlo estimate keys, not order tags
@@ -53,7 +54,6 @@ def test_unknown_order_tag_raises(accessor):
         "exact.rates": exact.rates,
         "exact.branches": exact.branches,
         "exact.traces": exact.traces,
-        "bernoulli_params": lambda tag: bernoulli_params(su, plan, tag),
     }[accessor]
     assert read(FORWARD) != read(BACKWARD)
     for tag in ("f", "b", "Forward"):
@@ -139,9 +139,9 @@ def test_demand_law_cdf_and_flags():
     law = DemandLaw(((0.0, 0.25), (2.0, 0.5), (0.5, 0.25)))
     assert law.atoms[0][0] == 0.0
     assert law.cum == pytest.approx((0.25, 0.5, 1.0))
-    assert law.cdf(0.5) == pytest.approx(0.5)
-    assert law.cdf(1.99) == pytest.approx(0.5)
-    assert law.cdf(2.0) == pytest.approx(1.0)
+    assert demand_cdf(law, 0.5) == pytest.approx(0.5)
+    assert demand_cdf(law, 1.99) == pytest.approx(0.5)
+    assert demand_cdf(law, 2.0) == pytest.approx(1.0)
     assert law.mean == pytest.approx(1.125)
 
 
@@ -195,7 +195,7 @@ def test_empirical_cdf_dkw():
     draws = np.array([d for d, _ in law.atoms])[idx]
     for d, _ in law.atoms:
         emp = float(np.mean(draws <= d))
-        assert abs(emp - law.cdf(d)) <= bound
+        assert abs(emp - demand_cdf(law, d)) <= bound
 
 
 def test_vectorized_inverse_cdf_matches_library():
@@ -297,6 +297,14 @@ def test_instance_from_dict_rejects(data):
         instance_from_dict(data)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_instance_from_dict_rejects_a_non_integer_n(n):
+    # n is a JSON integer literal; JSON Schema's "integer" would also pass 1.0
+    data = {"kind": "single_unit", "n": n, "x": [0.5]}
+    with pytest.raises(InvalidInstanceError, match=f"'n' must be an integer, got {re.escape(repr(n))}$"):
+        instance_from_dict(data)
+
+
 def test_load_instance_missing_file(tmp_path):
     with pytest.raises(InvalidInstanceError):
         load_instance(str(tmp_path / "nope.json"))
@@ -348,11 +356,11 @@ def test_demand_law_quantile_properties(data):
     law = DemandLaw(tuple(zip(demands, weights)))
     q = data.draw(st.floats(0.0, 1.0))
     d = inverse_cdf(law, q)
-    assert law.cdf(d) >= q - 1e-12
+    assert demand_cdf(law, d) >= q - 1e-12
     # the next smaller atom (if any) has cdf strictly below q
     smaller = [a for a, _ in law.atoms if a < d]
     if smaller:
-        assert law.cdf(smaller[-1]) < q
+        assert demand_cdf(law, smaller[-1]) < q
 
 
 @settings(max_examples=40)

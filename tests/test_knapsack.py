@@ -42,6 +42,7 @@ from oracles import (
     admit_reference,
     arrival_order,
     expectation_error_loop,
+    fill_masses,
     knapsack_feasibility_loop,
     knapsack_mc_reference,
     knapsack_plan_loop,
@@ -219,11 +220,15 @@ def test_finite_law_validation():
 
 def test_finite_law_queries():
     law = FiniteLaw([0.0, 0.25, 0.5, 1.0], [0.1, 0.2, 0.3, 0.4])
-    assert law.p_zero == pytest.approx(0.1, abs=1e-15)
+
+    def p_interval(lo, hi):  # Pr[lo < T <= hi] as propagate_fill reads it
+        return law._cum[law.rank(hi)] - law._cum[law.rank(lo)]
+
+    assert law._cum[law.rank(0.0)] == pytest.approx(0.1, abs=1e-15)
     # boundaries resolve at ATOM_TOL: a value within it of a bound counts as on it
-    assert law.p_interval(0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert law.p_interval(0.25 - ATOM_TOL / 2, 0.5 - ATOM_TOL / 2) == pytest.approx(0.3, abs=1e-15)
-    got = law.p_interval(np.array([0.0, 0.25]), np.array([1.0, 0.75]))
+    assert p_interval(0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert p_interval(0.25 - ATOM_TOL / 2, 0.5 - ATOM_TOL / 2) == pytest.approx(0.3, abs=1e-15)
+    got = p_interval(np.array([0.0, 0.25]), np.array([1.0, 0.75]))
     assert got == pytest.approx([0.9, 0.3], abs=1e-15)
 
 
@@ -440,8 +445,8 @@ def fill_steps(draw):
     probs = rng.uniform(0.05, 1.0, len(values))
     dist = FiniteLaw(values, probs / probs.sum())
 
-    p0 = dist.p_zero
-    p1 = float(dist.p_interval(0.0, 1.0 - np.array(sizes)).min())
+    p0, p1s = fill_masses(dist, [1.0 - s for s in sizes])
+    p1 = min(p1s)
     u = draw(st.floats(0.0, 1.0))
     regime = draw(st.sampled_from(("b1", "b2", "over")))
     c = {"b1": u * p1, "b2": p1 + u * p0, "over": p0 + p1 + 2.0 * FEAS_TOL + u * 0.1}[regime]
@@ -471,10 +476,11 @@ def test_propagate_fill_matches_per_atom_reference(step):
     got, branches = propagate_fill(dist, law, c)
     assert _max_gap(got, want) <= STEP_TOL
     assert _branch_gap(branches, want_branches) <= STEP_TOL
-    p1 = float(dist.p_interval(0.0, 1.0 - np.array([s for s, _ in law.atoms])).min())
+    p0, p1s = fill_masses(dist, [1.0 - s for s, _ in law.atoms])
+    p1 = min(p1s)
     if regime == "b1":
         assert max(branches.b2) == 0.0
-    elif regime == "b2" and dist.p_zero > 0.0 and c > p1:
+    elif regime == "b2" and p0 > 0.0 and c > p1:
         assert max(branches.b2) > 0.0
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbcrs.errors import InvalidInstanceError, SolverError
-from fbcrs.instances import SingleUnitInstance, split_element
+from fbcrs.instances import SingleUnitInstance
 from fbcrs.lp_si import (
     DualFeasibilityReport,
     SelectionPlan,
@@ -23,7 +23,7 @@ from fbcrs.lp_si import (
     solve_lp_si,
 )
 from fbcrs.tolerances import LP_TOL
-from oracles import highs_lp_optimum
+from oracles import highs_lp_optimum, split_element
 
 # Frozen from a high-precision evaluation of e^{rho/2}/(1 + e^{rho/2} rho).
 ALPHA_FROZEN = {

@@ -14,7 +14,6 @@ from fbcrs.instances import (
     DemandLaw,
     RationingInstance,
     SingleUnitInstance,
-    inverse_cdf,
     order_row,
 )
 from fbcrs.knapsack import FiniteLaw, closed_form_knapsack_plan
@@ -32,14 +31,19 @@ from fbcrs.rationing import (
     knapsack_reduction,
     max_uniform_beta,
     run_rationing,
-    service_value,
     solve_q_for_beta,
     supply_x,
 )
-from fbcrs.sim import two_orders
+from fbcrs.sim import slice_index, two_orders
 from fbcrs.tolerances import CALIBRATION_TOL, CROSSING_TOL, FEAS_TOL, SUPPLY_TOL
 
-from oracles import max_uniform_beta_bisection, quantile_sizes_loop, solve_q_walk
+from oracles import (
+    inverse_cdf,
+    max_uniform_beta_bisection,
+    quantile_sizes_loop,
+    service_value,
+    solve_q_walk,
+)
 
 UNIT = DemandLaw(((1.0, 1.0),))
 MIXED = DemandLaw(((0.5, 0.5), (2.0, 0.5)))
@@ -357,6 +361,24 @@ def test_mc_agrees_with_exact_single_unit():
         hw = (sampled.service_high - sampled.service_low) / 2.0
         assert abs(sampled.expected_service - ex.expected_service) <= 3.0 * hw
         assert abs(sampled.expected_alloc - ex.expected_alloc) <= 0.01
+
+
+def test_executor_quantile_map_puts_each_cdf_value_in_the_upper_slice():
+    # Both executors turn a uniform u into a demand by slice_index on the
+    # CDF values, so u equal to a CDF value falls in the slice above it,
+    # where inverse_cdf (the smallest atom whose CDF reaches u) takes the
+    # lower atom.  Either is a quantile map: the two differ on a null set.
+    law = DemandLaw(((0.5, 0.25), (1.0, 0.5), (3.0, 0.25)))
+    sl = _slices(law, 1.0)
+
+    def executor(u):
+        return np.array(sl.demand).take(slice_index(np.asarray(u, dtype=float), sl.upper[:-1])).tolist()
+
+    grid = np.linspace(0.0, 1.0, 4001)[:-1]
+    off = grid[~np.isin(grid, law.cum)]
+    assert executor(off) == [inverse_cdf(law, u) for u in off.tolist()]
+    assert executor(law.cum[:-1]) == [1.0, 3.0]
+    assert [inverse_cdf(law, u) for u in law.cum[:-1]] == [0.5, 1.0]
 
 
 @pytest.mark.parametrize("route", ["single-unit", "knapsack"])

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from fbcrs.errors import InfeasibleError, InvalidInstanceError
-from fbcrs.instances import BACKWARD, FORWARD, SingleUnitInstance
+from fbcrs.instances import BACKWARD, FORWARD, SingleUnitInstance, order_row
 from fbcrs.lp_si import SelectionPlan, alpha_0, solve_lp_si
 from fbcrs.single_unit import (
+    _bernoulli,
     _phi_average,
-    bernoulli_params,
     closed_form_plan,
     exact_selection_rates,
     mc_selection_rates,
@@ -170,8 +170,8 @@ def test_array_code_matches_the_loops(x):
     for plan in (closed, solve_lp_si(inst)):
         rates = exact_selection_rates(inst, plan)
         for tag, got in zip((FORWARD, BACKWARD), rates):
-            params, flagged = bernoulli_params(inst, plan, tag)
-            assert (params, flagged) == bernoulli_params_loop(x, plan.rates(tag), tag, LP_TOL, MASS_TOL)
+            params = tuple(_bernoulli(inst, plan)[order_row(tag)].tolist())
+            assert params == bernoulli_params_loop(x, plan.rates(tag), tag, LP_TOL, MASS_TOL)
             assert np.abs(np.array(got) - selection_rates_loop(x, params, tag)).max() <= 1e-14
 
 
@@ -180,12 +180,11 @@ def test_bernoulli_params_names_the_first_offending_element():
     # forward: element 1 asks 0.9 of the 0.5 left; element 2 is over as well
     plan = SelectionPlan((1.0, 0.9, 0.9), (0.2, 0.2, 0.2))
     with pytest.raises(InfeasibleError, match=r"c_forward\(1\) = 0\.9 exceeds remaining mass 0\.5$"):
-        bernoulli_params(inst, plan, FORWARD)
-    bernoulli_params(inst, plan, BACKWARD)  # the other order is feasible
+        exact_selection_rates(inst, plan)
     # backward arrives 2, 1, 0: element 1 comes first after the full claim
     plan = SelectionPlan((0.2, 0.2, 0.2), (0.9, 0.8, 1.0))
     with pytest.raises(InfeasibleError, match=r"c_backward\(1\) = 0\.8 exceeds remaining mass 0\.5$"):
-        bernoulli_params(inst, plan, BACKWARD)
+        _bernoulli(inst, plan)
     with pytest.raises(InfeasibleError, match=r"c_backward\(1\)"):
         exact_selection_rates(inst, plan)
 
@@ -201,19 +200,16 @@ def test_plan_rejects_rates_outside_the_unit_interval(bad):
 def test_bernoulli_params_flagged_zero_denominator():
     inst = SingleUnitInstance((1.0, 0.5))
     plan = SelectionPlan((1.0, 0.0), (0.5, 1.0))
-    params_f, flags_f = bernoulli_params(inst, plan, FORWARD)
-    assert params_f == (1.0, 0.0)
-    assert flags_f == (False, True)  # element 0 consumed all the mass
-    params_b, flags_b = bernoulli_params(inst, plan, BACKWARD)
-    assert params_b == (1.0, 1.0)
-    assert flags_b == (False, False)
+    params = _bernoulli(inst, plan)
+    assert params[order_row(FORWARD)].tolist() == [1.0, 0.0]  # element 0 consumed all the mass: 0/0 is 0
+    assert params[order_row(BACKWARD)].tolist() == [1.0, 1.0]
 
 
 def test_bernoulli_params_rejects_infeasible():
     inst = SingleUnitInstance((1.0, 0.5))
     plan = SelectionPlan((1.0, 0.1), (0.5, 1.0))
     with pytest.raises(InfeasibleError):
-        bernoulli_params(inst, plan, FORWARD)
+        _bernoulli(inst, plan)
 
 
 def test_exact_rates_reproduce_plan():
@@ -238,7 +234,7 @@ def test_exact_rates_match_enumeration_oracle():
         plan = closed_form_plan(inst)
         rates_f, rates_b = exact_selection_rates(inst, plan)
         for tag, rates in ((FORWARD, rates_f), (BACKWARD, rates_b)):
-            params, _ = bernoulli_params(inst, plan, tag)
+            params = _bernoulli(inst, plan)[order_row(tag)].tolist()
             oracle = enumerated_selection_rates(inst.x, params, arrival_order(tag, n))
             assert rates == pytest.approx(oracle, abs=1e-12)
 
