@@ -15,11 +15,11 @@ and the rationing quantile walk, size table and common-level bisection as
 first written instead of the one level walk and its Newton steps.
 The enumerations are exponential in n; keep n small there.
 
-The library's own tests also keep here the checked twins of rules the
-library runs without them: `inverse_cdf` and `demand_cdf` (the executor
-maps a uniform to a demand through `rationing._slices`), `split_element`
-(the LP's monotonicity under splitting), `service_value` (the argument
-checks around `rationing._service`), and `fill_masses` (the fill masses
+Also here are the checked twins of rules the library runs in another
+form, which only tests call: `demand_cdf` and `inverse_cdf` (the executors
+map a uniform to a demand through `rationing._slices`), `split_element`
+(for the LP's monotonicity under splitting), `service_value` (argument
+checks around `rationing._service`), and `fill_masses` (the masses
 propagate_fill reads through `FiniteLaw.rank`, summed atom by atom).
 """
 
