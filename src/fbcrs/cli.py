@@ -1,14 +1,15 @@
 """Command-line interface: instance I/O, experiments, sweeps, report emission.
 
 Exit codes: 0 success, 2 a guarantee or invariant check failed, 3 infeasible
-or invalid input, usage errors included.  Every subcommand is deterministic
-given its flags; --seed falls back to the FBCRS_SEED environment variable,
-then to 0, and must be a nonnegative integer.
+or invalid input, usage errors included.  simulate-knapsack and ration run
+exact unless --trials asks for Monte Carlo.  Every subcommand is
+deterministic given its flags; --seed falls back to the FBCRS_SEED
+environment variable, then to 0, and must be a nonnegative integer.
 
 CSV headers (RFC 4180, UTF-8, '.' decimal separator):
   simulate-single-unit: element,c_f,c_b,empirical_rate,ci_low,ci_high
-  simulate-knapsack (exact): element,c_f,c_b,rate_f,rate_b,rate_error
-  simulate-knapsack (mc): element,c_f,c_b,rate_f,ci_low_f,ci_high_f,rate_b,ci_low_b,ci_high_b
+  simulate-knapsack (no --trials): element,c_f,c_b,rate_f,rate_b,rate_error
+  simulate-knapsack (--trials): element,c_f,c_b,rate_f,ci_low_f,ci_high_f,rate_b,ci_low_b,ci_high_b
   ration: agent,beta,q,x,c_f,c_b,tau_f,tau_b,expected_service,bound,slack
   sweep: n,rho,primal,dual,gap,bound
 Element and agent columns are 1-based.
@@ -54,16 +55,6 @@ def _resolve_seed(value: str | None) -> int:
     return seed
 
 
-def _require_trials(mode: str, trials: int | None) -> int:
-    if mode == "mc":
-        if trials is None or trials < 1:
-            raise InvalidInstanceError("--trials is required (and positive) in mc mode")
-        return trials
-    if trials is not None:
-        raise InvalidInstanceError("--trials only applies to mc mode")
-    return 0
-
-
 def _load(path: str, kind):
     inst = load_instance(path)
     if not isinstance(inst, kind):
@@ -74,9 +65,12 @@ def _load(path: str, kind):
 
 
 @contextmanager
-def _open_out(path: str, newline: str | None = None):
-    """The --out file, open for writing; failing to open, write or close it
-    raises InvalidInstanceError."""
+def _open_out(path: str | None, newline: str | None = None):
+    """The --out file open for writing, or sys.stdout without one; failing
+    to open, write or close the file raises InvalidInstanceError."""
+    if not path:
+        yield sys.stdout
+        return
     try:
         with open(path, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
@@ -85,28 +79,26 @@ def _open_out(path: str, newline: str | None = None):
 
 
 def _emit_json(out: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if out:
-        with _open_out(out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(out) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_csv(out: str | None, header: list[str], rows: list[list]) -> None:
-    def _cell(v):
-        return "" if v is None else v
-
-    cleaned = [[_cell(v) for v in row] for row in rows]
-    if out:
-        with _open_out(out, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(cleaned)
-    else:
-        writer = csv.writer(sys.stdout)
+    with _open_out(out, newline="") as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(cleaned)
+        writer.writerows([["" if v is None else v for v in row] for row in rows])
+
+
+def _uniform_certificate(n: int, rho: float, lpopt: float = -math.inf):
+    """(cert, feasibility report, bound, ok) for the paper's certificate on n
+    elements of mass rho/n: ok when it is feasible and lpopt <= objective <=
+    bound = alpha_0(rho) + (rho + 2)/n, each side within LP_TOL."""
+    cert = dual_certificate_uniform(n, rho)
+    report = dual_feasibility(cert, rho)
+    bound = alpha_0(rho) + (rho + 2.0) / n
+    ok = report.ok() and lpopt - LP_TOL <= cert.objective <= bound + LP_TOL
+    return cert, report, bound, ok
 
 
 def cmd_constants(args) -> int:
@@ -133,26 +125,24 @@ def cmd_lp_solve(args) -> int:
         "c_f": list(plan.c_f),
         "c_b": list(plan.c_b),
     }
-    code = 0
+    ok = True
     if args.dual:
         if len(set(inst.x)) != 1 or inst.n % 2 == 0:
             raise InvalidInstanceError("--dual needs a uniform instance with an odd element count")
-        cert = dual_certificate_uniform(inst.n, inst.rho)
-        report = dual_feasibility(cert, inst.rho)
+        cert, report, _, ok = _uniform_certificate(inst.n, inst.rho, plan.objective)
         payload["dual_objective"] = cert.objective
         payload["max_violation"] = report.max_violation
-        if not report.ok() or cert.objective < plan.objective - LP_TOL:
-            code = 2
     _emit_json(args.out, payload)
-    return code
+    return 0 if ok else 2
 
 
 def cmd_simulate_single_unit(args) -> int:
     inst = _load(args.instance, SingleUnitInstance)
-    trials = _require_trials("mc", args.trials)
+    if args.trials is None:
+        raise InvalidInstanceError("simulate-single-unit needs --trials")
     seed = _resolve_seed(args.seed)
     plan = closed_form_plan(inst) if args.plan == "closed" else solve_lp_si(inst)
-    estimates = mc_selection_rates(inst, plan, trials, seed, workers=args.workers)
+    estimates = mc_selection_rates(inst, plan, args.trials, seed, workers=args.workers)
     rows = []
     for i in range(inst.n):
         est = estimates[("overall", i)]
@@ -163,19 +153,18 @@ def cmd_simulate_single_unit(args) -> int:
 
 def cmd_simulate_knapsack(args) -> int:
     inst = _load(args.instance, KnapsackInstance)
-    trials = _require_trials(args.mode, args.trials)
     seed = _resolve_seed(args.seed)
     plan = closed_form_knapsack_plan(inst)
     exact = run_knapsack_exact(inst, plan)  # the MC replay and the monitor both read it
     code = 0
-    if args.mode == "exact":
+    if args.trials is None:
         rows = [
             [i + 1, plan.c_f[i], plan.c_b[i], exact.rates_f[i], exact.rates_b[i], err]
             for i, err in enumerate(exact.rate_errors(plan))
         ]
         header = ["element", "c_f", "c_b", "rate_f", "rate_b", "rate_error"]
     else:
-        estimates = replay_branches(inst, exact, trials, seed, workers=args.workers)
+        estimates = replay_branches(inst, exact, args.trials, seed, workers=args.workers)
         rows = []
         for i in range(inst.n):
             ef, eb = estimates[("f", i)], estimates[("b", i)]
@@ -202,7 +191,7 @@ def cmd_simulate_knapsack(args) -> int:
 
 def cmd_ration(args) -> int:
     inst = _load(args.instance, RationingInstance)
-    trials = _require_trials(args.mode, args.trials)
+    mode = "exact" if args.trials is None else "mc"
     seed = _resolve_seed(args.seed)
     if args.beta == "auto":
         betas = (max_uniform_beta(inst),) * inst.n
@@ -214,7 +203,7 @@ def cmd_ration(args) -> int:
     plan = None
     if args.plan == "closed" and not inst.has_type_i:
         plan = closed_form_plan(target.single_unit())
-    result = run_rationing(inst, target, plan=plan, mode=args.mode, trials=trials, seed=seed, workers=args.workers)
+    result = run_rationing(inst, target, plan=plan, mode=mode, trials=args.trials or 0, seed=seed, workers=args.workers)
     if result.resamples:
         print(
             f"warning: the remaining-supply law was merged {result.resamples} times; "
@@ -227,34 +216,18 @@ def cmd_ration(args) -> int:
         for a in result.agents
     ]
     # Exact mode raises on a missed guarantee; a merged run only warns.
-    code = 2 if args.mode == "mc" and not result.guarantee_ok() else 0
-    _emit_csv(
-        args.out,
-        ["agent", "beta", "q", "x", "c_f", "c_b", "tau_f", "tau_b",
-         "expected_service", "bound", "slack"],
-        rows,
-    )
+    code = 2 if mode == "mc" and not result.guarantee_ok() else 0
+    header = ["agent", "beta", "q", "x", "c_f", "c_b", "tau_f", "tau_b", "expected_service", "bound", "slack"]
+    _emit_csv(args.out, header, rows)
     return code
 
 
 def cmd_dual_certificate(args) -> int:
-    cert = dual_certificate_uniform(args.n, args.rho)
-    report = dual_feasibility(cert, args.rho)
-    bound = alpha_0(args.rho) + (args.rho + 2.0) / args.n
-    ok = report.ok() and cert.objective <= bound + LP_TOL
-    _emit_json(
-        args.out,
-        {
-            "n": args.n,
-            "rho": args.rho,
-            "objective": cert.objective,
-            "bound": bound,
-            "max_violation": report.max_violation,
-            "xi_sum_slack": report.xi_sum_slack,
-            "min_entry": report.min_entry,
-            "ok": ok,
-        },
-    )
+    cert, report, bound, ok = _uniform_certificate(args.n, args.rho)
+    payload = {"n": args.n, "rho": args.rho, "objective": cert.objective, "bound": bound,
+               "max_violation": report.max_violation, "xi_sum_slack": report.xi_sum_slack,
+               "min_entry": report.min_entry, "ok": ok}
+    _emit_json(args.out, payload)
     return 0 if ok else 2
 
 
@@ -281,26 +254,22 @@ def cmd_sweep(args) -> int:
                 primal = plan.objective
                 dual = (4.0 - rho) / 9.0
                 gap = max(abs(primal - dual), result.max_rate_error(plan))
-                bound = limit = RATE_TOL
+                bound = RATE_TOL
+                failed = gap > bound
             else:
                 inst = SingleUnitInstance((rho / n,) * n)
                 primal = solve_lp_si(inst).objective
                 bound = (rho + 2.0) / n
-                limit = bound + LP_TOL
                 if args.kind == "lpopt":
                     dual = alpha_0(rho)
                     gap = primal - dual
-                    if gap < -LP_TOL:
-                        code = 2
+                    failed = gap < -LP_TOL or gap > bound + LP_TOL
                 else:  # dual-gap
-                    cert = dual_certificate_uniform(n, rho)
-                    if not dual_feasibility(cert, rho).ok():
-                        code = 2
+                    cert, _, _, ok = _uniform_certificate(n, rho, primal)
                     dual = cert.objective
                     gap = dual - primal
-                    if gap < -LP_TOL:
-                        code = 2
-            if gap > limit:
+                    failed = not ok
+            if failed:
                 code = 2
             rows.append([n, rho, primal, dual, gap, bound])
     _emit_csv(args.out, ["n", "rho", "primal", "dual", "gap", "bound"], rows)
@@ -323,12 +292,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=True, workers=True):
-        if trials:
-            p.add_argument("--trials", type=int, default=None, help="Monte Carlo trial count")
+    def common(p):
+        p.add_argument("--trials", type=int, default=None, help="run Monte Carlo with this many trials")
         p.add_argument("--seed", default=None, help="root seed (default: $FBCRS_SEED or 0)")
-        if workers:
-            p.add_argument("--workers", type=int, default=1, help="worker threads for trials")
+        p.add_argument("--workers", type=int, default=1, help="worker threads for trials")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("constants", help="headline guarantees from their closed forms")
@@ -348,21 +315,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=cmd_simulate_single_unit)
 
-    p = sub.add_parser("simulate-knapsack", help="knapsack executor rates, exact or sampled")
+    p = sub.add_parser("simulate-knapsack", help="knapsack executor rates: exact, or sampled with --trials")
     p.add_argument("--instance", required=True)
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--monitor", action="store_true",
                    help="check induction invariants; JSON report to stderr, exit 2 on violations")
     common(p)
     p.set_defaults(handler=cmd_simulate_knapsack)
 
-    p = sub.add_parser("ration", help="solve service targets and execute the allocation")
+    p = sub.add_parser("ration", help="solve service targets and execute the allocation (sampled with --trials)")
     p.add_argument("--instance", required=True)
     p.add_argument("--beta", default="auto",
                    help='"auto" for the max uniform level, or a JSON file of per-agent levels')
     p.add_argument("--plan", choices=("lp", "closed"), default="lp",
                    help="single-unit route plan source (the knapsack route uses the closed form)")
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     common(p)
     p.set_defaults(handler=cmd_ration)
 
@@ -387,6 +352,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise InvalidInstanceError("--workers must be >= 1")
+        if getattr(args, "trials", None) is not None and args.trials < 1:
+            raise InvalidInstanceError("--trials must be >= 1")
         return args.handler(args)
     except (InvalidInstanceError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,4 +23,5 @@ class InvariantViolationError(FbcrsError):
 
 
 class SolverError(FbcrsError):
-    """The LP solver failed to converge within its iteration cap."""
+    """A computation hit its cap: the LP solver's iteration cap, or the
+    exact knapsack run's fill-law atom cap."""

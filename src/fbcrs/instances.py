@@ -219,7 +219,7 @@ class RationingInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "demands", tuple(self.demands))
-        object.__setattr__(self, "service", tuple(ServiceType.parse(s) if isinstance(s, str) else s for s in self.service))
+        object.__setattr__(self, "service", tuple(map(ServiceType.parse, self.service)))
         if len(self.demands) < 1:
             raise InvalidInstanceError("instance needs at least one agent")
         if len(self.demands) != len(self.service):

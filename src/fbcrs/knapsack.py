@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
+from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError, SolverError
 from .instances import BACKWARD, FORWARD, KnapsackInstance, SizeLaw, arrival, before, order_row
 from .lp_si import SelectionPlan
 from .sim import run_trials, slice_index, two_orders
@@ -319,6 +319,10 @@ def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tu
 # 13 MB at n = 200.  Finer grids fold FiniteLaws, whose size follows the
 # support the fills reach rather than the grid.
 GRID_CAP = 4096
+# The most atoms a folded FiniteLaw may hold.  Off-grid supports grow by
+# about half per element (9.3M atoms at n = 34), so a run past the cap
+# raises SolverError instead of running out of memory.
+FILL_ATOM_CAP = 1 << 24
 
 
 def _grid_size(laws) -> int | None:
@@ -435,7 +439,8 @@ def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackE
 
     Sizes on a 1/L grid with L <= GRID_CAP run _grid_step on one dense
     (2, n + 1, L + 1) block; any other sizes fold FiniteLaws through
-    propagate_fill.
+    propagate_fill, and a fill law past FILL_ATOM_CAP atoms raises
+    SolverError.
     """
     check_knapsack_feasible(plan, inst).require()
     grid = _grid_size(inst.laws)
@@ -455,6 +460,9 @@ def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackE
             ctx = f"order {tag}, element {i}, position {pos + 1}"
             if dense is None:
                 dist, branches[i] = propagate_fill(sparse[row][-1], law, planned[i], ctx)
+                if dist.support_size > FILL_ATOM_CAP:
+                    size = dist.support_size
+                    raise SolverError(f"fill law has {size} atoms, past FILL_ATOM_CAP = {FILL_ATOM_CAP} {ctx}")
                 sparse[row].append(dist)
             else:
                 branches[i] = _grid_step(dense[row, pos], dense[row, pos + 1], law, ks[i], planned[i], ctx)

@@ -113,5 +113,5 @@ MC_CONFIDENCE = 0.999
 # MC_HALF_WIDTHS interval half-widths plus CALIBRATION_TOL, the absolute
 # slack for agents whose service never varies.  Produced by run_rationing in
 # mc mode; received by RationingResult.guarantee_ok and so by the exit code
-# of `fbcrs ration --mode mc`.
+# of `fbcrs ration --trials N`.
 MC_HALF_WIDTHS = 3.0

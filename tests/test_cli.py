@@ -24,6 +24,7 @@ from fbcrs.instances import (
     SingleUnitInstance,
     SizeLaw,
     dump_instance,
+    load_instance,
 )
 from fbcrs.lp_si import alpha_0, solve_lp_si
 
@@ -221,8 +222,7 @@ def test_simulate_knapsack_monitor_names_the_path(sizes, grid, tmp_path, capsys)
 
 def test_simulate_knapsack_mc(knapsack_path, capsys):
     code = cli.main(
-        ["simulate-knapsack", "--instance", knapsack_path, "--mode", "mc",
-         "--trials", "20000", "--seed", "3"]
+        ["simulate-knapsack", "--instance", knapsack_path, "--trials", "20000", "--seed", "3"]
     )
     assert code == 0
     rows = _rows(capsys.readouterr().out)
@@ -237,7 +237,7 @@ def test_simulate_knapsack_mc(knapsack_path, capsys):
 
 
 # The multi-atom instance of the CI smoke test, and the output of
-# `simulate-knapsack --mode mc --trials 20000 --seed 1 --monitor` on it
+# `simulate-knapsack --trials 20000 --seed 1 --monitor` on it
 # before the exact run was shared between the replay and the monitor.
 SMOKE_KNAPSACK = (
     '{"kind": "knapsack", "n": 4, "laws": [{"atoms": [[0.1, 0.5], [0.4, 0.3]], "inactive": 0.2}, '
@@ -268,7 +268,7 @@ def test_simulate_knapsack_mc_monitor_runs_the_exact_propagation_once(tmp_path, 
     monkeypatch.setattr(cli, "run_knapsack_exact", counted(cli.run_knapsack_exact))
     path = tmp_path / "knapsack.json"
     path.write_text(SMOKE_KNAPSACK, encoding="utf-8")
-    argv = ["simulate-knapsack", "--instance", str(path), "--mode", "mc", "--trials", "20000", "--seed", "1"]
+    argv = ["simulate-knapsack", "--instance", str(path), "--trials", "20000", "--seed", "1"]
     assert cli.main(argv + ["--monitor"]) == 0
     assert len(calls) == 1
     out = capsys.readouterr()
@@ -276,11 +276,40 @@ def test_simulate_knapsack_mc_monitor_runs_the_exact_propagation_once(tmp_path, 
     assert out.err == SMOKE_MONITOR_JSON
 
 
-def test_simulate_knapsack_rejects_trials_in_exact(knapsack_path, capsys):
-    code = cli.main(
-        ["simulate-knapsack", "--instance", knapsack_path, "--trials", "100"]
-    )
-    assert code == 3
+def test_trials_alone_selects_sampling(knapsack_path, rationing_path, capsys, monkeypatch):
+    assert cli.main(["simulate-knapsack", "--instance", knapsack_path, "--trials", "100"]) == 0
+    assert _rows(capsys.readouterr().out)[0][3:6] == ["rate_f", "ci_low_f", "ci_high_f"]
+    calls, run_rationing = [], cli.run_rationing
+
+    def recorded(*args, **kwargs):
+        calls.append((kwargs["mode"], kwargs["trials"]))
+        return run_rationing(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_rationing", recorded)
+    assert cli.main(["ration", "--instance", rationing_path]) == 0
+    assert cli.main(["ration", "--instance", rationing_path, "--trials", "100"]) == 0
+    assert calls == [("exact", 0), ("mc", 100)]
+
+
+# The off-grid instance of the CI smoke test: its sizes lie on no 1/L grid.
+SMOKE_KNAPSACK_OFFGRID = (
+    '{"kind": "knapsack", "n": 3, "laws": [{"atoms": [[0.1234567891, 0.5], [0.4012345678, 0.3]], "inactive": 0.2}, '
+    '{"atoms": [[0.2718281828, 0.6], [0.6180339887, 0.2]], "inactive": 0.2}, '
+    '{"atoms": [[0.0577215665, 0.7], [0.3141592654, 0.3]]}]}'
+)
+
+
+def test_off_grid_fill_law_past_the_atom_cap_raises(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "knapsack_offgrid.json"
+    path.write_text(SMOKE_KNAPSACK_OFFGRID, encoding="utf-8")
+    inst = load_instance(str(path))
+    plan = knapsack.closed_form_knapsack_plan(inst)
+    assert knapsack.run_knapsack_exact(inst, plan).grid is None
+    monkeypatch.setattr(knapsack, "FILL_ATOM_CAP", 4)
+    with pytest.raises(SolverError, match=r"past FILL_ATOM_CAP = 4 order \w+, element \d+, position \d+"):
+        knapsack.run_knapsack_exact(inst, plan)
+    assert cli.main(["simulate-knapsack", "--instance", str(path)]) == 2
+    assert "FILL_ATOM_CAP" in capsys.readouterr().err
 
 
 # --- ration ---------------------------------------------------------------------
@@ -372,8 +401,7 @@ def test_ration_infeasible_beta(rationing_path, tmp_path, capsys):
 
 def test_ration_mc_mode(rationing_path, capsys):
     code = cli.main(
-        ["ration", "--instance", rationing_path, "--mode", "mc",
-         "--trials", "20000", "--seed", "4"]
+        ["ration", "--instance", rationing_path, "--trials", "20000", "--seed", "4"]
     )
     assert code == 0
     rows = _rows(capsys.readouterr().out)
@@ -396,6 +424,22 @@ def test_dual_certificate_json(capsys):
     assert payload["ok"] is True
     assert payload["objective"] <= payload["bound"] + 1e-9
     assert payload["max_violation"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lp-solve", "--instance", "{uniform}", "--dual"],
+        ["dual-certificate", "--n", "11", "--rho", "1.0"],
+        ["sweep", "--kind", "dual-gap", "--n", "11", "--rho", "1.0"],
+    ],
+    ids=["lp-solve-dual", "dual-certificate", "sweep-dual-gap"],
+)
+def test_uniform_certificate_above_its_bound_exits_2(argv, uniform_path, capsys, monkeypatch):
+    # Every command judges the certificate by one rule, whose upper side is
+    # alpha_0(rho) + (rho + 2)/n: with alpha_0 read as 0 it fails all three.
+    monkeypatch.setattr(cli, "alpha_0", lambda rho: 0.0)
+    assert cli.main([arg.format(uniform=uniform_path) for arg in argv]) == 2
 
 
 def test_dual_certificate_rejects_even_n(capsys):
@@ -503,6 +547,7 @@ def test_unwritable_out_exits_3(command, target, knapsack_path, tmp_path, capsys
 
 
 SU_JSON = '{"kind": "single_unit", "n": 2, "x": [0.3, 0.5]}'
+KN_JSON = '{"kind": "knapsack", "n": 1, "laws": [{"atoms": [[0.5, 0.5]], "inactive": 0.5}]}'
 
 
 @pytest.mark.parametrize(
@@ -526,9 +571,13 @@ SU_JSON = '{"kind": "single_unit", "n": 2, "x": [0.3, 0.5]}'
         # no worker threads
         (["simulate-single-unit", "--instance", "{su}", "--trials", "1000", "--workers", "0"], {"su": SU_JSON}),
         (["simulate-single-unit", "--instance", "{su}", "--trials", "1000", "--workers", "-3"], {"su": SU_JSON}),
-        # a seed that is not a nonnegative integer, even in exact mode, which draws no randomness
-        (["ration", "--instance", "{ra}", "--mode", "exact", "--seed", "-1"], {}),
+        # a seed that is not a nonnegative integer, even without --trials, when nothing is sampled
+        (["ration", "--instance", "{ra}", "--seed", "-1"], {}),
         (["simulate-single-unit", "--instance", "{su}", "--trials", "100", "--seed", "1.5"], {"su": SU_JSON}),
+        # no trials to sample
+        (["simulate-single-unit", "--instance", "{su}", "--trials", "0"], {"su": SU_JSON}),
+        (["simulate-knapsack", "--instance", "{kn}", "--trials", "0"], {"kn": KN_JSON}),
+        (["ration", "--instance", "{ra}", "--trials", "0"], {}),
     ],
     ids=[
         "missing-x",
@@ -542,6 +591,9 @@ SU_JSON = '{"kind": "single_unit", "n": 2, "x": [0.3, 0.5]}'
         "workers-negative",
         "seed-negative",
         "seed-fraction",
+        "single-unit-trials-0",
+        "knapsack-trials-0",
+        "ration-trials-0",
     ],
 )
 def test_malformed_outside_input_exits_3(rationing_path, tmp_path, capsys, argv, files):
@@ -559,10 +611,12 @@ def test_malformed_outside_input_exits_3(rationing_path, tmp_path, capsys, argv,
         ["simulate-single-unit", "--instance", "su.json", "--trials", "abc"],
         ["dual-certificate", "--n", "x", "--rho", "1"],
         ["dual-certificate", "--n", "3", "--rho", "y"],
-        ["simulate-knapsack", "--instance", "kn.json", "--mode", "bogus"],
+        ["ration", "--instance", "ra.json", "--plan", "bogus"],
+        # --mode is retired: sampling is asked for by --trials alone
+        ["simulate-knapsack", "--instance", "kn.json", "--mode", "exact"],
         [],
     ],
-    ids=["bad-int", "bad-int-n", "bad-float", "bad-choice", "missing-command"],
+    ids=["bad-int", "bad-int-n", "bad-float", "bad-choice", "retired-mode", "missing-command"],
 )
 def test_usage_errors_exit_3(argv, capsys):
     # exit 2 would read as a failed guarantee or invariant check

@@ -155,6 +155,12 @@ def test_rationing_rejects():
         RationingInstance((), ())
 
 
+@pytest.mark.parametrize("tag", [None, 1], ids=["none", "int"])
+def test_rationing_rejects_a_service_entry_that_is_no_service_type(tag):
+    with pytest.raises(InvalidInstanceError, match="unknown service type"):
+        RationingInstance((DemandLaw(((1.0, 1.0),)),), (tag,))
+
+
 def test_rationing_service_parse_and_flag():
     law = DemandLaw(((1.0, 1.0),))
     inst = RationingInstance((law, law), ("TypeII", ServiceType.TYPE_III))
