@@ -142,7 +142,7 @@ def cmd_simulate_single_unit(args) -> int:
         raise InvalidInstanceError("simulate-single-unit needs --trials")
     seed = _resolve_seed(args.seed)
     plan = closed_form_plan(inst) if args.plan == "closed" else solve_lp_si(inst)
-    estimates = mc_selection_rates(inst, plan, args.trials, seed, workers=args.workers)
+    estimates = mc_selection_rates(inst, plan, args.trials, seed)
     rows = []
     for i in range(inst.n):
         est = estimates[("overall", i)]
@@ -164,7 +164,7 @@ def cmd_simulate_knapsack(args) -> int:
         ]
         header = ["element", "c_f", "c_b", "rate_f", "rate_b", "rate_error"]
     else:
-        estimates = replay_branches(inst, exact, args.trials, seed, workers=args.workers)
+        estimates = replay_branches(inst, exact, args.trials, seed)
         rows = []
         for i in range(inst.n):
             ef, eb = estimates[("f", i)], estimates[("b", i)]
@@ -203,7 +203,7 @@ def cmd_ration(args) -> int:
     plan = None
     if args.plan == "closed" and not inst.has_type_i:
         plan = closed_form_plan(target.single_unit())
-    result = run_rationing(inst, target, plan=plan, mode=mode, trials=args.trials or 0, seed=seed, workers=args.workers)
+    result = run_rationing(inst, target, plan=plan, mode=mode, trials=args.trials or 0, seed=seed)
     if result.resamples:
         print(
             f"warning: the remaining-supply law was merged {result.resamples} times; "
@@ -295,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--trials", type=int, default=None, help="run Monte Carlo with this many trials")
         p.add_argument("--seed", default=None, help="root seed (default: $FBCRS_SEED or 0)")
-        p.add_argument("--workers", type=int, default=1, help="worker threads for trials")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("constants", help="headline guarantees from their closed forms")
@@ -350,8 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise InvalidInstanceError("--workers must be >= 1")
         if getattr(args, "trials", None) is not None and args.trials < 1:
             raise InvalidInstanceError("--trials must be >= 1")
         return args.handler(args)

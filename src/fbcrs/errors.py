@@ -24,4 +24,4 @@ class InvariantViolationError(FbcrsError):
 
 class SolverError(FbcrsError):
     """A computation hit its cap: the LP solver's iteration cap, or the
-    exact knapsack run's fill-law atom cap."""
+    exact knapsack run's cap on the atoms its fill laws hold together."""

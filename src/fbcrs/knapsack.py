@@ -319,9 +319,10 @@ def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tu
 # 13 MB at n = 200.  Finer grids fold FiniteLaws, whose size follows the
 # support the fills reach rather than the grid.
 GRID_CAP = 4096
-# The most atoms a folded FiniteLaw may hold.  Off-grid supports grow by
-# about half per element (9.3M atoms at n = 34), so a run past the cap
-# raises SolverError instead of running out of memory.
+# The most atoms the folded FiniteLaws a run keeps, both orders, may hold
+# together (about 24 bytes an atom with its cumulative sums, 400 MB at the
+# cap).  Off-grid supports grow by about half per element (9.3M atoms in one
+# law at n = 34), so a run past the cap raises SolverError instead.
 FILL_ATOM_CAP = 1 << 24
 
 
@@ -439,8 +440,8 @@ def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackE
 
     Sizes on a 1/L grid with L <= GRID_CAP run _grid_step on one dense
     (2, n + 1, L + 1) block; any other sizes fold FiniteLaws through
-    propagate_fill, and a fill law past FILL_ATOM_CAP atoms raises
-    SolverError.
+    propagate_fill, and SolverError is raised once the folded laws of both
+    orders hold more than FILL_ATOM_CAP atoms together.
     """
     check_knapsack_feasible(plan, inst).require()
     grid = _grid_size(inst.laws)
@@ -451,6 +452,7 @@ def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackE
         dense[:, 0, 0] = 1.0
         ks = [np.rint(np.array([s for s, _ in law.atoms]) * grid).astype(np.intp) for law in inst.laws]
     per_order = []  # (rates, branches) of each order
+    kept = 0  # atoms of the folded laws in sparse, both orders
     orders = arrival((range(inst.n), range(inst.n))).tolist()
     for row, (tag, order, planned) in enumerate(zip((FORWARD, BACKWARD), orders, (plan.c_f, plan.c_b))):
         rates = [0.0] * inst.n
@@ -460,9 +462,9 @@ def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackE
             ctx = f"order {tag}, element {i}, position {pos + 1}"
             if dense is None:
                 dist, branches[i] = propagate_fill(sparse[row][-1], law, planned[i], ctx)
-                if dist.support_size > FILL_ATOM_CAP:
-                    size = dist.support_size
-                    raise SolverError(f"fill law has {size} atoms, past FILL_ATOM_CAP = {FILL_ATOM_CAP} {ctx}")
+                kept += dist.support_size
+                if kept > FILL_ATOM_CAP:
+                    raise SolverError(f"fill laws hold {kept} atoms, past FILL_ATOM_CAP = {FILL_ATOM_CAP} {ctx}")
                 sparse[row].append(dist)
             else:
                 branches[i] = _grid_step(dense[row, pos], dense[row, pos + 1], law, ks[i], planned[i], ctx)
@@ -667,23 +669,17 @@ def replay_admissions(rules: dict, rng: np.random.Generator, m: int, n: int):
         raise InvariantViolationError("accepted sizes exceeded the knapsack")
 
 
-def run_knapsack_mc(
-    inst: KnapsackInstance,
-    plan: SelectionPlan,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-):
+def run_knapsack_mc(inst: KnapsackInstance, plan: SelectionPlan, trials: int, seed: int):
     """Monte Carlo executor on the exact run's branch parameters.
 
     Returns RateEstimates keyed by ("f", i) / ("b", i): conditional acceptance
     given active, per order.  The branches come from run_knapsack_exact, so
     each estimate tests the exact fill law: it should cover the planned c.
     """
-    return replay_branches(inst, run_knapsack_exact(inst, plan), trials, seed, workers)
+    return replay_branches(inst, run_knapsack_exact(inst, plan), trials, seed)
 
 
-def replay_branches(inst: KnapsackInstance, exact: KnapsackExactResult, trials: int, seed: int, workers: int = 1):
+def replay_branches(inst: KnapsackInstance, exact: KnapsackExactResult, trials: int, seed: int):
     """run_knapsack_mc on the Branches of exact, a run_knapsack_exact result
     for inst, so a caller that also reads the exact run propagates once."""
     rules = {
@@ -698,4 +694,4 @@ def replay_branches(inst: KnapsackInstance, exact: KnapsackExactResult, trials: 
             out[(tag[0], i)] = (float(np.count_nonzero(code & 1)), np.count_nonzero(code < active))
         return out
 
-    return run_trials(experiment, trials, seed, workers=workers)
+    return run_trials(experiment, trials, seed)

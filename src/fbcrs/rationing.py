@@ -673,7 +673,6 @@ def run_rationing(
     mode: str = "exact",
     trials: int = 0,
     seed: int = 0,
-    workers: int = 1,
 ) -> RationingResult:
     """Execute the rationing scheme for a solved service target.
 
@@ -683,7 +682,7 @@ def run_rationing(
     of at least the pair-mean rate times beta.  Mode "exact" propagates the
     remaining-supply or fill law in closed form and raises when an agent
     misses the guarantee; "mc" simulates trials runs on top of the same
-    calibration; seed and workers feed mc mode only, as exact mode draws no
+    calibration; seed feeds mc mode only, as exact mode draws no
     randomness.  plan covers the agents (single-unit route) or the reduced
     elements (knapsack route); it defaults to the LP optimum or the closed
     form, and an infeasible plan raises InfeasibleError in both modes.
@@ -708,7 +707,7 @@ def run_rationing(
         )
         bands = [(None, None)] * inst.n
     else:
-        estimates = run_trials(route.run, trials, seed, workers)
+        estimates = run_trials(route.run, trials, seed)
 
         def pooled(kind: str, i: int) -> MeanEstimate:
             f, b = estimates[(kind, FORWARD[0], i)], estimates[(kind, BACKWARD[0], i)]

@@ -2,7 +2,7 @@
 
 Streams are PCG64 generators seeded by ``SeedSequence((seed, *path))``, so the
 stream for a given path is a pure function of the root seed: trial chunk i
-always sees the same randomness no matter how many workers run.  Trial
+always sees the same randomness no matter how many threads run.  Trial
 streams live under the path prefix NS_TRIALS, so any other namespace never
 collides with them.  Executors draw one uniform per row and arrival
 (`two_orders`).
@@ -11,6 +11,7 @@ collides with them.  Executors draw one uniform per row and arrival
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -21,7 +22,7 @@ from .instances import BACKWARD, FORWARD
 from .tolerances import MC_CONFIDENCE
 
 # Trials are processed in fixed-size chunks; chunk index = stream index, so
-# results are bit-identical for any worker count.
+# results are bit-identical for any thread count.
 CHUNK = 1 << 16
 
 # Path namespace of trial chunks (first path component after the seed).
@@ -154,27 +155,34 @@ class MeanEstimate:
         return self.point + self.half_width
 
 
-def run_trials(experiment, trials: int, seed: int, workers: int = 1) -> dict:
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_trials(experiment, trials: int, seed: int) -> dict:
     """Run ``experiment(rng, m)`` over ``trials`` trials in deterministic chunks.
 
     The experiment returns ``{key: (successes, count)}`` (or
     ``(total, total_sq, count)`` for real-valued outcomes); tuples are summed
     componentwise in chunk order, so the aggregate is bit-identical for fixed
-    (seed, trials) regardless of ``workers``.  Pairs come back as
-    RateEstimate, triples as MeanEstimate.
+    (seed, trials) on any number of threads.  Pairs come back as
+    RateEstimate, triples as MeanEstimate.  Chunks run on min(chunks, CPUs
+    this process may use) threads; a single chunk runs in the calling thread.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     chunks = [(i, min(CHUNK, trials - i * CHUNK)) for i in range((trials + CHUNK - 1) // CHUNK)]
 
     def one(chunk):
         index, m = chunk
         return experiment(stream(seed, NS_TRIALS, index), m)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(len(chunks), _cpu_count())
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, chunks))
     else:
         results = [one(chunk) for chunk in chunks]

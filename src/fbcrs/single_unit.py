@@ -116,13 +116,7 @@ def exact_selection_rates(
     return tuple(rates[0].tolist()), tuple(rates[1].tolist())
 
 
-def mc_selection_rates(
-    inst: SingleUnitInstance,
-    plan: SelectionPlan,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-):
+def mc_selection_rates(inst: SingleUnitInstance, plan: SelectionPlan, trials: int, seed: int):
     """Monte Carlo conditional acceptance rates.
 
     Returns RateEstimates keyed by ("f", i) and ("b", i) for per-order rates
@@ -149,4 +143,4 @@ def mc_selection_rates(
             out[("overall", i)] = (sf + sb, cf + cb)
         return out
 
-    return run_trials(experiment, trials, seed, workers=workers)
+    return run_trials(experiment, trials, seed)

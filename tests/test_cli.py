@@ -312,6 +312,22 @@ def test_off_grid_fill_law_past_the_atom_cap_raises(tmp_path, capsys, monkeypatc
     assert "FILL_ATOM_CAP" in capsys.readouterr().err
 
 
+def test_atom_cap_bounds_the_laws_of_both_orders_together(tmp_path, monkeypatch):
+    path = tmp_path / "knapsack_offgrid.json"
+    path.write_text(SMOKE_KNAPSACK_OFFGRID, encoding="utf-8")
+    inst = load_instance(str(path))
+    plan = knapsack.closed_form_knapsack_plan(inst)
+    result = knapsack.run_knapsack_exact(inst, plan)
+    sizes = [law.support_size for law in result.traces_f[1:] + result.traces_b[1:]]
+    # no one law reaches the cap, but the kept laws together pass it
+    assert max(sizes) < sum(sizes) - 1
+    monkeypatch.setattr(knapsack, "FILL_ATOM_CAP", sum(sizes) - 1)
+    with pytest.raises(SolverError, match=r"order backward, element 0, position 3"):
+        knapsack.run_knapsack_exact(inst, plan)
+    monkeypatch.setattr(knapsack, "FILL_ATOM_CAP", sum(sizes))
+    assert knapsack.run_knapsack_exact(inst, plan).rates_f == result.rates_f
+
+
 # --- ration ---------------------------------------------------------------------
 
 
@@ -568,9 +584,6 @@ KN_JSON = '{"kind": "knapsack", "n": 1, "laws": [{"atoms": [[0.5, 0.5]], "inacti
         # a non-finite total mass
         (["dual-certificate", "--n", "3", "--rho", "nan"], {}),
         (["dual-certificate", "--n", "3", "--rho", "inf"], {}),
-        # no worker threads
-        (["simulate-single-unit", "--instance", "{su}", "--trials", "1000", "--workers", "0"], {"su": SU_JSON}),
-        (["simulate-single-unit", "--instance", "{su}", "--trials", "1000", "--workers", "-3"], {"su": SU_JSON}),
         # a seed that is not a nonnegative integer, even without --trials, when nothing is sampled
         (["ration", "--instance", "{ra}", "--seed", "-1"], {}),
         (["simulate-single-unit", "--instance", "{su}", "--trials", "100", "--seed", "1.5"], {"su": SU_JSON}),
@@ -587,8 +600,6 @@ KN_JSON = '{"kind": "knapsack", "n": 1, "laws": [{"atoms": [[0.5, 0.5]], "inacti
         "sweep-n-0",
         "rho-nan",
         "rho-inf",
-        "workers-0",
-        "workers-negative",
         "seed-negative",
         "seed-fraction",
         "single-unit-trials-0",
@@ -614,9 +625,11 @@ def test_malformed_outside_input_exits_3(rationing_path, tmp_path, capsys, argv,
         ["ration", "--instance", "ra.json", "--plan", "bogus"],
         # --mode is retired: sampling is asked for by --trials alone
         ["simulate-knapsack", "--instance", "kn.json", "--mode", "exact"],
+        # --workers is retired: trials run on one thread per chunk, up to the CPUs
+        ["simulate-single-unit", "--instance", "su.json", "--trials", "100000", "--workers", "2"],
         [],
     ],
-    ids=["bad-int", "bad-int-n", "bad-float", "bad-choice", "retired-mode", "missing-command"],
+    ids=["bad-int", "bad-int-n", "bad-float", "bad-choice", "retired-mode", "retired-workers", "missing-command"],
 )
 def test_usage_errors_exit_3(argv, capsys):
     # exit 2 would read as a failed guarantee or invariant check

@@ -1,6 +1,7 @@
 """Simulation scaffolding: Wilson intervals, estimators, chunked trials."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fbcrs.instances import (
     SingleUnitInstance,
     SizeLaw,
 )
+from fbcrs import sim
 from fbcrs.knapsack import closed_form_knapsack_plan, run_knapsack_mc
 from fbcrs.lp_si import solve_lp_si
 from fbcrs.rationing import exante_check, run_rationing
@@ -113,10 +115,13 @@ def _coin_experiment(rng, m):
     return out
 
 
-def test_run_trials_deterministic_across_workers():
-    trials = 2 * CHUNK + 1234
-    one = run_trials(_coin_experiment, trials, seed=5, workers=1)
-    four = run_trials(_coin_experiment, trials, seed=5, workers=4)
+def test_run_trials_deterministic_across_workers(monkeypatch):
+    # five chunks, the last ragged: one thread against four
+    trials = 4 * CHUNK + 1234
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 1)
+    one = run_trials(_coin_experiment, trials, seed=5)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 4)
+    four = run_trials(_coin_experiment, trials, seed=5)
     assert one.keys() == four.keys()
     for key in one:
         a, b = one[key], four[key]
@@ -124,6 +129,32 @@ def test_run_trials_deterministic_across_workers():
             assert (a.successes, a.conditioning_count) == (b.successes, b.conditioning_count)
         else:
             assert (a.total, a.total_sq, a.count) == (b.total, b.total_sq, b.count)
+
+
+@pytest.mark.parametrize("chunks, cpus, threads", [(1, 4, None), (2, 1, None), (2, 4, 2), (3, 2, 2)])
+def test_run_trials_threads_are_chunks_capped_by_cpus(monkeypatch, chunks, cpus, threads):
+    pools = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", Recorded)
+    est = run_trials(_coin_experiment, (chunks - 1) * CHUNK + 7, seed=1)
+    assert est["heads"].conditioning_count == (chunks - 1) * CHUNK + 7
+    # one chunk, or one CPU, runs in the calling thread and builds no pool
+    assert pools == ([] if threads is None else [threads])
+
+
+def test_cpu_count_falls_back_without_affinity(monkeypatch):
+    assert sim._cpu_count() >= 1
+    monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    assert sim._cpu_count() == 3
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+    assert sim._cpu_count() == 1
 
 
 def test_run_trials_estimates():
@@ -147,12 +178,6 @@ def test_run_trials_rejects_zero_trials():
         run_trials(_coin_experiment, 0, seed=0)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
-def test_run_trials_rejects_nonpositive_workers(workers):
-    with pytest.raises(ValueError):
-        run_trials(_coin_experiment, 10, seed=0, workers=workers)
-
-
 def test_run_trials_rejects_bad_tuple_width():
     def bad(rng, m):
         return {"k": (1.0,)}
@@ -170,24 +195,23 @@ def _fields(estimates: dict) -> dict:
     }
 
 
-def _single_unit_mc(workers):
+def _single_unit_mc():
     inst = SingleUnitInstance((0.3, 0.5, 0.2, 0.4))
-    return mc_selection_rates(inst, solve_lp_si(inst), CHUNK + 1234, seed=3, workers=workers)
+    return mc_selection_rates(inst, solve_lp_si(inst), CHUNK + 1234, seed=3)
 
 
-def _knapsack_mc(workers):
+def _knapsack_mc():
     inst = KnapsackInstance((SizeLaw(((0.5, 1.0),)), SizeLaw(((0.2, 0.5), (0.7, 0.3)), 0.2)))
     plan = closed_form_knapsack_plan(inst)
-    return run_knapsack_mc(inst, plan, CHUNK + 1234, seed=3, workers=workers)
+    return run_knapsack_mc(inst, plan, CHUNK + 1234, seed=3)
 
 
 def _rationing_mc(service):
-    def run(workers):
+    def run():
         laws = (DemandLaw(((0.5, 0.5), (2.0, 0.5))), DemandLaw(((0.3, 0.4), (1.0, 0.6))))
         inst = RationingInstance(laws, service)
         target = exante_check(inst, (0.4, 0.4))
-        result = run_rationing(inst, target, mode="mc", trials=CHUNK + 1234, seed=3, workers=workers)
-        return result.estimates
+        return run_rationing(inst, target, mode="mc", trials=CHUNK + 1234, seed=3).estimates
 
     return run
 
@@ -202,8 +226,11 @@ def _rationing_mc(service):
     ],
     ids=["mc_selection_rates", "run_knapsack_mc", "rationing-single-unit", "rationing-knapsack"],
 )
-def test_executors_deterministic_across_workers(executor):
-    # two chunks, the second ragged: the sums must not depend on which thread
-    # ran which chunk
-    one, two = executor(1), executor(2)
+def test_executors_deterministic_across_workers(executor, monkeypatch):
+    # two chunks, the second ragged, on one CPU and then on four (two
+    # threads): the sums must not depend on which thread ran which chunk
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 1)
+    one = executor()
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 4)
+    two = executor()
     assert one and _fields(one) == _fields(two)

@@ -1,9 +1,12 @@
 """The phi curve, closed-form plans, and the single-unit executor."""
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbcrs.errors import InfeasibleError, InvalidInstanceError
 from fbcrs.instances import BACKWARD, FORWARD, SingleUnitInstance, order_row
@@ -16,7 +19,7 @@ from fbcrs.single_unit import (
     mc_selection_rates,
     phi,
 )
-from fbcrs.tolerances import LP_TOL, MASS_TOL
+from fbcrs.tolerances import LP_TOL, MASS_TOL, RATE_TOL
 
 from oracles import (
     arrival_order,
@@ -121,6 +124,25 @@ def test_closed_form_zero_mass_elements():
     assert plan.objective == pytest.approx(alpha_0(1.0), abs=1e-12)
     # the zero-mass element sits at prefix 0.5 = rho/2 in both orders
     assert plan.c_f[1] == pytest.approx(alpha_0(1.0), abs=1e-12)
+
+
+@st.composite
+def zero_mass_instances(draw):
+    """x of 1-60 elements, about half of them of zero mass, scaled to a
+    total mass rho of up to 5 (less where an element would pass 1)."""
+    n = draw(st.integers(1, 60))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=n, max_size=n))
+    rho = draw(st.floats(0.0, 5.0))
+    total = math.fsum(weights)
+    x = np.array(weights) * (rho / total) if total > 0.0 else np.zeros(len(weights))
+    return SingleUnitInstance(tuple((x / max(1.0, x.max())).tolist()))
+
+
+@settings(max_examples=100)
+@given(inst=zero_mass_instances())
+def test_closed_form_pair_means_equal_alpha_0(inst):
+    target = alpha_0(inst.rho)
+    assert max(abs(pm - target) for pm in closed_form_plan(inst).pair_means) <= RATE_TOL
 
 
 NARROW_WINDOW_INSTANCES = [
