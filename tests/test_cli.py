@@ -627,9 +627,21 @@ def test_malformed_outside_input_exits_3(rationing_path, tmp_path, capsys, argv,
         ["simulate-knapsack", "--instance", "kn.json", "--mode", "exact"],
         # --workers is retired: trials run on one thread per chunk, up to the CPUs
         ["simulate-single-unit", "--instance", "su.json", "--trials", "100000", "--workers", "2"],
+        ["simulate-single-unit", "--instance", "su.json", "--trials", "1000", "--workers", "0"],
+        ["simulate-single-unit", "--instance", "su.json", "--trials", "1000", "--workers", "-3"],
         [],
     ],
-    ids=["bad-int", "bad-int-n", "bad-float", "bad-choice", "retired-mode", "retired-workers", "missing-command"],
+    ids=[
+        "bad-int",
+        "bad-int-n",
+        "bad-float",
+        "bad-choice",
+        "retired-mode",
+        "retired-workers",
+        "retired-workers-0",
+        "retired-workers-negative",
+        "missing-command",
+    ],
 )
 def test_usage_errors_exit_3(argv, capsys):
     # exit 2 would read as a failed guarantee or invariant check
