@@ -42,7 +42,6 @@ from .knapsack import (
     monitor_invariants,
     monitor_trace,
     phi_knapsack,
-    propagate_fill,
     run_knapsack_exact,
     run_knapsack_mc,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "monitor_trace",
     "phi",
     "phi_knapsack",
-    "propagate_fill",
     "run_knapsack_exact",
     "run_knapsack_mc",
     "run_rationing",

@@ -181,6 +181,7 @@ def cmd_simulate_knapsack(args) -> int:
             "max_expectation_error": report.max_expectation_error,
             "ok": report.ok(),
             "grid": exact.grid,
+            "rounded": exact.rounded,
         }
         print(json.dumps(summary), file=sys.stderr)
         if not report.ok():

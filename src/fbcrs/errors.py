@@ -23,5 +23,5 @@ class InvariantViolationError(FbcrsError):
 
 
 class SolverError(FbcrsError):
-    """A computation hit its cap: the LP solver's iteration cap, or the
-    exact knapsack run's cap on the atoms its fill laws hold together."""
+    """The LP solver failed: no convergence within its iteration cap, or an
+    unbounded or out-of-range solution."""

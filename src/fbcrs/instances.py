@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -278,6 +279,29 @@ def instance_to_dict(inst) -> dict:
     raise InvalidInstanceError(f"cannot serialize {type(inst).__name__}")
 
 
+_NOT_NUMBERS = frozenset((str, bool, type(None)))
+
+
+def _numbers(entries, what: str) -> None:
+    """Reject entries JSON gave as strings, booleans or null: float() takes
+    "0" and true, where the schema asks for numbers."""
+    if not _NOT_NUMBERS.isdisjoint(map(type, entries)):
+        raise InvalidInstanceError(f"instance JSON {what} must be numbers, not strings, booleans or null")
+
+
+def _atoms(law: dict) -> tuple:
+    atoms = tuple(map(tuple, law["atoms"]))
+    _numbers(chain.from_iterable(atoms), "atom entries")
+    return atoms
+
+
+def _size_law(law: dict) -> SizeLaw:
+    atoms = _atoms(law)
+    inactive = law.get("inactive", 0.0)
+    _numbers((inactive,), "inactive masses")
+    return SizeLaw(atoms, inactive)
+
+
 def instance_from_dict(data: dict):
     try:
         kind = data["kind"]
@@ -288,15 +312,13 @@ def instance_from_dict(data: dict):
         raise InvalidInstanceError(f"instance JSON 'n' must be an integer, got {n!r}")
     try:
         if kind == "single_unit":
-            inst = SingleUnitInstance(tuple(data["x"]))
+            x = tuple(data["x"])
+            _numbers(x, "x entries")
+            inst = SingleUnitInstance(x)
         elif kind == "knapsack":
-            laws = tuple(
-                SizeLaw(tuple((s, p) for s, p in law["atoms"]), law.get("inactive", 0.0))
-                for law in data["laws"]
-            )
-            inst = KnapsackInstance(laws)
+            inst = KnapsackInstance(tuple(_size_law(law) for law in data["laws"]))
         elif kind == "rationing":
-            demands = tuple(DemandLaw(tuple((d, p) for d, p in law["atoms"])) for law in data["demands"])
+            demands = tuple(DemandLaw(_atoms(law)) for law in data["demands"])
             inst = RationingInstance(demands, tuple(data["service"]))
         else:
             raise InvalidInstanceError(f"unknown instance kind {kind!r}")

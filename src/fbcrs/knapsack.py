@@ -7,14 +7,14 @@ b1 for 0 < t <= 1-s and b2 for t = 0, with parameters chosen so the
 conditional acceptance probability is the planned c regardless of size.
 Each element's parameters are one Branches table, by size atom.  The fill
 law is propagated exactly, all atoms at once, which makes the executor its
-own test oracle.  When every size is a multiple of 1/L for some L up to
-GRID_CAP, run_knapsack_exact keeps each fill law as one dense vector of
-Pr[T = k/L], k = 0..L, and a step is a cumsum and one slice add per size
-atom; otherwise it folds FiniteLaws through propagate_fill.  Both paths
-share the admission arithmetic (_admission).  The Monte Carlo executor
-replays the exact run's Branches through one admission kernel (Admission)
-in one replay loop (replay_admissions, which the rationing knapsack route
-shares), so it cross-checks the exact fill law itself.
+own test oracle.  run_knapsack_exact keeps each fill law as one dense
+vector of Pr[T = k/L], k = 0..L, and a step (_grid_step) is a cumsum and one
+slice add per size atom.  L is the smallest grid up to GRID_CAP that holds
+every size; sizes on no such grid are admitted rounded up onto 1/GRID_CAP,
+which only leaves capacity unused.  The Monte Carlo executor replays the
+exact run's Branches, at the sizes it admitted, through one admission kernel
+(Admission) in one replay loop (replay_admissions, which the rationing
+knapsack route shares), so it cross-checks the exact fill law itself.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError, SolverError
+from .errors import InfeasibleError, InvalidInstanceError, InvariantViolationError
 from .instances import BACKWARD, FORWARD, KnapsackInstance, SizeLaw, arrival, before, order_row
 from .lp_si import SelectionPlan
 from .sim import run_trials, slice_index, two_orders
@@ -236,94 +236,11 @@ def branch_probs(c: float, p0: float, p1s) -> Branches:
     return Branches(tuple(b1), tuple(b2), tuple(rate))
 
 
-def _admission(law: SizeLaw, c: float, cum: np.ndarray, zero_end: int, fit_ends: list, ctx: str):
-    """The admission arithmetic of one fill step, shared by both fill paths.
-
-    The fills are in ascending order and cum[r] is the mass of the r lowest
-    (cum[0] = 0): fills [0, zero_end) are the empty knapsack, and size atom j
-    fits fills [0, fit_ends[j]).  Returns the element's Branches and, per
-    fill, the factor of its mass that stays.  Raises InfeasibleError when c
-    exceeds Pr[T = 0] + Pr[0 < T <= 1-s] for some size s.
-
-    Sizes ascend (SizeLaw sorts them), so the fit ends descend and the fills
-    past the zero branch fall into pieces on which the j smallest sizes fit,
-    j = k, ..., 0.  On a piece the mass that stays is the inactive mass plus,
-    per size atom, its mass times the chance the element is turned away:
-    1 - b2 at fill 0, 1 - b1 where it fits, 1 else.
-    """
-    if not 0.0 <= c <= 1.0:
-        raise InvalidInstanceError(f"acceptance probability {c} outside [0, 1] {ctx}")
-    p0 = float(cum[zero_end])
-    p1s = [cf - p0 for cf in cum[fit_ends].tolist()]
-    branches = branch_probs(c, p0, p1s)
-    for (s, _), p1 in zip(law.atoms, p1s):
-        if c > p0 + p1 + FEAS_TOL:
-            raise InfeasibleError(
-                f"acceptance {c} exceeds reachable probability {p0 + p1} "
-                f"(size {s}{', ' + ctx if ctx else ''})"
-            )
-    size_probs = [ps for _, ps in law.atoms]
-    turned_zero = [ps * (1.0 - b2) for ps, b2 in zip(size_probs, branches.b2)]
-    turned_fit = [ps * (1.0 - b1) for ps, b1 in zip(size_probs, branches.b1)]
-    stay = [math.fsum([law.inactive_mass, *turned_zero])]
-    stay += [
-        math.fsum([law.inactive_mass, *turned_fit[:j], *size_probs[j:]]) for j in range(len(size_probs), -1, -1)
-    ]
-    cuts = [0, zero_end, *fit_ends[::-1], cum.size - 1]
-    return branches, np.array(stay).repeat([hi - lo for lo, hi in zip(cuts, cuts[1:])])
-
-
-def propagate_fill(dist: FiniteLaw, law: SizeLaw, c: float, ctx: str = "") -> tuple[FiniteLaw, Branches]:
-    """Fold one element into the fill law; also return its Branches.
-
-    Raises InfeasibleError when c exceeds Pr[T = 0] + Pr[0 < T <= 1-s] for
-    some size s.  Total mass is preserved to MASS_TOL.  The fill path for
-    sizes on no grid (run_knapsack_exact takes _grid_step where it can).
-
-    One rank query on [0, 1-s_1, ..., 1-s_k] splits the sorted fills into
-    the zero branch [0, r0), size s_j's interval branch [r0, fit_j) and the
-    fills s_j does not fit.  The new law's raw atoms go into one buffer:
-    every fill with the mass that stays, its probability times _admission's
-    factor, then per size atom the fills it fits, shifted by s_j (capped at
-    1), with the mass that moves.  `FiniteLaw.merged` sorts the buffer and
-    merges it into the new law.
-    """
-    values, probs = dist.values, dist.probs
-    n = values.size
-    ranks = dist.rank([0.0] + [1.0 - s for s, _ in law.atoms])
-    r0, fits = int(ranks[0]), ranks[1:].tolist()
-    branches, stay = _admission(law, c, dist._cum, r0, fits, ctx)
-    out_v = np.empty(n + sum(fits))
-    out_p = np.empty_like(out_v)
-    out_v[:n] = values
-    np.multiply(probs, stay, out=out_p[:n])
-    at = n
-    for (s, ps), fit, b1, b2 in zip(law.atoms, fits, branches.b1, branches.b2):
-        np.add(values[:fit], s, out=out_v[at : at + fit])
-        # (probs * ps) * b, as the per-atom reference in the tests computes
-        # it: with a tiny c, probs * (ps * b) can underflow to 0 where this
-        # does not (or the reverse), which changes the support
-        moved = np.multiply(probs[:fit], ps, out=out_p[at : at + fit])
-        moved[:r0] *= b2
-        moved[r0:] *= b1
-        at += fit
-    np.minimum(out_v[n:], 1.0, out=out_v[n:])
-    new = FiniteLaw.merged(out_v, out_p)
-    if abs(new.mass - 1.0) > MASS_TOL:
-        raise InvariantViolationError(f"fill mass drifted to {new.mass} {ctx}")
-    return new, branches
-
-
-# The largest grid run_knapsack_exact runs on.  A run keeps every fill law of
-# both orders, 16 * (n + 1) * (L + 1) bytes: 1.9 MB at n = 28 and L = 4096,
-# 13 MB at n = 200.  Finer grids fold FiniteLaws, whose size follows the
-# support the fills reach rather than the grid.
+# The largest grid run_knapsack_exact runs on, and the grid it rounds sizes
+# on no such grid up onto.  A run keeps every fill law of both orders,
+# 16 * (n + 1) * (L + 1) bytes: 1.9 MB at n = 28 and L = 4096, 13 MB at
+# n = 200.
 GRID_CAP = 4096
-# The most atoms the folded FiniteLaws a run keeps, both orders, may hold
-# together (about 24 bytes an atom with its cumulative sums, 400 MB at the
-# cap).  Off-grid supports grow by about half per element (9.3M atoms in one
-# law at n = 34), so a run past the cap raises SolverError instead.
-FILL_ATOM_CAP = 1 << 24
 
 
 def _grid_size(laws) -> int | None:
@@ -349,22 +266,43 @@ def _grid_size(laws) -> int | None:
 
 
 def _grid_step(p: np.ndarray, out: np.ndarray, law: SizeLaw, ks: np.ndarray, c: float, ctx: str) -> Branches:
-    """propagate_fill on a 1/L grid: p[k] = Pr[T = k/L] before the element,
-    out[k] after it; ks[j] = L * s_j.  Returns the element's Branches.
+    """Fold one element into the fill law on a 1/L grid: p[k] = Pr[T = k/L]
+    before the element, out[k] after it; size atom j is admitted as ks[j]/L.
+    Returns the element's Branches.  Raises InfeasibleError when c exceeds
+    Pr[T = 0] + Pr[0 < T <= 1-s] for some size s.
 
     Size atom j fits fills k <= L - ks[j] exactly, so no boundary needs
-    ATOM_TOL and no atoms merge.  The mass that stays is p times
-    _admission's factors; each size atom then adds one slice, shifted by
-    ks[j], with b2 at fill 0 and b1 above it.
+    ATOM_TOL and no atoms merge.  Sizes ascend (SizeLaw sorts them), so the
+    fit ends descend and the fills past 0 fall into pieces on which the j
+    smallest sizes fit, j = k, ..., 0.  On a piece the mass that stays is the
+    inactive mass plus, per size atom, its mass times the chance the element
+    is turned away: 1 - b2 at fill 0, 1 - b1 where it fits, 1 else.  Each
+    size atom then adds one slice, shifted by ks[j], with b2 at fill 0 and b1
+    above it.
     """
-    cum = np.empty(p.size + 1)
+    if not 0.0 <= c <= 1.0:
+        raise InvalidInstanceError(f"acceptance probability {c} outside [0, 1] {ctx}")
+    cum = np.empty(p.size + 1)  # cum[r] is the mass of the r lowest fills
     cum[0] = 0.0
     np.cumsum(p, out=cum[1:])
     fits = (p.size - ks).tolist()
-    branches, stay = _admission(law, c, cum, 1, fits, ctx)
-    np.multiply(p, stay, out=out)
-    for k, fit, (_, ps), b1, b2 in zip(ks.tolist(), fits, law.atoms, branches.b1, branches.b2):
-        moved = p[:fit] * ps  # (p * ps) * b as in propagate_fill: the order decides what underflows
+    p0 = float(cum[1])
+    p1s = [cf - p0 for cf in cum[fits].tolist()]
+    branches = branch_probs(c, p0, p1s)
+    for (s, _), p1 in zip(law.atoms, p1s):
+        if c > p0 + p1 + FEAS_TOL:
+            raise InfeasibleError(f"acceptance {c} exceeds reachable probability {p0 + p1} (size {s}, {ctx})")
+    size_probs = [ps for _, ps in law.atoms]
+    turned_zero = [ps * (1.0 - b2) for ps, b2 in zip(size_probs, branches.b2)]
+    turned_fit = [ps * (1.0 - b1) for ps, b1 in zip(size_probs, branches.b1)]
+    stay = [math.fsum([law.inactive_mass, *turned_zero])]
+    stay += [
+        math.fsum([law.inactive_mass, *turned_fit[:j], *size_probs[j:]]) for j in range(len(size_probs), -1, -1)
+    ]
+    cuts = [0, 1, *fits[::-1], p.size]
+    np.multiply(p, np.array(stay).repeat([hi - lo for lo, hi in zip(cuts, cuts[1:])]), out=out)
+    for k, fit, ps, b1, b2 in zip(ks.tolist(), fits, size_probs, branches.b1, branches.b2):
+        moved = p[:fit] * ps  # (p * ps) * b: the order decides what underflows
         moved[0] *= b2
         moved[1:] *= b1
         out[k : k + fit] += moved
@@ -379,21 +317,23 @@ class KnapsackExactResult:
     """Exact conditional rates and the full fill-law traces for both orders.
 
     branches_* hold every element's Branches, so the executor's bit
-    parameters can be replayed without re-propagating.  traces_f and
-    traces_b hold n+1 laws each, before each arrival and final.  grid is
-    the L of the run's 1/L grid, or None when it folded FiniteLaws: then
-    `sparse` holds the two traces.  On a grid, dense[row, step, k] is
-    Pr[T = k/L] (row 0 forward, 1 backward), and the traces are FiniteLaw
-    views of its rows, built on first access.
+    parameters can be replayed without re-propagating.  grid is the L of the
+    run's 1/L grid; rounded says the sizes lay on no grid up to GRID_CAP and
+    were admitted rounded up onto 1/GRID_CAP.  sizes[i][j] is the size the
+    run admitted for atom j of element i (the true size unless rounded; two
+    atoms may share one).  dense[row, step, k] is Pr[T = k/L] (row 0
+    forward, 1 backward); traces_f and traces_b hold n+1 FiniteLaw views of
+    its rows each, before each arrival and final, built on first access.
     """
 
     rates_f: tuple[float, ...]
     rates_b: tuple[float, ...]
     branches_f: tuple[Branches, ...]
     branches_b: tuple[Branches, ...]
-    grid: int | None
-    dense: np.ndarray | None = field(repr=False)  # (2, n + 1, L + 1), read-only
-    sparse: tuple[tuple[FiniteLaw, ...], tuple[FiniteLaw, ...]] | None = field(repr=False)
+    grid: int
+    rounded: bool
+    sizes: tuple[tuple[float, ...], ...]
+    dense: np.ndarray = field(repr=False)  # (2, n + 1, L + 1), read-only
 
     @cached_property
     def traces_f(self) -> tuple[FiniteLaw, ...]:
@@ -404,8 +344,6 @@ class KnapsackExactResult:
         return self._trace(1)
 
     def _trace(self, row: int) -> tuple[FiniteLaw, ...]:
-        if self.dense is None:
-            return self.sparse[row]
         values = _grid_values(self.grid)
         return tuple(FiniteLaw(values[nz], step[nz]) for step in self.dense[row] for nz in step.nonzero())
 
@@ -438,44 +376,43 @@ def _grid_values(grid: int) -> np.ndarray:
 def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackExactResult:
     """Propagate the fill law through both orders and read off exact rates.
 
-    Sizes on a 1/L grid with L <= GRID_CAP run _grid_step on one dense
-    (2, n + 1, L + 1) block; any other sizes fold FiniteLaws through
-    propagate_fill, and SolverError is raised once the folded laws of both
-    orders hold more than FILL_ATOM_CAP atoms together.
+    Every step runs _grid_step on one dense (2, n + 1, L + 1) block.  Sizes
+    on a 1/L grid with L <= GRID_CAP run as they are.  Any other size s is
+    admitted as ceil(s L)/L with L = GRID_CAP, the smallest grid point at or
+    above it: a rounded size only leaves capacity unused, so the scheme stays
+    feasible for the true sizes, and the rates are exact for the policy that
+    runs (the executors replay result.sizes).  Rounding can make a planned
+    rate unreachable; the InfeasibleError then says the sizes were rounded.
     """
     check_knapsack_feasible(plan, inst).require()
     grid = _grid_size(inst.laws)
-    if grid is None:
-        dense, sparse = None, ([FiniteLaw([0.0], [1.0])], [FiniteLaw([0.0], [1.0])])
-    else:
-        dense, sparse = np.zeros((2, inst.n + 1, grid + 1)), None
-        dense[:, 0, 0] = 1.0
-        ks = [np.rint(np.array([s for s, _ in law.atoms]) * grid).astype(np.intp) for law in inst.laws]
+    rounded = grid is None
+    if rounded:
+        grid = GRID_CAP
+    ks = []
+    for law in inst.laws:
+        sizes = np.array([s for s, _ in law.atoms])
+        k = np.rint(sizes * grid).astype(np.intp)
+        k += k / grid < sizes  # where rint rounded down, the next point up (never on a grid)
+        ks.append(k)
+    dense = np.zeros((2, inst.n + 1, grid + 1))
+    dense[:, 0, 0] = 1.0
+    note = f", sizes rounded up onto 1/{grid}" if rounded else ""
     per_order = []  # (rates, branches) of each order
-    kept = 0  # atoms of the folded laws in sparse, both orders
     orders = arrival((range(inst.n), range(inst.n))).tolist()
     for row, (tag, order, planned) in enumerate(zip((FORWARD, BACKWARD), orders, (plan.c_f, plan.c_b))):
         rates = [0.0] * inst.n
         branches: list = [None] * inst.n
         for pos, i in enumerate(order):
             law = inst.laws[i]
-            ctx = f"order {tag}, element {i}, position {pos + 1}"
-            if dense is None:
-                dist, branches[i] = propagate_fill(sparse[row][-1], law, planned[i], ctx)
-                kept += dist.support_size
-                if kept > FILL_ATOM_CAP:
-                    raise SolverError(f"fill laws hold {kept} atoms, past FILL_ATOM_CAP = {FILL_ATOM_CAP} {ctx}")
-                sparse[row].append(dist)
-            else:
-                branches[i] = _grid_step(dense[row, pos], dense[row, pos + 1], law, ks[i], planned[i], ctx)
+            ctx = f"order {tag}, element {i}, position {pos + 1}{note}"
+            branches[i] = _grid_step(dense[row, pos], dense[row, pos + 1], law, ks[i], planned[i], ctx)
             rates[i] = math.fsum(ps * r for (_, ps), r in zip(law.atoms, branches[i].rate)) / law.active_mass
         per_order.append((tuple(rates), tuple(branches)))
-    if dense is None:
-        sparse = tuple(map(tuple, sparse))
-    else:
-        dense.flags.writeable = False
+    dense.flags.writeable = False
     (rates_f, branches_f), (rates_b, branches_b) = per_order
-    return KnapsackExactResult(rates_f, rates_b, branches_f, branches_b, grid, dense, sparse)
+    admitted = tuple(tuple((k / grid).tolist()) for k in ks)
+    return KnapsackExactResult(rates_f, rates_b, branches_f, branches_b, grid, rounded, admitted, dense)
 
 
 @dataclass(frozen=True)
@@ -570,31 +507,28 @@ def monitor_trace(
     """Run the monitor_invariants checks at every step; also check E[T]
     bookkeeping.
 
-    Per order, one (n + 1) x points matrix of CDF values feeds the checks of
-    every step: on a grid run one cumsum of the dense block, else each
-    law's prefix sums.  The expectation identity E[T before element at
-    position k] = sum of c_sigma(j) * mu_j over the k-1 earlier elements
-    must hold to RATE_TOL at every step.
+    Per order, one cumsum of the dense block gives the (n + 1) x points
+    matrix of CDF values that feeds the checks of every step.  The
+    expectation identity E[T before element at position k] = sum of
+    c_sigma(j) * mu_j over the k-1 earlier elements must hold to RATE_TOL at
+    every step, with mu_j the mean of the sizes the run admitted.
     """
     b, points = _monitor_points(b_grid)
     reports = []
     actual = np.empty((2, inst.n + 1))  # E[T] before each arrival, and at the end
-    if result.grid is not None:
-        values = _grid_values(result.grid)
-        cols = values.searchsorted(points + ATOM_TOL, side="right") - 1
+    values = _grid_values(result.grid)
+    cols = values.searchsorted(points + ATOM_TOL, side="right") - 1
     for row, (tag, planned) in enumerate(zip((FORWARD, BACKWARD), arrival(plan.array))):
-        if result.grid is None:
-            laws = result.traces(tag)
-            cdf = np.array([dist._cum[dist.rank(points)] for dist in laws])
-            actual[row] = [dist.expectation for dist in laws]
-        else:
-            block = result.dense[row]
-            cdf = np.cumsum(block, axis=1)[:, cols]
-            # values[nz] @ step[nz] is what the trace view's `expectation` computes
-            actual[row] = [values[nz] @ step[nz] for step in block for nz in step.nonzero()]
+        block = result.dense[row]
+        cdf = np.cumsum(block, axis=1)[:, cols]
+        # values[nz] @ step[nz] is what the trace view's `expectation` computes
+        actual[row] = [values[nz] @ step[nz] for step in block for nz in step.nonzero()]
         checks = _check_invariants(cdf, float(planned[0]), b, [*planned.tolist(), None])
         reports += [(tag, step, rep) for step, rep in enumerate(checks)]
-    claimed = plan.array * np.array(inst.mu)
+    mu = inst.mu
+    if result.rounded:
+        mu = [math.fsum(s * p for s, (_, p) in zip(sizes, law.atoms)) for sizes, law in zip(result.sizes, inst.laws)]
+    claimed = plan.array * np.array(mu)
     expected = np.zeros((2, inst.n + 1))
     expected[:, 1:] = arrival(before(claimed) + claimed)
     return MonitorTraceReport(tuple(reports), float(np.abs(actual - expected).max()))
@@ -629,12 +563,13 @@ class Admission(NamedTuple):
         return cls(tuple(upper[:-1]), 1.0 - gains[1::2] + ATOM_TOL, np.array(thresholds), gains)
 
     @classmethod
-    def of_law(cls, law: SizeLaw, branches: Branches) -> Admission:
-        """Slices of a size law: its atoms in order, then the inactive mass."""
+    def of_law(cls, law: SizeLaw, sizes, branches: Branches) -> Admission:
+        """Slices of a size law: its atoms in order, admitted at `sizes` (one
+        per atom, as KnapsackExactResult.sizes gives them), then the inactive
+        mass."""
         inactive = [0.0] if law.inactive_mass > 0.0 else []  # size and branches of that slice
         upper = np.cumsum([p for _, p in law.atoms]).tolist() + [1.0] * len(inactive)
-        sizes = [s for s, _ in law.atoms] + inactive
-        return cls.build(upper, sizes, [*branches.b1, *inactive], [*branches.b2, *inactive])
+        return cls.build(upper, [*sizes, *inactive], [*branches.b1, *inactive], [*branches.b2, *inactive])
 
     def admit(self, u: np.ndarray, fill: np.ndarray) -> np.ndarray:
         """Admit rows with uniforms u against fills, adding admitted sizes to
@@ -683,7 +618,7 @@ def replay_branches(inst: KnapsackInstance, exact: KnapsackExactResult, trials: 
     """run_knapsack_mc on the Branches of exact, a run_knapsack_exact result
     for inst, so a caller that also reads the exact run propagates once."""
     rules = {
-        tag: [Admission.of_law(law, br) for law, br in zip(inst.laws, exact.branches(tag))]
+        tag: [Admission.of_law(law, sizes, br) for law, sizes, br in zip(inst.laws, exact.sizes, exact.branches(tag))]
         for tag in (FORWARD, BACKWARD)
     }
 

@@ -533,26 +533,30 @@ def _knapsack_runner(
     """The knapsack admission rule on both orders at once, sizes min(D, 1).
 
     exact is the reduced instance's exact run; exact.branches(tag)[e] is
-    element e's Branches.  An arrival's outcome is its slice and whether it
-    was admitted, so the sums come from per-outcome allocation and service
-    tables.  Returns run(rng, m) as _single_unit_runner.
+    element e's Branches and exact.sizes[e] the sizes it admitted, which the
+    fill takes on.  An arrival's outcome is its slice and whether it was
+    admitted, so the sums come from per-outcome allocation and service
+    tables, on the true allocation min(d, 1).  Returns run(rng, m) as
+    _single_unit_runner.
     """
-    rules, service = {FORWARD: [], BACKWARD: []}, []
+    rules, alloc, service = {FORWARD: [], BACKWARD: []}, [], []
     for i, (law, sl, e) in enumerate(zip(inst.demands, slices, red.element_of_agent)):
         # each active slice buys the size atom of value min(d, 1)
         atom_of_size = {} if e is None else {s: j for j, (s, _) in enumerate(red.instance.laws[e].atoms)}
         size_atom = [atom_of_size[min(d, 1.0)] if on and e is not None else None for d, on in zip(sl.demand, sl.active)]
         sizes = [0.0 if a is None else min(d, 1.0) for a, d in zip(size_atom, sl.demand)]
+        fills = [0.0 if a is None else exact.sizes[e][a] for a in size_atom]  # as the exact run admitted them
         for tag in rules:
             branches = ((), ()) if e is None else exact.branches(tag)[e][:2]
             b1, b2 = ([0.0 if a is None else b[a] for a in size_atom] for b in branches)
-            rules[tag].append(Admission.build(sl.upper, sizes, b1, b2))
-        service.append(_service_array(inst.service[i], rules[FORWARD][i].gains, np.repeat(sl.demand, 2), law.mean))
+            rules[tag].append(Admission.build(sl.upper, fills, b1, b2))
+        alloc.append(np.array([g for size in sizes for g in (0.0, size)]))  # per outcome code, as Admission.gains
+        service.append(_service_array(inst.service[i], alloc[i], np.repeat(sl.demand, 2), law.mean))
 
     def run(rng, m: int):
         out = {}
         for tag, _, i, _, code in replay_admissions(rules, rng, m, inst.n):
-            y, s = rules[tag][i].gains, service[i]
+            y, s = alloc[i], service[i]
             counts = np.bincount(code, minlength=y.size)
             out[("service", tag[0], i)] = (float(counts @ s), float(counts @ (s * s)), code.size)
             out[("alloc", tag[0], i)] = (float(counts @ y), float(counts @ (y * y)), code.size)

@@ -15,9 +15,9 @@ here and nowhere else.
 # Probability sums and total masses.  Produced by instance files and the
 # rationing service targets; received by the SizeLaw, DemandLaw and
 # KnapsackInstance constructors (mass sums, total mean size <= 1), by
-# exante_check and ServiceTarget (total supply share <= 1), by both fill
-# steps, propagate_fill and run_knapsack_exact's grid step (fill-law mass
-# drift after each step), and by single_unit._bernoulli (a remaining mass
+# exante_check and ServiceTarget (total supply share <= 1), by
+# run_knapsack_exact's fill step (fill-law mass drift after each step), and
+# by single_unit._bernoulli (a remaining mass
 # at most this is 0/0, parameter 0).  exante_check and knapsack_reduction
 # apply the same entry to the same total: each supply share and its element's
 # mean size are computed from one size table (rationing._sizes), so they are
@@ -55,30 +55,27 @@ MONOTONE_TOL = 1e-12
 
 # --- exact propagation ----------------------------------------------------------
 
-# Law values closer than this merge onto the earlier value, and fill
-# boundaries resolve at it.  Off the grid, sizes on a common grid still
-# trigger merges: float sums of the same grid points taken in different
-# orders differ in the last bits.  run_knapsack_exact's grid path keeps
-# fills as integers k (the fill k/L), so its fits are exact and nothing
-# merges there; only its trace views and the monitor's CDF points (b and
-# 1 - b) still resolve at this entry.  Produced by fill propagation;
-# received by FiniteLaw's merge and queries, by the monitor and by
-# Admission's fit bound 1 - s + ATOM_TOL, so the Monte Carlo executor admits
-# exactly the fills the exact run fits.
+# Law values closer than this merge onto the earlier value, and law
+# boundaries resolve at it.  run_knapsack_exact keeps fills as integers k
+# (the fill k/L), so its fits are exact and nothing merges there; only its
+# trace views and the monitor's CDF points (b and 1 - b) resolve at this
+# entry.  Produced by fill and remaining-supply propagation; received by
+# FiniteLaw's merge and queries, by the monitor and by Admission's fit bound
+# 1 - s + ATOM_TOL, so the Monte Carlo executor, whose fills are float sums
+# of the same grid points, admits exactly the fills the exact run fits.
 ATOM_TOL = 1e-12
 
 # Total mass of any FiniteLaw at construction.  Produced by fill and
 # remaining-supply propagation and by _merge_rem; received by the FiniteLaw
 # constructor, which also checks the views of a grid run's dense fill laws.
-# Both fill steps hold each new fill law to the tighter MASS_TOL.
+# The fill step holds each new fill law to the tighter MASS_TOL.
 LAW_MASS_TOL = 1e-10
 
 # Knapsack feasibility.  Produced by plans, fill laws and executors; received
 # by KnapsackFeasibilityReport.ok, InvariantReport.ok, monitor_invariants
-# and monitor_trace, the reachability check of both fill steps
-# (propagate_fill and the grid step share it), and the two Monte Carlo
-# bounds: the single-unit rationing runner's remaining-supply check (at
-# least 0) and replay_admissions' fill check (at most 1).
+# and monitor_trace, the reachability check of the fill step, and the two
+# Monte Carlo bounds: the single-unit rationing runner's remaining-supply
+# check (at least 0) and replay_admissions' fill check (at most 1).
 FEAS_TOL = 1e-9
 
 # Planned against realized acceptance rates.  Produced by run_knapsack_exact;

@@ -5,7 +5,7 @@ different method: scipy's normal quantile instead of statistics.NormalDist,
 HiGHS instead of the library's simplex, explicit enumeration over activation
 patterns instead of the linear recursion, exhaustive outcome-path replay
 instead of distribution propagation, the fill step as first written (one
-accept vector per size atom) instead of the one-buffer fold, and knapsack
+accept vector per size atom, on FiniteLaws) instead of the grid step, and knapsack
 admission row by row, or vectorised on intp indices with bincount counts,
 instead of the int8 kernel, and the single-unit chain and the knapsack
 plan, feasibility check and E[T] bookkeeping as first written (one element
@@ -19,8 +19,8 @@ Also here are the checked twins of rules the library runs in another
 form, which only tests call: `demand_cdf` and `inverse_cdf` (the executors
 map a uniform to a demand through `rationing._slices`), `split_element`
 (for the LP's monotonicity under splitting), `service_value` (argument
-checks around `rationing._service`), and `fill_masses` (the masses
-propagate_fill reads through `FiniteLaw.rank`, summed atom by atom).
+checks around `rationing._service`), and `fill_masses` (the masses the
+reference fill step reads through `FiniteLaw.rank`, summed atom by atom).
 """
 
 import math
@@ -398,8 +398,9 @@ def _merge_reference(values, probs):
 def propagate_fill_reference(dist, law, c):
     """The fill step as first written: one accept vector per size atom.
 
-    Returns (FiniteLaw, Branches) like fbcrs.knapsack.propagate_fill and
-    raises InfeasibleError on the same inputs.  Each size atom answers its
+    Returns (FiniteLaw, Branches), the fill law after one element of
+    fbcrs.knapsack.run_knapsack_exact and its Branches, and raises
+    InfeasibleError on the same inputs.  Each size atom answers its
     own rank queries and adds its stay mass to a running sum; the shifted
     copies are concatenated and merged at the end.
     """
@@ -483,7 +484,7 @@ def knapsack_mc_reference(inst, exact, trials, seed):
     from fbcrs.sim import run_trials, two_orders
 
     rules = {
-        tag: [Admission.of_law(law, br) for law, br in zip(inst.laws, exact.branches(tag))]
+        tag: [Admission.of_law(law, sizes, br) for law, sizes, br in zip(inst.laws, exact.sizes, exact.branches(tag))]
         for tag in (FORWARD, BACKWARD)
     }
 

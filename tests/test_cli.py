@@ -24,9 +24,9 @@ from fbcrs.instances import (
     SingleUnitInstance,
     SizeLaw,
     dump_instance,
-    load_instance,
 )
 from fbcrs.lp_si import alpha_0, solve_lp_si
+from fbcrs.tolerances import RATE_TOL
 
 
 def _report_schema():
@@ -207,17 +207,18 @@ def test_simulate_knapsack_monitor(knapsack_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "sizes, grid",
-    [((0.5, 0.2, 0.6), 10), ((0.5123456789, 0.2, 0.6), None)],
+    "sizes, grid, rounded",
+    [((0.5, 0.2, 0.6), 10, False), ((0.5123456789, 0.2, 0.6), 4096, True)],
     ids=["grid", "ten-digit-sizes"],
 )
-def test_simulate_knapsack_monitor_names_the_path(sizes, grid, tmp_path, capsys):
+def test_simulate_knapsack_monitor_names_the_path(sizes, grid, rounded, tmp_path, capsys):
     inst = KnapsackInstance((SizeLaw(((sizes[0], 1.0),)), SizeLaw(((sizes[1], 0.5), (sizes[2], 0.3)), 0.2)))
     path = _write(tmp_path, "kn.json", inst)
     assert cli.main(["simulate-knapsack", "--instance", path, "--monitor"]) == 0
     summary = json.loads(capsys.readouterr().err)
     assert summary["ok"] is True
     assert summary["grid"] == grid
+    assert summary["rounded"] is rounded
 
 
 def test_simulate_knapsack_mc(knapsack_path, capsys):
@@ -251,7 +252,7 @@ SMOKE_MC_CSV = (
     "3,0.31666666666666665,0.36777777777777776,0.32222110653680086,0.30701219387240825,0.3378161668491732,0.3697838860671248,0.35407964670337927,0.3857686562260542\r\n"
     "4,0.26999999999999996,0.4144444444444444,0.26925972396486825,0.2532314016988042,0.2859141355897846,0.4147219463753724,0.3967861936759182,0.43288662519502735\r\n"
 )
-SMOKE_MONITOR_JSON = '{"total_violations": 0, "max_expectation_error": 1.1102230246251565e-16, "ok": true, "grid": 20}' + "\n"
+SMOKE_MONITOR_JSON = '{"total_violations": 0, "max_expectation_error": 1.1102230246251565e-16, "ok": true, "grid": 20, "rounded": false}' + "\n"
 
 
 def test_simulate_knapsack_mc_monitor_runs_the_exact_propagation_once(tmp_path, capsys, monkeypatch):
@@ -299,33 +300,15 @@ SMOKE_KNAPSACK_OFFGRID = (
 )
 
 
-def test_off_grid_fill_law_past_the_atom_cap_raises(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("extra", [[], ["--trials", "20000", "--seed", "1"]], ids=["exact", "mc"])
+def test_off_grid_smoke_instance_runs_rounded(extra, tmp_path, capsys):
     path = tmp_path / "knapsack_offgrid.json"
     path.write_text(SMOKE_KNAPSACK_OFFGRID, encoding="utf-8")
-    inst = load_instance(str(path))
-    plan = knapsack.closed_form_knapsack_plan(inst)
-    assert knapsack.run_knapsack_exact(inst, plan).grid is None
-    monkeypatch.setattr(knapsack, "FILL_ATOM_CAP", 4)
-    with pytest.raises(SolverError, match=r"past FILL_ATOM_CAP = 4 order \w+, element \d+, position \d+"):
-        knapsack.run_knapsack_exact(inst, plan)
-    assert cli.main(["simulate-knapsack", "--instance", str(path)]) == 2
-    assert "FILL_ATOM_CAP" in capsys.readouterr().err
-
-
-def test_atom_cap_bounds_the_laws_of_both_orders_together(tmp_path, monkeypatch):
-    path = tmp_path / "knapsack_offgrid.json"
-    path.write_text(SMOKE_KNAPSACK_OFFGRID, encoding="utf-8")
-    inst = load_instance(str(path))
-    plan = knapsack.closed_form_knapsack_plan(inst)
-    result = knapsack.run_knapsack_exact(inst, plan)
-    sizes = [law.support_size for law in result.traces_f[1:] + result.traces_b[1:]]
-    # no one law reaches the cap, but the kept laws together pass it
-    assert max(sizes) < sum(sizes) - 1
-    monkeypatch.setattr(knapsack, "FILL_ATOM_CAP", sum(sizes) - 1)
-    with pytest.raises(SolverError, match=r"order backward, element 0, position 3"):
-        knapsack.run_knapsack_exact(inst, plan)
-    monkeypatch.setattr(knapsack, "FILL_ATOM_CAP", sum(sizes))
-    assert knapsack.run_knapsack_exact(inst, plan).rates_f == result.rates_f
+    assert cli.main(["simulate-knapsack", "--instance", str(path), "--monitor", *extra]) == 0
+    summary = json.loads(capsys.readouterr().err)
+    assert summary["ok"] is True and summary["total_violations"] == 0
+    assert summary["max_expectation_error"] <= RATE_TOL
+    assert (summary["grid"], summary["rounded"]) == (4096, True)
 
 
 # --- ration ---------------------------------------------------------------------

@@ -311,6 +311,31 @@ def test_instance_from_dict_rejects_a_non_integer_n(n):
         instance_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "single_unit", "n": 1, "x": "0"},
+        {"kind": "single_unit", "n": 2, "x": [0.5, "0.25"]},
+        {"kind": "single_unit", "n": 1, "x": [True]},
+        {"kind": "single_unit", "n": 1, "x": [None]},
+        {"kind": "knapsack", "n": 1, "laws": [{"atoms": [["0.5", "1"]]}]},
+        {"kind": "knapsack", "n": 1, "laws": [{"atoms": [[0.5, True]]}]},
+        {"kind": "knapsack", "n": 1, "laws": [{"atoms": [[0.5, 0.5]], "inactive": "0.5"}]},
+        {"kind": "knapsack", "n": 1, "laws": [{"atoms": [[0.5, 0.5]], "inactive": None}]},
+        {"kind": "rationing", "n": 1, "demands": [{"atoms": [["1", 1.0]]}], "service": ["TypeI"]},
+        {"kind": "rationing", "n": 1, "demands": [{"atoms": [[False, 1.0]]}], "service": ["TypeI"]},
+    ],
+    ids=[
+        "x-string", "x-string-entry", "x-true", "x-null", "size-atom-strings", "atom-true",
+        "inactive-string", "inactive-null", "demand-string", "demand-false",
+    ],
+)
+def test_instance_from_dict_rejects_non_number_entries(data):
+    # float() would take "0", "1" and true; the schema asks for numbers
+    with pytest.raises(InvalidInstanceError, match="must be numbers, not strings, booleans or null"):
+        instance_from_dict(data)
+
+
 def test_load_instance_missing_file(tmp_path):
     with pytest.raises(InvalidInstanceError):
         load_instance(str(tmp_path / "nope.json"))

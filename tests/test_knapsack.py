@@ -26,8 +26,8 @@ from fbcrs.knapsack import (
     closed_form_knapsack_plan,
     monitor_invariants,
     monitor_trace,
+    _grid_step,
     phi_knapsack,
-    propagate_fill,
     replay_admissions,
     run_knapsack_exact,
     run_knapsack_mc,
@@ -154,12 +154,25 @@ def test_array_checks_match_the_loops(case):
         )
 
 
+def _fill_step(dist, law, c, grid=10):
+    """run_knapsack_exact's fill step (_grid_step) from the fill law dist,
+    every value and size on the 1/grid grid: the new fill law and the
+    element's Branches."""
+    p = np.zeros(grid + 1)
+    p[np.rint(dist.values * grid).astype(np.intp)] = dist.probs
+    out = np.empty_like(p)
+    ks = np.rint(np.array([s for s, _ in law.atoms]) * grid).astype(np.intp)
+    branches = _grid_step(p, out, law, ks, c, "")
+    nz = out.nonzero()[0]
+    return FiniteLaw(nz / grid, out[nz]), branches
+
+
 def test_propagate_fill_hand_example():
     # fill {0: 0.85, 0.4: 0.15}, deterministic size 0.5, c = 0.2:
     # P1 = 0.15 forces b1 = 1, then b2 = (0.2 - 0.15)/0.85 = 1/17
     dist = FiniteLaw([0.0, 0.4], [0.85, 0.15])
     law = SizeLaw(((0.5, 1.0),))
-    out, branches = propagate_fill(dist, law, 0.2)
+    out, branches = _fill_step(dist, law, 0.2)
     assert branches.b1 == pytest.approx((1.0,), abs=1e-15)
     assert branches.b2 == pytest.approx((1.0 / 17.0,), abs=1e-15)
     assert branches.rate == pytest.approx((0.2,), abs=1e-15)
@@ -170,24 +183,24 @@ def test_propagate_fill_hand_example():
 
 
 def test_propagate_fill_caps_fill_at_one():
-    # a fill within ATOM_TOL above 1 - s still fits s; the shifted fill is
-    # capped at 1 rather than landing just above it
-    dist = FiniteLaw([0.0, 0.7 + ATOM_TOL / 2], [0.5, 0.5])
-    out, branches = propagate_fill(dist, SizeLaw(((0.3, 1.0),)), 0.25)
+    # a fill of exactly 1 - s still fits s, and the shifted fill lands on 1
+    # exactly rather than just above it
+    dist = FiniteLaw([0.0, 0.7], [0.5, 0.5])
+    out, branches = _fill_step(dist, SizeLaw(((0.3, 1.0),)), 0.25)
     assert branches.b1 == (0.5,) and branches.b2 == (0.0,)
-    assert out.atoms == ((0.0, 0.5), (0.7 + ATOM_TOL / 2, 0.25), (1.0, 0.25))
+    assert out.atoms == ((0.0, 0.5), (0.7, 0.25), (1.0, 0.25))
 
 
 def test_propagate_fill_rejects_unreachable_acceptance():
     dist = FiniteLaw([0.6], [1.0])
     law = SizeLaw(((0.5, 1.0),))
     with pytest.raises(InfeasibleError):
-        propagate_fill(dist, law, 0.1)
+        _fill_step(dist, law, 0.1)
 
 
 def test_propagate_fill_rejects_bad_probability():
     with pytest.raises(InvalidInstanceError):
-        propagate_fill(FiniteLaw([0.0], [1.0]), SizeLaw(((0.5, 1.0),)), 1.2)
+        _fill_step(FiniteLaw([0.0], [1.0]), SizeLaw(((0.5, 1.0),)), 1.2)
 
 
 def test_fill_distribution_validation():
@@ -221,7 +234,7 @@ def test_finite_law_validation():
 def test_finite_law_queries():
     law = FiniteLaw([0.0, 0.25, 0.5, 1.0], [0.1, 0.2, 0.3, 0.4])
 
-    def p_interval(lo, hi):  # Pr[lo < T <= hi] as propagate_fill reads it
+    def p_interval(lo, hi):  # Pr[lo < T <= hi] as propagate_fill_reference reads it
         return law._cum[law.rank(hi)] - law._cum[law.rank(lo)]
 
     assert law._cum[law.rank(0.0)] == pytest.approx(0.1, abs=1e-15)
@@ -395,9 +408,9 @@ def test_exact_expectation_identity():
             assert result.traces(tag)[-1].expectation == pytest.approx(expected, abs=1e-10)
 
 
-# --- the one-buffer fill step against the per-atom reference ---------------
+# --- the grid fill step against the per-atom reference ---------------------
 
-# The fold sums the mass that stays in another order than the per-atom loop,
+# The step sums the mass that stays in another order than the per-atom loop,
 # so one step may differ by a few ulps of 1; over a whole run those
 # differences feed into later steps' branch probabilities and drift further.
 STEP_TOL = 1e-15
@@ -415,15 +428,14 @@ def _branch_gap(got: Branches, want: Branches) -> float:
 
 @st.composite
 def fill_steps(draw):
-    """(fill law, size law, c, regime) for one fill step.
+    """(fill law, size law, c, regime) for one fill step on the 1/1000 grid.
 
-    Fill laws have 1-1200 atoms on a 1/100000 grid, with or without an atom
-    at 0, plus atoms exactly at (and within ATOM_TOL of) each 1 - s.  Size
-    laws have 1-4 atoms on a 1/1000 grid, possibly a size of 1.0, with or
-    without inactive mass.  The regime picks c: "b1" keeps c at or below
-    every Pr[0 < T <= 1-s] (so b2 = 0), "b2" lifts it above the smallest one
-    (so b2 > 0 when Pr[T = 0] > 0), "over" pushes it past the reachable
-    probability of some size.
+    Fill laws have 1-1000 atoms, with or without an atom at 0, plus atoms
+    exactly at each 1 - s.  Size laws have 1-4 atoms, possibly a size of
+    1.0, with or without inactive mass.  The regime picks c: "b1" keeps c at
+    or below every Pr[0 < T <= 1-s] (so b2 = 0), "b2" lifts it above the
+    smallest one (so b2 > 0 when Pr[T = 0] > 0), "over" pushes it past the
+    reachable probability of some size.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = set((rng.choice(1000, draw(st.integers(1, 4)), replace=False) + 1) / 1000.0)
@@ -435,14 +447,13 @@ def fill_steps(draw):
     weights = weights / weights.sum() * (1.0 - inactive)
     law = SizeLaw(tuple(zip(sizes, weights.tolist())), inactive)
 
-    values = (rng.choice(100_000, draw(st.integers(1, 1200)), replace=False) + 1) / 100_000.0
-    values = values.tolist()
+    points = (rng.choice(1000, draw(st.integers(1, 1000)), replace=False) + 1).tolist()
     if draw(st.booleans()):
-        values.append(0.0)
+        points.append(0)
     if draw(st.booleans()):
-        values += [1.0 - s for s in sizes] + [1.0 - s + ATOM_TOL / 2 for s in sizes if s > 0.0]
-    values = sorted(set(v for v in values if v <= 1.0))
-    probs = rng.uniform(0.05, 1.0, len(values))
+        points += [1000 - round(s * 1000) for s in sizes]
+    values = np.array(sorted(set(points))) / 1000.0
+    probs = rng.uniform(0.05, 1.0, values.size)
     dist = FiniteLaw(values, probs / probs.sum())
 
     p0, p1s = fill_masses(dist, [1.0 - s for s in sizes])
@@ -459,7 +470,7 @@ def fill_steps(draw):
 # order but not in another
 @example(
     step=(
-        FiniteLaw([0.0, 5e-13, 0.51183], [0.12594352, 0.6408054, 0.23325108]),
+        FiniteLaw([0.0, 0.001, 0.512], [0.12594352, 0.6408054, 0.23325108]),
         SizeLaw(((1.0, 0.7),), 0.3),
         5e-324,
         "b2",
@@ -471,9 +482,9 @@ def test_propagate_fill_matches_per_atom_reference(step):
         want, want_branches = propagate_fill_reference(dist, law, c)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
-            propagate_fill(dist, law, c)
+            _fill_step(dist, law, c, 1000)
         return
-    got, branches = propagate_fill(dist, law, c)
+    got, branches = _fill_step(dist, law, c, 1000)
     assert _max_gap(got, want) <= STEP_TOL
     assert _branch_gap(branches, want_branches) <= STEP_TOL
     p0, p1s = fill_masses(dist, [1.0 - s for s, _ in law.atoms])
@@ -522,7 +533,7 @@ def test_mass_checks_still_bite():
     # the constructor lets 5e-11 through; the fill step's 1e-12 check does not
     dist = FiniteLaw([0.0, 0.5], [0.5, 0.5 + 5e-11])
     with pytest.raises(InvariantViolationError, match="drifted"):
-        propagate_fill(dist, SizeLaw(((0.25, 1.0),)), 0.2)
+        _fill_step(dist, SizeLaw(((0.25, 1.0),)), 0.2, 4)
 
 
 # --- Monte Carlo -------------------------------------------------------------
@@ -532,6 +543,7 @@ def test_mass_checks_still_bite():
 # (b1, b2) = (0.5, 0.25), slice 1 is size 0.6 with (0.2, 0.9), slice 2 is
 # inactive.  The kernel does not read the rates.
 KERNEL_LAW = SizeLaw(((0.3, 0.4), (0.6, 0.2)), inactive_mass=0.4)
+KERNEL_SIZES = (0.3, 0.6)
 KERNEL_B1, KERNEL_B2 = (0.5, 0.2), (0.25, 0.9)
 KERNEL_BRANCHES = Branches(KERNEL_B1, KERNEL_B2, rate=(0.0, 0.0))
 
@@ -543,7 +555,7 @@ def _admit(rule, u, fill):
 
 
 def test_admission_kernel_picks_the_branch_by_fill():
-    rule = Admission.of_law(KERNEL_LAW, KERNEL_BRANCHES)
+    rule = Admission.of_law(KERNEL_LAW, KERNEL_SIZES, KERNEL_BRANCHES)
     # u at a fraction f of slice 0 ([0, 0.4)) is admitted when f < b
     u = [0.4 * 0.24, 0.4 * 0.26, 0.4 * 0.49, 0.4 * 0.51]
     k, admitted, fill = _admit(rule, u, [0.0] * 4)  # empty: zero branch b2 = 0.25
@@ -562,7 +574,7 @@ def test_admission_kernel_picks_the_branch_by_fill():
 
 
 def test_admission_kernel_fit_boundary_and_inactive_rows():
-    rule = Admission.of_law(KERNEL_LAW, Branches((1.0, 1.0), (1.0, 1.0), (0.0, 0.0)))
+    rule = Admission.of_law(KERNEL_LAW, KERNEL_SIZES, Branches((1.0, 1.0), (1.0, 1.0), (0.0, 0.0)))
     room = 1.0 - 0.3  # slice 0 has size 0.3
     fills = [room + ATOM_TOL / 2, room + 2 * ATOM_TOL, 1.0]
     _, admitted, _ = _admit(rule, [0.1] * 3, fills)
@@ -580,7 +592,7 @@ def test_admission_kernel_fit_boundary_and_inactive_rows():
 def test_single_uniform_threshold_gives_each_atom_its_branch(fill):
     # the atom and the acceptance come from one uniform; conditionally on the
     # atom, acceptance must still fire with that atom's branch probability
-    rule = Admission.of_law(KERNEL_LAW, KERNEL_BRANCHES)
+    rule = Admission.of_law(KERNEL_LAW, KERNEL_SIZES, KERNEL_BRANCHES)
     u = stream(11, 0).random(400_000)
     k, admitted, _ = _admit(rule, u, np.full(u.size, fill))
     branch = KERNEL_B2 if fill == 0.0 else KERNEL_B1
@@ -635,10 +647,11 @@ def _check_against_reference(rule, upper, sizes, b1, b2, rng):
 @given(table=admission_tables(), seed=st.integers(0, 2**32 - 1))
 def test_admission_kernel_matches_row_reference(table, seed):
     law, branches = table
-    rule = Admission.of_law(law, branches)
+    sizes = [s for s, _ in law.atoms]
+    rule = Admission.of_law(law, sizes, branches)
     inactive = [0.0] if law.inactive_mass > 0.0 else []
     upper = list(accumulate(p for _, p in law.atoms)) + [1.0] * len(inactive)
-    sizes = [s for s, _ in law.atoms] + inactive
+    sizes += inactive
     code = _check_against_reference(
         rule, upper, sizes, [*branches.b1, *inactive], [*branches.b2, *inactive], np.random.default_rng(seed)
     )

@@ -1,6 +1,7 @@
-"""The dense grid path of run_knapsack_exact against chains of propagate_fill."""
+"""run_knapsack_exact's dense 1/L grid against chains of the reference fill step."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,53 +9,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbcrs.instances import BACKWARD, FORWARD, KnapsackInstance, SizeLaw, knapsack_hardness_instance
+from fbcrs import knapsack
+from fbcrs.errors import InfeasibleError
 from fbcrs.knapsack import (
     GRID_CAP,
     FiniteLaw,
     closed_form_knapsack_plan,
     monitor_invariants,
     monitor_trace,
-    propagate_fill,
+    replay_branches,
     run_knapsack_exact,
 )
 from fbcrs.tolerances import RATE_TOL
 
-from oracles import arrival_order
+from oracles import arrival_order, propagate_fill_reference
 
 B_GRID = tuple(0.05 * k for k in range(1, 11))
 
 
-def _chain(inst, plan):
-    """Both orders through public propagate_fill calls: per order, the fill
-    laws before each arrival and at the end, each element's Branches and its
-    rate given active."""
+def _chain(laws, plan):
+    """Both orders through propagate_fill_reference steps: per order, the
+    fill laws before each arrival and at the end, each element's Branches
+    and its rate given active."""
     out = {}
+    n = len(laws)
     for tag in (FORWARD, BACKWARD):
         dist = FiniteLaw([0.0], [1.0])
-        laws, branches, rates = [dist], [None] * inst.n, [0.0] * inst.n
-        for i in arrival_order(tag, inst.n):
-            law = inst.laws[i]
-            dist, branches[i] = propagate_fill(dist, law, plan.rates(tag)[i])
-            laws.append(dist)
+        fills, branches, rates = [dist], [None] * n, [0.0] * n
+        for i in arrival_order(tag, n):
+            law = laws[i]
+            dist, branches[i] = propagate_fill_reference(dist, law, plan.rates(tag)[i])
+            fills.append(dist)
             rates[i] = math.fsum(ps * r for (_, ps), r in zip(law.atoms, branches[i].rate)) / law.active_mass
-        out[tag] = (laws, branches, rates)
+        out[tag] = (fills, branches, rates)
     return out
 
 
-def _assert_matches_chain(inst, plan, result, tol=RATE_TOL):
+def _assert_matches_chain(inst, plan, result, tol=RATE_TOL, laws=None):
     """Rates, Branches, trace laws and monitor reports of result against the
-    propagate_fill chain, within tol."""
-    chain = _chain(inst, plan)
+    reference chain on laws (by default the instance's own), within tol."""
+    chain = _chain(laws or inst.laws, plan)
     report = monitor_trace(inst, plan, result, B_GRID)
     steps = {(tag, step): rep for tag, step, rep in report.step_reports}
     for tag in (FORWARD, BACKWARD):
-        laws, branches, rates = chain[tag]
+        fills, branches, rates = chain[tag]
         assert result.rates(tag) == pytest.approx(rates, rel=0.0, abs=tol)
         for got, want in zip(result.branches(tag), branches):
             for field_got, field_want in zip(got, want):
                 assert field_got == pytest.approx(field_want, rel=0.0, abs=tol)
         planned = [plan.rates(tag)[i] for i in arrival_order(tag, inst.n)]
-        for step, (view, law) in enumerate(zip(result.traces(tag), laws)):
+        for step, (view, law) in enumerate(zip(result.traces(tag), fills)):
             assert view.support_size == law.support_size
             assert np.abs(view.values - law.values).max() <= 1e-12
             assert np.abs(view.probs - law.probs).max() <= tol
@@ -101,7 +105,8 @@ def test_grid_run_matches_the_propagate_fill_chain(case):
     inst, grid = case
     plan = closed_form_knapsack_plan(inst)
     result = run_knapsack_exact(inst, plan)
-    assert result.grid is not None and grid % result.grid == 0
+    assert grid % result.grid == 0 and not result.rounded
+    assert result.sizes == tuple(tuple(s for s, _ in law.atoms) for law in inst.laws)
     report = _assert_matches_chain(inst, plan, result)
     assert report.ok()
     # the paper's guarantee: pair means reach (4 - total mu)/9, which is at
@@ -156,21 +161,82 @@ def test_grid_at_the_cap():
     ],
     ids=["past-the-cap", "ten-digits", "hardness-3"],
 )
-def test_off_grid_sizes_fold_finite_laws(inst):
+def test_off_grid_sizes_round_up_onto_the_grid(inst):
     plan = closed_form_knapsack_plan(inst)
     result = run_knapsack_exact(inst, plan)
-    assert result.grid is None and result.dense is None
-    # the FiniteLaw path is the chain itself, bit for bit
-    _assert_matches_chain(inst, plan, result, tol=0.0)
+    assert result.grid == GRID_CAP and result.rounded
+    # each atom at the least k/L at or above it, in exact arithmetic
+    want = tuple(tuple(math.ceil(Fraction(s) * GRID_CAP) / GRID_CAP for s, _ in law.atoms) for law in inst.laws)
+    assert result.sizes == want
+    # the run is the reference chain on the admitted sizes
+    admitted = [
+        SizeLaw(tuple(zip(sizes, (p for _, p in law.atoms))), law.inactive_mass)
+        for law, sizes in zip(inst.laws, want)
+    ]
+    assert _assert_matches_chain(inst, plan, result, laws=admitted).ok()
+    assert result.max_rate_error(plan) <= RATE_TOL
 
 
 def test_grid_traces_are_cached_views():
     inst, _ = knapsack_hardness_instance(2)
     result = run_knapsack_exact(inst, closed_form_knapsack_plan(inst))
-    assert result.grid == 1
+    assert result.grid == 1 and not result.rounded
     assert result.traces_f is result.traces_f
     assert result.traces(BACKWARD) is result.traces_b
     assert not result.dense.flags.writeable
     for row, traces in enumerate((result.traces_f, result.traces_b)):
         for step, view in zip(result.dense[row], traces):
             assert view.probs.tolist() == step[step > 0.0].tolist()
+
+
+def _off_grid_instance(rng, n, total=0.999):
+    """3 or 4 sorted uniform sizes in [0.05, 1) per element, on no grid up
+    to GRID_CAP, with Dirichlet weights; the means sum to total."""
+    laws = []
+    for _ in range(n):
+        sizes = np.sort(rng.uniform(0.05, 1.0, int(rng.integers(3, 5))))
+        w = rng.dirichlet(np.ones(sizes.size))
+        probs = (total / (n * float(sizes @ w)) * w).tolist()
+        laws.append(SizeLaw(tuple(zip(sizes.tolist(), probs)), 1.0 - math.fsum(probs)))
+    return KnapsackInstance(tuple(laws))
+
+
+def test_off_grid_instance_past_the_old_atom_cap_runs_exact():
+    # folded FiniteLaws grew by about half per element and stopped in the
+    # low 30s of n; the rounded run is one dense grid at any n
+    inst = _off_grid_instance(np.random.default_rng(40), 40)
+    plan = closed_form_knapsack_plan(inst)
+    result = run_knapsack_exact(inst, plan)
+    assert (result.grid, result.rounded) == (GRID_CAP, True)
+    assert result.max_rate_error(plan) <= RATE_TOL
+    assert monitor_trace(inst, plan, result, B_GRID).ok()
+    estimates = replay_branches(inst, result, 20_000, 7)
+    for i in range(inst.n):
+        for tag in (FORWARD, BACKWARD):
+            est = estimates[(tag[0], i)]
+            assert abs(est.point - plan.rates(tag)[i]) <= 3.0 * est.half_width
+
+
+def test_replay_fills_with_the_admitted_sizes():
+    # the three sizes fit together, but not once rounded up; the replay must
+    # turn the third away where the exact run did, or its rate overshoots
+    inst = KnapsackInstance(tuple(SizeLaw(((s, 1.0),)) for s in (0.2500001, 0.2500001, 0.4999997)))
+    plan = closed_form_knapsack_plan(inst)
+    result = run_knapsack_exact(inst, plan)
+    assert result.rounded and sum(sizes[0] for sizes in result.sizes) > 1.0
+    estimates = replay_branches(inst, result, 20_000, 1)
+    for i in range(inst.n):
+        for tag in (FORWARD, BACKWARD):
+            est = estimates[(tag[0], i)]
+            assert abs(est.point - plan.rates(tag)[i]) <= 3.0 * est.half_width
+
+
+def test_rounding_that_makes_a_rate_unreachable_says_so(monkeypatch):
+    # seventeen sizes of about 1/100 admitted as 1/8: eight fill the
+    # knapsack, and the planned rates of the late arrivals are out of reach
+    inst = KnapsackInstance((SizeLaw(((0.0100001, 1.0),)),) * 17)
+    plan = closed_form_knapsack_plan(inst)
+    assert run_knapsack_exact(inst, plan).max_rate_error(plan) <= RATE_TOL
+    monkeypatch.setattr(knapsack, "GRID_CAP", 8)
+    with pytest.raises(InfeasibleError, match=r"sizes rounded up onto 1/8"):
+        run_knapsack_exact(inst, plan)

@@ -16,7 +16,7 @@ from fbcrs.instances import (
     SingleUnitInstance,
     order_row,
 )
-from fbcrs.knapsack import FiniteLaw, closed_form_knapsack_plan
+from fbcrs.knapsack import FiniteLaw, closed_form_knapsack_plan, run_knapsack_exact
 from fbcrs.lp_si import SelectionPlan, alpha_0
 from fbcrs.rationing import (
     ServiceTarget,
@@ -391,10 +391,15 @@ def test_executor_rows_follow_the_allocation_rule(route):
         cases = [((MIXED, UNIT), ("TypeIII", "TypeII"))]
     else:
         # SHARED at Type-II and 0.4 has q near 0.68, past both size-1 slices' start
-        cases = [((MIXED, UNIT), ("TypeIII", "TypeI")), ((SHARED, UNIT), ("TypeII", "TypeI"))]
+        # OFF_GRID fills with its sizes rounded up but allocates min(d, 1)
+        cases = [
+            ((MIXED, UNIT), ("TypeIII", "TypeI")),
+            ((SHARED, UNIT), ("TypeII", "TypeI")),
+            (OFF_GRID.demands, OFF_GRID.service),
+        ]
     for demands, service in cases:
         inst = RationingInstance(demands, service)
-        target = exante_check(inst, (0.4, 0.4))
+        target = exante_check(inst, (0.4,) * inst.n)
         slices = tuple(_slices(law, q) for law, q in zip(inst.demands, target.q))
         built = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, slices, None)
         assert built.name == route
@@ -496,6 +501,30 @@ def test_mc_agrees_with_exact_knapsack():
         for ex, sampled in zip(exact.agents, mc.agents):
             hw = (sampled.service_high - sampled.service_low) / 2.0
             assert abs(sampled.expected_service - ex.expected_service) <= 3.0 * hw
+
+
+# Off-grid demands whose sizes just fit together; rounded up onto 1/4096
+# the three no longer do, while either smaller one still fits beside the
+# largest, so the admitted policy differs from the true one.
+OFF_GRID = RationingInstance(
+    (DemandLaw(((0.2500001, 1.0),)), DemandLaw(((0.2500001, 1.0),)), DemandLaw(((0.4999997, 0.5), (1.5, 0.5)))),
+    ("TypeI", "TypeI", "TypeII"),
+)
+
+
+def test_mc_agrees_with_exact_on_off_grid_demands():
+    beta = 0.8 * max_uniform_beta(OFF_GRID)
+    target = exante_check(OFF_GRID, (beta,) * OFF_GRID.n)
+    reduced = knapsack_reduction(OFF_GRID, target).instance
+    run = run_knapsack_exact(reduced, closed_form_knapsack_plan(reduced))
+    assert run.rounded and sum(sizes[0] for sizes in run.sizes) > 1.0
+    assert sum(law.atoms[0][0] for law in reduced.laws) < 1.0
+    exact = run_rationing(OFF_GRID, target, mode="exact")
+    mc = run_rationing(OFF_GRID, target, mode="mc", trials=100_000, seed=4)
+    assert exact.guarantee_ok() and mc.guarantee_ok()
+    for ex, sampled in zip(exact.agents, mc.agents):
+        hw = (sampled.service_high - sampled.service_low) / 2.0
+        assert abs(sampled.expected_service - ex.expected_service) <= 3.0 * hw
 
 
 def test_knapsack_route_explicit_plan():
