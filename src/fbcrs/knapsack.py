@@ -289,9 +289,12 @@ def _grid_step(p: np.ndarray, out: np.ndarray, law: SizeLaw, ks: np.ndarray, c: 
     p0 = float(cum[1])
     p1s = [cf - p0 for cf in cum[fits].tolist()]
     branches = branch_probs(c, p0, p1s)
-    for (s, _), p1 in zip(law.atoms, p1s):
+    for (s, _), k, p1 in zip(law.atoms, ks.tolist(), p1s):
         if c > p0 + p1 + FEAS_TOL:
-            raise InfeasibleError(f"acceptance {c} exceeds reachable probability {p0 + p1} (size {s}, {ctx})")
+            size = f"size {s}" if k / (p.size - 1) == s else f"size {s} admitted as {k}/{p.size - 1}"
+            raise InfeasibleError(
+                f"acceptance {c} exceeds reachable probability {p0 + p1} ({size}{', ' + ctx if ctx else ''})"
+            )
     size_probs = [ps for _, ps in law.atoms]
     turned_zero = [ps * (1.0 - b2) for ps, b2 in zip(size_probs, branches.b2)]
     turned_fit = [ps * (1.0 - b1) for ps, b1 in zip(size_probs, branches.b1)]
@@ -525,9 +528,8 @@ def monitor_trace(
         actual[row] = [values[nz] @ step[nz] for step in block for nz in step.nonzero()]
         checks = _check_invariants(cdf, float(planned[0]), b, [*planned.tolist(), None])
         reports += [(tag, step, rep) for step, rep in enumerate(checks)]
-    mu = inst.mu
-    if result.rounded:
-        mu = [math.fsum(s * p for s, (_, p) in zip(sizes, law.atoms)) for sizes, law in zip(result.sizes, inst.laws)]
+    # SizeLaw.mean's sum, on the admitted sizes: inst.mu itself on a grid run
+    mu = [math.fsum(s * p for s, (_, p) in zip(sizes, law.atoms)) for sizes, law in zip(result.sizes, inst.laws)]
     claimed = plan.array * np.array(mu)
     expected = np.zeros((2, inst.n + 1))
     expected[:, 1:] = arrival(before(claimed) + claimed)

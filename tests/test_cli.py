@@ -370,6 +370,21 @@ def test_ration_auto_at_the_supply_limit_knapsack_route(tmp_path, capsys):
         assert float(row[10]) >= -1e-9
 
 
+def test_ration_auto_on_off_grid_type_i_demands(tmp_path, capsys):
+    # the reduced sizes are rounded up onto 1/4096 and total past 1 at the
+    # level auto picks; the run must still certify every agent
+    inst = RationingInstance(
+        (DemandLaw(((0.2500001, 1.0),)), DemandLaw(((0.2500001, 1.0),)), DemandLaw(((0.4999997, 0.5), (1.5, 0.5)))),
+        ("TypeI", "TypeI", "TypeII"),
+    )
+    assert cli.main(["ration", "--instance", _write(tmp_path, "offgrid.json", inst)]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
+    for row in rows[1:]:
+        assert row[6] == "" and row[7] == ""  # knapsack route: no thresholds
+        assert float(row[10]) >= -1e-9
+
+
 def test_ration_beta_file_just_above_the_supply_limit(tmp_path, capsys):
     # a user level whose supply total lies in (1 + MASS_TOL, 1 + SUPPLY_TOL]
     # is refused by the ex-ante check, not by the knapsack reduction after it

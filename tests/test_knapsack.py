@@ -194,7 +194,7 @@ def test_propagate_fill_caps_fill_at_one():
 def test_propagate_fill_rejects_unreachable_acceptance():
     dist = FiniteLaw([0.6], [1.0])
     law = SizeLaw(((0.5, 1.0),))
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match=r"reachable probability 0\.0 \(size 0\.5\)$"):
         _fill_step(dist, law, 0.1)
 
 

@@ -217,6 +217,21 @@ def test_off_grid_instance_past_the_old_atom_cap_runs_exact():
             assert abs(est.point - plan.rates(tag)[i]) <= 3.0 * est.half_width
 
 
+@pytest.mark.parametrize("size, n", [(0.0050001, 200), (0.0020001, 500)])
+def test_many_tiny_off_grid_sizes_at_total_mean_one(size, n):
+    # rounded up onto 1/4096 the admitted means total 1.025 and 1.099, past
+    # the true 1, yet every planned rate stays reachable
+    law = SizeLaw(((size, 1.0 / (n * size)),), 1.0 - 1.0 / (n * size))
+    inst = KnapsackInstance((law,) * n)
+    assert inst.total_mu == pytest.approx(1.0, abs=1e-12)
+    plan = closed_form_knapsack_plan(inst)
+    result = run_knapsack_exact(inst, plan)
+    assert (result.grid, result.rounded) == (GRID_CAP, True)
+    assert n * result.sizes[0][0] * law.atoms[0][1] > 1.02
+    assert result.max_rate_error(plan) <= RATE_TOL
+    assert monitor_trace(inst, plan, result, B_GRID).ok()
+
+
 def test_replay_fills_with_the_admitted_sizes():
     # the three sizes fit together, but not once rounded up; the replay must
     # turn the third away where the exact run did, or its rate overshoots
@@ -238,5 +253,5 @@ def test_rounding_that_makes_a_rate_unreachable_says_so(monkeypatch):
     plan = closed_form_knapsack_plan(inst)
     assert run_knapsack_exact(inst, plan).max_rate_error(plan) <= RATE_TOL
     monkeypatch.setattr(knapsack, "GRID_CAP", 8)
-    with pytest.raises(InfeasibleError, match=r"sizes rounded up onto 1/8"):
+    with pytest.raises(InfeasibleError, match=r"size 0\.0100001 admitted as 1/8, .*, sizes rounded up onto 1/8"):
         run_knapsack_exact(inst, plan)

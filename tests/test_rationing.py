@@ -527,6 +527,40 @@ def test_mc_agrees_with_exact_on_off_grid_demands():
         assert abs(sampled.expected_service - ex.expected_service) <= 3.0 * hw
 
 
+def _off_grid_rationing_instance(seed, n):
+    """n agents, 1-3 demand atoms each uniform in (0.001, 3/n), so on no
+    grid; agent 0 is Type-I, the rest of any type."""
+    rng = np.random.default_rng(seed)
+    demands = []
+    for _ in range(n):
+        values = sorted(set(rng.uniform(0.001, 3.0 / n, int(rng.integers(1, 4))).tolist()))
+        probs = rng.dirichlet(np.ones(len(values)))[:-1].tolist()
+        probs.append(1.0 - math.fsum(probs))
+        demands.append(DemandLaw(tuple(zip(values, probs))))
+    service = ["TypeI", *rng.choice(["TypeI", "TypeII", "TypeIII"], n - 1).tolist()]
+    return RationingInstance(tuple(demands), tuple(service))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [OFF_GRID, _off_grid_rationing_instance(0, 25), _off_grid_rationing_instance(5, 25)],
+    ids=["three-agents", "seed-0-n-25", "seed-5-n-25"],
+)
+def test_max_uniform_beta_is_certifiable_on_off_grid_demands(inst):
+    # at the level `ration --beta auto` picks the reduced total mean is 1, so
+    # the sizes rounded up onto 1/4096 total past 1; every check must hold
+    beta = max_uniform_beta(inst)
+    target = exante_check(inst, (beta,) * inst.n)
+    reduced = knapsack_reduction(inst, target).instance
+    assert reduced.total_mu == pytest.approx(1.0, abs=1e-12)
+    run = run_knapsack_exact(reduced, closed_form_knapsack_plan(reduced))
+    admitted = (math.fsum(s * p for s, (_, p) in zip(sizes, law.atoms)) for sizes, law in zip(run.sizes, reduced.laws))
+    assert run.rounded and math.fsum(admitted) > 1.0
+    result = run_rationing(inst, target, mode="exact", seed=0)
+    assert result.route == "knapsack"
+    assert result.guarantee_ok(), result.min_slack
+
+
 def test_knapsack_route_explicit_plan():
     inst = half_demand_type_i()
     target = exante_check(inst, (0.7, 0.7))
