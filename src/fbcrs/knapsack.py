@@ -35,7 +35,6 @@ from .tolerances import (
     ATOM_TOL,
     CURVE_TOL,
     FEAS_TOL,
-    LAW_MASS_TOL,
     MASS_TOL,
     MONOTONE_TOL,
     RATE_TOL,
@@ -112,16 +111,10 @@ def check_knapsack_feasible(plan: SelectionPlan, inst: KnapsackInstance) -> Knap
 class FiniteLaw:
     """Exact finite law of a quantity in [0, 1]: sorted values, positive masses.
 
-    The knapsack executor propagates the fill before each arrival; the
-    rationing executor propagates the remaining supply.  The arrays are
-    read-only copies; `atoms` views the same law as (value, probability)
-    pairs.  `rank` resolves boundaries at ATOM_TOL.
-
-    `mass` sums the probabilities in extended precision (np.longdouble) and
-    rounds once to float.  Where longdouble is the x87 80-bit type (x86-64
-    Linux) that is within one ulp of 1, 2.2e-16, of `math.fsum` for laws of
-    up to 100,000 atoms; where longdouble is plain double, numpy's pairwise
-    float sum can be a few ulps further off.
+    Two roles: the rationing executor propagates the remaining supply as one
+    (built by `merged`), and a grid run's trace views hold its dense fill
+    rows as one.  The arrays are read-only copies; `atoms` views the same
+    law as (value, probability) pairs.  The mass is checked to MASS_TOL.
     """
 
     values: np.ndarray
@@ -141,7 +134,7 @@ class FiniteLaw:
             raise InvariantViolationError(f"law values [{values[0]}, {values[-1]}] outside [0, 1]")
         if not (probs > 0.0).all():
             raise InvariantViolationError("law probabilities must be positive")
-        if abs(self.mass - 1.0) > LAW_MASS_TOL:
+        if abs(self.mass - 1.0) > MASS_TOL:
             raise InvariantViolationError(f"law mass {self.mass} != 1")
 
     @classmethod
@@ -191,15 +184,7 @@ class FiniteLaw:
 
     @cached_property
     def mass(self) -> float:
-        return float(self.probs.sum(dtype=np.longdouble))
-
-    @cached_property
-    def _cum(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(self.probs)))
-
-    def rank(self, x):
-        """Number of atoms at or below x (scalar or array), resolved at ATOM_TOL."""
-        return np.searchsorted(self.values, np.add(x, ATOM_TOL), side="right")
+        return float(self.probs.sum())
 
     @cached_property
     def expectation(self) -> float:
@@ -438,7 +423,7 @@ class InvariantReport:
 
 def _monitor_points(b_grid) -> tuple[np.ndarray, np.ndarray]:
     """The b-grid as an array, and the fills 0, b..., 1-b... at which the
-    checks read the CDF (resolved at ATOM_TOL, as FiniteLaw.rank does)."""
+    checks read the CDF (resolved at ATOM_TOL)."""
     b = np.asarray(b_grid, dtype=float)
     outside = ~((b > 0.0) & (b <= 0.5))
     if outside.any():
@@ -483,7 +468,9 @@ def monitor_invariants(
 ) -> InvariantReport:
     """Check the induction inequalities at every b in the grid."""
     b, points = _monitor_points(b_grid)
-    return _check_invariants(dist._cum[dist.rank(points)][None, :], c_first, b, [c_current])[0]
+    cum = np.concatenate(([0.0], np.cumsum(dist.probs)))  # cum[r]: mass of the r lowest atoms
+    cdf = cum[dist.values.searchsorted(points + ATOM_TOL, side="right")]
+    return _check_invariants(cdf[None, :], c_first, b, [c_current])[0]
 
 
 @dataclass(frozen=True)

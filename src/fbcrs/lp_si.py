@@ -279,8 +279,8 @@ def dual_certificate_uniform(N: int, rho: float) -> DualCertificate:
     """
     if N < 1 or N % 2 == 0:
         raise InvalidInstanceError(f"certificate is defined for odd N only, got {N}")
-    if not 0 <= rho < math.inf:  # NaN fails it
-        raise InvalidInstanceError(f"rho={rho} must be finite and nonnegative")
+    if not 0 <= rho / N <= 1:  # each x_i = rho/N is a probability; NaN fails it
+        raise InvalidInstanceError(f"rho={rho} must lie in [0, N={N}]")
     mid = (N - 1) // 2
     a0 = alpha_0(rho)
 

@@ -12,16 +12,17 @@ here and nowhere else.
 
 # --- inputs -------------------------------------------------------------------
 
-# Probability sums and total masses.  Produced by instance files and the
-# rationing service targets; received by the SizeLaw, DemandLaw and
-# KnapsackInstance constructors (mass sums, total mean size <= 1), by
-# exante_check and ServiceTarget (total supply share <= 1), by
-# run_knapsack_exact's fill step (fill-law mass drift after each step), and
-# by single_unit._bernoulli (a remaining mass
-# at most this is 0/0, parameter 0).  exante_check and knapsack_reduction
-# apply the same entry to the same total: each supply share and its element's
-# mean size are computed from one size table (rationing._sizes), so they are
-# equal bit for bit and a target the one accepts the other accepts.
+# Probability sums and total masses.  Produced by instance files, the
+# rationing service targets and the exact propagations; received by the
+# SizeLaw, DemandLaw and KnapsackInstance constructors (mass sums, total mean
+# size <= 1), by exante_check and ServiceTarget (total supply share <= 1), by
+# run_knapsack_exact's fill step (fill-law mass drift after each step), by
+# the FiniteLaw constructor (the mass of a remaining-supply law or a trace
+# view), and by single_unit._bernoulli (a remaining mass at most this is
+# 0/0, parameter 0).  exante_check and knapsack_reduction apply the same
+# entry to the same total: each supply share and its element's mean size are
+# computed from one size table (rationing._sizes), so they are equal bit for
+# bit and a target the one accepts the other accepts.
 MASS_TOL = 1e-12
 
 # Per-agent service levels, quantiles and shares in [0, 1].  Produced by the
@@ -57,19 +58,13 @@ MONOTONE_TOL = 1e-12
 
 # Law values closer than this merge onto the earlier value, and law
 # boundaries resolve at it.  run_knapsack_exact keeps fills as integers k
-# (the fill k/L), so its fits are exact and nothing merges there; only its
-# trace views and the monitor's CDF points (b and 1 - b) resolve at this
-# entry.  Produced by fill and remaining-supply propagation; received by
-# FiniteLaw's merge and queries, by the monitor and by Admission's fit bound
-# 1 - s + ATOM_TOL, so the Monte Carlo executor, whose fills are float sums
-# of the same grid points, admits exactly the fills the exact run fits.
+# (the fill k/L), so its fits are exact and nothing merges there.  Produced
+# by the remaining-supply propagation alone; received by FiniteLaw.merged and
+# FiniteLaw's [0, 1] range check, by the CDF points of monitor_invariants and
+# monitor_trace (b and 1 - b), and by Admission's fit bound 1 - s + ATOM_TOL,
+# so the Monte Carlo executor, whose fills are float sums of the same grid
+# points, admits exactly the fills the exact run fits.
 ATOM_TOL = 1e-12
-
-# Total mass of any FiniteLaw at construction.  Produced by fill and
-# remaining-supply propagation and by _merge_rem; received by the FiniteLaw
-# constructor, which also checks the views of a grid run's dense fill laws.
-# The fill step holds each new fill law to the tighter MASS_TOL.
-LAW_MASS_TOL = 1e-10
 
 # Knapsack feasibility.  Produced by plans, fill laws and executors; received
 # by KnapsackFeasibilityReport.ok, InvariantReport.ok, monitor_invariants

@@ -19,8 +19,8 @@ Also here are the checked twins of rules the library runs in another
 form, which only tests call: `demand_cdf` and `inverse_cdf` (the executors
 map a uniform to a demand through `rationing._slices`), `split_element`
 (for the LP's monotonicity under splitting), `service_value` (argument
-checks around `rationing._service`), and `fill_masses` (the masses the
-reference fill step reads through `FiniteLaw.rank`, summed atom by atom).
+checks around `rationing._service`), and `fill_masses` (the masses at or
+below each fill boundary, summed atom by atom).
 """
 
 import math
@@ -348,6 +348,46 @@ def replay_knapsack_paths(inst, branches, order):
     return tuple(rates), states
 
 
+def single_unit_paths(inst, q, taus):
+    """Exact per-order (E[Y_i], E[s_i]) of the single-unit rationing route by
+    enumerating every combination of the agents' quantile slices.
+
+    Agent i's quantile range [0, 1) is cut at its demand CDF values and at
+    q[i]; a combination has the product of its slices' widths as its
+    probability.  Each order walks its agents with supply R = 1 in plain
+    floats: an agent whose slice lies below q[i] gets y = min(d, R, tau),
+    with taus[i] = (tau_f, tau_b), any other gets 0, and R drops by y.
+    Returns {"forward": (alloc, service), "backward": (alloc, service)}.
+    Exponential in n: keep n at 4 or less.
+    """
+    n = len(inst.demands)
+    means, per_agent = [], []
+    for law, qi in zip(inst.demands, q):
+        means.append(math.fsum(d * p for d, p in law.atoms))
+        rows, lo = [], 0.0
+        for k, (d, p) in enumerate(law.atoms):
+            hi = 1.0 if k == len(law.atoms) - 1 else lo + p
+            for a, b, active in ((lo, min(hi, qi), True), (max(lo, qi), hi, False)):
+                if b > a:
+                    rows.append((d, b - a, active))
+            lo = hi
+        per_agent.append(rows)
+    out = {}
+    for col, tag in enumerate(("forward", "backward")):
+        alloc, service = [0.0] * n, [0.0] * n
+        for combo in product(*per_agent):
+            weight = math.prod(width for _, width, _ in combo)
+            rem = 1.0
+            for i in arrival_order(tag, n):
+                d, _, active = combo[i]
+                y = min(d, rem, taus[i][col]) if active else 0.0
+                rem -= y
+                alloc[i] += weight * y
+                service[i] += weight * service_value(inst.service[i], y, d, means[i])
+        out[tag] = (tuple(alloc), tuple(service))
+    return out
+
+
 def match_fill_atoms(states: dict, atoms, tol: float = 1e-9):
     """Largest mass mismatch between raw path states and merged atoms.
 
@@ -413,8 +453,8 @@ def propagate_fill_reference(dist, law, c):
     room = 1.0 - np.array([s for s, _ in law.atoms])
     p0, p1s = fill_masses(dist, room.tolist())
     branches = branch_probs(c, p0, p1s)
-    zero_end = int(dist.rank(0.0))
-    fit_ends = dist.rank(room).tolist()
+    # atoms at or below 0 and at or below each room, resolved at BOUNDARY_TOL
+    zero_end, *fit_ends = values.searchsorted(np.append(0.0, room) + BOUNDARY_TOL, side="right").tolist()
     stay = probs * law.inactive_mass
     shifted, moved = [], []
     for (s, ps), p1, fit_end, b1, b2 in zip(law.atoms, p1s, fit_ends, branches.b1, branches.b2):

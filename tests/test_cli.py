@@ -582,6 +582,9 @@ KN_JSON = '{"kind": "knapsack", "n": 1, "laws": [{"atoms": [[0.5, 0.5]], "inacti
         # a non-finite total mass
         (["dual-certificate", "--n", "3", "--rho", "nan"], {}),
         (["dual-certificate", "--n", "3", "--rho", "inf"], {}),
+        # a total mass above the element count: x_i = rho/n > 1
+        (["dual-certificate", "--n", "1", "--rho", "2"], {}),
+        (["dual-certificate", "--n", "3", "--rho", "4"], {}),
         # a seed that is not a nonnegative integer, even without --trials, when nothing is sampled
         (["ration", "--instance", "{ra}", "--seed", "-1"], {}),
         (["simulate-single-unit", "--instance", "{su}", "--trials", "100", "--seed", "1.5"], {"su": SU_JSON}),
@@ -598,6 +601,8 @@ KN_JSON = '{"kind": "knapsack", "n": 1, "laws": [{"atoms": [[0.5, 0.5]], "inacti
         "sweep-n-0",
         "rho-nan",
         "rho-inf",
+        "rho-above-n-1",
+        "rho-above-n-3",
         "seed-negative",
         "seed-fraction",
         "single-unit-trials-0",

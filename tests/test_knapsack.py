@@ -36,7 +36,7 @@ from fbcrs.knapsack import (
 from fbcrs.lp_si import SelectionPlan
 from fbcrs.rationing import REM_ATOM_CAP
 from fbcrs.sim import CHUNK, stream, wilson_interval
-from fbcrs.tolerances import MONOTONE_TOL
+from fbcrs.tolerances import MASS_TOL, MONOTONE_TOL
 
 from oracles import (
     admit_reference,
@@ -231,18 +231,27 @@ def test_finite_law_validation():
             FiniteLaw(values, probs)
 
 
-def test_finite_law_queries():
-    law = FiniteLaw([0.0, 0.25, 0.5, 1.0], [0.1, 0.2, 0.3, 0.4])
+def test_monitor_reads_cdf_points_at_atom_tol():
+    # boundaries resolve at ATOM_TOL: an atom within it above 0, b or 1 - b
+    # counts as on it, one 2 ATOM_TOL above does not
+    def zero_slack(at):  # Pr[T = 0] - c_current
+        return monitor_invariants(FiniteLaw([at, 0.5], [0.4, 0.6]), 0.3, (0.25,), c_current=0.3).zero_slack
 
-    def p_interval(lo, hi):  # Pr[lo < T <= hi] as propagate_fill_reference reads it
-        return law._cum[law.rank(hi)] - law._cum[law.rank(lo)]
+    assert zero_slack(ATOM_TOL / 2) == pytest.approx(0.1, abs=1e-15)
+    assert zero_slack(2 * ATOM_TOL) == -0.3
 
-    assert law._cum[law.rank(0.0)] == pytest.approx(0.1, abs=1e-15)
-    # boundaries resolve at ATOM_TOL: a value within it of a bound counts as on it
-    assert p_interval(0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert p_interval(0.25 - ATOM_TOL / 2, 0.5 - ATOM_TOL / 2) == pytest.approx(0.3, abs=1e-15)
-    got = p_interval(np.array([0.0, 0.25]), np.array([1.0, 0.75]))
-    assert got == pytest.approx([0.9, 0.3], abs=1e-15)
+    def violations(at):  # Pr[0 < T <= b] = 0.2 at b = 0.25 when the atom at counts
+        return monitor_invariants(FiniteLaw([0.0, at, 1.0], [0.1, 0.2, 0.7]), 0.1, (0.25,)).violations
+
+    assert violations(0.25 + ATOM_TOL / 2) == ((0.25, pytest.approx(2.0, abs=1e-15), 1.0),)
+    assert violations(0.25 + 2 * ATOM_TOL) == ()  # Pr[b < T <= 1 - b] = 0.2 instead
+
+    def rhs(at):  # exp(-Pr[b < T <= 1 - b]/c1), Pr[0 < T <= b] = 0.2 at b = 0.25
+        report = monitor_invariants(FiniteLaw([0.0, 0.1, at, 1.0], [0.1, 0.2, 0.3, 0.4]), 0.25, (0.25,))
+        return [r for _, _, r in report.violations]
+
+    assert rhs(0.75 + ATOM_TOL / 2) == [pytest.approx(math.exp(-1.2), abs=1e-15)]
+    assert rhs(0.75 + 2 * ATOM_TOL) == []  # Pr[b < T <= 1 - b] = 0: rhs 1 clears lhs 0.8
 
 
 def _sequential_merge(pairs):
@@ -528,12 +537,15 @@ def test_law_mass_matches_fsum(size):
 
 
 def test_mass_checks_still_bite():
-    with pytest.raises(InvariantViolationError, match="mass"):
-        FiniteLaw([0.0, 0.5], [0.5, 0.5 + 2e-10])
-    # the constructor lets 5e-11 through; the fill step's 1e-12 check does not
-    dist = FiniteLaw([0.0, 0.5], [0.5, 0.5 + 5e-11])
+    # the constructor holds a law's mass to MASS_TOL
+    FiniteLaw([0.0, 0.5], [0.5, 0.5 + 0.5 * MASS_TOL])
+    for drift in (2 * MASS_TOL, 5e-11):
+        with pytest.raises(InvariantViolationError, match="mass"):
+            FiniteLaw([0.0, 0.5], [0.5, 0.5 + drift])
+    # so does the fill step, on a dense row no FiniteLaw checked
+    p = np.array([0.5, 0.0, 0.5 + 5e-11, 0.0, 0.0])
     with pytest.raises(InvariantViolationError, match="drifted"):
-        _fill_step(dist, SizeLaw(((0.25, 1.0),)), 0.2, 4)
+        _grid_step(p, np.empty_like(p), SizeLaw(((0.25, 1.0),)), np.array([1]), 0.2, "")
 
 
 # --- Monte Carlo -------------------------------------------------------------

@@ -446,6 +446,18 @@ def test_dual_certificate_rejects_even_or_negative():
         check_certificate(dual_certificate_uniform(3, 1.0), (0.25,) * 4)
 
 
+@pytest.mark.parametrize("N, rho", [(1, 2.0), (3, 4.0), (3, math.nextafter(3.0, math.inf))])
+def test_dual_certificate_rejects_rho_above_n(N, rho):
+    # x_i = rho/N would exceed 1, which SingleUnitInstance rejects too
+    with pytest.raises(InvalidInstanceError, match="rho"):
+        dual_certificate_uniform(N, rho)
+    with pytest.raises(InvalidInstanceError):
+        SingleUnitInstance((rho / N,) * N)
+    # rho = N, every x_i = 1, is an instance and has a certificate
+    assert dual_certificate_uniform(N, float(N)).N == N
+    SingleUnitInstance((1.0,) * N)
+
+
 @pytest.mark.parametrize("N", [3, 11, 21, 101])
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
 def test_dual_certificate_feasible_and_bounded(N, rho):

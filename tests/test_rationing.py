@@ -42,6 +42,7 @@ from oracles import (
     max_uniform_beta_bisection,
     quantile_sizes_loop,
     service_value,
+    single_unit_paths,
     solve_q_walk,
 )
 
@@ -194,10 +195,11 @@ def test_max_uniform_beta_is_certifiable_on_both_routes(data, route):
 
 
 @st.composite
-def _any_rationing_instance(draw):
-    """2-6 agents of all three types, 1-4 demand atoms each: zero demands,
-    points of a 1/100 grid up to 2 (past 1) and off-grid values."""
-    n = draw(st.integers(2, 6))
+def _any_rationing_instance(draw, max_n=6, types=("TypeI", "TypeII", "TypeIII")):
+    """2-max_n agents of the given types (by default all three), 1-4 demand
+    atoms each: zero demands, points of a 1/100 grid up to 2 (past 1) and
+    off-grid values."""
+    n = draw(st.integers(2, max_n))
     value = st.one_of(st.just(0.0), st.integers(1, 200).map(lambda g: g / 100.0), st.floats(0.001, 2.0))
     demands = []
     for _ in range(n):
@@ -206,7 +208,7 @@ def _any_rationing_instance(draw):
         probs = [w / sum(weights) for w in weights[:-1]]
         probs.append(1.0 - math.fsum(probs))
         demands.append(DemandLaw(tuple(zip(values, probs))))
-    service = draw(st.lists(st.sampled_from(("TypeI", "TypeII", "TypeIII")), min_size=n, max_size=n))
+    service = draw(st.lists(st.sampled_from(types), min_size=n, max_size=n))
     return RationingInstance(tuple(demands), tuple(service))
 
 
@@ -426,6 +428,47 @@ def test_executor_rows_follow_the_allocation_rule(route):
                 rem -= y
             assert rem >= -FEAS_TOL
         assert seen == {(tag, active) for tag in (FORWARD, BACKWARD) for active in (True, False)}
+
+
+# Per-agent E[Y_i] and E[s_i] of the exact tables against the path
+# enumeration: the walks differ from the propagation only in float rounding.
+PATHS_TOL = 1e-12
+
+
+def _assert_exact_tables_match_paths(inst, level):
+    target = exante_check(inst, (level * max_uniform_beta(inst),) * inst.n)
+    slices = tuple(_slices(law, q) for law, q in zip(inst.demands, target.q))
+    route = _single_unit_route(inst, target, slices, None)
+    assert not route.resamples
+    want = single_unit_paths(inst, target.q, route.taus)
+    for tag, (alloc, service) in route.exact().items():
+        assert alloc == pytest.approx(want[tag][0], rel=0.0, abs=PATHS_TOL)
+        assert service == pytest.approx(want[tag][1], rel=0.0, abs=PATHS_TOL)
+
+
+ZERO_DEMAND = DemandLaw(((0.0, 0.3), (0.8, 0.7)))  # Type-III: zero demand counts as served
+
+
+@pytest.mark.parametrize(
+    "demands, service",
+    [
+        ((UNIT, UNIT), ("TypeII", "TypeII")),
+        ((MIXED, UNIT, MIXED), ("TypeIII", "TypeII", "TypeII")),
+        ((SHARED, MIXED, UNIT), ("TypeII", "TypeIII", "TypeIII")),
+        ((ZERO_DEMAND, SHARED, MIXED, UNIT), ("TypeIII", "TypeIII", "TypeII", "TypeII")),
+    ],
+    ids=["unit", "mixed", "shared", "zero-demand"],
+)
+@pytest.mark.parametrize("level", [0.6, 0.95, 1.0])
+def test_single_unit_exact_tables_match_path_enumeration(demands, service, level):
+    _assert_exact_tables_match_paths(RationingInstance(demands, service), level)
+
+
+@settings(max_examples=60)
+@given(inst=_any_rationing_instance(4, ("TypeII", "TypeIII")), level=st.sampled_from((0.5, 0.9, 1.0)))
+def test_single_unit_exact_tables_match_path_enumeration_on_random_demands(inst, level):
+    assume(max_uniform_beta(inst) > 0.0)
+    _assert_exact_tables_match_paths(inst, level)
 
 
 @pytest.mark.parametrize("service", [("TypeIII", "TypeII"), ("TypeIII", "TypeI")], ids=["single-unit", "knapsack"])
