@@ -6,6 +6,15 @@ fill fraction of the realized demand).  A service target gives every agent a
 guarantee beta_i, an activation quantile q_i, and the supply share
 x_i = integral of min(F^-1, 1) over [0, q_i] that the quantile buys.
 
+Every layer reads one table per agent (_Slices), whose slices carry the
+service rule (base, scale): allocation y serves base + y / scale.  _rule
+gives Type-II (0, mean), Type-I and Type-III at d = 0 (1, inf), Type-I at
+d > 1 (0, inf) and every other case (0, d).  That is exact on every
+allocation the routes make: each y is at most min(d, 1), so min(y, d) = y,
+and a Type-I agent (knapsack route only) gets 0 or min(d, 1).  Type-II
+service exceeds 1 when the demand does the mean; clamping it would break
+the identity between expected service and the calibrated target.
+
 The executor visits agents in a uniformly random forward or backward order.
 An agent participates when its demand quantile falls below q_i and then
 receives its demand capped by the remaining supply and by a per-order
@@ -66,66 +75,68 @@ ROUTE_SINGLE_UNIT = "single-unit"
 ROUTE_KNAPSACK = "knapsack"
 
 
-def _service(stype: ServiceType, y: float, d: float, mean: float) -> float:
-    """Service delivered by allocation y >= 0 against demand d >= 0; mean is
-    the agent's positive demand mean.
-
-    Type-II service is min(y, d) / mean and deliberately exceeds 1 when the
-    realized demand does; clamping would break the identity between expected
-    service and the calibrated target.  Type-III treats zero demand as fully
-    served.
-    """
-    if stype is ServiceType.TYPE_I:
-        return 1.0 if y >= d else 0.0
+def _rule(stype: ServiceType, d: float, mean: float) -> tuple[float, float]:
+    """(base, scale) of the service base + y / scale that y <= min(d, 1)
+    delivers against demand d, mean the agent's mean (module docstring)."""
     if stype is ServiceType.TYPE_II:
-        return min(y, d) / mean
+        return 0.0, mean
     if d == 0.0:
-        return 1.0
-    return min(y, d) / d
+        return 1.0, math.inf
+    if d > 1.0 and stype is ServiceType.TYPE_I:
+        return 0.0, math.inf
+    return 0.0, d
 
 
 class _Slices(NamedTuple):
     """An agent's quantile range [0, 1) cut at every demand atom's CDF value and at q.
 
     One row per nonempty slice, in quantile order: its upper end, its demand
-    value, its width, and whether it lies below q (the agent is active
-    there).  The last slice runs on to 1, which absorbs float shortfall in the
-    last CDF value.
+    value, its width, whether it lies below q (the agent is active there),
+    its size (min(d, 1) where active, else 0) and its service rule
+    (base, scale) from _rule.  The active slices come first.  The last slice
+    runs on to 1, which absorbs float shortfall in the last CDF value.
     """
 
     upper: tuple[float, ...]
     demand: tuple[float, ...]
     width: tuple[float, ...]
     active: tuple[bool, ...]
+    size: tuple[float, ...]
+    base: tuple[float, ...]
+    scale: tuple[float, ...]
 
 
-def _slices(law: DemandLaw, q: float) -> _Slices:
-    rows, prev = [], 0.0
+def _slices(law: DemandLaw, stype: ServiceType | None, q: float) -> _Slices:
+    """The table of an agent active below q; q = inf cuts only at the atoms.
+    stype None (supply_x, which reads sizes alone) gives every slice the
+    rule (0, inf) of no service."""
+    rows, prev, mean = [], 0.0, law.mean
     for (d, _), cum in zip(law.atoms, law.cum):
         below = min(cum, q) - min(prev, q)
         above = cum - max(prev, q)
+        base, scale = (0.0, math.inf) if stype is None else _rule(stype, d, mean)
         if below > 0.0:
-            rows.append((min(cum, q), d, below, True))
+            rows.append((min(cum, q), d, below, True, min(d, 1.0), base, scale))
         if above > 0.0:
-            rows.append((cum, d, above, False))
+            rows.append((cum, d, above, False, 0.0, base, scale))
         prev = cum
     return _Slices(*zip(*rows))
 
 
-def _sizes(law: DemandLaw, q: float) -> dict[float, float]:
-    """Quantile length below q of each size min(d, 1), sizes ascending: the
-    active rows of _slices, so each demand law has one quantile cut.
+def _sizes(sl: _Slices) -> dict[float, float]:
+    """Quantile length of each size the active slices buy, sizes ascending.
 
     The one source of the supply share (supply_x) and of the knapsack
     reduction's size law, so the two agree to the last bit.
     """
-    sl = _slices(law, q)
     sizes: dict[float, float] = {}
-    for d, width, on in zip(sl.demand, sl.width, sl.active):
-        if on:
-            s = min(d, 1.0)
-            sizes[s] = sizes.get(s, 0.0) + width
+    for s, width in zip(sl.size[: sl.active.count(True)], sl.width):
+        sizes[s] = sizes.get(s, 0.0) + width
     return sizes
+
+
+def _share(sizes: dict[float, float]) -> float:
+    return math.fsum(s * length for s, length in sizes.items())
 
 
 def supply_x(law: DemandLaw, q: float) -> float:
@@ -134,11 +145,20 @@ def supply_x(law: DemandLaw, q: float) -> float:
     It is the mean of the size law _sizes gives, which knapsack_reduction
     builds its element from, so the two are equal to the last bit.
     """
-    return math.fsum(s * length for s, length in _sizes(law, q).items())
+    return _share(_sizes(_slices(law, None, q)))
 
 
-def _climb(law: DemandLaw, stype: ServiceType, beta: float) -> tuple[float, float, float]:
-    """Walk the service level up an agent's quantile range to beta.
+def _bought(i: int, sl: _Slices, x: float) -> dict[float, float]:
+    """Agent i's sizes; raises InvalidInstanceError unless they buy its share
+    x within CALIBRATION_TOL (a target solved for another instance)."""
+    sizes = _sizes(sl)
+    if abs(_share(sizes) - x) > CALIBRATION_TOL:
+        raise InvalidInstanceError(f"agent {i}: supply share {x:.12g} is not the {_share(sizes):.12g} q buys")
+    return sizes
+
+
+def _climb(top: _Slices, beta: float) -> tuple[float, float, float]:
+    """Walk the service level up an agent's uncut table (q = inf) to beta.
 
     Returns the smallest quantile that reaches beta, the rate size/service of
     the demand atom reached (how fast the supply share grows with the level
@@ -151,14 +171,12 @@ def _climb(law: DemandLaw, stype: ServiceType, beta: float) -> tuple[float, floa
     if beta <= CROSSING_TOL:  # the empty range already reaches beta
         return 0.0, 0.0, beta
     acc, prev = 0.0, 0.0
-    for (d, _), cum in zip(law.atoms, law.cum):
-        size = min(d, 1.0)
-        v = _service(stype, size, d, law.mean)
-        seg = cum - prev
-        if v > 0.0 and acc + v * seg >= beta - CROSSING_TOL:
+    for upper, size, width, base, scale in zip(top.upper, top.size, top.width, top.base, top.scale):
+        v = base + size / scale
+        if v > 0.0 and acc + v * width >= beta - CROSSING_TOL:
             return min(prev + (beta - acc) / v, 1.0), size / v, beta
-        acc += v * seg
-        prev = cum
+        acc += v * width
+        prev = upper
     return min(prev, 1.0), 0.0, acc
 
 
@@ -170,7 +188,7 @@ def solve_q_for_beta(law: DemandLaw, stype, beta: float) -> float:
     stype = ServiceType.parse(stype)
     if not 0.0 <= beta <= 1.0:
         raise InvalidInstanceError(f"beta {beta} outside [0, 1]")
-    q, _, level = _climb(law, stype, beta)
+    q, _, level = _climb(_slices(law, stype, math.inf), beta)
     if level < beta - SUPPLY_TOL:
         raise InfeasibleError(f"service level {beta} is unachievable (agent tops out at {level:.12g})")
     return q
@@ -242,8 +260,8 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     supply check, which allow MASS_TOL.
 
     The steps are exact.  Below the lowest top level, an agent's share grows
-    with the level at rate size/service on its current atom: the demand mean
-    for Type-II, the demand d for Type-I and Type-III.  Atoms are sorted by
+    with the level at rate size/service on its current atom, its rule's
+    scale: the demand mean for Type-II, the demand d for Type-I and Type-III.  Atoms are sorted by
     demand, so every rate is nondecreasing and the total share is convex and
     piecewise linear in the level.  Atoms with zero service add no size below
     the top: Type-II with d = 0, and Type-I with d > 1, which lies at the top
@@ -251,11 +269,11 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     step from the answer's piece lands on it.  Each step moves down at least
     one ulp, and level 0 buys no supply, so the loop ends.
     """
-    agents = tuple(zip(inst.demands, inst.service))
-    beta = min(1.0, *(_climb(law, stype, math.inf)[2] for law, stype in agents))
+    tops = [_slices(law, stype, math.inf) for law, stype in zip(inst.demands, inst.service)]
+    beta = min(1.0, *(_climb(top, math.inf)[2] for top in tops))
     while True:
-        climbs = [_climb(law, stype, beta) for law, stype in agents]
-        total = math.fsum(supply_x(law, q) for (law, _), (q, _, _) in zip(agents, climbs))
+        climbs = [_climb(top, beta) for top in tops]
+        total = math.fsum(supply_x(law, q) for law, (q, _, _) in zip(inst.demands, climbs))
         if total <= 1.0:
             return beta
         slope = math.fsum(rate for _, rate, _ in climbs)
@@ -265,13 +283,12 @@ def max_uniform_beta(inst: RationingInstance) -> float:
 def _caps(sl: _Slices, rem: FiniteLaw):
     """An agent's active slices against remaining-supply atoms.
 
-    Returns the demand values as a column, the caps min(d, r) and their joint
-    weights Pr[slice] * Pr[R = r], one row per active slice.
+    Returns the caps min(d, r) and their joint weights Pr[slice] * Pr[R = r],
+    one row per active slice.
     """
-    rows = [(d, width) for d, width, on in zip(sl.demand, sl.width, sl.active) if on]
-    d = np.array([d for d, _ in rows]).reshape(-1, 1)
-    weight = np.array([width for _, width in rows]).reshape(-1, 1) * rem.probs
-    return d, np.minimum(d, rem.values), weight
+    k = sl.active.count(True)
+    d = np.array(sl.demand[:k]).reshape(-1, 1)
+    return np.minimum(d, rem.values), np.array(sl.width[:k]).reshape(-1, 1) * rem.probs
 
 
 def calibrate_tau(caps, weight, target: float) -> float:
@@ -334,7 +351,6 @@ def _merge_rem(rem: FiniteLaw) -> FiniteLaw:
 
 
 def _exact_order(
-    inst: RationingInstance,
     target: ServiceTarget,
     slices: tuple[_Slices, ...],
     rates: tuple[float, ...],
@@ -350,17 +366,15 @@ def _exact_order(
     over the agents arriving before i, the calibrated allocation hits
     rate * x_i, and the conditional service clears rate * beta_i.
     """
-    n = inst.n
-    taus = [0.0] * n
-    alloc = [0.0] * n
-    service = [0.0] * n
+    n = len(slices)
+    taus, alloc, service = [0.0] * n, [0.0] * n, [0.0] * n
     rem = FiniteLaw([1.0], [1.0])
     slack = math.inf
     resamples = 0
     for i in order:
-        law, stype, sl = inst.demands[i], inst.service[i], slices[i]
+        sl, k = slices[i], slices[i].active.count(True)
         q, x, b = target.q[i], target.x[i], target.beta[i]
-        d, caps, weight = _caps(sl, rem)
+        caps, weight = _caps(sl, rem)
         reachable = float(np.sum(weight * caps))
         floor = (1.0 - consumed[i]) * x
         slack = min(slack, reachable - floor)
@@ -377,12 +391,9 @@ def _exact_order(
             raise InvariantViolationError(
                 f"calibrated allocation {alloc[i]:.12g} misses {rates[i] * x:.12g} for agent {i}"
             )
-        unserved = math.fsum(
-            width * _service(stype, 0.0, dv, law.mean)
-            for dv, width, on in zip(sl.demand, sl.width, sl.active)
-            if not on
-        )
-        service[i] = float(np.sum(weight * _service_array(stype, y, d, law.mean))) + unserved
+        unserved = math.fsum(width * base for width, base in zip(sl.width[k:], sl.base[k:]))
+        base, scale = (np.array(column[:k]).reshape(-1, 1) for column in (sl.base, sl.scale))
+        service[i] = float(np.sum(weight * (base + y / scale))) + unserved
         if service[i] < rates[i] * b - CALIBRATION_TOL:
             raise InvariantViolationError(
                 f"conditional service {service[i]:.12g} below rate * beta for agent {i}"
@@ -410,21 +421,19 @@ class KnapsackReduction:
 
 
 def knapsack_reduction(inst: RationingInstance, target: ServiceTarget) -> KnapsackReduction:
-    """Build the knapsack instance with element sizes min(D, 1) on Q < q."""
+    """Build the knapsack instance with element sizes min(D, 1) on Q < q;
+    raises InvalidInstanceError unless each x_i is the share q_i buys."""
     if inst.n != target.n:
         raise InvalidInstanceError("target does not match the instance")
     laws: list[SizeLaw] = []
     element_of_agent: list[int | None] = []
-    for law, q, x in zip(inst.demands, target.q, target.x):
+    for i, (law, stype, q, x) in enumerate(zip(inst.demands, inst.service, target.q, target.x)):
+        sizes = _bought(i, _slices(law, stype, q), x)
         if x <= 0.0:
             element_of_agent.append(None)
             continue
-        sizes = _sizes(law, q)
-        size_law = SizeLaw(tuple(sizes.items()), inactive_mass=1.0 - math.fsum(sizes.values()))
-        if abs(size_law.mean - x) > CALIBRATION_TOL:
-            raise InvariantViolationError("element mean drifted from the supply share")
         element_of_agent.append(len(laws))
-        laws.append(size_law)
+        laws.append(SizeLaw(tuple(sizes.items()), inactive_mass=1.0 - math.fsum(sizes.values())))
     if not laws:
         raise InfeasibleError("no agent buys any supply; nothing to allocate")
     return KnapsackReduction(KnapsackInstance(tuple(laws)), tuple(element_of_agent))
@@ -486,36 +495,28 @@ class RationingResult:
         )
 
 
-def _service_array(stype: ServiceType, y: np.ndarray, d: np.ndarray, mean: float) -> np.ndarray:
-    if stype is ServiceType.TYPE_I:
-        return (y >= d).astype(float)
-    if stype is ServiceType.TYPE_II:
-        return np.minimum(y, d) / mean
-    safe = np.where(d > 0.0, d, 1.0)
-    return np.where(d > 0.0, np.minimum(y, d) / safe, 1.0)
-
-
-def _single_unit_runner(inst: RationingInstance, slices: tuple[_Slices, ...], taus: dict):
-    """Threshold allocation y = min(D, R, tau) on both orders at once.
+def _single_unit_runner(slices: tuple[_Slices, ...], taus: dict):
+    """Threshold allocation y = min(D, R, tau) on both orders at once; tau <= 1,
+    so min(D, tau) is the slice's size capped at tau.
 
     Returns run(rng, m), an experiment for run_trials.
     """
-    edges, demand, caps = [], [], {FORWARD: [], BACKWARD: []}
+    edges, base, scale, caps = [], [], [], {FORWARD: [], BACKWARD: []}
     for i, sl in enumerate(slices):
         edges.append(sl.upper[:-1])
-        demand.append(np.array(sl.demand))
+        base.append(np.array(sl.base))
+        scale.append(np.array(sl.scale))
         for tag in caps:
-            caps[tag].append(np.array([min(v, taus[tag][i]) if on else 0.0 for v, on in zip(sl.demand, sl.active)]))
+            caps[tag].append(np.minimum(sl.size, taus[tag][i]))
 
     def run(rng, m: int):
         rems = np.ones(m)
         out = {}
-        for tag, r, i, u in two_orders(rng, m, inst.n):
+        for tag, r, i, u in two_orders(rng, m, len(slices)):
             k = slice_index(u, edges[i])
-            d = demand[i].take(k)
             y = np.minimum(caps[tag][i].take(k), rems[r])
             rems[r] -= y
-            s = _service_array(inst.service[i], y, d, inst.demands[i].mean)
+            s = base[i].take(k) + y / scale[i].take(k)
             # einsum, not a BLAS dot: OpenBLAS threads ddot on long
             # vectors, and a stalled thread shows up as latency spikes.
             out[("service", tag[0], i)] = (float(s.sum()), float(np.einsum("i,i->", s, s)), y.size)
@@ -527,35 +528,32 @@ def _single_unit_runner(inst: RationingInstance, slices: tuple[_Slices, ...], ta
     return run
 
 
-def _knapsack_runner(
-    inst: RationingInstance, slices: tuple[_Slices, ...], red: KnapsackReduction, exact: KnapsackExactResult
-):
+def _knapsack_runner(slices: tuple[_Slices, ...], red: KnapsackReduction, exact: KnapsackExactResult):
     """The knapsack admission rule on both orders at once, sizes min(D, 1).
 
     exact is the reduced instance's exact run; exact.branches(tag)[e] is
     element e's Branches and exact.sizes[e] the sizes it admitted, which the
     fill takes on.  An arrival's outcome is its slice and whether it was
     admitted, so the sums come from per-outcome allocation and service
-    tables, on the true allocation min(d, 1).  Returns run(rng, m) as
-    _single_unit_runner.
+    tables, on the true allocation: the slice's size.  An agent with no
+    element is never admitted.  Returns run(rng, m) as _single_unit_runner.
     """
     rules, alloc, service = {FORWARD: [], BACKWARD: []}, [], []
-    for i, (law, sl, e) in enumerate(zip(inst.demands, slices, red.element_of_agent)):
-        # each active slice buys the size atom of value min(d, 1)
+    for sl, e in zip(slices, red.element_of_agent):
+        # each active slice buys the size atom of its size
         atom_of_size = {} if e is None else {s: j for j, (s, _) in enumerate(red.instance.laws[e].atoms)}
-        size_atom = [atom_of_size[min(d, 1.0)] if on and e is not None else None for d, on in zip(sl.demand, sl.active)]
-        sizes = [0.0 if a is None else min(d, 1.0) for a, d in zip(size_atom, sl.demand)]
+        size_atom = [atom_of_size[s] if on and e is not None else None for s, on in zip(sl.size, sl.active)]
         fills = [0.0 if a is None else exact.sizes[e][a] for a in size_atom]  # as the exact run admitted them
         for tag in rules:
             branches = ((), ()) if e is None else exact.branches(tag)[e][:2]
             b1, b2 = ([0.0 if a is None else b[a] for a in size_atom] for b in branches)
             rules[tag].append(Admission.build(sl.upper, fills, b1, b2))
-        alloc.append(np.array([g for size in sizes for g in (0.0, size)]))  # per outcome code, as Admission.gains
-        service.append(_service_array(inst.service[i], alloc[i], np.repeat(sl.demand, 2), law.mean))
+        alloc.append(np.array([g for size in sl.size for g in (0.0, size)]))  # per outcome code, as Admission.gains
+        service.append(np.repeat(sl.base, 2) + alloc[-1] / np.repeat(sl.scale, 2))
 
     def run(rng, m: int):
         out = {}
-        for tag, _, i, _, code in replay_admissions(rules, rng, m, inst.n):
+        for tag, _, i, _, code in replay_admissions(rules, rng, m, len(slices)):
             y, s = alloc[i], service[i]
             counts = np.bincount(code, minlength=y.size)
             out[("service", tag[0], i)] = (float(counts @ s), float(counts @ (s * s)), code.size)
@@ -598,14 +596,14 @@ def _single_unit_route(
     consumed = before(plan.array * np.array(target.x)).tolist()
     orders = arrival((range(inst.n), range(inst.n))).tolist()
     tables = {
-        tag: _exact_order(inst, target, slices, rates, used, order, tag)
+        tag: _exact_order(target, slices, rates, used, order, tag)
         for tag, rates, used, order in zip((FORWARD, BACKWARD), (plan.c_f, plan.c_b), consumed, orders)
     }
     taus = {tag: tables[tag].taus for tag in tables}
     return _Route(
         ROUTE_SINGLE_UNIT,
         plan,
-        _single_unit_runner(inst, slices, taus),
+        _single_unit_runner(slices, taus),
         lambda: {tag: (t.alloc, t.service) for tag, t in tables.items()},
         tuple(zip(plan.c_f, plan.c_b)),
         tuple(zip(taus[FORWARD], taus[BACKWARD])),
@@ -616,7 +614,7 @@ def _single_unit_route(
 
 
 def _knapsack_tables(
-    inst: RationingInstance, slices: tuple[_Slices, ...], red: KnapsackReduction, rates: tuple[float, ...]
+    slices: tuple[_Slices, ...], red: KnapsackReduction, rates: tuple[float, ...]
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Exact per-agent (E[Y_i | order], E[s_i | order]) on the knapsack route.
 
@@ -625,19 +623,14 @@ def _knapsack_tables(
     independent of the executor's outcome tables, so exact mode cross-checks MC.
     """
     alloc, service = [], []
-    for law, stype, sl, e in zip(inst.demands, inst.service, slices, red.element_of_agent):
+    for sl, e in zip(slices, red.element_of_agent):
         c = 0.0 if e is None else rates[e]
-        alloc_terms, service_terms = [], []
-        for d, width, on in zip(sl.demand, sl.width, sl.active):
-            unserved = _service(stype, 0.0, d, law.mean)
-            if on:
-                y = min(d, 1.0)
-                alloc_terms.append(width * c * y)
-                service_terms.append(width * (c * _service(stype, y, d, law.mean) + (1.0 - c) * unserved))
-            else:
-                service_terms.append(width * unserved)
-        alloc.append(math.fsum(alloc_terms))
-        service.append(math.fsum(service_terms))
+        k = sl.active.count(True)
+        alloc.append(math.fsum(width * c * y for y, width in zip(sl.size, sl.width)))
+        # an active slice is admitted with probability c and gets its size; y = 0 serves the base
+        admitted = zip(sl.size[:k], sl.width, sl.base, sl.scale)
+        terms = [width * (c * (base + y / scale) + (1.0 - c) * base) for y, width, base, scale in admitted]
+        service.append(math.fsum(terms + [width * base for width, base in zip(sl.width[k:], sl.base[k:])]))
     return tuple(alloc), tuple(service)
 
 
@@ -658,8 +651,8 @@ def _knapsack_route(
     return _Route(
         ROUTE_KNAPSACK,
         plan,
-        _knapsack_runner(inst, slices, red, result),
-        lambda: {tag: _knapsack_tables(inst, slices, red, plan.rates(tag)) for tag in (FORWARD, BACKWARD)},
+        _knapsack_runner(slices, red, result),
+        lambda: {tag: _knapsack_tables(slices, red, plan.rates(tag)) for tag in (FORWARD, BACKWARD)},
         tuple((None, None) if e is None else (plan.c_f[e], plan.c_b[e]) for e in elements),
         ((None, None),) * inst.n,
         # Skipped agents have no pair mean of their own; the scheme guarantee
@@ -701,7 +694,9 @@ def run_rationing(
         raise InvalidInstanceError(f"unknown mode {mode!r}")
     if mode == "mc" and trials < 1:
         raise InvalidInstanceError("mc mode needs trials >= 1")
-    slices = tuple(_slices(law, q) for law, q in zip(inst.demands, target.q))
+    slices = tuple(_slices(law, stype, q) for law, stype, q in zip(inst.demands, inst.service, target.q))
+    for i, (sl, x) in enumerate(zip(slices, target.x)):
+        _bought(i, sl, x)
     route = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, slices, plan)
     if mode == "exact":
         estimates = None

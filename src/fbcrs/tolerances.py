@@ -90,8 +90,10 @@ CROSSING_TOL = 1e-15
 # Rationing calibration.  Produced by calibrate_tau and the exact
 # remaining-supply propagation; received by calibrate_tau's reachability
 # check, the supply floor, allocation and service invariants of
-# _exact_order, knapsack_reduction's element means, exact mode's guarantee
-# check and RationingResult.guarantee_ok in both modes.
+# _exact_order, the check that a target's supply shares are the ones its
+# quantiles buy on this instance (rationing._bought, in run_rationing and
+# knapsack_reduction), exact mode's guarantee check and
+# RationingResult.guarantee_ok in both modes.
 CALIBRATION_TOL = 1e-9
 
 # --- Monte Carlo ------------------------------------------------------------------

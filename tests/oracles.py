@@ -18,9 +18,10 @@ The enumerations are exponential in n; keep n small there.
 Also here are the checked twins of rules the library runs in another
 form, which only tests call: `demand_cdf` and `inverse_cdf` (the executors
 map a uniform to a demand through `rationing._slices`), `split_element`
-(for the LP's monotonicity under splitting), `service_value` (argument
-checks around `rationing._service`), and `fill_masses` (the masses at or
-below each fill boundary, summed atom by atom).
+(for the LP's monotonicity under splitting), `service_value` (the three
+service definitions as stated, with min(y, d) kept, against the library's
+per-slice rule base + y / scale), and `fill_masses` (the masses at or below
+each fill boundary, summed atom by atom).
 """
 
 import math
@@ -87,18 +88,23 @@ def split_element(inst, k: int):
 
 
 def service_value(stype, y: float, d: float, mean: float | None = None) -> float:
-    """Service delivered by allocation y against demand d: rationing._service
-    behind a parse of the service type and checks of its arguments."""
+    """Service delivered by allocation y >= 0 against demand d >= 0, for any y:
+    Type-I 1 when y covers d and 0 otherwise, Type-II min(y, d) / mean
+    (above 1 when d exceeds the mean), Type-III min(y, d) / d with zero
+    demand fully served."""
     from fbcrs.errors import InvalidInstanceError
     from fbcrs.instances import ServiceType
-    from fbcrs.rationing import _service
 
-    stype = ServiceType.parse(stype)
+    tag = ServiceType.parse(stype).value
     if y < 0.0 or d < 0.0:
         raise InvalidInstanceError("allocation and demand must be nonnegative")
-    if stype is ServiceType.TYPE_II and (mean is None or mean <= 0.0):
-        raise InvalidInstanceError("Type-II service needs the positive demand mean")
-    return _service(stype, y, d, mean)
+    if tag == "TypeI":
+        return 1.0 if y >= d else 0.0
+    if tag == "TypeII":
+        if mean is None or mean <= 0.0:
+            raise InvalidInstanceError("Type-II service needs the positive demand mean")
+        return min(y, d) / mean
+    return 1.0 if d == 0.0 else min(y, d) / d
 
 
 def fill_masses(dist, rooms):
@@ -106,8 +112,7 @@ def fill_masses(dist, rooms):
     boundaries resolved at BOUNDARY_TOL.
 
     Each bound's mass is summed up the sorted atoms one at a time, in the
-    order np.cumsum adds them, so the values match the library's bit for bit
-    without its rank queries.
+    order np.cumsum adds them, so the values match the library's bit for bit.
     """
 
     def at_most(bound):
@@ -440,8 +445,8 @@ def propagate_fill_reference(dist, law, c):
 
     Returns (FiniteLaw, Branches), the fill law after one element of
     fbcrs.knapsack.run_knapsack_exact and its Branches, and raises
-    InfeasibleError on the same inputs.  Each size atom answers its
-    own rank queries and adds its stay mass to a running sum; the shifted
+    InfeasibleError on the same inputs.  Each size atom reads its own
+    CDF points and adds its stay mass to a running sum; the shifted
     copies are concatenated and merged at the end.
     """
     from fbcrs.errors import InfeasibleError, InvalidInstanceError, InvariantViolationError

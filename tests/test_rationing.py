@@ -13,6 +13,7 @@ from fbcrs.instances import (
     FORWARD,
     DemandLaw,
     RationingInstance,
+    ServiceType,
     SingleUnitInstance,
     order_row,
 )
@@ -81,6 +82,26 @@ def test_service_rejects_negative():
         service_value("TypeI", -0.1, 0.5)
     with pytest.raises(InvalidInstanceError):
         service_value("TypeIII", 0.1, -0.5)
+
+
+
+# demands 0, at most 1 and above 1
+SPREAD = DemandLaw(((0.0, 0.2), (0.4, 0.3), (1.0, 0.2), (1.7, 0.3)))
+
+
+@pytest.mark.parametrize("stype", list(ServiceType))
+def test_table_rule_matches_the_service_definitions(stype):
+    # Every allocation a route makes: an active slice gets 0 or its size on
+    # the knapsack route (every Type-I agent's) and anything up to its size
+    # on the single-unit route; an inactive slice gets 0.
+    table = _slices(SPREAD, stype, 0.9)
+    assert table.demand == (0.0, 0.4, 1.0, 1.7, 1.7)
+    assert table.active == (True, True, True, True, False)
+    for d, size, on, base, scale in zip(table.demand, table.size, table.active, table.base, table.scale):
+        assert size == (min(d, 1.0) if on else 0.0)
+        allocations = {0.0, size} if stype is ServiceType.TYPE_I else {0.0, 0.37 * size, size}
+        for y in allocations:
+            assert base + y / scale == service_value(stype, y, d, SPREAD.mean), (d, y)
 
 
 # --- quantile solving and supply ----------------------------------------------
@@ -232,7 +253,7 @@ def test_level_walk_and_newton_steps_match_the_bisection(data):
             assert _outcome(solve_q_for_beta, law, stype, b) == walk
             if not walk.startswith("service level"):
                 q = float.fromhex(walk)
-                assert list(_sizes(law, q).items()) == list(quantile_sizes_loop(law, q).items())
+                assert list(_sizes(_slices(law, stype, q)).items()) == list(quantile_sizes_loop(law, q).items())
     beta = max_uniform_beta(inst)
     lo, hi = max_uniform_beta_bisection(inst, CROSSING_TOL, SUPPLY_TOL)
     assert lo <= beta <= hi
@@ -247,6 +268,19 @@ def test_supply_x_is_the_reduction_mean_to_the_bit():
     target = ServiceTarget((0.3,), (1.0,), (x,))
     reduced = knapsack_reduction(RationingInstance((SHARED,), ("TypeI",)), target).instance
     assert reduced.laws[0].mean == x == 0.7899999999999999
+
+
+
+@pytest.mark.parametrize("service", [("TypeII", "TypeIII"), ("TypeI", "TypeII")], ids=["single-unit", "knapsack"])
+def test_target_of_another_instance_is_invalid_input(service):
+    # A's target asks B's agent 0 for share 0.5, which q = 0.5 buys only 0.25 of
+    target = exante_check(RationingInstance((UNIT, UNIT), service), (0.5, 0.5))
+    other = RationingInstance((MIXED, UNIT), service)
+    with pytest.raises(InvalidInstanceError, match="agent 0: supply share 0.5 is not the 0.25"):
+        run_rationing(other, target)
+    if "TypeI" in service:
+        with pytest.raises(InvalidInstanceError, match="agent 0: supply share 0.5 is not the 0.25"):
+            knapsack_reduction(other, target)
 
 
 def _accepted(inst, beta):
@@ -284,7 +318,7 @@ def test_every_accepted_target_passes_the_knapsack_reduction(data):
 
 
 def test_calibrate_tau_examples():
-    caps = _caps(_slices(MIXED, 0.7), FiniteLaw([1.0], [1.0]))[1:]
+    caps = _caps(_slices(MIXED, ServiceType.TYPE_II, 0.7), FiniteLaw([1.0], [1.0]))
     # full supply and tau = 1 reproduce the ex-ante x
     assert calibrate_tau(*caps, 0.45) == pytest.approx(1.0)
     # kink: 0.7 tau below 0.5, then 0.25 + 0.2 tau
@@ -297,13 +331,13 @@ def test_calibrate_tau_unreachable_target():
     rem = FiniteLaw([0.25], [1.0])
     # caps: min(0.5, 0.25) * 0.5 + min(2, 0.25) * 0.2 = 0.175 max
     with pytest.raises(InvariantViolationError):
-        calibrate_tau(*_caps(_slices(MIXED, 0.7), rem)[1:], 0.2)
+        calibrate_tau(*_caps(_slices(MIXED, ServiceType.TYPE_II, 0.7), rem), 0.2)
 
 
 def test_calibrate_tau_mixed_rem():
     rem = FiniteLaw([0.0, 1.0], [0.5, 0.5])
     # only the rem = 1 branch contributes: weights halve
-    assert calibrate_tau(*_caps(_slices(MIXED, 0.7), rem)[1:], 0.225) == pytest.approx(1.0)
+    assert calibrate_tau(*_caps(_slices(MIXED, ServiceType.TYPE_II, 0.7), rem), 0.225) == pytest.approx(1.0)
 
 
 # --- single-unit route ----------------------------------------------------------
@@ -371,7 +405,7 @@ def test_executor_quantile_map_puts_each_cdf_value_in_the_upper_slice():
     # where inverse_cdf (the smallest atom whose CDF reaches u) takes the
     # lower atom.  Either is a quantile map: the two differ on a null set.
     law = DemandLaw(((0.5, 0.25), (1.0, 0.5), (3.0, 0.25)))
-    sl = _slices(law, 1.0)
+    sl = _slices(law, ServiceType.TYPE_II, 1.0)
 
     def executor(u):
         return np.array(sl.demand).take(slice_index(np.asarray(u, dtype=float), sl.upper[:-1])).tolist()
@@ -402,7 +436,7 @@ def test_executor_rows_follow_the_allocation_rule(route):
     for demands, service in cases:
         inst = RationingInstance(demands, service)
         target = exante_check(inst, (0.4,) * inst.n)
-        slices = tuple(_slices(law, q) for law, q in zip(inst.demands, target.q))
+        slices = tuple(_slices(law, stype, q) for law, stype, q in zip(inst.demands, inst.service, target.q))
         built = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, slices, None)
         assert built.name == route
         seen = set()
@@ -437,7 +471,7 @@ PATHS_TOL = 1e-12
 
 def _assert_exact_tables_match_paths(inst, level):
     target = exante_check(inst, (level * max_uniform_beta(inst),) * inst.n)
-    slices = tuple(_slices(law, q) for law, q in zip(inst.demands, target.q))
+    slices = tuple(_slices(law, stype, q) for law, stype, q in zip(inst.demands, inst.service, target.q))
     route = _single_unit_route(inst, target, slices, None)
     assert not route.resamples
     want = single_unit_paths(inst, target.q, route.taus)
