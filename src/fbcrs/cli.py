@@ -36,7 +36,7 @@ from .instances import (
 )
 from .knapsack import closed_form_knapsack_plan, monitor_trace, replay_branches, run_knapsack_exact
 from .lp_si import alpha_0, dual_certificate_uniform, dual_feasibility, solve_lp_si
-from .rationing import exante_check, max_uniform_beta, run_rationing
+from .rationing import exante_check, max_uniform_beta, run_rationing, takes_knapsack_route
 from .single_unit import closed_form_plan, mc_selection_rates
 from .tolerances import LP_TOL, RATE_TOL
 
@@ -202,7 +202,7 @@ def cmd_ration(args) -> int:
     if target is None:
         raise InfeasibleError("requested service levels need more than the unit supply")
     plan = None
-    if args.plan == "closed" and not inst.has_type_i:
+    if args.plan == "closed" and not takes_knapsack_route(inst, target):
         plan = closed_form_plan(target.single_unit())
     result = run_rationing(inst, target, plan=plan, mode=mode, trials=args.trials or 0, seed=seed)
     if result.resamples:

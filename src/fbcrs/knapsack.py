@@ -495,24 +495,21 @@ def monitor_trace(
     b_grid,
 ) -> MonitorTraceReport:
     """Run the monitor_invariants checks at every step; also check E[T]
-    bookkeeping.
+    bookkeeping, both read off the dense block.
 
-    Per order, one cumsum of the dense block gives the (n + 1) x points
-    matrix of CDF values that feeds the checks of every step.  The
-    expectation identity E[T before element at position k] = sum of
+    Per order, one cumsum gives the (n + 1) x points matrix of CDF values
+    that feeds the checks of every step; one einsum against the grid's
+    fills gives E[T] before every arrival of both orders and at the end.
+    The expectation identity E[T before element at position k] = sum of
     c_sigma(j) * mu_j over the k-1 earlier elements must hold to RATE_TOL at
     every step, with mu_j the mean of the sizes the run admitted.
     """
     b, points = _monitor_points(b_grid)
     reports = []
-    actual = np.empty((2, inst.n + 1))  # E[T] before each arrival, and at the end
     values = _grid_values(result.grid)
     cols = values.searchsorted(points + ATOM_TOL, side="right") - 1
     for row, (tag, planned) in enumerate(zip((FORWARD, BACKWARD), arrival(plan.array))):
-        block = result.dense[row]
-        cdf = np.cumsum(block, axis=1)[:, cols]
-        # values[nz] @ step[nz] is what the trace view's `expectation` computes
-        actual[row] = [values[nz] @ step[nz] for step in block for nz in step.nonzero()]
+        cdf = np.cumsum(result.dense[row], axis=1)[:, cols]
         checks = _check_invariants(cdf, float(planned[0]), b, [*planned.tolist(), None])
         reports += [(tag, step, rep) for step, rep in enumerate(checks)]
     # SizeLaw.mean's sum, on the admitted sizes: inst.mu itself on a grid run
@@ -520,6 +517,7 @@ def monitor_trace(
     claimed = plan.array * np.array(mu)
     expected = np.zeros((2, inst.n + 1))
     expected[:, 1:] = arrival(before(claimed) + claimed)
+    actual = np.einsum("rsk,k->rs", result.dense, values)  # not a BLAS dot, which may start threads
     return MonitorTraceReport(tuple(reports), float(np.abs(actual - expected).max()))
 
 

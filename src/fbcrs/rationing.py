@@ -11,7 +11,8 @@ service rule (base, scale): allocation y serves base + y / scale.  _rule
 gives Type-II (0, mean), Type-I and Type-III at d = 0 (1, inf), Type-I at
 d > 1 (0, inf) and every other case (0, d).  That is exact on every
 allocation the routes make: each y is at most min(d, 1), so min(y, d) = y,
-and a Type-I agent (knapsack route only) gets 0 or min(d, 1).  Type-II
+and a Type-I agent gets 0 or min(d, 1): on the knapsack route, or 0 on a
+target that buys no supply, which runs on the single-unit route.  Type-II
 service exceeds 1 when the demand does the mean; clamping it would break
 the identity between expected service and the calibrated target.
 
@@ -21,7 +22,8 @@ receives its demand capped by the remaining supply and by a per-order
 threshold tau_i, calibrated so the expected allocation equals the planned
 selection rate times x_i.  Every agent then collects expected service of at
 least the pair-mean rate times beta_i.  Instances containing a Type-I agent
-run through the knapsack scheme instead, with element sizes min(D_i, 1).
+run through the knapsack scheme instead, with element sizes min(D_i, 1),
+unless their target buys no supply.
 """
 
 from __future__ import annotations
@@ -663,6 +665,12 @@ def _knapsack_route(
     )
 
 
+def takes_knapsack_route(inst: RationingInstance, target: ServiceTarget) -> bool:
+    """Whether run_rationing takes the knapsack route: a Type-I agent, on a
+    target that buys supply."""
+    return inst.has_type_i and target.total_supply > 0.0
+
+
 def run_rationing(
     inst: RationingInstance,
     target: ServiceTarget,
@@ -675,18 +683,20 @@ def run_rationing(
 
     Instances with a Type-I agent run through the knapsack scheme (sizes
     min(D, 1)); all others use the single-unit scheme with per-order
-    calibrated thresholds.  Both routes promise every agent expected service
-    of at least the pair-mean rate times beta.  Mode "exact" propagates the
-    remaining-supply or fill law in closed form and raises when an agent
-    misses the guarantee; "mc" simulates trials runs on top of the same
-    calibration; seed feeds mc mode only, as exact mode draws no
-    randomness.  plan covers the agents (single-unit route) or the reduced
-    elements (knapsack route); it defaults to the LP optimum or the closed
-    form, and an infeasible plan raises InfeasibleError in both modes.
-    On the single-unit route a remaining-supply law past REM_ATOM_CAP atoms
-    is merged into REM_BUCKETS mean-preserving atoms; result.resamples
-    counts those merges, and when it is nonzero exact mode is not exact
-    and result.guarantee_ok() is False.
+    calibrated thresholds, and so does a target that buys no supply
+    (total_supply 0) whatever the service types: it allocates nothing, which
+    the service rule scores exactly for a Type-I agent too.  Both routes
+    promise every agent expected service of at least the pair-mean rate
+    times beta.  Mode "exact" propagates the remaining-supply or fill law in
+    closed form and raises when an agent misses the guarantee; "mc"
+    simulates trials runs on top of the same calibration; seed feeds mc mode
+    only, as exact mode draws no randomness.  plan covers the agents
+    (single-unit route) or the reduced elements (knapsack route); it
+    defaults to the LP optimum or the closed form, and an infeasible plan
+    raises InfeasibleError in both modes.  On the single-unit route a
+    remaining-supply law past REM_ATOM_CAP atoms is merged into REM_BUCKETS
+    mean-preserving atoms; result.resamples counts those merges, and when it
+    is nonzero exact mode is not exact and result.guarantee_ok() is False.
     """
     if inst.n != target.n:
         raise InvalidInstanceError("target does not match the instance")
@@ -697,7 +707,7 @@ def run_rationing(
     slices = tuple(_slices(law, stype, q) for law, stype, q in zip(inst.demands, inst.service, target.q))
     for i, (sl, x) in enumerate(zip(slices, target.x)):
         _bought(i, sl, x)
-    route = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, slices, plan)
+    route = (_knapsack_route if takes_knapsack_route(inst, target) else _single_unit_route)(inst, target, slices, plan)
     if mode == "exact":
         estimates = None
         per = route.exact()

@@ -11,6 +11,7 @@ collides with them.  Executors draw one uniform per row and arrival
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,9 +30,19 @@ CHUNK = 1 << 16
 NS_TRIALS = 0
 
 
+def _integer(value, name: str) -> int:
+    """value as an int (operator.index: numpy integers pass, 1.5 and 1e4
+    do not), else ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+
+
 def stream(seed: int, *path: int) -> np.random.Generator:
-    """Generator that is a pure function of (seed, path)."""
-    entropy = (int(seed),) + tuple(int(p) for p in path)
+    """Generator that is a pure function of (seed, path); seed must be an
+    integer, so no fraction silently draws its floor's stream."""
+    entropy = (_integer(seed, "seed"),) + tuple(int(p) for p in path)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
@@ -171,7 +182,9 @@ def run_trials(experiment, trials: int, seed: int) -> dict:
     (seed, trials) on any number of threads.  Pairs come back as
     RateEstimate, triples as MeanEstimate.  Chunks run on min(chunks, CPUs
     this process may use) threads; a single chunk runs in the calling thread.
+    trials and seed must be integers.
     """
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     chunks = [(i, min(CHUNK, trials - i * CHUNK)) for i in range((trials + CHUNK - 1) // CHUNK)]

@@ -26,6 +26,7 @@ from fbcrs.instances import (
     dump_instance,
 )
 from fbcrs.lp_si import alpha_0, solve_lp_si
+from fbcrs.single_unit import closed_form_plan
 from fbcrs.tolerances import RATE_TOL
 
 
@@ -385,6 +386,24 @@ def test_ration_auto_on_off_grid_type_i_demands(tmp_path, capsys):
         assert float(row[10]) >= -1e-9
 
 
+# A Type-I agent past the unit supply puts the auto level at 0, so no agent
+# buys supply: the run allocates nothing, on the single-unit route.
+NO_SUPPLY_INSTANCE = RationingInstance(
+    (DemandLaw(((0.5, 1.0),)), DemandLaw(((1.4, 0.5), (1.5, 0.5)))), ("TypeII", "TypeI")
+)
+
+
+@pytest.mark.parametrize("extra", [[], ["--trials", "20000", "--seed", "1"]], ids=["exact", "mc"])
+def test_ration_auto_target_that_buys_no_supply(extra, tmp_path, capsys):
+    assert cli.main(["ration", "--instance", _write(tmp_path, "no_supply.json", NO_SUPPLY_INSTANCE), *extra]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [r[0] for r in rows[1:]] == ["1", "2"]
+    for row in rows[1:]:
+        assert float(row[1]) == 0.0 and float(row[3]) == 0.0  # beta and x
+        assert row[6] != "" and row[7] != ""  # single-unit route: thresholds
+        assert float(row[10]) == 0.0
+
+
 def test_ration_beta_file_just_above_the_supply_limit(tmp_path, capsys):
     # a user level whose supply total lies in (1 + MASS_TOL, 1 + SUPPLY_TOL]
     # is refused by the ex-ante check, not by the knapsack reduction after it
@@ -426,6 +445,20 @@ def test_ration_closed_plan_flag(rationing_path, capsys):
     assert cli.main(["ration", "--instance", rationing_path, "--plan", "closed"]) == 0
     rows = _rows(capsys.readouterr().out)
     assert float(rows[1][10]) >= -1e-9
+
+
+def test_ration_closed_plan_flag_on_a_target_that_buys_no_supply(tmp_path, monkeypatch):
+    # the single-unit route runs the closed form it was asked for, Type-I or not
+    plans, run_rationing = [], cli.run_rationing
+
+    def recorded(*args, **kwargs):
+        plans.append(kwargs["plan"])
+        return run_rationing(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_rationing", recorded)
+    path = _write(tmp_path, "no_supply.json", NO_SUPPLY_INSTANCE)
+    assert cli.main(["ration", "--instance", path, "--plan", "closed"]) == 0
+    assert plans == [closed_form_plan(SingleUnitInstance((0.0, 0.0)))]
 
 
 # --- dual-certificate -------------------------------------------------------------

@@ -132,13 +132,28 @@ def knapsack_plan_cases(draw):
     return inst, SelectionPlan(tuple(rates[0].tolist()), tuple(rates[1].tolist()))
 
 
+# The off-grid instance of the CI smoke test: no 1/L grid up to GRID_CAP
+# holds its sizes, so the exact run rounds them up onto 1/GRID_CAP.
+OFFGRID = KnapsackInstance(
+    (
+        SizeLaw(((0.1234567891, 0.5), (0.4012345678, 0.3)), 0.2),
+        SizeLaw(((0.2718281828, 0.6), (0.6180339887, 0.2)), 0.2),
+        SizeLaw(((0.0577215665, 0.7), (0.3141592654, 0.3))),
+    )
+)
+
+
 @settings(max_examples=120)
 @given(case=knapsack_plan_cases())
+@example(case=(OFFGRID, closed_form_knapsack_plan(OFFGRID)))
 def test_array_checks_match_the_loops(case):
-    # The plan, the feasibility report and the E[T] bookkeeping sum and
+    # The plan, the feasibility report and the claimed E[T] sum and
     # multiply in the loops' order, so they agree bit for bit.  The survival
     # term goes through numpy's exp, which may differ from math.exp in the
-    # last bit.
+    # last bit.  Each E[T] is a dot of L + 1 nonnegative terms and at most
+    # 1, so the monitor's one sum and each trace view's dot both lie within
+    # gamma = (L + 1)u / (1 - (L + 1)u) of it (u = 2^-53), and their worst
+    # errors within 2 gamma of each other.
     inst, plan = case
     assert closed_form_knapsack_plan(inst) == SelectionPlan(*knapsack_plan_loop(inst.mu))
     report = check_knapsack_feasible(plan, inst)
@@ -149,9 +164,11 @@ def test_array_checks_match_the_loops(case):
     if report.ok():
         result = run_knapsack_exact(inst, plan)
         monitor = monitor_trace(inst, plan, result, B_GRID)
-        assert monitor.max_expectation_error == expectation_error_loop(
-            plan.c_f, plan.c_b, inst.mu, result.traces_f, result.traces_b
-        )
+        # the means of the sizes the run admitted: inst.mu unless rounded
+        mu = [math.fsum(s * p for s, (_, p) in zip(sizes, law.atoms)) for sizes, law in zip(result.sizes, inst.laws)]
+        want = expectation_error_loop(plan.c_f, plan.c_b, mu, result.traces_f, result.traces_b)
+        terms = (result.grid + 1) * 2.0**-53
+        assert abs(monitor.max_expectation_error - want) <= 2.0 * terms / (1.0 - terms)
 
 
 def _fill_step(dist, law, c, grid=10):

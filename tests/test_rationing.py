@@ -567,6 +567,37 @@ def test_knapsack_route_skips_zero_supply_agents():
     assert result.guarantee_ok()
 
 
+# Targets that buy no supply.  A Type-I agent whose demand exceeds the unit
+# supply can never be served, so max_uniform_beta is 0 with one beside any
+# other agent; a lone Type-I agent whose zero-demand atom covers its level
+# is served there without any supply.
+NO_SUPPLY = {
+    "type-i-past-the-supply": RationingInstance(
+        (DemandLaw(((0.5, 1.0),)), DemandLaw(((1.4, 0.5), (1.5, 0.5)))), ("TypeII", "TypeI")
+    ),
+    "type-i-zero-demand-level": RationingInstance((DemandLaw(((0.0, 0.39), (1.7, 0.17), (1.9, 0.44))),), ("TypeI",)),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("name", list(NO_SUPPLY))
+def test_target_that_buys_no_supply_runs_the_single_unit_route(name, mode):
+    # every allocation is 0, so the single-unit route's service rule is
+    # exact for a Type-I agent too: it is served only where its demand is 0
+    inst = NO_SUPPLY[name]
+    target = exante_check(inst, (max_uniform_beta(inst),) * inst.n)
+    assert target.total_supply == 0.0
+    result = run_rationing(inst, target, mode=mode, trials=20_000 if mode == "mc" else 0, seed=1)
+    assert result.route == "single-unit"
+    assert result.guarantee_ok(), result.min_slack
+    for agent, law in zip(result.agents, inst.demands):
+        assert agent.expected_alloc == 0.0
+        if mode == "exact":
+            zero = math.fsum(p for d, p in law.atoms if d == 0.0)
+            assert agent.expected_service == pytest.approx(zero, abs=1e-12)
+            assert agent.slack >= 0.0
+
+
 def test_mc_agrees_with_exact_knapsack():
     # at SHARED's q near 0.77 two active slices buy the same size atom 1
     for law in (DemandLaw(((0.4, 0.5), (1.5, 0.5))), SHARED):

@@ -178,6 +178,26 @@ def test_run_trials_rejects_zero_trials():
         run_trials(_coin_experiment, 0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"trials": 1e4, "seed": 0}, "trials"),
+        ({"trials": 10, "seed": 1.5}, "seed"),
+        ({"trials": 10, "seed": 1.0}, "seed"),
+    ],
+    ids=["float-trials", "fractional-seed", "float-seed"],
+)
+def test_run_trials_rejects_non_integers(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        run_trials(_coin_experiment, **kwargs)
+
+
+def test_stream_rejects_a_fractional_seed():
+    # int(1.5) would draw the seed-1 stream
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        stream(1.5, 0)
+
+
 def test_run_trials_rejects_bad_tuple_width():
     def bad(rng, m):
         return {"k": (1.0,)}
@@ -195,28 +215,28 @@ def _fields(estimates: dict) -> dict:
     }
 
 
-def _single_unit_mc():
+def _single_unit_mc(seed=3):
     inst = SingleUnitInstance((0.3, 0.5, 0.2, 0.4))
-    return mc_selection_rates(inst, solve_lp_si(inst), CHUNK + 1234, seed=3)
+    return mc_selection_rates(inst, solve_lp_si(inst), CHUNK + 1234, seed=seed)
 
 
-def _knapsack_mc():
+def _knapsack_mc(seed=3):
     inst = KnapsackInstance((SizeLaw(((0.5, 1.0),)), SizeLaw(((0.2, 0.5), (0.7, 0.3)), 0.2)))
     plan = closed_form_knapsack_plan(inst)
-    return run_knapsack_mc(inst, plan, CHUNK + 1234, seed=3)
+    return run_knapsack_mc(inst, plan, CHUNK + 1234, seed=seed)
 
 
 def _rationing_mc(service):
-    def run():
+    def run(seed=3):
         laws = (DemandLaw(((0.5, 0.5), (2.0, 0.5))), DemandLaw(((0.3, 0.4), (1.0, 0.6))))
         inst = RationingInstance(laws, service)
         target = exante_check(inst, (0.4, 0.4))
-        return run_rationing(inst, target, mode="mc", trials=CHUNK + 1234, seed=3).estimates
+        return run_rationing(inst, target, mode="mc", trials=CHUNK + 1234, seed=seed).estimates
 
     return run
 
 
-@pytest.mark.parametrize(
+EXECUTORS = pytest.mark.parametrize(
     "executor",
     [
         _single_unit_mc,
@@ -226,6 +246,9 @@ def _rationing_mc(service):
     ],
     ids=["mc_selection_rates", "run_knapsack_mc", "rationing-single-unit", "rationing-knapsack"],
 )
+
+
+@EXECUTORS
 def test_executors_deterministic_across_workers(executor, monkeypatch):
     # two chunks, the second ragged, on one CPU and then on four (two
     # threads): the sums must not depend on which thread ran which chunk
@@ -234,3 +257,12 @@ def test_executors_deterministic_across_workers(executor, monkeypatch):
     monkeypatch.setattr(sim, "_cpu_count", lambda: 4)
     two = executor()
     assert one and _fields(one) == _fields(two)
+
+
+@EXECUTORS
+def test_executors_take_integer_seeds_only(executor):
+    # a numpy integer draws the Python int's streams; a fraction raises
+    # rather than drawing its floor's
+    assert _fields(executor(np.int64(3))) == _fields(executor(3))
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        executor(3.5)
