@@ -14,7 +14,8 @@ every size; sizes on no such grid are admitted rounded up onto 1/GRID_CAP,
 which only leaves capacity unused.  The Monte Carlo executor replays the
 exact run's Branches, at the sizes it admitted, through one admission kernel
 (Admission) in one replay loop (replay_admissions, which the rationing
-knapsack route shares), so it cross-checks the exact fill law itself.
+knapsack route shares), so it cross-checks the exact fill law itself.  Its
+fills are integer grid steps too, so it decides every fit as the run does.
 """
 
 from __future__ import annotations
@@ -186,10 +187,6 @@ class FiniteLaw:
     def mass(self) -> float:
         return float(self.probs.sum())
 
-    @cached_property
-    def expectation(self) -> float:
-        return float(self.values @ self.probs)
-
 
 class Branches(NamedTuple):
     """One element's branch parameters, one entry per atom of its size law.
@@ -307,9 +304,10 @@ class KnapsackExactResult:
     branches_* hold every element's Branches, so the executor's bit
     parameters can be replayed without re-propagating.  grid is the L of the
     run's 1/L grid; rounded says the sizes lay on no grid up to GRID_CAP and
-    were admitted rounded up onto 1/GRID_CAP.  sizes[i][j] is the size the
-    run admitted for atom j of element i (the true size unless rounded; two
-    atoms may share one).  dense[row, step, k] is Pr[T = k/L] (row 0
+    were admitted rounded up onto 1/GRID_CAP.  steps[i][j] is the size the
+    run admitted for atom j of element i in grid steps, the size
+    steps[i][j]/grid (the true size unless rounded; two atoms may share
+    one).  dense[row, step, k] is Pr[T = k/L] (row 0
     forward, 1 backward); traces_f and traces_b hold n+1 FiniteLaw views of
     its rows each, before each arrival and final, built on first access.
     """
@@ -320,7 +318,7 @@ class KnapsackExactResult:
     branches_b: tuple[Branches, ...]
     grid: int
     rounded: bool
-    sizes: tuple[tuple[float, ...], ...]
+    steps: tuple[tuple[int, ...], ...]
     dense: np.ndarray = field(repr=False)  # (2, n + 1, L + 1), read-only
 
     @cached_property
@@ -332,7 +330,7 @@ class KnapsackExactResult:
         return self._trace(1)
 
     def _trace(self, row: int) -> tuple[FiniteLaw, ...]:
-        values = _grid_values(self.grid)
+        values = np.arange(self.grid + 1) / self.grid
         return tuple(FiniteLaw(values[nz], step[nz]) for step in self.dense[row] for nz in step.nonzero())
 
     def rates(self, tag: str) -> tuple[float, ...]:
@@ -356,11 +354,6 @@ class KnapsackExactResult:
         return max(self.rate_errors(plan))
 
 
-def _grid_values(grid: int) -> np.ndarray:
-    """The fills k/L, k = 0..L, of a 1/L grid."""
-    return np.arange(grid + 1) / grid
-
-
 def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackExactResult:
     """Propagate the fill law through both orders and read off exact rates.
 
@@ -369,7 +362,7 @@ def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackE
     admitted as ceil(s L)/L with L = GRID_CAP, the smallest grid point at or
     above it: a rounded size only leaves capacity unused, so the scheme stays
     feasible for the true sizes, and the rates are exact for the policy that
-    runs (the executors replay result.sizes).  Rounding can make a planned
+    runs (the executors replay result.steps).  Rounding can make a planned
     rate unreachable; the InfeasibleError then says the sizes were rounded.
     """
     check_knapsack_feasible(plan, inst).require()
@@ -399,8 +392,8 @@ def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackE
         per_order.append((tuple(rates), tuple(branches)))
     dense.flags.writeable = False
     (rates_f, branches_f), (rates_b, branches_b) = per_order
-    admitted = tuple(tuple((k / grid).tolist()) for k in ks)
-    return KnapsackExactResult(rates_f, rates_b, branches_f, branches_b, grid, rounded, admitted, dense)
+    steps = tuple(tuple(k.tolist()) for k in ks)
+    return KnapsackExactResult(rates_f, rates_b, branches_f, branches_b, grid, rounded, steps, dense)
 
 
 @dataclass(frozen=True)
@@ -506,14 +499,15 @@ def monitor_trace(
     """
     b, points = _monitor_points(b_grid)
     reports = []
-    values = _grid_values(result.grid)
+    grid = result.grid
+    values = np.arange(grid + 1) / grid  # the fills k/L
     cols = values.searchsorted(points + ATOM_TOL, side="right") - 1
     for row, (tag, planned) in enumerate(zip((FORWARD, BACKWARD), arrival(plan.array))):
         cdf = np.cumsum(result.dense[row], axis=1)[:, cols]
         checks = _check_invariants(cdf, float(planned[0]), b, [*planned.tolist(), None])
         reports += [(tag, step, rep) for step, rep in enumerate(checks)]
     # SizeLaw.mean's sum, on the admitted sizes: inst.mu itself on a grid run
-    mu = [math.fsum(s * p for s, (_, p) in zip(sizes, law.atoms)) for sizes, law in zip(result.sizes, inst.laws)]
+    mu = [math.fsum(k / grid * p for k, (_, p) in zip(ks, law.atoms)) for ks, law in zip(result.steps, inst.laws)]
     claimed = plan.array * np.array(mu)
     expected = np.zeros((2, inst.n + 1))
     expected[:, 1:] = arrival(before(claimed) + claimed)
@@ -530,45 +524,46 @@ class Admission(NamedTuple):
     again uniform and independent of the atom, so it also decides acceptance.
     The fill picks the branch: state 0 for an empty knapsack (zero branch
     b2), 1 when the size fits (interval branch b1), 2 when it does not (never
-    admitted); the row is admitted when u < lo_k + width_k * b.
+    admitted); the row is admitted when u < lo_k + width_k * b.  Sizes and
+    fills are integer steps of the exact run's 1/L grid, as there.
     """
 
     edges: tuple[float, ...]  # slice k covers [edges[k-1], edges[k])
-    room: np.ndarray  # per slice, 1 - size + ATOM_TOL: larger fills do not fit
+    room: np.ndarray  # per slice, L - k: larger fills do not fit
     thresholds: np.ndarray  # per slice and state, row-major: lo + width * (b2, b1, 0)
-    gains: np.ndarray  # per outcome code 2k + admitted: the size added to the fill
+    gains: np.ndarray  # per outcome code 2k + admitted: the steps added to the fill
 
     @classmethod
-    def build(cls, upper, sizes, b1, b2) -> Admission:
-        """Slices end at `upper` (the last runs on to 1); inactive slices have
-        size 0 and b1 = b2 = 0.  Tables are a handful of entries, so plain
-        float lists build them faster than array operations."""
+    def build(cls, upper, steps, grid: int, b1, b2) -> Admission:
+        """Slices end at `upper` (the last runs on to 1) and admit `steps` of
+        a 1/grid grid; inactive slices have 0 steps and b1 = b2 = 0.  Tables
+        are a handful of entries: plain lists build them faster than arrays."""
         upper = [float(v) for v in upper]
         lo = [0.0] + upper[:-1]
         thresholds = [t for a, z, p, q in zip(lo, upper, b2, b1) for t in (a + (z - a) * p, a + (z - a) * q, a)]
-        gains = np.array([g for size in sizes for g in (0.0, size)], dtype=float)
-        return cls(tuple(upper[:-1]), 1.0 - gains[1::2] + ATOM_TOL, np.array(thresholds), gains)
+        gains = np.array([g for k in steps for g in (0, k)], dtype=np.int32)
+        return cls(tuple(upper[:-1]), grid - gains[1::2], np.array(thresholds), gains)
 
     @classmethod
-    def of_law(cls, law: SizeLaw, sizes, branches: Branches) -> Admission:
-        """Slices of a size law: its atoms in order, admitted at `sizes` (one
-        per atom, as KnapsackExactResult.sizes gives them), then the inactive
+    def of_law(cls, law: SizeLaw, steps, grid: int, branches: Branches) -> Admission:
+        """Slices of a size law: its atoms in order, admitted at `steps` (one
+        per atom, as KnapsackExactResult.steps gives them), then the inactive
         mass."""
-        inactive = [0.0] if law.inactive_mass > 0.0 else []  # size and branches of that slice
+        inactive = [0] if law.inactive_mass > 0.0 else []  # steps and branches of that slice
         upper = np.cumsum([p for _, p in law.atoms]).tolist() + [1.0] * len(inactive)
-        return cls.build(upper, [*sizes, *inactive], [*branches.b1, *inactive], [*branches.b2, *inactive])
+        return cls.build(upper, [*steps, *inactive], grid, [*branches.b1, *inactive], [*branches.b2, *inactive])
 
     def admit(self, u: np.ndarray, fill: np.ndarray) -> np.ndarray:
-        """Admit rows with uniforms u against fills, adding admitted sizes to
-        fill in place.  Returns the outcome code 2 * slice + admitted, int8
-        while 3 * slices < 128 and intp beyond."""
+        """Admit rows with uniforms u against int32 fills, adding admitted
+        steps to fill in place.  Returns the outcome code 2 * slice +
+        admitted, int8 while 3 * slices < 128 and intp beyond."""
         k = slice_index(u, self.edges)
         if 3 * self.room.size >= 128:
             k = k.astype(np.intp)
         # In place and in k's dtype from here on: a bool added into a wider
         # integer array costs several times the comparison that made it.
         branch = 3 * k
-        branch += (fill > 0.0).view(np.int8)
+        branch += (fill > 0).view(np.int8)
         branch += (fill > self.room.take(k)).view(np.int8)
         code = k + k
         code += (u < self.thresholds.take(branch)).view(np.int8)
@@ -576,18 +571,19 @@ class Admission(NamedTuple):
         return code
 
 
-def replay_admissions(rules: dict, rng: np.random.Generator, m: int, n: int):
+def replay_admissions(rules: dict, grid: int, rng: np.random.Generator, m: int, n: int):
     """Run the knapsack admission rule on m rows, both orders at once.
 
-    rules[tag][i] is element i's Admission in order tag.  Yields
-    (tag, rows, element, uniforms, outcome codes) per arrival half, as
-    two_orders and Admission.admit give them, and after the last arrival
-    raises InvariantViolationError if a row's fill exceeds 1 + FEAS_TOL.
+    rules[tag][i] is element i's Admission in order tag, on a 1/grid grid.
+    Yields (tag, rows, element, uniforms, outcome codes) per arrival half,
+    as two_orders and Admission.admit give them, and after the last arrival
+    raises InvariantViolationError if a row's fill exceeds grid steps.  The
+    int32 fills cannot wrap past that check while n * grid < 2^31.
     """
-    fills = np.zeros(m)
+    fills = np.zeros(m, dtype=np.int32)
     for tag, rows, i, u in two_orders(rng, m, n):
         yield tag, rows, i, u, rules[tag][i].admit(u, fills[rows])
-    if m and fills.max() > 1.0 + FEAS_TOL:
+    if m and fills.max() > grid:
         raise InvariantViolationError("accepted sizes exceeded the knapsack")
 
 
@@ -604,14 +600,15 @@ def run_knapsack_mc(inst: KnapsackInstance, plan: SelectionPlan, trials: int, se
 def replay_branches(inst: KnapsackInstance, exact: KnapsackExactResult, trials: int, seed: int):
     """run_knapsack_mc on the Branches of exact, a run_knapsack_exact result
     for inst, so a caller that also reads the exact run propagates once."""
+    grid = exact.grid
     rules = {
-        tag: [Admission.of_law(law, sizes, br) for law, sizes, br in zip(inst.laws, exact.sizes, exact.branches(tag))]
+        tag: [Admission.of_law(law, ks, grid, br) for law, ks, br in zip(inst.laws, exact.steps, exact.branches(tag))]
         for tag in (FORWARD, BACKWARD)
     }
 
     def experiment(rng, m: int):
         out = {}
-        for tag, _, i, _, code in replay_admissions(rules, rng, m, inst.n):
+        for tag, _, i, _, code in replay_admissions(rules, grid, rng, m, inst.n):
             active = 2 * len(inst.laws[i].atoms)  # codes of the atoms' slices
             out[(tag[0], i)] = (float(np.count_nonzero(code & 1)), np.count_nonzero(code < active))
         return out

@@ -150,13 +150,18 @@ def supply_x(law: DemandLaw, q: float) -> float:
     return _share(_sizes(_slices(law, None, q)))
 
 
-def _bought(i: int, sl: _Slices, x: float) -> dict[float, float]:
-    """Agent i's sizes; raises InvalidInstanceError unless they buy its share
-    x within CALIBRATION_TOL (a target solved for another instance)."""
-    sizes = _sizes(sl)
-    if abs(_share(sizes) - x) > CALIBRATION_TOL:
-        raise InvalidInstanceError(f"agent {i}: supply share {x:.12g} is not the {_share(sizes):.12g} q buys")
-    return sizes
+def _cut(inst: RationingInstance, target: ServiceTarget) -> tuple[_Slices, ...]:
+    """Every agent's table at its quantile q_i; raises InvalidInstanceError
+    unless each x_i is the share q_i buys within CALIBRATION_TOL (a target
+    solved for another instance)."""
+    if inst.n != target.n:
+        raise InvalidInstanceError("target does not match the instance")
+    slices = tuple(_slices(law, stype, q) for law, stype, q in zip(inst.demands, inst.service, target.q))
+    for i, (sl, x) in enumerate(zip(slices, target.x)):
+        share = _share(_sizes(sl))
+        if abs(share - x) > CALIBRATION_TOL:
+            raise InvalidInstanceError(f"agent {i}: supply share {x:.12g} is not the {share:.12g} q buys")
+    return slices
 
 
 def _climb(top: _Slices, beta: float) -> tuple[float, float, float]:
@@ -425,16 +430,19 @@ class KnapsackReduction:
 def knapsack_reduction(inst: RationingInstance, target: ServiceTarget) -> KnapsackReduction:
     """Build the knapsack instance with element sizes min(D, 1) on Q < q;
     raises InvalidInstanceError unless each x_i is the share q_i buys."""
-    if inst.n != target.n:
-        raise InvalidInstanceError("target does not match the instance")
+    return _reduction(_cut(inst, target), target.x)
+
+
+def _reduction(slices: tuple[_Slices, ...], xs: tuple[float, ...]) -> KnapsackReduction:
+    """knapsack_reduction on the agent tables _cut returns."""
     laws: list[SizeLaw] = []
     element_of_agent: list[int | None] = []
-    for i, (law, stype, q, x) in enumerate(zip(inst.demands, inst.service, target.q, target.x)):
-        sizes = _bought(i, _slices(law, stype, q), x)
+    for sl, x in zip(slices, xs):
         if x <= 0.0:
             element_of_agent.append(None)
             continue
         element_of_agent.append(len(laws))
+        sizes = _sizes(sl)
         laws.append(SizeLaw(tuple(sizes.items()), inactive_mass=1.0 - math.fsum(sizes.values())))
     if not laws:
         raise InfeasibleError("no agent buys any supply; nothing to allocate")
@@ -534,10 +542,10 @@ def _knapsack_runner(slices: tuple[_Slices, ...], red: KnapsackReduction, exact:
     """The knapsack admission rule on both orders at once, sizes min(D, 1).
 
     exact is the reduced instance's exact run; exact.branches(tag)[e] is
-    element e's Branches and exact.sizes[e] the sizes it admitted, which the
-    fill takes on.  An arrival's outcome is its slice and whether it was
-    admitted, so the sums come from per-outcome allocation and service
-    tables, on the true allocation: the slice's size.  An agent with no
+    element e's Branches and exact.steps[e] the sizes it admitted, in steps
+    of its grid, which the fill takes on.  An arrival's outcome is its slice
+    and whether it was admitted, so the sums come from per-outcome allocation
+    and service tables, on the true allocation min(d, 1).  An agent with no
     element is never admitted.  Returns run(rng, m) as _single_unit_runner.
     """
     rules, alloc, service = {FORWARD: [], BACKWARD: []}, [], []
@@ -545,17 +553,17 @@ def _knapsack_runner(slices: tuple[_Slices, ...], red: KnapsackReduction, exact:
         # each active slice buys the size atom of its size
         atom_of_size = {} if e is None else {s: j for j, (s, _) in enumerate(red.instance.laws[e].atoms)}
         size_atom = [atom_of_size[s] if on and e is not None else None for s, on in zip(sl.size, sl.active)]
-        fills = [0.0 if a is None else exact.sizes[e][a] for a in size_atom]  # as the exact run admitted them
+        steps = [0 if a is None else exact.steps[e][a] for a in size_atom]  # as the exact run admitted them
         for tag in rules:
             branches = ((), ()) if e is None else exact.branches(tag)[e][:2]
             b1, b2 = ([0.0 if a is None else b[a] for a in size_atom] for b in branches)
-            rules[tag].append(Admission.build(sl.upper, fills, b1, b2))
-        alloc.append(np.array([g for size in sl.size for g in (0.0, size)]))  # per outcome code, as Admission.gains
+            rules[tag].append(Admission.build(sl.upper, steps, exact.grid, b1, b2))
+        alloc.append(np.array([g for size in sl.size for g in (0.0, size)]))  # per outcome code 2k + admitted
         service.append(np.repeat(sl.base, 2) + alloc[-1] / np.repeat(sl.scale, 2))
 
     def run(rng, m: int):
         out = {}
-        for tag, _, i, _, code in replay_admissions(rules, rng, m, len(slices)):
+        for tag, _, i, _, code in replay_admissions(rules, exact.grid, rng, m, len(slices)):
             y, s = alloc[i], service[i]
             counts = np.bincount(code, minlength=y.size)
             out[("service", tag[0], i)] = (float(counts @ s), float(counts @ (s * s)), code.size)
@@ -639,7 +647,7 @@ def _knapsack_tables(
 def _knapsack_route(
     inst: RationingInstance, target: ServiceTarget, slices: tuple[_Slices, ...], plan: SelectionPlan | None
 ) -> _Route:
-    red = knapsack_reduction(inst, target)
+    red = _reduction(slices, target.x)
     if plan is None:
         plan = closed_form_knapsack_plan(red.instance)
     if plan.n != red.instance.n:
@@ -698,15 +706,11 @@ def run_rationing(
     mean-preserving atoms; result.resamples counts those merges, and when it
     is nonzero exact mode is not exact and result.guarantee_ok() is False.
     """
-    if inst.n != target.n:
-        raise InvalidInstanceError("target does not match the instance")
     if mode not in ("exact", "mc"):
         raise InvalidInstanceError(f"unknown mode {mode!r}")
     if mode == "mc" and trials < 1:
         raise InvalidInstanceError("mc mode needs trials >= 1")
-    slices = tuple(_slices(law, stype, q) for law, stype, q in zip(inst.demands, inst.service, target.q))
-    for i, (sl, x) in enumerate(zip(slices, target.x)):
-        _bought(i, sl, x)
+    slices = _cut(inst, target)
     route = (_knapsack_route if takes_knapsack_route(inst, target) else _single_unit_route)(inst, target, slices, plan)
     if mode == "exact":
         estimates = None

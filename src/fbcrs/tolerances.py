@@ -57,20 +57,18 @@ MONOTONE_TOL = 1e-12
 # --- exact propagation ----------------------------------------------------------
 
 # Law values closer than this merge onto the earlier value, and law
-# boundaries resolve at it.  run_knapsack_exact keeps fills as integers k
-# (the fill k/L), so its fits are exact and nothing merges there.  Produced
-# by the remaining-supply propagation alone; received by FiniteLaw.merged and
-# FiniteLaw's [0, 1] range check, by the CDF points of monitor_invariants and
-# monitor_trace (b and 1 - b), and by Admission's fit bound 1 - s + ATOM_TOL,
-# so the Monte Carlo executor, whose fills are float sums of the same grid
-# points, admits exactly the fills the exact run fits.
+# boundaries resolve at it.  run_knapsack_exact and its Monte Carlo replays
+# keep fills as integers k (the fill k/L), so their fits are exact and
+# nothing merges there.  Produced by the remaining-supply propagation alone;
+# received by FiniteLaw.merged and FiniteLaw's [0, 1] range check, and by
+# the CDF points of monitor_invariants and monitor_trace (b and 1 - b).
 ATOM_TOL = 1e-12
 
-# Knapsack feasibility.  Produced by plans, fill laws and executors; received
-# by KnapsackFeasibilityReport.ok, InvariantReport.ok, monitor_invariants
-# and monitor_trace, the reachability check of the fill step, and the two
-# Monte Carlo bounds: the single-unit rationing runner's remaining-supply
-# check (at least 0) and replay_admissions' fill check (at most 1).
+# Feasibility.  Produced by plans, fill laws and the single-unit rationing
+# executor; received by KnapsackFeasibilityReport.ok, InvariantReport.ok,
+# monitor_invariants and monitor_trace, the reachability check of the fill
+# step, and the single-unit rationing runner's remaining-supply check (at
+# least 0).
 FEAS_TOL = 1e-9
 
 # Planned against realized acceptance rates.  Produced by run_knapsack_exact;
@@ -91,7 +89,7 @@ CROSSING_TOL = 1e-15
 # remaining-supply propagation; received by calibrate_tau's reachability
 # check, the supply floor, allocation and service invariants of
 # _exact_order, the check that a target's supply shares are the ones its
-# quantiles buy on this instance (rationing._bought, in run_rationing and
+# quantiles buy on this instance (rationing._cut, in run_rationing and
 # knapsack_reduction), exact mode's guarantee check and
 # RationingResult.guarantee_ok in both modes.
 CALIBRATION_TOL = 1e-9

@@ -31,8 +31,8 @@ from itertools import product
 import numpy as np
 from scipy import optimize, stats
 
-# Mirrors the executor's boundary conventions exactly (same constant value
-# as the library's ATOM_TOL, restated here on purpose).
+# The float boundary of the oracles that walk fill and supply values (same
+# constant value as the library's ATOM_TOL, restated here on purpose).
 BOUNDARY_TOL = 1e-12
 
 
@@ -308,7 +308,7 @@ def expectation_error_loop(rates_f, rates_b, mu, traces_f, traces_b):
         expected = 0.0
         order = list(arrival_order(tag, len(mu)))
         for step, dist in enumerate(trace):
-            worst = max(worst, abs(dist.expectation - expected))
+            worst = max(worst, abs(float(dist.values @ dist.probs) - expected))
             if step < len(mu):
                 expected += rates[order[step]] * mu[order[step]]
     return worst
@@ -319,7 +319,7 @@ def replay_knapsack_paths(inst, branches, order):
 
     Tracks the fill distribution as exact float values without any atom
     merging.  Returns (per-element Pr[accept | active], final states dict).
-    Branch choice mirrors the executor: fill <= tol takes the zero branch,
+    Branch choice on float fills: fill <= tol takes the zero branch,
     fill <= 1 - s + tol the interval branch, anything larger rejects.
     """
     states = {0.0: 1.0}
@@ -480,31 +480,31 @@ def propagate_fill_reference(dist, law, c):
     return new, branches
 
 
-def admit_reference(upper, sizes, b1, b2, u, fill):
-    """Admission.admit for the table Admission.build(upper, sizes, b1, b2),
-    one row at a time in plain Python.
+def admit_reference(upper, steps, grid, b1, b2, u, fill):
+    """Admission.admit for the table Admission.build(upper, steps, grid, b1,
+    b2), one row at a time in plain Python.
 
-    A row's slice is the first k with u < upper[k] (the last slice runs on to
-    1).  Fill 0 takes b2, a fill of at most 1 - size + BOUNDARY_TOL takes b1,
-    a larger one is turned away; the row is admitted when u lies below
-    lo + width * b within its slice.  Returns (codes 2k + admitted, fills
-    after admission) as lists.
+    A row's slice is the first j with u < upper[j] (the last slice runs on to
+    1).  Fills and sizes are integer steps of a 1/grid grid: fill 0 takes b2,
+    a fill t with t + steps[j] <= grid takes b1, a larger one is turned away;
+    the row is admitted when u lies below lo + width * b within its slice.
+    Returns (codes 2j + admitted, fills after admission) as lists.
     """
     codes, fills = [], []
     for x, t in zip(np.asarray(u).tolist(), np.asarray(fill).tolist()):
-        k = 0
-        while k < len(upper) - 1 and x >= upper[k]:
-            k += 1
-        lo = upper[k - 1] if k else 0.0
-        if t <= 0.0:
-            b = b2[k]
-        elif t <= 1.0 - sizes[k] + BOUNDARY_TOL:
-            b = b1[k]
+        j = 0
+        while j < len(upper) - 1 and x >= upper[j]:
+            j += 1
+        lo = upper[j - 1] if j else 0.0
+        if t == 0:
+            b = b2[j]
+        elif t + steps[j] <= grid:
+            b = b1[j]
         else:
             b = 0.0
-        admitted = x < lo + (upper[k] - lo) * b
-        codes.append(2 * k + admitted)
-        fills.append(t + sizes[k] if admitted else t)
+        admitted = x < lo + (upper[j] - lo) * b
+        codes.append(2 * j + admitted)
+        fills.append(t + steps[j] if admitted else t)
     return codes, fills
 
 
@@ -513,7 +513,7 @@ def admit_wide(rule, u, fill):
     np.searchsorted, comparison results added in as bools."""
     k = np.searchsorted(np.asarray(rule.edges, dtype=float), u, side="right")
     branch = 3 * k
-    branch += fill > 0.0
+    branch += fill > 0
     branch += fill > rule.room.take(k)
     code = k + k
     code += u < rule.thresholds.take(branch)
@@ -528,13 +528,14 @@ def knapsack_mc_reference(inst, exact, trials, seed):
     from fbcrs.knapsack import Admission
     from fbcrs.sim import run_trials, two_orders
 
+    grid = exact.grid
     rules = {
-        tag: [Admission.of_law(law, sizes, br) for law, sizes, br in zip(inst.laws, exact.sizes, exact.branches(tag))]
+        tag: [Admission.of_law(law, ks, grid, br) for law, ks, br in zip(inst.laws, exact.steps, exact.branches(tag))]
         for tag in (FORWARD, BACKWARD)
     }
 
     def experiment(rng, m):
-        fills = np.zeros(m)
+        fills = np.zeros(m, dtype=np.int64)
         out = {}
         for tag, rows, i, u in two_orders(rng, m, inst.n):
             code = admit_wide(rules[tag][i], u, fills[rows])

@@ -8,6 +8,7 @@ budget is missed.
 import math
 import sys
 import time
+import traceback
 from itertools import product
 
 import numpy as np
@@ -285,6 +286,10 @@ if __name__ == "__main__":
         name = [n for n in sorted(globals()) if n.startswith(f"test_criterion_{k}_")][0]
         try:
             globals()[name]()
-        except AssertionError:
+        except AssertionError:  # _report printed the FAIL line
+            bad += 1
+        except Exception as exc:  # a criterion that cannot run fails too
+            traceback.print_exc()
+            print(f"criterion {k}: FAIL -- raised {type(exc).__name__}: {exc}")
             bad += 1
     sys.exit(1 if bad else 0)

@@ -165,7 +165,8 @@ def test_array_checks_match_the_loops(case):
         result = run_knapsack_exact(inst, plan)
         monitor = monitor_trace(inst, plan, result, B_GRID)
         # the means of the sizes the run admitted: inst.mu unless rounded
-        mu = [math.fsum(s * p for s, (_, p) in zip(sizes, law.atoms)) for sizes, law in zip(result.sizes, inst.laws)]
+        grid = result.grid
+        mu = [math.fsum(k / grid * p for k, (_, p) in zip(ks, law.atoms)) for ks, law in zip(result.steps, inst.laws)]
         want = expectation_error_loop(plan.c_f, plan.c_b, mu, result.traces_f, result.traces_b)
         terms = (result.grid + 1) * 2.0**-53
         assert abs(monitor.max_expectation_error - want) <= 2.0 * terms / (1.0 - terms)
@@ -232,7 +233,7 @@ def test_fill_distribution_validation():
 def test_finite_law_validation():
     law = FiniteLaw([0.0, 1.0], [0.25, 0.75])
     assert law.atoms == ((0.0, 0.25), (1.0, 0.75))
-    assert law.expectation == pytest.approx(0.75, abs=1e-15)
+    assert law.values @ law.probs == pytest.approx(0.75, abs=1e-15)
     assert law.support_size == 2
     with pytest.raises(ValueError):
         law.values[0] = 0.5  # the arrays are read-only
@@ -431,7 +432,8 @@ def test_exact_expectation_identity():
             expected = math.fsum(
                 plan.rates(tag)[i] * inst.mu[i] for i in range(inst.n)
             )
-            assert result.traces(tag)[-1].expectation == pytest.approx(expected, abs=1e-10)
+            final = result.traces(tag)[-1]
+            assert final.values @ final.probs == pytest.approx(expected, abs=1e-10)
 
 
 # --- the grid fill step against the per-atom reference ---------------------
@@ -568,50 +570,53 @@ def test_mass_checks_still_bite():
 # --- Monte Carlo -------------------------------------------------------------
 
 
-# Two size atoms on [0, 0.6), inactive mass above: slice 0 is size 0.3 with
-# (b1, b2) = (0.5, 0.25), slice 1 is size 0.6 with (0.2, 0.9), slice 2 is
-# inactive.  The kernel does not read the rates.
+# Two size atoms on [0, 0.6), inactive mass above, on a 1/10 grid: slice 0
+# is size 0.3 (3 steps) with (b1, b2) = (0.5, 0.25), slice 1 is size 0.6
+# (6 steps) with (0.2, 0.9), slice 2 is inactive.  The kernel does not read
+# the rates.
 KERNEL_LAW = SizeLaw(((0.3, 0.4), (0.6, 0.2)), inactive_mass=0.4)
-KERNEL_SIZES = (0.3, 0.6)
+KERNEL_GRID = 10
+KERNEL_STEPS = (3, 6)
 KERNEL_B1, KERNEL_B2 = (0.5, 0.2), (0.25, 0.9)
 KERNEL_BRANCHES = Branches(KERNEL_B1, KERNEL_B2, rate=(0.0, 0.0))
 
 
 def _admit(rule, u, fill):
-    fill = np.array(fill, dtype=float)
+    fill = np.array(fill, dtype=np.int32)
     code = rule.admit(np.array(u, dtype=float), fill)
     return code >> 1, (code & 1).astype(bool), fill
 
 
 def test_admission_kernel_picks_the_branch_by_fill():
-    rule = Admission.of_law(KERNEL_LAW, KERNEL_SIZES, KERNEL_BRANCHES)
+    rule = Admission.of_law(KERNEL_LAW, KERNEL_STEPS, KERNEL_GRID, KERNEL_BRANCHES)
     # u at a fraction f of slice 0 ([0, 0.4)) is admitted when f < b
     u = [0.4 * 0.24, 0.4 * 0.26, 0.4 * 0.49, 0.4 * 0.51]
-    k, admitted, fill = _admit(rule, u, [0.0] * 4)  # empty: zero branch b2 = 0.25
+    k, admitted, fill = _admit(rule, u, [0] * 4)  # empty: zero branch b2 = 0.25
     assert k.tolist() == [0, 0, 0, 0]
     assert admitted.tolist() == [True, False, False, False]
-    assert fill.tolist() == [0.3, 0.0, 0.0, 0.0]
-    _, admitted, fill = _admit(rule, u, [0.1] * 4)  # fits: interval branch b1 = 0.5
+    assert fill.tolist() == [3, 0, 0, 0]
+    _, admitted, fill = _admit(rule, u, [1] * 4)  # fits: interval branch b1 = 0.5
     assert admitted.tolist() == [True, True, True, False]
-    assert fill.tolist() == pytest.approx([0.4, 0.4, 0.4, 0.1], abs=1e-15)
+    assert fill.tolist() == [4, 4, 4, 1]
     # slice 1 ([0.4, 0.6)) reads its own branches: b2 = 0.9, b1 = 0.2
     u = [0.4 + 0.2 * 0.15, 0.4 + 0.2 * 0.85]
-    k, admitted, _ = _admit(rule, u, [0.0, 0.0])
+    k, admitted, _ = _admit(rule, u, [0, 0])
     assert k.tolist() == [1, 1] and admitted.tolist() == [True, True]
-    _, admitted, _ = _admit(rule, u, [0.2, 0.2])
+    _, admitted, _ = _admit(rule, u, [2, 2])
     assert admitted.tolist() == [True, False]
 
 
 def test_admission_kernel_fit_boundary_and_inactive_rows():
-    rule = Admission.of_law(KERNEL_LAW, KERNEL_SIZES, Branches((1.0, 1.0), (1.0, 1.0), (0.0, 0.0)))
-    room = 1.0 - 0.3  # slice 0 has size 0.3
-    fills = [room + ATOM_TOL / 2, room + 2 * ATOM_TOL, 1.0]
-    _, admitted, _ = _admit(rule, [0.1] * 3, fills)
+    rule = Admission.of_law(KERNEL_LAW, KERNEL_STEPS, KERNEL_GRID, Branches((1.0, 1.0), (1.0, 1.0), (0.0, 0.0)))
+    room = KERNEL_GRID - 3  # slice 0 has size 3 steps
+    assert rule.room.tolist() == [room, KERNEL_GRID - 6, KERNEL_GRID]
+    _, admitted, fill = _admit(rule, [0.1] * 3, [room, room + 1, KERNEL_GRID])
     assert admitted.tolist() == [True, False, False]
+    assert fill.tolist() == [KERNEL_GRID, room + 1, KERNEL_GRID]
     # inactive rows (u past the atoms, about [0.6, 1)) are never admitted,
     # whatever the fill
     u = np.linspace(rule.edges[-1], 1.0, 50, endpoint=False)
-    for fill in (0.0, 0.2, 0.9):
+    for fill in (0, 2, 9):
         k, admitted, after = _admit(rule, u, [fill] * u.size)
         assert (k == 2).all() and not admitted.any()
         assert (after == fill).all()
@@ -621,9 +626,9 @@ def test_admission_kernel_fit_boundary_and_inactive_rows():
 def test_single_uniform_threshold_gives_each_atom_its_branch(fill):
     # the atom and the acceptance come from one uniform; conditionally on the
     # atom, acceptance must still fire with that atom's branch probability
-    rule = Admission.of_law(KERNEL_LAW, KERNEL_SIZES, KERNEL_BRANCHES)
+    rule = Admission.of_law(KERNEL_LAW, KERNEL_STEPS, KERNEL_GRID, KERNEL_BRANCHES)
     u = stream(11, 0).random(400_000)
-    k, admitted, _ = _admit(rule, u, np.full(u.size, fill))
+    k, admitted, _ = _admit(rule, u, np.full(u.size, round(fill * KERNEL_GRID)))
     branch = KERNEL_B2 if fill == 0.0 else KERNEL_B1
     for atom, (_, p) in enumerate(KERNEL_LAW.atoms):
         rows = k == atom
@@ -635,37 +640,39 @@ def test_single_uniform_threshold_gives_each_atom_its_branch(fill):
 
 @st.composite
 def admission_tables(draw):
-    """(size law, Branches) for one admission table.
+    """(size law, its sizes in steps of a 1/1000 grid, Branches) for one
+    admission table.
 
-    1-4 size atoms on a 1/1000 grid, 0 and 1 included, with or without
-    inactive mass (an inactive slice); branch probabilities are 0, 1 or
-    random.  The kernel does not read the rates.
+    1-4 size atoms on the grid, 0 and 1 included, with or without inactive
+    mass (an inactive slice); branch probabilities are 0, 1 or random.  The
+    kernel does not read the rates.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = draw(st.integers(1, 4))
-    sizes = rng.choice(1001, k, replace=False) / 1000.0
+    steps = np.sort(rng.choice(1001, k, replace=False))
     inactive = draw(st.sampled_from((0.0, 0.3)))
     weights = rng.uniform(0.05, 1.0, k)
-    law = SizeLaw(tuple(zip(sizes.tolist(), (weights / weights.sum() * (1.0 - inactive)).tolist())), inactive)
+    probs = weights / weights.sum() * (1.0 - inactive)
+    law = SizeLaw(tuple(zip((steps / 1000.0).tolist(), probs.tolist())), inactive)
     b1, b2 = rng.choice([0.0, 1.0, *rng.uniform(0.0, 1.0, 4).tolist()], (2, k)).tolist()
-    return law, Branches(tuple(b1), tuple(b2), (0.0,) * k)
+    return law, steps.tolist(), Branches(tuple(b1), tuple(b2), (0.0,) * k)
 
 
-def _kernel_rows(rule, rng, randoms: int = 10):
+def _kernel_rows(rule, grid, rng, randoms: int = 10):
     """Every pairing of u and fill: u on every slice edge, just below it and
-    on every threshold; fills at 0, at 1 - s, at each slice's room
-    1 - s + ATOM_TOL and just above it; and random values of both."""
+    on every threshold; fills at 0, at each slice's room L - k and one step
+    above it; and random values of both (random fills are integers in
+    [0, L])."""
     edges = np.array(rule.edges)
     u = np.concatenate(([0.0], edges, np.nextafter(edges, 0.0), rule.thresholds, rng.random(randoms)))
-    sizes = rule.gains[1::2]
-    fills = np.concatenate(([0.0], 1.0 - sizes, rule.room, np.nextafter(rule.room, 2.0), rng.random(randoms)))
-    u, fills = np.meshgrid(u[u < 1.0], fills[fills <= 1.0])
+    fills = np.concatenate(([0], rule.room, rule.room + 1, rng.integers(0, grid + 1, randoms))).astype(np.int32)
+    u, fills = np.meshgrid(u[u < 1.0], fills[fills <= grid])
     return u.ravel(), fills.ravel()
 
 
-def _check_against_reference(rule, upper, sizes, b1, b2, rng):
-    u, fill = _kernel_rows(rule, rng)
-    want_codes, want_fills = admit_reference(upper, sizes, b1, b2, u, fill)
+def _check_against_reference(rule, upper, steps, grid, b1, b2, rng):
+    u, fill = _kernel_rows(rule, grid, rng)
+    want_codes, want_fills = admit_reference(upper, steps, grid, b1, b2, u, fill)
     code = rule.admit(u, fill)
     assert code.tolist() == want_codes
     assert fill.tolist() == want_fills
@@ -675,15 +682,12 @@ def _check_against_reference(rule, upper, sizes, b1, b2, rng):
 @settings(max_examples=100)
 @given(table=admission_tables(), seed=st.integers(0, 2**32 - 1))
 def test_admission_kernel_matches_row_reference(table, seed):
-    law, branches = table
-    sizes = [s for s, _ in law.atoms]
-    rule = Admission.of_law(law, sizes, branches)
-    inactive = [0.0] if law.inactive_mass > 0.0 else []
+    law, steps, branches = table
+    rule = Admission.of_law(law, steps, 1000, branches)
+    inactive = [0] if law.inactive_mass > 0.0 else []
     upper = list(accumulate(p for _, p in law.atoms)) + [1.0] * len(inactive)
-    sizes += inactive
-    code = _check_against_reference(
-        rule, upper, sizes, [*branches.b1, *inactive], [*branches.b2, *inactive], np.random.default_rng(seed)
-    )
+    b1, b2 = [*branches.b1, *inactive], [*branches.b2, *inactive]
+    code = _check_against_reference(rule, upper, steps + inactive, 1000, b1, b2, np.random.default_rng(seed))
     assert code.dtype == np.int8
 
 
@@ -694,11 +698,11 @@ def test_admission_kernel_wide_tables(slices):
     rng = np.random.default_rng(slices)
     upper = ((np.arange(slices) + 1) / slices).tolist()
     active = slices - 3  # the last three slices are inactive
-    sizes = (rng.choice(1001, active) / 1000.0).tolist() + [0.0] * 3
+    steps = rng.choice(1001, active).tolist() + [0] * 3
     b1 = rng.uniform(0.0, 1.0, active).tolist() + [0.0] * 3
     b2 = rng.uniform(0.0, 1.0, active).tolist() + [0.0] * 3
-    rule = Admission.build(upper, sizes, b1, b2)
-    code = _check_against_reference(rule, upper, sizes, b1, b2, rng)
+    rule = Admission.build(upper, steps, 1000, b1, b2)
+    code = _check_against_reference(rule, upper, steps, 1000, b1, b2, rng)
     assert code.dtype == (np.int8 if 3 * slices < 128 else np.intp)
 
 
@@ -733,16 +737,26 @@ def test_mc_deterministic_by_seed():
 
 
 def test_replay_raises_when_a_rule_overfills_the_knapsack():
-    # size 0.7, always admitted: built by the rule the fit bound turns the
-    # second arrival away, but a hand-built room of 2 lets it overfill
-    built = Admission.build([1.0], [0.7], [1.0], [1.0])
-    overfilling = built._replace(room=np.array([2.0]))
+    # size 7/10, always admitted: built by the rule the fit bound turns the
+    # second arrival away, but a hand-built room of 20 steps lets it overfill
+    built = Admission.build([1.0], [7], 10, [1.0], [1.0])
+    overfilling = built._replace(room=np.array([20], dtype=np.int32))
     rules = {FORWARD: [built] * 2, BACKWARD: [built] * 2}
-    codes = [code for *_, code in replay_admissions(rules, stream(0, 0), 64, 2)]
+    codes = [code for *_, code in replay_admissions(rules, 10, stream(0, 0), 64, 2)]
     assert len(codes) == 4
     rules = {FORWARD: [overfilling] * 2, BACKWARD: [overfilling] * 2}
     with pytest.raises(InvariantViolationError, match="exceeded the knapsack"):
-        for _ in replay_admissions(rules, stream(0, 0), 64, 2):
+        for _ in replay_admissions(rules, 10, stream(0, 0), 64, 2):
+            pass
+    # 20 arrivals of 3277/4096, all admitted: the fill ends at 65540 steps,
+    # which an int16 fill would wrap to 4, inside the knapsack
+    grid, n = 4096, 20
+    assert np.array([3277] * n, dtype=np.int16).sum(dtype=np.int16) == 4
+    room = np.array([n * grid], dtype=np.int32)
+    overfilling = Admission.build([1.0], [3277], grid, [1.0], [1.0])._replace(room=room)
+    rules = {FORWARD: [overfilling] * n, BACKWARD: [overfilling] * n}
+    with pytest.raises(InvariantViolationError, match="exceeded the knapsack"):
+        for _ in replay_admissions(rules, grid, stream(0, 0), 64, n):
             pass
 
 

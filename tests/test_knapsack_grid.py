@@ -106,7 +106,8 @@ def test_grid_run_matches_the_propagate_fill_chain(case):
     plan = closed_form_knapsack_plan(inst)
     result = run_knapsack_exact(inst, plan)
     assert grid % result.grid == 0 and not result.rounded
-    assert result.sizes == tuple(tuple(s for s, _ in law.atoms) for law in inst.laws)
+    admitted = tuple(tuple(k / result.grid for k in ks) for ks in result.steps)
+    assert admitted == tuple(tuple(s for s, _ in law.atoms) for law in inst.laws)
     report = _assert_matches_chain(inst, plan, result)
     assert report.ok()
     # the paper's guarantee: pair means reach (4 - total mu)/9, which is at
@@ -166,12 +167,12 @@ def test_off_grid_sizes_round_up_onto_the_grid(inst):
     result = run_knapsack_exact(inst, plan)
     assert result.grid == GRID_CAP and result.rounded
     # each atom at the least k/L at or above it, in exact arithmetic
-    want = tuple(tuple(math.ceil(Fraction(s) * GRID_CAP) / GRID_CAP for s, _ in law.atoms) for law in inst.laws)
-    assert result.sizes == want
+    want = tuple(tuple(math.ceil(Fraction(s) * GRID_CAP) for s, _ in law.atoms) for law in inst.laws)
+    assert result.steps == want
     # the run is the reference chain on the admitted sizes
     admitted = [
-        SizeLaw(tuple(zip(sizes, (p for _, p in law.atoms))), law.inactive_mass)
-        for law, sizes in zip(inst.laws, want)
+        SizeLaw(tuple((k / GRID_CAP, p) for k, (_, p) in zip(ks, law.atoms)), law.inactive_mass)
+        for law, ks in zip(inst.laws, want)
     ]
     assert _assert_matches_chain(inst, plan, result, laws=admitted).ok()
     assert result.max_rate_error(plan) <= RATE_TOL
@@ -227,7 +228,7 @@ def test_many_tiny_off_grid_sizes_at_total_mean_one(size, n):
     plan = closed_form_knapsack_plan(inst)
     result = run_knapsack_exact(inst, plan)
     assert (result.grid, result.rounded) == (GRID_CAP, True)
-    assert n * result.sizes[0][0] * law.atoms[0][1] > 1.02
+    assert n * result.steps[0][0] / result.grid * law.atoms[0][1] > 1.02
     assert result.max_rate_error(plan) <= RATE_TOL
     assert monitor_trace(inst, plan, result, B_GRID).ok()
 
@@ -238,7 +239,7 @@ def test_replay_fills_with_the_admitted_sizes():
     inst = KnapsackInstance(tuple(SizeLaw(((s, 1.0),)) for s in (0.2500001, 0.2500001, 0.4999997)))
     plan = closed_form_knapsack_plan(inst)
     result = run_knapsack_exact(inst, plan)
-    assert result.rounded and sum(sizes[0] for sizes in result.sizes) > 1.0
+    assert result.rounded and sum(ks[0] for ks in result.steps) > result.grid
     estimates = replay_branches(inst, result, 20_000, 1)
     for i in range(inst.n):
         for tag in (FORWARD, BACKWARD):

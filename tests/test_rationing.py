@@ -170,7 +170,7 @@ def test_max_uniform_beta():
 def test_rem_distribution_validation():
     # the remaining-supply law is a FiniteLaw
     rem = FiniteLaw([0.0, 1.0], [0.25, 0.75])
-    assert rem.expectation == pytest.approx(0.75)
+    assert rem.values @ rem.probs == pytest.approx(0.75)
     assert rem.support_size == 2
     with pytest.raises(InvariantViolationError):
         FiniteLaw([1.5], [1.0])  # supply above 1
@@ -625,7 +625,7 @@ def test_mc_agrees_with_exact_on_off_grid_demands():
     target = exante_check(OFF_GRID, (beta,) * OFF_GRID.n)
     reduced = knapsack_reduction(OFF_GRID, target).instance
     run = run_knapsack_exact(reduced, closed_form_knapsack_plan(reduced))
-    assert run.rounded and sum(sizes[0] for sizes in run.sizes) > 1.0
+    assert run.rounded and sum(ks[0] for ks in run.steps) > run.grid
     assert sum(law.atoms[0][0] for law in reduced.laws) < 1.0
     exact = run_rationing(OFF_GRID, target, mode="exact")
     mc = run_rationing(OFF_GRID, target, mode="mc", trials=100_000, seed=4)
@@ -662,7 +662,8 @@ def test_max_uniform_beta_is_certifiable_on_off_grid_demands(inst):
     reduced = knapsack_reduction(inst, target).instance
     assert reduced.total_mu == pytest.approx(1.0, abs=1e-12)
     run = run_knapsack_exact(reduced, closed_form_knapsack_plan(reduced))
-    admitted = (math.fsum(s * p for s, (_, p) in zip(sizes, law.atoms)) for sizes, law in zip(run.sizes, reduced.laws))
+    grid = run.grid
+    admitted = (math.fsum(k / grid * p for k, (_, p) in zip(ks, law.atoms)) for ks, law in zip(run.steps, reduced.laws))
     assert run.rounded and math.fsum(admitted) > 1.0
     result = run_rationing(inst, target, mode="exact", seed=0)
     assert result.route == "knapsack"
@@ -678,6 +679,19 @@ def test_knapsack_route_explicit_plan():
     assert result.agents[0].expected_service == pytest.approx(
         (4.0 - 0.7) / 9.0 * 0.7, abs=1e-12
     )
+
+
+def test_knapsack_route_cuts_each_agent_once(monkeypatch):
+    # run_rationing cuts every agent's table once and the knapsack route
+    # builds its reduction from those tables, with the same result
+    target = exante_check(OFF_GRID, (0.8 * max_uniform_beta(OFF_GRID),) * OFF_GRID.n)
+    want = run_rationing(OFF_GRID, target, mode="mc", trials=2_000, seed=3)
+    calls = []
+    cut = _slices
+    monkeypatch.setattr("fbcrs.rationing._slices", lambda *args: calls.append(args) or cut(*args))
+    got = run_rationing(OFF_GRID, target, mode="mc", trials=2_000, seed=3)
+    assert got.route == "knapsack" and len(calls) == OFF_GRID.n
+    assert got == want
 
 
 # --- argument validation ----------------------------------------------------------
@@ -787,7 +801,7 @@ def test_merge_rem_keeps_the_mean(monkeypatch, buckets):
     rem = FiniteLaw.merged(values, probs / probs.sum())
     merged = _merge_rem(rem)
     assert merged.support_size <= buckets
-    assert merged.expectation == pytest.approx(rem.expectation, abs=1e-15)
+    assert merged.values @ merged.probs == pytest.approx(rem.values @ rem.probs, abs=1e-15)
     assert rem.values[0] <= merged.values[0] and merged.values[-1] <= rem.values[-1]
 
 
