@@ -205,18 +205,14 @@ def cmd_ration(args) -> int:
     if args.plan == "closed" and not takes_knapsack_route(inst, target):
         plan = closed_form_plan(target.single_unit())
     result = run_rationing(inst, target, plan=plan, mode=mode, trials=args.trials or 0, seed=seed)
-    if result.resamples:
-        print(
-            f"warning: the remaining-supply law was merged {result.resamples} times; "
-            "the thresholds, and in exact mode the service values, rest on the merged laws",
-            file=sys.stderr,
-        )
+    if result.rounded:
+        print(json.dumps({"grid": result.grid, "rounded": True}), file=sys.stderr)
     rows = [
         [a.index + 1, a.beta, a.q, a.x, a.c_f, a.c_b, a.tau_f, a.tau_b,
          a.expected_service, a.bound, a.slack]
         for a in result.agents
     ]
-    # Exact mode raises on a missed guarantee; a merged run only warns.
+    # exact mode raises on a missed guarantee
     code = 2 if mode == "mc" and not result.guarantee_ok() else 0
     header = ["agent", "beta", "q", "x", "c_f", "c_b", "tau_f", "tau_b", "expected_service", "bound", "slack"]
     _emit_csv(args.out, header, rows)

@@ -234,6 +234,15 @@ class RationingInstance:
     def has_type_i(self) -> bool:
         return ServiceType.TYPE_I in self.service
 
+    @cached_property
+    def grid(self) -> int | None:
+        """The smallest 1/L grid, L <= GRID_CAP, holding every Type-II/III
+        size min(d, 1), or None; found on first use, never at construction."""
+        from .knapsack import _grid_size  # knapsack imports this module
+
+        laws = (law for law, stype in zip(self.demands, self.service) if stype is not ServiceType.TYPE_I)
+        return _grid_size([min(d, 1.0) for law in laws for d, _ in law.atoms])
+
 
 def knapsack_hardness_instance(n: int) -> tuple[KnapsackInstance, SingleUnitInstance]:
     """The 2n+1 element instance where sizes exceed half the knapsack.

@@ -112,10 +112,10 @@ def check_knapsack_feasible(plan: SelectionPlan, inst: KnapsackInstance) -> Knap
 class FiniteLaw:
     """Exact finite law of a quantity in [0, 1]: sorted values, positive masses.
 
-    Two roles: the rationing executor propagates the remaining supply as one
-    (built by `merged`), and a grid run's trace views hold its dense fill
-    rows as one.  The arrays are read-only copies; `atoms` views the same
-    law as (value, probability) pairs.  The mass is checked to MASS_TOL.
+    A grid run's trace views hold its dense fill rows as one, and
+    monitor_invariants checks one.  The arrays are read-only copies; `atoms`
+    views the same law as (value, probability) pairs.  The mass is checked to
+    MASS_TOL.
     """
 
     values: np.ndarray
@@ -137,43 +137,6 @@ class FiniteLaw:
             raise InvariantViolationError("law probabilities must be positive")
         if abs(self.mass - 1.0) > MASS_TOL:
             raise InvariantViolationError(f"law mass {self.mass} != 1")
-
-    @classmethod
-    def merged(cls, values, probs) -> FiniteLaw:
-        """Drop nonpositive masses, sort and merge values within ATOM_TOL.
-
-        Walking up the sorted values, a value joins the current atom (keeping
-        the atom's earlier value) unless it lies more than ATOM_TOL above that
-        value.  Gaps wider than ATOM_TOL always start an atom; a run of closer
-        values that spans more than ATOM_TOL is split by that walk.  The sort
-        is stable, so among equal values the earliest input heads the atom.
-        """
-        values, probs = np.asarray(values, dtype=float), np.asarray(probs, dtype=float)
-        keep = probs > 0.0
-        if not keep.all():
-            values, probs = values[keep], probs[keep]
-        if not values.size:
-            raise InvariantViolationError("law lost all probability mass")
-        order = values.argsort(kind="stable")
-        values, probs = values.take(order), probs.take(order)
-        starts = np.empty(values.size, dtype=bool)
-        starts[0] = True
-        np.greater(values[1:] - values[:-1], ATOM_TOL, out=starts[1:])
-        heads = starts.nonzero()[0]
-        ends = np.empty_like(heads)
-        ends[:-1] = heads[1:]
-        ends[-1] = values.size
-        wide = values.take(ends - 1) - values.take(heads) > ATOM_TOL
-        if wide.any():
-            extra = []
-            for start, stop in zip(heads[wide], ends[wide]):
-                head = values[start]
-                for k in range(start + 1, stop):
-                    if values[k] - head > ATOM_TOL:
-                        head = values[k]
-                        extra.append(k)
-            heads = np.union1d(heads, extra)
-        return cls(values[heads], np.add.reduceat(probs, heads))
 
     @cached_property
     def atoms(self) -> tuple[tuple[float, float], ...]:
@@ -225,16 +188,16 @@ def branch_probs(c: float, p0: float, p1s) -> Branches:
 GRID_CAP = 4096
 
 
-def _grid_size(laws) -> int | None:
-    """The smallest L <= GRID_CAP such that every size atom is the double
-    k/L for an integer k, or None.
+def _grid_size(sizes) -> int | None:
+    """The smallest L <= GRID_CAP such that every size in the flat list
+    `sizes` is the double k/L for an integer k, or None.
 
     Each pass checks every size at L and, for the first one off it, takes
     the denominator q of the closest fraction with denominator at most
     GRID_CAP; L becomes lcm(L, q).  A size no such fraction reproduces
     exactly, or an L past the cap, means no grid.
     """
-    sizes = np.array([s for law in laws for s, _ in law.atoms])
+    sizes = np.array(sizes, dtype=float)
     grid = 1
     while True:
         off = np.rint(sizes * grid) / grid != sizes
@@ -366,7 +329,7 @@ def run_knapsack_exact(inst: KnapsackInstance, plan: SelectionPlan) -> KnapsackE
     rate unreachable; the InfeasibleError then says the sizes were rounded.
     """
     check_knapsack_feasible(plan, inst).require()
-    grid = _grid_size(inst.laws)
+    grid = _grid_size([s for law in inst.laws for s, _ in law.atoms])
     rounded = grid is None
     if rounded:
         grid = GRID_CAP

@@ -6,24 +6,29 @@ fill fraction of the realized demand).  A service target gives every agent a
 guarantee beta_i, an activation quantile q_i, and the supply share
 x_i = integral of min(F^-1, 1) over [0, q_i] that the quantile buys.
 
-Every layer reads one table per agent (_Slices), whose slices carry the
-service rule (base, scale): allocation y serves base + y / scale.  _rule
-gives Type-II (0, mean), Type-I and Type-III at d = 0 (1, inf), Type-I at
-d > 1 (0, inf) and every other case (0, d).  That is exact on every
-allocation the routes make: each y is at most min(d, 1), so min(y, d) = y,
-and a Type-I agent gets 0 or min(d, 1): on the knapsack route, or 0 on a
-target that buys no supply, which runs on the single-unit route.  Type-II
-service exceeds 1 when the demand does the mean; clamping it would break
-the identity between expected service and the calibrated target.
+Every layer reads one table per agent (_Slices), whose slices carry a size
+and the service rule (base, scale): allocation y serves base + y / scale.
+_rule gives Type-II (0, mean), Type-I and Type-III at d = 0 (1, inf), Type-I
+at d > 1 (0, inf) and every other case (0, d).  That is exact on every
+allocation the routes make: each y is at most its slice's size, which is at
+most min(d, 1), so min(y, d) = y, and a Type-I agent gets 0 or min(d, 1): on
+the knapsack route, or 0 on a target that buys no supply, which runs on the
+single-unit route.  Type-II service exceeds 1 when the demand does the mean;
+clamping it would break the identity between expected service and the
+calibrated target.
 
 The executor visits agents in a uniformly random forward or backward order.
 An agent participates when its demand quantile falls below q_i and then
-receives its demand capped by the remaining supply and by a per-order
+receives its size capped by the remaining supply and by a per-order
 threshold tau_i, calibrated so the expected allocation equals the planned
 selection rate times x_i.  Every agent then collects expected service of at
-least the pair-mean rate times beta_i.  Instances containing a Type-I agent
-run through the knapsack scheme instead, with element sizes min(D_i, 1),
-unless their target buys no supply.
+least the pair-mean rate times beta_i.  Sizes lie on the 1/L grid of
+RationingInstance.grid, or are rounded down onto 1/GRID_CAP (_rounding), and
+tau_i runs as one of its two neighbouring grid points with the probability
+that keeps its mean, so the remaining supply stays on the grid and exact
+mode is exact.  Instances containing a Type-I agent run through the knapsack
+scheme instead, with element sizes min(D_i, 1), unless their target buys no
+supply.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ from .instances import (
     before,
 )
 from .knapsack import (
+    GRID_CAP,
     Admission,
-    FiniteLaw,
     KnapsackExactResult,
     closed_form_knapsack_plan,
     replay_admissions,
@@ -61,17 +66,11 @@ from .sim import MeanEstimate, run_trials, slice_index, two_orders
 from .tolerances import (
     CALIBRATION_TOL,
     CROSSING_TOL,
-    FEAS_TOL,
     MASS_TOL,
     MC_HALF_WIDTHS,
     RATE_TOL,
     SUPPLY_TOL,
 )
-
-# Exact propagation merges a remaining-supply law past REM_ATOM_CAP atoms
-# into REM_BUCKETS mean-preserving atoms (see _merge_rem).
-REM_ATOM_CAP = 100_000
-REM_BUCKETS = 10_000
 
 ROUTE_SINGLE_UNIT = "single-unit"
 ROUTE_KNAPSACK = "knapsack"
@@ -94,8 +93,9 @@ class _Slices(NamedTuple):
 
     One row per nonempty slice, in quantile order: its upper end, its demand
     value, its width, whether it lies below q (the agent is active there),
-    its size (min(d, 1) where active, else 0) and its service rule
-    (base, scale) from _rule.  The active slices come first.  The last slice
+    its size (min(d, 1), or rounded down onto a grid, where active, else 0)
+    and its service rule (base, scale) from _rule.  The active slices come
+    first.  The last slice
     runs on to 1, which absorbs float shortfall in the last CDF value.
     """
 
@@ -108,17 +108,19 @@ class _Slices(NamedTuple):
     scale: tuple[float, ...]
 
 
-def _slices(law: DemandLaw, stype: ServiceType | None, q: float) -> _Slices:
+def _slices(law: DemandLaw, stype: ServiceType | None, q: float, grid: int | None) -> _Slices:
     """The table of an agent active below q; q = inf cuts only at the atoms.
     stype None (supply_x, which reads sizes alone) gives every slice the
-    rule (0, inf) of no service."""
+    rule (0, inf) of no service.  grid None keeps each size min(d, 1); else
+    it is rounded down onto the 1/grid grid (see _rounding)."""
     rows, prev, mean = [], 0.0, law.mean
     for (d, _), cum in zip(law.atoms, law.cum):
         below = min(cum, q) - min(prev, q)
         above = cum - max(prev, q)
         base, scale = (0.0, math.inf) if stype is None else _rule(stype, d, mean)
+        size = min(d, 1.0) if grid is None else math.floor(min(d, 1.0) * grid) / grid
         if below > 0.0:
-            rows.append((min(cum, q), d, below, True, min(d, 1.0), base, scale))
+            rows.append((min(cum, q), d, below, True, size, base, scale))
         if above > 0.0:
             rows.append((cum, d, above, False, 0.0, base, scale))
         prev = cum
@@ -141,13 +143,22 @@ def _share(sizes: dict[float, float]) -> float:
     return math.fsum(s * length for s, length in sizes.items())
 
 
-def supply_x(law: DemandLaw, q: float) -> float:
-    """Supply share bought by activation quantile q: integral of min(F^-1, 1).
+def _rounding(inst: RationingInstance) -> int | None:
+    """GRID_CAP, the grid every size is rounded down onto (floor(s L)/L),
+    when no agent is Type-I and inst.grid is None, else None: sizes kept.
+    The service rule stays on the true demand, exact as every allocation
+    stays at most min(d, 1).  A Type-I agent's knapsack route rounds up."""
+    return None if inst.has_type_i or inst.grid is not None else GRID_CAP
+
+
+def supply_x(inst: RationingInstance, i: int, q: float) -> float:
+    """Supply share that activation quantile q buys agent i of inst: the
+    integral of its size (min(F^-1, 1), or rounded down, see _rounding).
 
     It is the mean of the size law _sizes gives, which knapsack_reduction
     builds its element from, so the two are equal to the last bit.
     """
-    return _share(_sizes(_slices(law, None, q)))
+    return _share(_sizes(_slices(inst.demands[i], None, q, _rounding(inst))))
 
 
 def _cut(inst: RationingInstance, target: ServiceTarget) -> tuple[_Slices, ...]:
@@ -156,7 +167,8 @@ def _cut(inst: RationingInstance, target: ServiceTarget) -> tuple[_Slices, ...]:
     solved for another instance)."""
     if inst.n != target.n:
         raise InvalidInstanceError("target does not match the instance")
-    slices = tuple(_slices(law, stype, q) for law, stype, q in zip(inst.demands, inst.service, target.q))
+    grid = _rounding(inst)
+    slices = tuple(_slices(law, stype, q, grid) for law, stype, q in zip(inst.demands, inst.service, target.q))
     for i, (sl, x) in enumerate(zip(slices, target.x)):
         share = _share(_sizes(sl))
         if abs(share - x) > CALIBRATION_TOL:
@@ -187,15 +199,15 @@ def _climb(top: _Slices, beta: float) -> tuple[float, float, float]:
     return min(prev, 1.0), 0.0, acc
 
 
-def solve_q_for_beta(law: DemandLaw, stype, beta: float) -> float:
-    """Smallest activation quantile that achieves service level beta.
+def solve_q_for_beta(inst: RationingInstance, i: int, beta: float) -> float:
+    """Smallest activation quantile at which agent i of inst achieves
+    service level beta.
 
     Raises InfeasibleError when even q = 1 falls short.
     """
-    stype = ServiceType.parse(stype)
     if not 0.0 <= beta <= 1.0:
         raise InvalidInstanceError(f"beta {beta} outside [0, 1]")
-    q, _, level = _climb(_slices(law, stype, math.inf), beta)
+    q, _, level = _climb(_slices(inst.demands[i], inst.service[i], math.inf, _rounding(inst)), beta)
     if level < beta - SUPPLY_TOL:
         raise InfeasibleError(f"service level {beta} is unachievable (agent tops out at {level:.12g})")
     return q
@@ -248,10 +260,10 @@ def exante_check(inst: RationingInstance, beta) -> ServiceTarget | None:
     if len(betas) != inst.n:
         raise InvalidInstanceError("one service level per agent is required")
     qs, xs = [], []
-    for law, stype, b in zip(inst.demands, inst.service, betas):
-        q = solve_q_for_beta(law, stype, b)
+    for i, b in enumerate(betas):
+        q = solve_q_for_beta(inst, i, b)
         qs.append(q)
-        xs.append(supply_x(law, q))
+        xs.append(supply_x(inst, i, q))
     if math.fsum(xs) > 1.0 + MASS_TOL:
         return None
     return ServiceTarget(betas, tuple(qs), tuple(xs))
@@ -271,118 +283,118 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     scale: the demand mean for Type-II, the demand d for Type-I and Type-III.  Atoms are sorted by
     demand, so every rate is nondecreasing and the total share is convex and
     piecewise linear in the level.  Atoms with zero service add no size below
-    the top: Type-II with d = 0, and Type-I with d > 1, which lies at the top
-    itself.  So a step along the left slope never passes the answer, and a
-    step from the answer's piece lands on it.  Each step moves down at least
-    one ulp, and level 0 buys no supply, so the loop ends.
+    the top: Type-II with d = 0, sizes rounded down to 0, and Type-I with
+    d > 1, which lies at the top itself.  So a step along the left slope
+    never passes the answer, and a step from the answer's piece lands on it.
+    Each step moves down at least one ulp, and level 0 buys no supply, so
+    the loop ends.
     """
-    tops = [_slices(law, stype, math.inf) for law, stype in zip(inst.demands, inst.service)]
+    grid = _rounding(inst)
+    tops = [_slices(law, stype, math.inf, grid) for law, stype in zip(inst.demands, inst.service)]
     beta = min(1.0, *(_climb(top, math.inf)[2] for top in tops))
     while True:
         climbs = [_climb(top, beta) for top in tops]
-        total = math.fsum(supply_x(law, q) for law, (q, _, _) in zip(inst.demands, climbs))
+        total = math.fsum(supply_x(inst, i, q) for i, (q, _, _) in enumerate(climbs))
         if total <= 1.0:
             return beta
         slope = math.fsum(rate for _, rate, _ in climbs)
         beta = max(0.0, min(beta - (total - 1.0) / slope, math.nextafter(beta, 0.0)))
 
 
-def _caps(sl: _Slices, rem: FiniteLaw):
-    """An agent's active slices against remaining-supply atoms.
-
-    Returns the caps min(d, r) and their joint weights Pr[slice] * Pr[R = r],
-    one row per active slice.
-    """
-    k = sl.active.count(True)
-    d = np.array(sl.demand[:k]).reshape(-1, 1)
-    return np.minimum(d, rem.values), np.array(sl.width[:k]).reshape(-1, 1) * rem.probs
+def _min_means(rem: np.ndarray) -> np.ndarray:
+    """E[min(R, c/L)] for c = 0..L, where rem[k] = Pr[R = k/L]: the running
+    sum of Pr[R >= v/L] / L over v = 1..c."""
+    at_least = np.cumsum(rem[::-1])[::-1]
+    means = np.zeros(rem.size)
+    np.cumsum(at_least[1:], out=means[1:])
+    return means / (rem.size - 1)
 
 
-def calibrate_tau(caps, weight, target: float) -> float:
-    """Threshold tau with E[min(D, R, tau); Q < q] = target, exactly.
-
-    caps and weight are the caps min(d, r) and their joint weights, as
-    _caps returns them.  The expectation is concave piecewise linear in tau
-    with breakpoints at the caps, so one sorted walk finds the crossing
-    segment.  Raises InvariantViolationError when the target exceeds the
-    reachable maximum; a nonpositive target calibrates to zero.
-    """
-    if target <= 0.0:
-        return 0.0
-    positive = caps > 0.0
-    caps, weight = caps[positive], weight[positive]
-    order = np.argsort(caps, kind="stable")
-    caps, weight = caps[order], weight[order]
-    reachable = float(np.einsum("i,i->", caps, weight))  # no BLAS dot: see _single_unit_runner
-    if target > reachable + CALIBRATION_TOL:
+def calibrate_tau(means: np.ndarray, steps: np.ndarray, widths: np.ndarray, target: float) -> float:
+    """Threshold t, in steps of the 1/L grid, with E[min(S, R, t/L); Q < q] =
+    target, exactly: means is _min_means of R, and the active slices have
+    sizes steps/L and widths `widths`.  The expectation is concave piecewise
+    linear in t, and from t = c to c + 1 it grows by the width of sizes
+    above c/L times means[c + 1] - means[c]: one cumsum gives it at every c.
+    Raises InvariantViolationError when the target exceeds the reachable
+    maximum; a target within CROSSING_TOL of 0 calibrates to 0."""
+    grid = means.size - 1
+    wide = np.cumsum(np.bincount(steps, widths, minlength=grid + 1)[::-1])[::-1]  # width of sizes >= c/L
+    curve = np.zeros(grid + 1)
+    np.cumsum(wide[1:] * np.diff(means), out=curve[1:])
+    if target > curve[-1] + CALIBRATION_TOL:
         raise InvariantViolationError(
-            f"calibration target {target:.12g} exceeds the reachable allocation {reachable:.12g}"
+            f"calibration target {target:.12g} exceeds the reachable allocation {curve[-1]:.12g}"
         )
-    if not caps.size:
+    if target <= CROSSING_TOL:
         return 0.0
-    # E[min(cap, tau)] at tau = caps[j]: full caps below j, tau above.
-    below_sum = np.concatenate(([0.0], np.cumsum(caps * weight)[:-1]))
-    at_or_above = np.cumsum(weight[::-1])[::-1]
-    hit = np.flatnonzero(below_sum + caps * at_or_above >= target - CROSSING_TOL)
-    if not hit.size:
-        return min(float(caps[-1]), 1.0)
-    j = hit[0]
-    return min(float((target - below_sum[j]) / at_or_above[j]), 1.0)
+    c = int(np.searchsorted(curve, target - CROSSING_TOL))  # curve[c - 1] < target - CROSSING_TOL <= curve[c]
+    if c > grid:
+        return float(grid)
+    return c - 1 + min((target - curve[c - 1]) / (curve[c] - curve[c - 1]), 1.0)
+
+
+def _supply_step(rem: np.ndarray, weight: np.ndarray, ctx: str) -> np.ndarray:
+    """Law of R - min(R, C/L) from rem[k] = Pr[R = k/L] and an independent
+    cap C with Pr[C = c] = weight[c]: per cap value, the mass at or below c
+    lands on 0 and the rest moves down c steps in one slice add.  Raises
+    InvariantViolationError unless the mass stays 1 within MASS_TOL."""
+    below = np.cumsum(rem)
+    out = np.zeros(rem.size)
+    for c in np.flatnonzero(weight).tolist():
+        out[0] += weight[c] * below[c]
+        out[1 : rem.size - c] += weight[c] * rem[c + 1 :]
+    mass = float(out.sum())  # pairwise: within about 1e-15 of 1, far inside MASS_TOL
+    if abs(mass - 1.0) > MASS_TOL:
+        raise InvariantViolationError(f"remaining-supply mass drifted to {mass} {ctx}")
+    return out
 
 
 @dataclass(frozen=True)
 class _OrderTables:
     """Exact per-order calibration output for the single-unit route."""
 
-    taus: tuple[float, ...]
+    thresholds: tuple[float, ...]  # t_i in grid steps: tau_i = t_i / L
     alloc: tuple[float, ...]  # E[Y_i | order]
     service: tuple[float, ...]  # E[s_i | order]
     rem_slack: float  # worst margin of the supply invariant across arrivals
-    resamples: int  # arrivals whose remaining-supply law was merged
-
-
-def _merge_rem(rem: FiniteLaw) -> FiniteLaw:
-    """Merge an oversized remaining-supply law into REM_BUCKETS atoms.
-
-    The sorted atoms are cut into buckets of equal mass (each atom joins the
-    bucket its mass starts in) and every bucket sits at its conditional mean.
-    E[R] is kept, so the supply floor (1 - consumed) * x stays reachable:
-    E[min(D, R)] >= E[min(D, 1)] * E[R] because min(d, r) >= min(d, 1) * r.
-    """
-    start = np.cumsum(rem.probs) - rem.probs
-    bucket = np.minimum((start * REM_BUCKETS).astype(np.intp), REM_BUCKETS - 1)
-    mass = np.bincount(bucket, weights=rem.probs)
-    keep = mass > 0.0
-    mean = np.bincount(bucket, weights=rem.probs * rem.values)[keep] / mass[keep]
-    return FiniteLaw.merged(mean, mass[keep])
 
 
 def _exact_order(
     target: ServiceTarget,
     slices: tuple[_Slices, ...],
+    steps: tuple[np.ndarray, ...],
+    grid: int,
     rates: tuple[float, ...],
     consumed: list[float],
     order: list[int],
     tag: str,
 ) -> _OrderTables:
-    """Propagate the remaining-supply law through one arrival order, the
+    """Propagate the remaining supply R through one arrival order, the
     agents `order` lists, tagged `tag` in messages.
 
+    R is one dense vector rem[k] = Pr[R = k/grid], and steps[i] holds agent
+    i's active sizes in grid steps.  Agent i's threshold t runs as
+    a = floor(t) steps, or a + 1 with probability p = t - a.  For an integer
+    cap c, min(c, .) is linear between a and a + 1, so the mix allocates as
+    much as t itself on every slice and every R, and R stays on the grid.
     Checks three invariants at every arrival: the worst-case supply floor
     (1 - consumed) * x_i stays reachable, where consumed[i] sums rate * x
     over the agents arriving before i, the calibrated allocation hits
     rate * x_i, and the conditional service clears rate * beta_i.
     """
     n = len(slices)
-    taus, alloc, service = [0.0] * n, [0.0] * n, [0.0] * n
-    rem = FiniteLaw([1.0], [1.0])
+    thresholds, alloc, service = [0.0] * n, [0.0] * n, [0.0] * n
+    rem = np.zeros(grid + 1)
+    rem[grid] = 1.0
     slack = math.inf
-    resamples = 0
     for i in order:
-        sl, k = slices[i], slices[i].active.count(True)
+        sl, m = slices[i], steps[i]
+        k = m.size
         q, x, b = target.q[i], target.x[i], target.beta[i]
-        caps, weight = _caps(sl, rem)
-        reachable = float(np.sum(weight * caps))
+        widths = np.array(sl.width[:k])
+        means = _min_means(rem)
+        reachable = float((widths * means[m]).sum())
         floor = (1.0 - consumed[i]) * x
         slack = min(slack, reachable - floor)
         if reachable < floor - CALIBRATION_TOL:
@@ -390,29 +402,28 @@ def _exact_order(
                 f"supply invariant broken before agent {i} ({tag}): "
                 f"reachable {reachable:.12g} < floor {floor:.12g}"
             )
-        tau = calibrate_tau(caps, weight, rates[i] * x)
-        taus[i] = tau
-        y = np.minimum(caps, tau)
-        alloc[i] = float(np.sum(weight * y))
+        t = calibrate_tau(means, m, widths, rates[i] * x)
+        thresholds[i] = t
+        a = int(t)
+        p = t - a
+        lo, hi = np.minimum(m, a), np.minimum(m, a + 1)
+        y = (1.0 - p) * means[lo] + p * means[hi]  # E[Y_i | slice]
+        alloc[i] = float((widths * y).sum())
         if abs(alloc[i] - rates[i] * x) > CALIBRATION_TOL:
             raise InvariantViolationError(
                 f"calibrated allocation {alloc[i]:.12g} misses {rates[i] * x:.12g} for agent {i}"
             )
         unserved = math.fsum(width * base for width, base in zip(sl.width[k:], sl.base[k:]))
-        base, scale = (np.array(column[:k]).reshape(-1, 1) for column in (sl.base, sl.scale))
-        service[i] = float(np.sum(weight * (base + y / scale))) + unserved
+        base, scale = (np.array(column[:k]) for column in (sl.base, sl.scale))
+        service[i] = float((widths * (base + y / scale)).sum()) + unserved
         if service[i] < rates[i] * b - CALIBRATION_TOL:
             raise InvariantViolationError(
                 f"conditional service {service[i]:.12g} below rate * beta for agent {i}"
             )
-        rem = FiniteLaw.merged(
-            np.concatenate((rem.values, (rem.values - y).ravel())),
-            np.concatenate((rem.probs * (1.0 - q), weight.ravel())),
-        )
-        if rem.support_size > REM_ATOM_CAP:
-            rem = _merge_rem(rem)
-            resamples += 1
-    return _OrderTables(tuple(taus), tuple(alloc), tuple(service), slack, resamples)
+        caps = np.concatenate((lo, hi, [0]))  # an inactive agent takes nothing: cap 0
+        weight = np.bincount(caps, np.concatenate((widths * (1.0 - p), widths * p, [1.0 - q])), minlength=grid + 1)
+        rem = _supply_step(rem, weight, f"after agent {i} ({tag})")
+    return _OrderTables(tuple(thresholds), tuple(alloc), tuple(service), slack)
 
 
 @dataclass(frozen=True)
@@ -480,10 +491,11 @@ class RationingResult:
     agents: tuple[AgentReport, ...]
     rem_slack: float | None  # single-unit route only
     estimates: dict | None  # raw MC estimates, mc mode only
-    # Remaining-supply laws merged into REM_BUCKETS mean-preserving atoms
-    # (single-unit route, both orders).  When nonzero, the thresholds, and
-    # in exact mode the service values, rest on the merged laws: not exact.
-    resamples: int
+    # The L of the route's 1/L grid (remaining supply or knapsack fill), and
+    # whether sizes were rounded onto it: down on the single-unit route (the
+    # sizes every layer reads), up for admission on the knapsack route.
+    grid: int
+    rounded: bool
 
     @property
     def min_slack(self) -> float:
@@ -492,46 +504,60 @@ class RationingResult:
     def guarantee_ok(self) -> bool:
         """Whether every agent's service certifiably clears its bound.
 
-        Exact mode: every slack is at least -CALIBRATION_TOL and no
-        remaining-supply law was merged (a merged run is not certified).
-        Mc mode: every slack is at least -(MC_HALF_WIDTHS half-widths of the
-        agent's service interval + CALIBRATION_TOL).
+        Exact mode: every slack is at least -CALIBRATION_TOL.  Mc mode:
+        every slack is at least -(MC_HALF_WIDTHS half-widths of the agent's
+        service interval + CALIBRATION_TOL).
         """
         if self.mode == "exact":
-            return not self.resamples and self.min_slack >= -CALIBRATION_TOL
+            return self.min_slack >= -CALIBRATION_TOL
         return all(
             a.slack >= -(MC_HALF_WIDTHS * (a.service_high - a.service_low) / 2.0 + CALIBRATION_TOL)
             for a in self.agents
         )
 
 
-def _single_unit_runner(slices: tuple[_Slices, ...], taus: dict):
-    """Threshold allocation y = min(D, R, tau) on both orders at once; tau <= 1,
-    so min(D, tau) is the slice's size capped at tau.
+def _single_unit_runner(slices: tuple[_Slices, ...], steps: tuple[np.ndarray, ...], grid: int, thresholds: dict):
+    """Threshold allocation y = min(S, R, t) on both orders at once, in int32
+    steps of the 1/grid grid: sizes steps[i], thresholds[tag][i] = t.
 
-    Returns run(rng, m), an experiment for run_trials.
+    t runs as _exact_order runs it.  A row in active slice j takes floor(t) + 1
+    steps when its uniform lies in the first fraction p = t - floor(t) of the
+    slice (rescaled within its slice the uniform is again uniform and
+    independent of the slice), else floor(t).  Returns run(rng, m), an
+    experiment for run_trials.
     """
-    edges, base, scale, caps = [], [], [], {FORWARD: [], BACKWARD: []}
+    edges, base, scale = [], [], []
+    caps, cuts = {FORWARD: [], BACKWARD: []}, {FORWARD: [], BACKWARD: []}
     for i, sl in enumerate(slices):
         edges.append(sl.upper[:-1])
         base.append(np.array(sl.base))
-        scale.append(np.array(sl.scale))
+        scale.append(np.array(sl.scale) * grid)  # y steps serve y / (scale * grid)
+        size = np.zeros(len(sl.upper), dtype=np.int32)  # inactive slices take nothing
+        size[: steps[i].size] = steps[i]
+        lower = np.array((0.0, *sl.upper[:-1]))
         for tag in caps:
-            caps[tag].append(np.minimum(sl.size, taus[tag][i]))
+            t = thresholds[tag][i]
+            a = int(t)
+            caps[tag].append(np.minimum(size, a))
+            # rows below the cut take one step more; none in a slice no larger than a
+            cuts[tag].append(np.where(size > a, lower + (t - a) * np.array(sl.width), lower))
 
     def run(rng, m: int):
-        rems = np.ones(m)
+        rems = np.full(m, grid, dtype=np.int32)
         out = {}
         for tag, r, i, u in two_orders(rng, m, len(slices)):
             k = slice_index(u, edges[i])
-            y = np.minimum(caps[tag][i].take(k), rems[r])
+            y = caps[tag][i].take(k)
+            y += (u < cuts[tag][i].take(k)).view(np.int8)
+            np.minimum(y, rems[r], out=y)
             rems[r] -= y
             s = base[i].take(k) + y / scale[i].take(k)
+            y = y.astype(float)  # integers: their sums are exact
             # einsum, not a BLAS dot: OpenBLAS threads ddot on long
             # vectors, and a stalled thread shows up as latency spikes.
             out[("service", tag[0], i)] = (float(s.sum()), float(np.einsum("i,i->", s, s)), y.size)
-            out[("alloc", tag[0], i)] = (float(y.sum()), float(np.einsum("i,i->", y, y)), y.size)
-        if m and float(rems.min()) < -FEAS_TOL:
+            out[("alloc", tag[0], i)] = (float(y.sum()) / grid, float(np.einsum("i,i->", y, y)) / grid**2, y.size)
+        if m and int(rems.min()) < 0:
             raise InvariantViolationError("negative remaining supply in simulation")
         return out
 
@@ -590,7 +616,8 @@ class _Route:
     taus: tuple[tuple[float | None, float | None], ...]
     bounds: tuple[float, ...]
     rem_slack: float | None
-    resamples: int
+    grid: int
+    rounded: bool
 
 
 def _single_unit_route(
@@ -605,21 +632,26 @@ def _single_unit_route(
         raise InfeasibleError("the selection plan is infeasible for these supply shares")
     consumed = before(plan.array * np.array(target.x)).tolist()
     orders = arrival((range(inst.n), range(inst.n))).tolist()
+    # A Type-I agent reaches this route only on a target that buys no
+    # supply, with every active size 0, which lies on any grid.
+    grid = inst.grid or GRID_CAP
+    steps = tuple(np.rint(np.array(sl.size[: sl.active.count(True)]) * grid).astype(np.intp) for sl in slices)
     tables = {
-        tag: _exact_order(target, slices, rates, used, order, tag)
+        tag: _exact_order(target, slices, steps, grid, rates, used, order, tag)
         for tag, rates, used, order in zip((FORWARD, BACKWARD), (plan.c_f, plan.c_b), consumed, orders)
     }
-    taus = {tag: tables[tag].taus for tag in tables}
+    thresholds = {tag: tables[tag].thresholds for tag in tables}
     return _Route(
         ROUTE_SINGLE_UNIT,
         plan,
-        _single_unit_runner(slices, taus),
+        _single_unit_runner(slices, steps, grid, thresholds),
         lambda: {tag: (t.alloc, t.service) for tag, t in tables.items()},
         tuple(zip(plan.c_f, plan.c_b)),
-        tuple(zip(taus[FORWARD], taus[BACKWARD])),
+        tuple((f / grid, b / grid) for f, b in zip(thresholds[FORWARD], thresholds[BACKWARD])),
         tuple(p * b for p, b in zip(plan.pair_means, target.beta)),
         min(t.rem_slack for t in tables.values()),
-        sum(t.resamples for t in tables.values()),
+        grid,
+        _rounding(inst) is not None,
     )
 
 
@@ -669,7 +701,8 @@ def _knapsack_route(
         # still covers them at the plan objective.
         tuple((plan.objective if e is None else pair[e]) * b for e, b in zip(elements, target.beta)),
         rem_slack=None,
-        resamples=0,
+        grid=result.grid,
+        rounded=result.rounded,
     )
 
 
@@ -701,10 +734,8 @@ def run_rationing(
     only, as exact mode draws no randomness.  plan covers the agents
     (single-unit route) or the reduced elements (knapsack route); it
     defaults to the LP optimum or the closed form, and an infeasible plan
-    raises InfeasibleError in both modes.  On the single-unit route a
-    remaining-supply law past REM_ATOM_CAP atoms is merged into REM_BUCKETS
-    mean-preserving atoms; result.resamples counts those merges, and when it
-    is nonzero exact mode is not exact and result.guarantee_ok() is False.
+    raises InfeasibleError in both modes.  result.grid and result.rounded
+    say on which grid the route ran and whether sizes were rounded onto it.
     """
     if mode not in ("exact", "mc"):
         raise InvalidInstanceError(f"unknown mode {mode!r}")
@@ -754,5 +785,5 @@ def run_rationing(
             if a.slack < -CALIBRATION_TOL:
                 raise InvariantViolationError(f"service guarantee missed for agent {a.index}")
     return RationingResult(
-        route.name, mode, target, route.plan, agents, route.rem_slack, estimates, route.resamples
+        route.name, mode, target, route.plan, agents, route.rem_slack, estimates, route.grid, route.rounded
     )

@@ -16,10 +16,10 @@ here and nowhere else.
 # rationing service targets and the exact propagations; received by the
 # SizeLaw, DemandLaw and KnapsackInstance constructors (mass sums, total mean
 # size <= 1), by exante_check and ServiceTarget (total supply share <= 1), by
-# run_knapsack_exact's fill step (fill-law mass drift after each step), by
-# the FiniteLaw constructor (the mass of a remaining-supply law or a trace
-# view), and by single_unit._bernoulli (a remaining mass at most this is
-# 0/0, parameter 0).  exante_check and knapsack_reduction apply the same
+# run_knapsack_exact's fill step and the rationing remaining-supply step
+# (mass drift after each step), by the FiniteLaw constructor (the mass of a
+# trace view), and by single_unit._bernoulli (a remaining mass at most this
+# is 0/0, parameter 0).  exante_check and knapsack_reduction apply the same
 # entry to the same total: each supply share and its element's mean size are
 # computed from one size table (rationing._sizes), so they are equal bit for
 # bit and a target the one accepts the other accepts.
@@ -56,19 +56,16 @@ MONOTONE_TOL = 1e-12
 
 # --- exact propagation ----------------------------------------------------------
 
-# Law values closer than this merge onto the earlier value, and law
-# boundaries resolve at it.  run_knapsack_exact and its Monte Carlo replays
-# keep fills as integers k (the fill k/L), so their fits are exact and
-# nothing merges there.  Produced by the remaining-supply propagation alone;
-# received by FiniteLaw.merged and FiniteLaw's [0, 1] range check, and by
-# the CDF points of monitor_invariants and monitor_trace (b and 1 - b).
+# Law boundaries resolve at this.  Nothing merges: both exact propagations
+# and their Monte Carlo replays keep fills and remaining supply as integer
+# grid steps k (the value k/L).  Produced by the b-grid and the law values a
+# caller hands in; received by FiniteLaw's [0, 1] range check and by the CDF
+# points of monitor_invariants and monitor_trace (b and 1 - b).
 ATOM_TOL = 1e-12
 
-# Feasibility.  Produced by plans, fill laws and the single-unit rationing
-# executor; received by KnapsackFeasibilityReport.ok, InvariantReport.ok,
-# monitor_invariants and monitor_trace, the reachability check of the fill
-# step, and the single-unit rationing runner's remaining-supply check (at
-# least 0).
+# Feasibility.  Produced by plans and fill laws; received by
+# KnapsackFeasibilityReport.ok, InvariantReport.ok, monitor_invariants and
+# monitor_trace, and the reachability check of the fill step.
 FEAS_TOL = 1e-9
 
 # Planned against realized acceptance rates.  Produced by run_knapsack_exact;
@@ -80,14 +77,14 @@ RATE_TOL = 1e-10
 
 # Crossing tests of the piecewise-linear walks: the service level reached
 # by an activation quantile (rationing._climb, the walk of solve_q_for_beta
-# and max_uniform_beta) and the allocation reached by a threshold
-# (calibrate_tau).  Produced by float sums of segment lengths;
-# received by those walks only.
+# and max_uniform_beta) and the allocation reached by a threshold on the
+# remaining supply's grid (calibrate_tau's cumsum over the grid steps).
+# Produced by float sums of segment lengths; received by those walks only.
 CROSSING_TOL = 1e-15
 
-# Rationing calibration.  Produced by calibrate_tau and the exact
-# remaining-supply propagation; received by calibrate_tau's reachability
-# check, the supply floor, allocation and service invariants of
+# Rationing calibration.  Produced by the grid calibration (calibrate_tau)
+# and the exact remaining-supply propagation; received by calibrate_tau's
+# reachability check, the supply floor, allocation and service invariants of
 # _exact_order, the check that a target's supply shares are the ones its
 # quantiles buy on this instance (rationing._cut, in run_rationing and
 # knapsack_reduction), exact mode's guarantee check and

@@ -12,7 +12,9 @@ plan, feasibility check and E[T] bookkeeping as first written (one element
 at a time: phi windows through the antiderivative, the claimed mass and the
 acceptance probability summed up sequentially) instead of the array code,
 and the rationing quantile walk, size table and common-level bisection as
-first written instead of the one level walk and its Newton steps.
+first written instead of the one level walk and its Newton steps, on sizes
+rounded down in exact rationals onto the grid that trying every L finds
+(size_grid) instead of the library's lcm walk.
 The enumerations are exponential in n; keep n small there.
 
 Also here are the checked twins of rules the library runs in another
@@ -26,6 +28,7 @@ each fill boundary, summed atom by atom).
 
 import math
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -34,6 +37,9 @@ from scipy import optimize, stats
 # The float boundary of the oracles that walk fill and supply values (same
 # constant value as the library's ATOM_TOL, restated here on purpose).
 BOUNDARY_TOL = 1e-12
+
+# The largest grid of a rationing run's sizes (the library's GRID_CAP).
+GRID_LIMIT = 4096
 
 
 def wilson_reference(successes: float, count: int, confidence: float = 0.999):
@@ -353,19 +359,50 @@ def replay_knapsack_paths(inst, branches, order):
     return tuple(rates), states
 
 
+def size_grid(inst):
+    """(L, rounded) of a rationing instance's single-unit route, by trying
+    every L = 1..GRID_LIMIT in turn: the first L on which every Type-II/III
+    size min(d, 1) is the double k/L.  With no such L, the sizes are rounded
+    down onto 1/GRID_LIMIT unless some agent is Type-I."""
+    sizes = [min(d, 1.0) for law, stype in zip(inst.demands, inst.service) if stype != "TypeI" for d, _ in law.atoms]
+    for grid in range(1, GRID_LIMIT + 1):
+        if all(round(s * grid) / grid == s for s in sizes):
+            return grid, False
+    return GRID_LIMIT, "TypeI" not in inst.service
+
+
+def rounded_size(d, grid):
+    """min(d, 1), rounded down onto the 1/grid grid unless grid is None, in
+    exact rational arithmetic."""
+    s = min(d, 1.0)
+    return s if grid is None else math.floor(Fraction(s) * grid) / grid
+
+
+def rounding_grid(inst):
+    """The grid size_grid rounds inst's sizes down onto, or None."""
+    grid, rounded = size_grid(inst)
+    return grid if rounded else None
+
+
 def single_unit_paths(inst, q, taus):
     """Exact per-order (E[Y_i], E[s_i]) of the single-unit rationing route by
-    enumerating every combination of the agents' quantile slices.
+    enumerating every combination of the agents' quantile slices and
+    threshold draws.
 
     Agent i's quantile range [0, 1) is cut at its demand CDF values and at
-    q[i]; a combination has the product of its slices' widths as its
-    probability.  Each order walks its agents with supply R = 1 in plain
-    floats: an agent whose slice lies below q[i] gets y = min(d, R, tau),
-    with taus[i] = (tau_f, tau_b), any other gets 0, and R drops by y.
+    q[i]; its size is min(d, 1), rounded down as size_grid says.  With L the
+    grid and taus[i] = (tau_f, tau_b), an active agent's threshold is
+    floor(tau L)/L with probability 1 - p and the next grid point with
+    probability p = tau L - floor(tau L).  A combination has the product of
+    its slices' widths and threshold probabilities as its probability.  Each
+    order walks its agents with supply R = 1 in plain floats: an agent whose
+    slice lies below q[i] gets y = min(size, R, threshold), any other gets 0,
+    and R drops by y; service is service_value on the true demand.
     Returns {"forward": (alloc, service), "backward": (alloc, service)}.
     Exponential in n: keep n at 4 or less.
     """
     n = len(inst.demands)
+    grid, rounded = size_grid(inst)
     means, per_agent = [], []
     for law, qi in zip(inst.demands, q):
         means.append(math.fsum(d * p for d, p in law.atoms))
@@ -374,18 +411,31 @@ def single_unit_paths(inst, q, taus):
             hi = 1.0 if k == len(law.atoms) - 1 else lo + p
             for a, b, active in ((lo, min(hi, qi), True), (max(lo, qi), hi, False)):
                 if b > a:
-                    rows.append((d, b - a, active))
+                    rows.append((d, rounded_size(d, grid if rounded else None), b - a, active))
             lo = hi
         per_agent.append(rows)
     out = {}
     for col, tag in enumerate(("forward", "backward")):
+        branches = []  # per agent: (d, size, probability, threshold, active)
+        for rows, tau in zip(per_agent, (t[col] for t in taus)):
+            low = math.floor(tau * grid)
+            p = tau * grid - low
+            agent = []
+            for d, size, width, active in rows:
+                if not active:
+                    agent.append((d, size, width, 0.0, False))
+                    continue
+                for chance, steps in ((1.0 - p, low), (p, low + 1)):
+                    if chance > 0.0:
+                        agent.append((d, size, width * chance, steps / grid, True))
+            branches.append(agent)
         alloc, service = [0.0] * n, [0.0] * n
-        for combo in product(*per_agent):
-            weight = math.prod(width for _, width, _ in combo)
+        for combo in product(*branches):
+            weight = math.prod(chance for _, _, chance, _, _ in combo)
             rem = 1.0
             for i in arrival_order(tag, n):
-                d, _, active = combo[i]
-                y = min(d, rem, taus[i][col]) if active else 0.0
+                d, size, _, threshold, active = combo[i]
+                y = min(size, rem, threshold) if active else 0.0
                 rem -= y
                 alloc[i] += weight * y
                 service[i] += weight * service_value(inst.service[i], y, d, means[i])
@@ -413,31 +463,6 @@ def match_fill_atoms(states: dict, atoms, tol: float = 1e-9):
     for v, p in remaining.items():
         worst = max(worst, abs(grouped.get(v, 0.0) - p))
     return worst
-
-
-def _merge_reference(values, probs):
-    """FiniteLaw.merged as first written: sort, drop zero masses, merge runs.
-
-    Run heads are values more than BOUNDARY_TOL above their predecessor; a
-    run spanning more than BOUNDARY_TOL is split by walking it from its head.
-    """
-    order = np.argsort(values, kind="stable")
-    values, probs = np.asarray(values)[order], np.asarray(probs)[order]
-    keep = probs > 0.0
-    values, probs = values[keep], probs[keep]
-    heads = np.flatnonzero(np.diff(values, prepend=-math.inf) > BOUNDARY_TOL)
-    ends = np.append(heads[1:], values.size)
-    wide = values[ends - 1] - values[heads] > BOUNDARY_TOL
-    if wide.any():
-        extra = []
-        for start, stop in zip(heads[wide], ends[wide]):
-            head = values[start]
-            for k in range(start + 1, stop):
-                if values[k] - head > BOUNDARY_TOL:
-                    head = values[k]
-                    extra.append(k)
-        heads = np.union1d(heads, extra)
-    return values[heads], np.add.reduceat(probs, heads)
 
 
 def propagate_fill_reference(dist, law, c):
@@ -472,8 +497,14 @@ def propagate_fill_reference(dist, law, c):
         stay = stay + mass * (1.0 - accept)
         shifted.append(np.minimum(values[:fit_end] + s, 1.0))
         moved.append(mass[:fit_end] * accept[:fit_end])
-    new_values, new_probs = _merge_reference(np.concatenate([values] + shifted), np.concatenate([stay] + moved))
-    new = FiniteLaw(new_values, new_probs)
+    new_values, new_probs = np.concatenate([values] + shifted), np.concatenate([stay] + moved)
+    order = np.argsort(new_values, kind="stable")
+    new_values, new_probs = new_values[order], new_probs[order]
+    keep = new_probs > 0.0
+    new_values, new_probs = new_values[keep], new_probs[keep]
+    # run heads lie more than BOUNDARY_TOL above their predecessor
+    heads = np.flatnonzero(np.diff(new_values, prepend=-math.inf) > BOUNDARY_TOL)
+    new = FiniteLaw(new_values[heads], np.add.reduceat(new_probs, heads))
     mass = math.fsum(new.probs.tolist())
     if abs(mass - 1.0) > 1e-12:
         raise InvariantViolationError(f"fill mass drifted to {mass}")
@@ -547,9 +578,10 @@ def knapsack_mc_reference(inst, exact, trials, seed):
     return run_trials(experiment, trials, seed)
 
 
-def quantile_sizes_loop(law, q):
+def quantile_sizes_loop(law, q, grid):
     """rationing._sizes as first written: each atom's quantile length below
-    q, walked atom by atom, added up per size min(d, 1), sizes ascending."""
+    q, walked atom by atom, added up per size rounded_size(d, grid), sizes
+    ascending."""
     sizes = {}
     prev = 0.0
     for (d, _), cum in zip(law.atoms, law.cum):
@@ -557,15 +589,16 @@ def quantile_sizes_loop(law, q):
             break
         length = min(cum, q) - prev
         if length > 0.0:
-            s = min(d, 1.0)
+            s = rounded_size(d, grid)
             sizes[s] = sizes.get(s, 0.0) + length
         prev = cum
     return sizes
 
 
-def solve_q_walk(law, stype, beta, crossing_tol, supply_tol):
+def solve_q_walk(law, stype, beta, crossing_tol, supply_tol, grid):
     """solve_q_for_beta as first written, for beta in [0, 1]: the level
-    walked up the atoms with the crossing test inside the loop."""
+    walked up the atoms with the crossing test inside the loop, each atom
+    serving service_value of its size rounded_size(d, grid)."""
     from fbcrs.errors import InfeasibleError
 
     if beta == 0.0:
@@ -574,7 +607,7 @@ def solve_q_walk(law, stype, beta, crossing_tol, supply_tol):
     for (d, _), cum in zip(law.atoms, law.cum):
         if acc >= beta - crossing_tol:
             return prev
-        v = service_value(stype, min(d, 1.0), d, law.mean)
+        v = service_value(stype, rounded_size(d, grid), d, law.mean)
         seg = cum - prev
         if v > 0.0 and acc + v * seg >= beta - crossing_tol:
             return min(prev + (beta - acc) / v, 1.0)
@@ -588,15 +621,17 @@ def solve_q_walk(law, stype, beta, crossing_tol, supply_tol):
 def max_uniform_beta_bisection(inst, crossing_tol, supply_tol):
     """max_uniform_beta as first written: each agent's top level by a walk
     over all its atoms, then bisection on total supply share <= 1 (exactly)
-    down to a bracket 1e-9 wide.  Returns the final bracket (lo, hi): lo
-    fits and hi does not, or lo == hi when the lowest top level fits."""
+    down to a bracket 1e-9 wide, on sizes rounded as size_grid says.
+    Returns the final bracket (lo, hi): lo fits and hi does not, or
+    lo == hi when the lowest top level fits."""
     width = 1e-9
+    grid = rounding_grid(inst)
     agents = list(zip(inst.demands, inst.service))
     caps = []
     for law, stype in agents:
         acc, prev = 0.0, 0.0
         for (d, _), cum in zip(law.atoms, law.cum):
-            acc += service_value(stype, min(d, 1.0), d, law.mean) * (cum - prev)
+            acc += service_value(stype, rounded_size(d, grid), d, law.mean) * (cum - prev)
             prev = cum
         caps.append(min(1.0, acc))
     upper = min(caps)
@@ -606,8 +641,8 @@ def max_uniform_beta_bisection(inst, crossing_tol, supply_tol):
     def fits(b):
         shares = []
         for law, stype in agents:
-            q = solve_q_walk(law, stype, b, crossing_tol, supply_tol)
-            shares.append(math.fsum(s * length for s, length in quantile_sizes_loop(law, q).items()))
+            q = solve_q_walk(law, stype, b, crossing_tol, supply_tol, grid)
+            shares.append(math.fsum(s * length for s, length in quantile_sizes_loop(law, q, grid).items()))
         return math.fsum(shares) <= 1.0
 
     if fits(upper):

@@ -326,14 +326,24 @@ def test_ration_auto_single_unit_route(rationing_path, capsys):
         assert float(row[10]) >= -1e-9
 
 
-def test_ration_warns_when_exact_mode_resamples(rationing_path, capsys, monkeypatch):
-    assert cli.main(["ration", "--instance", rationing_path]) == 0
-    assert "warning" not in capsys.readouterr().err
-    # A one-atom cap merges every law; the run still meets its guarantee
-    # and says it is no longer exact.
-    monkeypatch.setattr("fbcrs.rationing.REM_ATOM_CAP", 1)
-    assert cli.main(["ration", "--instance", rationing_path]) == 0
-    assert "warning: the remaining-supply law was merged" in capsys.readouterr().err
+# Type-II/III demands on no 1/L grid up to 4096: their sizes are rounded
+# down onto 1/4096, which `ration` reports on stderr.
+OFF_GRID_SU_INSTANCE = RationingInstance(
+    (DemandLaw(((0.0001, 0.2), (0.3, 0.5), (1.7, 0.3))), DemandLaw(((0.1234, 0.6), (0.5, 0.4)))),
+    ("TypeIII", "TypeII"),
+)
+
+
+@pytest.mark.parametrize("extra", [[], ["--trials", "20000", "--seed", "1"]], ids=["exact", "mc"])
+def test_ration_reports_rounded_sizes(extra, rationing_path, tmp_path, capsys):
+    # on the 1/2 grid nothing is rounded and stderr stays empty
+    assert cli.main(["ration", "--instance", rationing_path, *extra]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main(["ration", "--instance", _write(tmp_path, "offgrid_su.json", OFF_GRID_SU_INSTANCE), *extra]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"grid": 4096, "rounded": True}
+    if not extra:  # exact mode certifies every slack; mc's exit code 0 says it agrees
+        assert all(float(row[10]) >= -1e-9 for row in _rows(captured.out)[1:])
 
 
 def test_ration_knapsack_route_empty_taus(type_i_path, capsys):

@@ -17,16 +17,17 @@ from fbcrs.instances import (
     SingleUnitInstance,
     order_row,
 )
-from fbcrs.knapsack import FiniteLaw, closed_form_knapsack_plan, run_knapsack_exact
+from fbcrs.knapsack import closed_form_knapsack_plan, run_knapsack_exact
 from fbcrs.lp_si import SelectionPlan, alpha_0
 from fbcrs.rationing import (
     ServiceTarget,
-    _caps,
     _knapsack_route,
-    _merge_rem,
+    _min_means,
+    _rounding,
     _single_unit_route,
     _sizes,
     _slices,
+    _supply_step,
     calibrate_tau,
     exante_check,
     knapsack_reduction,
@@ -36,14 +37,17 @@ from fbcrs.rationing import (
     supply_x,
 )
 from fbcrs.sim import slice_index, two_orders
-from fbcrs.tolerances import CALIBRATION_TOL, CROSSING_TOL, FEAS_TOL, SUPPLY_TOL
+from fbcrs.tolerances import CALIBRATION_TOL, CROSSING_TOL, SUPPLY_TOL
 
 from oracles import (
     inverse_cdf,
     max_uniform_beta_bisection,
     quantile_sizes_loop,
+    rounded_size,
+    rounding_grid,
     service_value,
     single_unit_paths,
+    size_grid,
     solve_q_walk,
 )
 
@@ -52,6 +56,11 @@ MIXED = DemandLaw(((0.5, 0.5), (2.0, 0.5)))
 # demands 1.2 and 1.7 both buy size 1: past q = 0.5 two active slices share
 # one size atom of the knapsack reduction
 SHARED = DemandLaw(((0.3, 0.3), (1.2, 0.2), (1.7, 0.5)))
+
+
+def _alone(law, stype="TypeII"):
+    """A one-agent instance."""
+    return RationingInstance((law,), (stype,))
 
 
 # --- service conventions ------------------------------------------------------
@@ -94,7 +103,7 @@ def test_table_rule_matches_the_service_definitions(stype):
     # Every allocation a route makes: an active slice gets 0 or its size on
     # the knapsack route (every Type-I agent's) and anything up to its size
     # on the single-unit route; an inactive slice gets 0.
-    table = _slices(SPREAD, stype, 0.9)
+    table = _slices(SPREAD, stype, 0.9, None)
     assert table.demand == (0.0, 0.4, 1.0, 1.7, 1.7)
     assert table.active == (True, True, True, True, False)
     for d, size, on, base, scale in zip(table.demand, table.size, table.active, table.base, table.scale):
@@ -108,28 +117,54 @@ def test_table_rule_matches_the_service_definitions(stype):
 
 
 def test_supply_x_clamps_at_one():
-    assert supply_x(MIXED, 0.5) == pytest.approx(0.25)
-    assert supply_x(MIXED, 1.0) == pytest.approx(0.75)  # min(2, 1) on the top atom
-    assert supply_x(UNIT, 0.5) == pytest.approx(0.5)
+    assert supply_x(_alone(MIXED), 0, 0.5) == pytest.approx(0.25)
+    assert supply_x(_alone(MIXED), 0, 1.0) == pytest.approx(0.75)  # min(2, 1) on the top atom
+    assert supply_x(_alone(UNIT), 0, 0.5) == pytest.approx(0.5)
 
 
 def test_solve_q_unit_type_ii():
-    assert solve_q_for_beta(UNIT, "TypeII", 0.5) == pytest.approx(0.5, abs=1e-12)
-    assert solve_q_for_beta(UNIT, "TypeII", 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert solve_q_for_beta(_alone(UNIT), 0, 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert solve_q_for_beta(_alone(UNIT), 0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_q_type_iii_mixed():
     # densities: 1 on the d = 0.5 segment, 1/2 on the d = 2 segment
-    q = solve_q_for_beta(MIXED, "TypeIII", 0.6)
+    inst = _alone(MIXED, "TypeIII")
+    q = solve_q_for_beta(inst, 0, 0.6)
     assert q == pytest.approx(0.7, abs=1e-12)
-    assert supply_x(MIXED, q) == pytest.approx(0.45, abs=1e-12)
+    assert supply_x(inst, 0, q) == pytest.approx(0.45, abs=1e-12)
 
 
 def test_solve_q_infeasible_beta():
     big = DemandLaw(((2.0, 1.0),))
     # Type-I service can never be delivered when every demand exceeds supply
     with pytest.raises(InfeasibleError):
-        solve_q_for_beta(big, "TypeI", 0.5)
+        solve_q_for_beta(_alone(big, "TypeI"), 0, 0.5)
+
+
+# Off-grid sizes: 0.3 and 0.1234 are k/L for no L <= 4096, so with no
+# Type-I agent each size rounds down onto 1/4096: 0.3 to 1228/4096 and
+# 0.0001 (below 1/4096) to 0, which serves a Type-III agent nothing.
+OFF_GRID_SU = RationingInstance(
+    (DemandLaw(((0.0001, 0.2), (0.3, 0.5), (1.7, 0.3))), DemandLaw(((0.1234, 0.6), (0.5, 0.4)))),
+    ("TypeIII", "TypeII"),
+)
+
+
+def test_off_grid_type_ii_iii_sizes_round_down():
+    assert OFF_GRID_SU.grid is None and _rounding(OFF_GRID_SU) == 4096
+    table = _slices(OFF_GRID_SU.demands[0], ServiceType.TYPE_III, 1.0, 4096)
+    assert table.size == (0.0, 1228 / 4096, 1.0)
+    assert table.scale == (0.0001, 0.3, 1.7)  # the rule stays on the true demand
+    # the agent's top level: 0.5 * 1228/4096 / 0.3 + 0.3 * 1 / 1.7 of service
+    top = 0.5 * (1228 / 4096) / 0.3 + 0.3 / 1.7
+    with pytest.raises(InfeasibleError):
+        solve_q_for_beta(OFF_GRID_SU, 0, top + 1e-9)
+    assert supply_x(OFF_GRID_SU, 0, 0.7) == pytest.approx(0.5 * 1228 / 4096, abs=1e-15)
+    # a Type-I agent keeps every size: its knapsack route rounds up itself
+    with_type_i = RationingInstance(OFF_GRID_SU.demands, ("TypeIII", "TypeI"))
+    assert _rounding(with_type_i) is None
+    assert supply_x(with_type_i, 0, 0.7) == pytest.approx(0.2 * 0.0001 + 0.5 * 0.3, abs=1e-15)
 
 
 def test_service_target_validation():
@@ -160,22 +195,24 @@ def test_max_uniform_beta():
     solo = RationingInstance((UNIT,), ("TypeII",))
     assert max_uniform_beta(solo) == pytest.approx(1.0, abs=1e-9)
     # a top level one ulp below 1, which a walk to level 1 would round up
+    # (sizes on the 1/100 grid, which no rounding moves)
     short = DemandLaw(
-        ((0.0, 0.1835483711894989), (0.19046736968978822, 0.08422940690541368),
-         (0.4299019983412797, 0.3755637978306612), (0.7056793355179811, 0.3566584240744263))
+        ((0.0, 0.33909222305312164), (0.45, 0.3574131132086802), (0.8, 0.2129556774171016),
+         (0.98, 0.09053898632109658))
     )
     assert max_uniform_beta(RationingInstance((short,), ("TypeII",))) == math.nextafter(1.0, 0.0)
 
 
 def test_rem_distribution_validation():
-    # the remaining-supply law is a FiniteLaw
-    rem = FiniteLaw([0.0, 1.0], [0.25, 0.75])
-    assert rem.values @ rem.probs == pytest.approx(0.75)
-    assert rem.support_size == 2
-    with pytest.raises(InvariantViolationError):
-        FiniteLaw([1.5], [1.0])  # supply above 1
-    with pytest.raises(InvariantViolationError):
-        FiniteLaw([0.5], [0.7])  # lost probability mass
+    # the remaining supply is a dense vector on the 1/4 grid: a cap of 1/4
+    # with probability 0.5 moves half of each atom one step down
+    rem = np.array([0.1, 0.0, 0.3, 0.0, 0.6])
+    after = _supply_step(rem, np.array([0.5, 0.5, 0.0, 0.0, 0.0]), "")
+    assert after.tolist() == pytest.approx([0.1, 0.15, 0.15, 0.3, 0.3], abs=1e-15)
+    assert after @ np.arange(5) / 4 == pytest.approx(rem @ np.arange(5) / 4 - 0.5 * 0.9 / 4, abs=1e-15)
+    # its mass is held to MASS_TOL after every arrival
+    with pytest.raises(InvariantViolationError, match="remaining-supply mass drifted"):
+        _supply_step(np.array([0.5, 0.0, 0.5 + 5e-11]), np.array([1.0, 0.0, 0.0]), "")
 
 
 @st.composite
@@ -247,13 +284,15 @@ def test_level_walk_and_newton_steps_match_the_bisection(data):
     # common level lies in the bisection's final bracket
     inst = data.draw(_any_rationing_instance())
     betas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4)) + [0.0, 1.0]
-    for law, stype in zip(inst.demands, inst.service):
+    grid = rounding_grid(inst)
+    assert _rounding(inst) == grid
+    for i, (law, stype) in enumerate(zip(inst.demands, inst.service)):
         for b in betas:
-            walk = _outcome(solve_q_walk, law, stype, b, CROSSING_TOL, SUPPLY_TOL)
-            assert _outcome(solve_q_for_beta, law, stype, b) == walk
+            walk = _outcome(solve_q_walk, law, stype, b, CROSSING_TOL, SUPPLY_TOL, grid)
+            assert _outcome(solve_q_for_beta, inst, i, b) == walk
             if not walk.startswith("service level"):
                 q = float.fromhex(walk)
-                assert list(_sizes(_slices(law, stype, q)).items()) == list(quantile_sizes_loop(law, q).items())
+                assert list(_sizes(_slices(law, stype, q, grid)).items()) == list(quantile_sizes_loop(law, q, grid).items())
     beta = max_uniform_beta(inst)
     lo, hi = max_uniform_beta_bisection(inst, CROSSING_TOL, SUPPLY_TOL)
     assert lo <= beta <= hi
@@ -264,7 +303,7 @@ def test_supply_x_is_the_reduction_mean_to_the_bit():
     # demands 1.2 and 1.7 both buy size 1; both sides read one size table,
     # which adds their quantile lengths before weighting (summing them apart
     # gives 0.79 here, one ulp above the reduction's mean)
-    x = supply_x(SHARED, 1.0)
+    x = supply_x(_alone(SHARED, "TypeI"), 0, 1.0)
     target = ServiceTarget((0.3,), (1.0,), (x,))
     reduced = knapsack_reduction(RationingInstance((SHARED,), ("TypeI",)), target).instance
     assert reduced.laws[0].mean == x == 0.7899999999999999
@@ -317,27 +356,37 @@ def test_every_accepted_target_passes_the_knapsack_reduction(data):
 # --- threshold calibration ------------------------------------------------------
 
 
+def _mixed_tau(rem, target, grid=4):
+    """calibrate_tau's tau (t / L) for MIXED at q = 0.7 (sizes 0.5 and 1 on
+    widths 0.5 and 0.2) against rem[k] = Pr[R = k/L]."""
+    table = _slices(MIXED, ServiceType.TYPE_II, 0.7, None)
+    steps = np.rint(np.array(table.size[:2]) * grid).astype(np.intp)
+    return calibrate_tau(_min_means(np.array(rem)), steps, np.array(table.width[:2]), target) / grid
+
+
 def test_calibrate_tau_examples():
-    caps = _caps(_slices(MIXED, ServiceType.TYPE_II, 0.7), FiniteLaw([1.0], [1.0]))
+    full = [0.0, 0.0, 0.0, 0.0, 1.0]
     # full supply and tau = 1 reproduce the ex-ante x
-    assert calibrate_tau(*caps, 0.45) == pytest.approx(1.0)
-    # kink: 0.7 tau below 0.5, then 0.25 + 0.2 tau
-    assert calibrate_tau(*caps, 0.35) == pytest.approx(0.5, abs=1e-12)
-    assert calibrate_tau(*caps, 0.07) == pytest.approx(0.1, abs=1e-12)
-    assert calibrate_tau(*caps, 0.0) == 0.0
+    assert _mixed_tau(full, 0.45) == pytest.approx(1.0)
+    # kink: 0.7 tau below 0.5, then 0.25 + 0.2 tau; between grid points too
+    assert _mixed_tau(full, 0.35) == pytest.approx(0.5, abs=1e-12)
+    assert _mixed_tau(full, 0.07) == pytest.approx(0.1, abs=1e-12)
+    assert _mixed_tau(full, 0.0) == 0.0
+    assert _mixed_tau([0.0, 0.0, 1.0], 0.07, grid=2) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_calibrate_tau_unreachable_target():
-    rem = FiniteLaw([0.25], [1.0])
     # caps: min(0.5, 0.25) * 0.5 + min(2, 0.25) * 0.2 = 0.175 max
     with pytest.raises(InvariantViolationError):
-        calibrate_tau(*_caps(_slices(MIXED, ServiceType.TYPE_II, 0.7), rem), 0.2)
+        _mixed_tau([0.0, 1.0, 0.0, 0.0, 0.0], 0.2)
 
 
 def test_calibrate_tau_mixed_rem():
-    rem = FiniteLaw([0.0, 1.0], [0.5, 0.5])
     # only the rem = 1 branch contributes: weights halve
-    assert calibrate_tau(*_caps(_slices(MIXED, ServiceType.TYPE_II, 0.7), rem), 0.225) == pytest.approx(1.0)
+    assert _mixed_tau([0.5, 0.0, 0.0, 0.0, 0.5], 0.225) == pytest.approx(1.0)
+    # rem = 1/4 with probability 1/2: E[min(D, R, tau)] is 0.7 tau up to
+    # 1/4, then 0.0875 + 0.35 tau
+    assert _mixed_tau([0.0, 0.5, 0.0, 0.0, 0.5], 0.0875 + 0.35 * 0.4) == pytest.approx(0.4, abs=1e-12)
 
 
 # --- single-unit route ----------------------------------------------------------
@@ -405,7 +454,7 @@ def test_executor_quantile_map_puts_each_cdf_value_in_the_upper_slice():
     # where inverse_cdf (the smallest atom whose CDF reaches u) takes the
     # lower atom.  Either is a quantile map: the two differ on a null set.
     law = DemandLaw(((0.5, 0.25), (1.0, 0.5), (3.0, 0.25)))
-    sl = _slices(law, ServiceType.TYPE_II, 1.0)
+    sl = _slices(law, ServiceType.TYPE_II, 1.0, None)
 
     def executor(u):
         return np.array(sl.demand).take(slice_index(np.asarray(u, dtype=float), sl.upper[:-1])).tolist()
@@ -423,8 +472,11 @@ def test_executor_rows_follow_the_allocation_rule(route):
     # same seed recovers each arrival's uniform, and the one row's
     # ("alloc", tag, i) and ("service", tag, i) sums are its y and s.
     # The knapsack route admits an active agent whole, at min(d, 1), or not at all.
+    # The single-unit route gives min(size, R, threshold), the threshold the
+    # grid point above tau in the first fraction p of the row's slice, else
+    # the one below; OFF_GRID_SU's sizes are rounded down onto 1/4096.
     if route == "single-unit":
-        cases = [((MIXED, UNIT), ("TypeIII", "TypeII"))]
+        cases = [((MIXED, UNIT), ("TypeIII", "TypeII")), (OFF_GRID_SU.demands, OFF_GRID_SU.service)]
     else:
         # SHARED at Type-II and 0.4 has q near 0.68, past both size-1 slices' start
         # OFF_GRID fills with its sizes rounded up but allocates min(d, 1)
@@ -436,7 +488,8 @@ def test_executor_rows_follow_the_allocation_rule(route):
     for demands, service in cases:
         inst = RationingInstance(demands, service)
         target = exante_check(inst, (0.4,) * inst.n)
-        slices = tuple(_slices(law, stype, q) for law, stype, q in zip(inst.demands, inst.service, target.q))
+        grid, rounding = size_grid(inst)[0], rounding_grid(inst)
+        slices = tuple(_slices(law, stype, q, _rounding(inst)) for law, stype, q in zip(inst.demands, inst.service, target.q))
         built = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, slices, None)
         assert built.name == route
         seen = set()
@@ -457,10 +510,15 @@ def test_executor_rows_follow_the_allocation_rule(route):
                 elif route == "knapsack":
                     assert y in (0.0, min(d, 1.0))
                 else:
-                    assert y == min(d, rem, built.taus[i][order_row(tag)])
+                    table = slices[i]
+                    j = int(slice_index(np.array([u]), table.upper[:-1])[0])
+                    lower = table.upper[j - 1] if j else 0.0
+                    low = math.floor(built.taus[i][order_row(tag)] * grid)
+                    above = u - lower < (built.taus[i][order_row(tag)] * grid - low) * table.width[j]
+                    assert y == min(rounded_size(d, rounding), rem, (low + above) / grid)
                 seen.add((tag, active))
                 rem -= y
-            assert rem >= -FEAS_TOL
+            assert rem >= 0.0
         assert seen == {(tag, active) for tag in (FORWARD, BACKWARD) for active in (True, False)}
 
 
@@ -471,9 +529,8 @@ PATHS_TOL = 1e-12
 
 def _assert_exact_tables_match_paths(inst, level):
     target = exante_check(inst, (level * max_uniform_beta(inst),) * inst.n)
-    slices = tuple(_slices(law, stype, q) for law, stype, q in zip(inst.demands, inst.service, target.q))
+    slices = tuple(_slices(law, stype, q, _rounding(inst)) for law, stype, q in zip(inst.demands, inst.service, target.q))
     route = _single_unit_route(inst, target, slices, None)
-    assert not route.resamples
     want = single_unit_paths(inst, target.q, route.taus)
     for tag, (alloc, service) in route.exact().items():
         assert alloc == pytest.approx(want[tag][0], rel=0.0, abs=PATHS_TOL)
@@ -490,8 +547,9 @@ ZERO_DEMAND = DemandLaw(((0.0, 0.3), (0.8, 0.7)))  # Type-III: zero demand count
         ((MIXED, UNIT, MIXED), ("TypeIII", "TypeII", "TypeII")),
         ((SHARED, MIXED, UNIT), ("TypeII", "TypeIII", "TypeIII")),
         ((ZERO_DEMAND, SHARED, MIXED, UNIT), ("TypeIII", "TypeIII", "TypeII", "TypeII")),
+        ((*OFF_GRID_SU.demands, MIXED), ("TypeIII", "TypeII", "TypeIII")),
     ],
-    ids=["unit", "mixed", "shared", "zero-demand"],
+    ids=["unit", "mixed", "shared", "zero-demand", "off-grid"],
 )
 @pytest.mark.parametrize("level", [0.6, 0.95, 1.0])
 def test_single_unit_exact_tables_match_path_enumeration(demands, service, level):
@@ -779,47 +837,81 @@ def _ration_mc_single_unit_instance(n, seed=5):
     return RationingInstance(tuple(demands), service)
 
 
-@pytest.mark.parametrize("n, resampled", [(12, False), (14, True)])
-def test_exact_mode_reports_resampling(n, resampled):
-    # At n = 14 the remaining-supply law outgrows REM_ATOM_CAP atoms and is
-    # merged into REM_BUCKETS atoms, so exact mode must say it was not exact
-    # and must not certify the guarantee.
+@pytest.mark.parametrize("n", [12, 14, 20, 40])
+def test_ration_mc_recipe_certifies_in_exact_mode(n):
+    # The remaining supply stays on the demands' 1/100 grid, one vector of
+    # 101 entries, however many agents arrive, and exact mode certifies.
     inst = _ration_mc_single_unit_instance(n)
     target = exante_check(inst, (0.95 * max_uniform_beta(inst),) * n)
     result = run_rationing(inst, target, mode="exact", seed=0)
     assert result.route == "single-unit" and result.mode == "exact"
-    assert (result.resamples > 0) == resampled
-    assert result.guarantee_ok() == (not resampled)
+    assert (result.grid, result.rounded) == (100, False)
+    assert result.guarantee_ok(), result.min_slack
+    assert result.rem_slack >= -CALIBRATION_TOL
 
 
-@pytest.mark.parametrize("buckets", [7, 10_000])
-def test_merge_rem_keeps_the_mean(monkeypatch, buckets):
-    monkeypatch.setattr("fbcrs.rationing.REM_BUCKETS", buckets)
-    rng = np.random.default_rng(8)
-    values = np.sort(rng.random(5000))
-    probs = rng.random(5000)
-    rem = FiniteLaw.merged(values, probs / probs.sum())
-    merged = _merge_rem(rem)
-    assert merged.support_size <= buckets
-    assert merged.values @ merged.probs == pytest.approx(rem.values @ rem.probs, abs=1e-15)
-    assert rem.values[0] <= merged.values[0] and merged.values[-1] <= rem.values[-1]
+def _deterministic_first_arrival(sl, tau):
+    """(E[Y], E[s]) of an agent that meets the whole unit supply with the
+    threshold tau itself: y = min(size, tau) on every active slice."""
+    k = sl.active.count(True)
+    y = [min(size, tau) for size in sl.size[:k]]
+    alloc = math.fsum(w * v for w, v in zip(sl.width, y))
+    served = [w * (base + v / scale) for w, v, base, scale in zip(sl.width, y, sl.base, sl.scale)]
+    return alloc, math.fsum(served + [w * base for w, base in zip(sl.width[k:], sl.base[k:])])
 
 
-@pytest.mark.parametrize("buckets", [1, 2, 10_000])
-def test_exact_mode_survives_merging_every_law(monkeypatch, buckets):
-    # A one-atom cap merges the remaining-supply law after every arrival.
-    # The merge keeps E[R], so every supply floor stays reachable and the
-    # guarantee holds on the merged laws; the result says it is not exact
-    # and does not certify the guarantee.
-    monkeypatch.setattr("fbcrs.rationing.REM_ATOM_CAP", 1)
-    monkeypatch.setattr("fbcrs.rationing.REM_BUCKETS", buckets)
-    inst = RationingInstance((UNIT, MIXED), ("TypeII", "TypeIII"))
-    target = exante_check(inst, (max_uniform_beta(inst),) * 2)
-    result = run_rationing(inst, target, mode="exact", seed=0)
-    assert result.resamples > 0
-    assert result.rem_slack >= -1e-12
-    assert result.min_slack >= -CALIBRATION_TOL
-    assert not result.guarantee_ok()
+@pytest.mark.parametrize(
+    "inst",
+    [_ration_mc_single_unit_instance(14), RationingInstance((MIXED, UNIT, MIXED), ("TypeIII", "TypeII", "TypeII")),
+     OFF_GRID_SU],
+    ids=["recipe-14", "mixed", "off-grid"],
+)
+def test_first_arrival_matches_the_deterministic_threshold(inst):
+    # At R = 1 every cap is a size, on the grid, so min(cap, .) is linear
+    # between tau's two grid points and the mix changes nothing.
+    target = exante_check(inst, (0.9 * max_uniform_beta(inst),) * inst.n)
+    slices = tuple(_slices(law, stype, q, _rounding(inst)) for law, stype, q in zip(inst.demands, inst.service, target.q))
+    route = _single_unit_route(inst, target, slices, None)
+    tables = route.exact()
+    for tag, first in ((FORWARD, 0), (BACKWARD, inst.n - 1)):
+        alloc, service = _deterministic_first_arrival(slices[first], route.taus[first][order_row(tag)])
+        assert tables[tag][0][first] == pytest.approx(alloc, rel=0.0, abs=1e-15)
+        assert tables[tag][1][first] == pytest.approx(service, rel=0.0, abs=1e-15)
+
+
+@settings(max_examples=40)
+@given(inst=_any_rationing_instance(6, ("TypeII", "TypeIII")))
+def test_exact_mode_certifies_max_uniform_beta_on_and_off_the_grid(inst):
+    beta = max_uniform_beta(inst)
+    assume(beta > 0.0)
+    target = exante_check(inst, (beta,) * inst.n)
+    result = run_rationing(inst, target, mode="exact")
+    assert result.guarantee_ok(), result.min_slack
+    grid = result.grid
+    assert (grid, result.rounded) == size_grid(inst)
+    for law, stype, q in zip(inst.demands, inst.service, target.q):
+        table = _slices(law, stype, q, _rounding(inst))
+        for d, size, active in zip(table.demand, table.size, table.active):
+            if active:
+                assert round(size * grid) / grid == size <= min(d, 1.0)
+
+
+def _off_grid_single_unit_instance(seed, n):
+    """_off_grid_rationing_instance with every Type-I agent made Type-II."""
+    inst = _off_grid_rationing_instance(seed, n)
+    return RationingInstance(inst.demands, tuple("TypeII" if s == "TypeI" else s for s in inst.service))
+
+
+def test_mc_agrees_with_exact_on_off_grid_single_unit_demands():
+    inst = _off_grid_single_unit_instance(6, 8)
+    target = exante_check(inst, (max_uniform_beta(inst),) * inst.n)
+    exact = run_rationing(inst, target, mode="exact")
+    mc = run_rationing(inst, target, mode="mc", trials=100_000, seed=2)
+    assert exact.rounded and mc.rounded and exact.grid == mc.grid == 4096
+    assert exact.guarantee_ok() and mc.guarantee_ok()
+    for ex, sampled in zip(exact.agents, mc.agents):
+        hw = (sampled.service_high - sampled.service_low) / 2.0
+        assert abs(sampled.expected_service - ex.expected_service) <= 3.0 * hw
 
 
 def test_mc_guarantee_at_the_max_uniform_level():
