@@ -67,7 +67,6 @@ from .rationing import (
     max_uniform_beta,
     run_rationing,
     solve_q_for_beta,
-    supply_x,
 )
 from .sim import MeanEstimate, RateEstimate, run_trials, stream, wilson_interval
 from .single_unit import (
@@ -138,6 +137,5 @@ __all__ = [
     "solve_lp_si",
     "solve_q_for_beta",
     "stream",
-    "supply_x",
     "wilson_interval",
 ]

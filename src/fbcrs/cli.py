@@ -202,7 +202,7 @@ def cmd_ration(args) -> int:
     if target is None:
         raise InfeasibleError("requested service levels need more than the unit supply")
     plan = None
-    if args.plan == "closed" and not takes_knapsack_route(inst, target):
+    if args.plan == "closed" and not takes_knapsack_route(target):
         plan = closed_form_plan(target.single_unit())
     result = run_rationing(inst, target, plan=plan, mode=mode, trials=args.trials or 0, seed=seed)
     if result.rounded:

@@ -4,7 +4,9 @@ Each agent has a random demand and a service notion (Type-I: all or nothing
 at the demanded amount, Type-II: fill fraction of the mean demand, Type-III:
 fill fraction of the realized demand).  A service target gives every agent a
 guarantee beta_i, an activation quantile q_i, and the supply share
-x_i = integral of min(F^-1, 1) over [0, q_i] that the quantile buys.
+x_i = integral of min(F^-1, 1) over [0, q_i] that the quantile buys.  A
+target belongs to its instance: it cuts each agent's table once, derives x_i
+from it, and the routes read those tables and cut nothing.
 
 Every layer reads one table per agent (_Slices), whose slices carry a size
 and the service rule (base, scale): allocation y serves base + y / scale.
@@ -34,7 +36,7 @@ supply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -108,16 +110,15 @@ class _Slices(NamedTuple):
     scale: tuple[float, ...]
 
 
-def _slices(law: DemandLaw, stype: ServiceType | None, q: float, grid: int | None) -> _Slices:
+def _slices(law: DemandLaw, stype: ServiceType, q: float, grid: int | None) -> _Slices:
     """The table of an agent active below q; q = inf cuts only at the atoms.
-    stype None (supply_x, which reads sizes alone) gives every slice the
-    rule (0, inf) of no service.  grid None keeps each size min(d, 1); else
-    it is rounded down onto the 1/grid grid (see _rounding)."""
+    grid None keeps each size min(d, 1); else it is rounded down onto the
+    1/grid grid (see _rounding)."""
     rows, prev, mean = [], 0.0, law.mean
     for (d, _), cum in zip(law.atoms, law.cum):
         below = min(cum, q) - min(prev, q)
         above = cum - max(prev, q)
-        base, scale = (0.0, math.inf) if stype is None else _rule(stype, d, mean)
+        base, scale = _rule(stype, d, mean)
         size = min(d, 1.0) if grid is None else math.floor(min(d, 1.0) * grid) / grid
         if below > 0.0:
             rows.append((min(cum, q), d, below, True, size, base, scale))
@@ -130,7 +131,7 @@ def _slices(law: DemandLaw, stype: ServiceType | None, q: float, grid: int | Non
 def _sizes(sl: _Slices) -> dict[float, float]:
     """Quantile length of each size the active slices buy, sizes ascending.
 
-    The one source of the supply share (supply_x) and of the knapsack
+    The one source of the supply share (ServiceTarget.x) and of the knapsack
     reduction's size law, so the two agree to the last bit.
     """
     sizes: dict[float, float] = {}
@@ -149,31 +150,6 @@ def _rounding(inst: RationingInstance) -> int | None:
     The service rule stays on the true demand, exact as every allocation
     stays at most min(d, 1).  A Type-I agent's knapsack route rounds up."""
     return None if inst.has_type_i or inst.grid is not None else GRID_CAP
-
-
-def supply_x(inst: RationingInstance, i: int, q: float) -> float:
-    """Supply share that activation quantile q buys agent i of inst: the
-    integral of its size (min(F^-1, 1), or rounded down, see _rounding).
-
-    It is the mean of the size law _sizes gives, which knapsack_reduction
-    builds its element from, so the two are equal to the last bit.
-    """
-    return _share(_sizes(_slices(inst.demands[i], None, q, _rounding(inst))))
-
-
-def _cut(inst: RationingInstance, target: ServiceTarget) -> tuple[_Slices, ...]:
-    """Every agent's table at its quantile q_i; raises InvalidInstanceError
-    unless each x_i is the share q_i buys within CALIBRATION_TOL (a target
-    solved for another instance)."""
-    if inst.n != target.n:
-        raise InvalidInstanceError("target does not match the instance")
-    grid = _rounding(inst)
-    slices = tuple(_slices(law, stype, q, grid) for law, stype, q in zip(inst.demands, inst.service, target.q))
-    for i, (sl, x) in enumerate(zip(slices, target.x)):
-        share = _share(_sizes(sl))
-        if abs(share - x) > CALIBRATION_TOL:
-            raise InvalidInstanceError(f"agent {i}: supply share {x:.12g} is not the {share:.12g} q buys")
-    return slices
 
 
 def _climb(top: _Slices, beta: float) -> tuple[float, float, float]:
@@ -215,23 +191,32 @@ def solve_q_for_beta(inst: RationingInstance, i: int, beta: float) -> float:
 
 @dataclass(frozen=True)
 class ServiceTarget:
-    """Per-agent service level beta, activation quantile q, and supply share x."""
+    """Per-agent service level beta and activation quantile q on instance.
 
+    Cuts each agent's table at q once (tables, which every route reads) and
+    derives the supply share x that q buys from it.  Checks beta and q only:
+    a total share above the unit supply is rejected where the target is used.
+    """
+
+    instance: RationingInstance = field(repr=False)
     beta: tuple[float, ...]
     q: tuple[float, ...]
-    x: tuple[float, ...]
+    x: tuple[float, ...] = field(init=False)
+    tables: tuple[_Slices, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "beta", tuple(float(v) for v in self.beta))
         object.__setattr__(self, "q", tuple(float(v) for v in self.q))
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if not self.beta or not len(self.beta) == len(self.q) == len(self.x):
-            raise InvalidInstanceError("beta, q, x must be nonempty and equal length")
-        for name, values in (("beta", self.beta), ("q", self.q), ("x", self.x)):
+        inst = self.instance
+        if not len(self.beta) == len(self.q) == inst.n:
+            raise InvalidInstanceError("beta and q need one entry per agent")
+        for name, values in (("beta", self.beta), ("q", self.q)):
             if any(not 0.0 <= v <= 1.0 + SUPPLY_TOL for v in values):
                 raise InvalidInstanceError(f"{name} entries must lie in [0, 1]")
-        if math.fsum(self.x) > 1.0 + MASS_TOL:
-            raise InvalidInstanceError("supply shares exceed the unit supply")
+        grid = _rounding(inst)
+        tables = tuple(_slices(law, stype, q, grid) for law, stype, q in zip(inst.demands, inst.service, self.q))
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "x", tuple(_share(_sizes(sl)) for sl in tables))
 
     @property
     def n(self) -> int:
@@ -246,27 +231,29 @@ class ServiceTarget:
         return SingleUnitInstance(self.x)
 
 
+def _check(inst: RationingInstance, target: ServiceTarget) -> None:
+    """Raises InvalidInstanceError unless target was solved for inst and its
+    supply shares fit the unit supply within MASS_TOL."""
+    if target.instance != inst:
+        raise InvalidInstanceError("target was solved for another instance")
+    if target.total_supply > 1.0 + MASS_TOL:
+        raise InvalidInstanceError("supply shares exceed the unit supply")
+
+
 def exante_check(inst: RationingInstance, beta) -> ServiceTarget | None:
     """Solve the per-agent quantiles for the requested service levels.
 
     Raises InfeasibleError when some agent cannot reach its own beta with the
     whole quantile range; returns None when every agent can individually but
     the supply shares add up to more than the unit supply.  The total is held
-    to MASS_TOL, the tolerance of the knapsack reduction's total mean size.
-    Each share is the mean of its element's size law bit for bit, as both come
-    from _sizes, so every target accepted here also passes knapsack_reduction.
+    to MASS_TOL, the tolerance every use of the target applies, so every
+    target returned here passes knapsack_reduction and run_rationing's check.
     """
     betas = tuple(float(b) for b in beta)
     if len(betas) != inst.n:
         raise InvalidInstanceError("one service level per agent is required")
-    qs, xs = [], []
-    for i, b in enumerate(betas):
-        q = solve_q_for_beta(inst, i, b)
-        qs.append(q)
-        xs.append(supply_x(inst, i, q))
-    if math.fsum(xs) > 1.0 + MASS_TOL:
-        return None
-    return ServiceTarget(betas, tuple(qs), tuple(xs))
+    target = ServiceTarget(inst, betas, tuple(solve_q_for_beta(inst, i, b) for i, b in enumerate(betas)))
+    return None if target.total_supply > 1.0 + MASS_TOL else target
 
 
 def max_uniform_beta(inst: RationingInstance) -> float:
@@ -294,7 +281,7 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     beta = min(1.0, *(_climb(top, math.inf)[2] for top in tops))
     while True:
         climbs = [_climb(top, beta) for top in tops]
-        total = math.fsum(supply_x(inst, i, q) for i, (q, _, _) in enumerate(climbs))
+        total = ServiceTarget(inst, (beta,) * inst.n, tuple(q for q, _, _ in climbs)).total_supply
         if total <= 1.0:
             return beta
         slope = math.fsum(rate for _, rate, _ in climbs)
@@ -362,7 +349,6 @@ class _OrderTables:
 
 def _exact_order(
     target: ServiceTarget,
-    slices: tuple[_Slices, ...],
     steps: tuple[np.ndarray, ...],
     grid: int,
     rates: tuple[float, ...],
@@ -383,13 +369,13 @@ def _exact_order(
     over the agents arriving before i, the calibrated allocation hits
     rate * x_i, and the conditional service clears rate * beta_i.
     """
-    n = len(slices)
+    n = target.n
     thresholds, alloc, service = [0.0] * n, [0.0] * n, [0.0] * n
     rem = np.zeros(grid + 1)
     rem[grid] = 1.0
     slack = math.inf
     for i in order:
-        sl, m = slices[i], steps[i]
+        sl, m = target.tables[i], steps[i]
         k = m.size
         q, x, b = target.q[i], target.x[i], target.beta[i]
         widths = np.array(sl.width[:k])
@@ -439,16 +425,18 @@ class KnapsackReduction:
 
 
 def knapsack_reduction(inst: RationingInstance, target: ServiceTarget) -> KnapsackReduction:
-    """Build the knapsack instance with element sizes min(D, 1) on Q < q;
-    raises InvalidInstanceError unless each x_i is the share q_i buys."""
-    return _reduction(_cut(inst, target), target.x)
+    """Build the knapsack instance with element sizes min(D, 1) on Q < q from
+    the target's tables; raises InvalidInstanceError unless target was solved
+    for inst and fits the unit supply."""
+    _check(inst, target)
+    return _reduction(target)
 
 
-def _reduction(slices: tuple[_Slices, ...], xs: tuple[float, ...]) -> KnapsackReduction:
-    """knapsack_reduction on the agent tables _cut returns."""
+def _reduction(target: ServiceTarget) -> KnapsackReduction:
+    """knapsack_reduction on a checked target."""
     laws: list[SizeLaw] = []
     element_of_agent: list[int | None] = []
-    for sl, x in zip(slices, xs):
+    for sl, x in zip(target.tables, target.x):
         if x <= 0.0:
             element_of_agent.append(None)
             continue
@@ -620,10 +608,8 @@ class _Route:
     rounded: bool
 
 
-def _single_unit_route(
-    inst: RationingInstance, target: ServiceTarget, slices: tuple[_Slices, ...], plan: SelectionPlan | None
-) -> _Route:
-    su = target.single_unit()
+def _single_unit_route(target: ServiceTarget, plan: SelectionPlan | None) -> _Route:
+    inst, su = target.instance, target.single_unit()
     if plan is None:
         plan = solve_lp_si(su)
     if plan.n != inst.n:
@@ -635,16 +621,16 @@ def _single_unit_route(
     # A Type-I agent reaches this route only on a target that buys no
     # supply, with every active size 0, which lies on any grid.
     grid = inst.grid or GRID_CAP
-    steps = tuple(np.rint(np.array(sl.size[: sl.active.count(True)]) * grid).astype(np.intp) for sl in slices)
+    steps = tuple(np.rint(np.array(sl.size[: sl.active.count(True)]) * grid).astype(np.intp) for sl in target.tables)
     tables = {
-        tag: _exact_order(target, slices, steps, grid, rates, used, order, tag)
+        tag: _exact_order(target, steps, grid, rates, used, order, tag)
         for tag, rates, used, order in zip((FORWARD, BACKWARD), (plan.c_f, plan.c_b), consumed, orders)
     }
     thresholds = {tag: tables[tag].thresholds for tag in tables}
     return _Route(
         ROUTE_SINGLE_UNIT,
         plan,
-        _single_unit_runner(slices, steps, grid, thresholds),
+        _single_unit_runner(target.tables, steps, grid, thresholds),
         lambda: {tag: (t.alloc, t.service) for tag, t in tables.items()},
         tuple(zip(plan.c_f, plan.c_b)),
         tuple((f / grid, b / grid) for f, b in zip(thresholds[FORWARD], thresholds[BACKWARD])),
@@ -676,10 +662,8 @@ def _knapsack_tables(
     return tuple(alloc), tuple(service)
 
 
-def _knapsack_route(
-    inst: RationingInstance, target: ServiceTarget, slices: tuple[_Slices, ...], plan: SelectionPlan | None
-) -> _Route:
-    red = _reduction(slices, target.x)
+def _knapsack_route(target: ServiceTarget, plan: SelectionPlan | None) -> _Route:
+    slices, red = target.tables, _reduction(target)
     if plan is None:
         plan = closed_form_knapsack_plan(red.instance)
     if plan.n != red.instance.n:
@@ -696,7 +680,7 @@ def _knapsack_route(
         _knapsack_runner(slices, red, result),
         lambda: {tag: _knapsack_tables(slices, red, plan.rates(tag)) for tag in (FORWARD, BACKWARD)},
         tuple((None, None) if e is None else (plan.c_f[e], plan.c_b[e]) for e in elements),
-        ((None, None),) * inst.n,
+        ((None, None),) * target.n,
         # Skipped agents have no pair mean of their own; the scheme guarantee
         # still covers them at the plan objective.
         tuple((plan.objective if e is None else pair[e]) * b for e, b in zip(elements, target.beta)),
@@ -706,10 +690,10 @@ def _knapsack_route(
     )
 
 
-def takes_knapsack_route(inst: RationingInstance, target: ServiceTarget) -> bool:
+def takes_knapsack_route(target: ServiceTarget) -> bool:
     """Whether run_rationing takes the knapsack route: a Type-I agent, on a
     target that buys supply."""
-    return inst.has_type_i and target.total_supply > 0.0
+    return target.instance.has_type_i and target.total_supply > 0.0
 
 
 def run_rationing(
@@ -736,13 +720,15 @@ def run_rationing(
     defaults to the LP optimum or the closed form, and an infeasible plan
     raises InfeasibleError in both modes.  result.grid and result.rounded
     say on which grid the route ran and whether sizes were rounded onto it.
+    A target solved for another instance, or whose shares exceed the unit
+    supply, raises InvalidInstanceError; the routes read its tables.
     """
     if mode not in ("exact", "mc"):
         raise InvalidInstanceError(f"unknown mode {mode!r}")
     if mode == "mc" and trials < 1:
         raise InvalidInstanceError("mc mode needs trials >= 1")
-    slices = _cut(inst, target)
-    route = (_knapsack_route if takes_knapsack_route(inst, target) else _single_unit_route)(inst, target, slices, plan)
+    _check(inst, target)
+    route = (_knapsack_route if takes_knapsack_route(target) else _single_unit_route)(target, plan)
     if mode == "exact":
         estimates = None
         per = route.exact()

@@ -15,19 +15,20 @@ here and nowhere else.
 # Probability sums and total masses.  Produced by instance files, the
 # rationing service targets and the exact propagations; received by the
 # SizeLaw, DemandLaw and KnapsackInstance constructors (mass sums, total mean
-# size <= 1), by exante_check and ServiceTarget (total supply share <= 1), by
+# size <= 1), by exante_check and the use-site check of knapsack_reduction
+# and run_rationing (total supply share <= 1), by
 # run_knapsack_exact's fill step and the rationing remaining-supply step
 # (mass drift after each step), by the FiniteLaw constructor (the mass of a
 # trace view), and by single_unit._bernoulli (a remaining mass at most this
-# is 0/0, parameter 0).  exante_check and knapsack_reduction apply the same
-# entry to the same total: each supply share and its element's mean size are
-# computed from one size table (rationing._sizes), so they are equal bit for
-# bit and a target the one accepts the other accepts.
+# is 0/0, parameter 0).  exante_check and the use-site check apply the same
+# entry to the same total, and each supply share and its element's mean size
+# are computed from one size table (rationing._sizes), so they are equal bit
+# for bit and a target the one accepts the other accepts.
 MASS_TOL = 1e-12
 
-# Per-agent service levels, quantiles and shares in [0, 1].  Produced by the
-# requested levels, solve_q_for_beta and supply_x; received by
-# ServiceTarget's range check and by solve_q_for_beta's top-of-range test.
+# Per-agent service levels and quantiles in [0, 1].  Produced by the
+# requested levels and solve_q_for_beta; received by ServiceTarget's range
+# check and by solve_q_for_beta's top-of-range test.
 SUPPLY_TOL = 1e-10
 
 # Arguments of the selection curves.  Produced by callers of phi,
@@ -85,9 +86,7 @@ CROSSING_TOL = 1e-15
 # Rationing calibration.  Produced by the grid calibration (calibrate_tau)
 # and the exact remaining-supply propagation; received by calibrate_tau's
 # reachability check, the supply floor, allocation and service invariants of
-# _exact_order, the check that a target's supply shares are the ones its
-# quantiles buy on this instance (rationing._cut, in run_rationing and
-# knapsack_reduction), exact mode's guarantee check and
+# _exact_order, exact mode's guarantee check and
 # RationingResult.guarantee_ok in both modes.
 CALIBRATION_TOL = 1e-9
 

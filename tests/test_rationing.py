@@ -15,6 +15,8 @@ from fbcrs.instances import (
     RationingInstance,
     ServiceType,
     SingleUnitInstance,
+    instance_from_dict,
+    instance_to_dict,
     order_row,
 )
 from fbcrs.knapsack import closed_form_knapsack_plan, run_knapsack_exact
@@ -34,7 +36,6 @@ from fbcrs.rationing import (
     max_uniform_beta,
     run_rationing,
     solve_q_for_beta,
-    supply_x,
 )
 from fbcrs.sim import slice_index, two_orders
 from fbcrs.tolerances import CALIBRATION_TOL, CROSSING_TOL, SUPPLY_TOL
@@ -61,6 +62,13 @@ SHARED = DemandLaw(((0.3, 0.3), (1.2, 0.2), (1.7, 0.5)))
 def _alone(law, stype="TypeII"):
     """A one-agent instance."""
     return RationingInstance((law,), (stype,))
+
+
+def supply_x(inst, i, q):
+    """The supply share q buys agent i of inst, read off a target."""
+    qs = [0.0] * inst.n
+    qs[i] = q
+    return ServiceTarget(inst, (0.0,) * inst.n, qs).x[i]
 
 
 # --- service conventions ------------------------------------------------------
@@ -168,12 +176,22 @@ def test_off_grid_type_ii_iii_sizes_round_down():
 
 
 def test_service_target_validation():
-    with pytest.raises(InvalidInstanceError):
-        ServiceTarget((0.5, 0.5), (0.5, 0.5), (0.9, 0.9))  # total supply 1.8
-    target = ServiceTarget((0.5, 0.5), (0.5, 0.5), (0.5, 0.5))
+    inst = RationingInstance((UNIT, UNIT), ("TypeII", "TypeII"))
+    for beta, q in (((0.5,), (0.5,)), ((0.5, 0.5), (0.5,)), ((0.5, 1.5), (0.5, 0.5)), ((0.5, 0.5), (-0.1, 0.5))):
+        with pytest.raises(InvalidInstanceError):
+            ServiceTarget(inst, beta, q)
+    # a target above the unit supply builds, and every use rejects it
+    over = ServiceTarget(inst, (0.9, 0.9), (0.9, 0.9))
+    assert over.total_supply == pytest.approx(1.8)
+    for use in (run_rationing, knapsack_reduction):
+        with pytest.raises(InvalidInstanceError, match="supply shares exceed the unit supply"):
+            use(inst, over)
+    target = ServiceTarget(inst, (0.5, 0.5), (0.5, 0.5))
     assert target.n == 2
+    assert target.x == (0.5, 0.5)
     assert target.total_supply == pytest.approx(1.0)
     assert target.single_unit() == SingleUnitInstance((0.5, 0.5))
+    assert repr(target) == "ServiceTarget(beta=(0.5, 0.5), q=(0.5, 0.5), x=(0.5, 0.5))"
 
 
 def test_exante_check_paths():
@@ -303,10 +321,10 @@ def test_supply_x_is_the_reduction_mean_to_the_bit():
     # demands 1.2 and 1.7 both buy size 1; both sides read one size table,
     # which adds their quantile lengths before weighting (summing them apart
     # gives 0.79 here, one ulp above the reduction's mean)
-    x = supply_x(_alone(SHARED, "TypeI"), 0, 1.0)
-    target = ServiceTarget((0.3,), (1.0,), (x,))
-    reduced = knapsack_reduction(RationingInstance((SHARED,), ("TypeI",)), target).instance
-    assert reduced.laws[0].mean == x == 0.7899999999999999
+    inst = _alone(SHARED, "TypeI")
+    target = ServiceTarget(inst, (0.3,), (1.0,))
+    reduced = knapsack_reduction(inst, target).instance
+    assert reduced.laws[0].mean == target.x[0] == 0.7899999999999999
 
 
 
@@ -315,11 +333,33 @@ def test_target_of_another_instance_is_invalid_input(service):
     # A's target asks B's agent 0 for share 0.5, which q = 0.5 buys only 0.25 of
     target = exante_check(RationingInstance((UNIT, UNIT), service), (0.5, 0.5))
     other = RationingInstance((MIXED, UNIT), service)
-    with pytest.raises(InvalidInstanceError, match="agent 0: supply share 0.5 is not the 0.25"):
+    with pytest.raises(InvalidInstanceError, match="target was solved for another instance"):
         run_rationing(other, target)
     if "TypeI" in service:
-        with pytest.raises(InvalidInstanceError, match="agent 0: supply share 0.5 is not the 0.25"):
+        with pytest.raises(InvalidInstanceError, match="target was solved for another instance"):
             knapsack_reduction(other, target)
+
+
+def test_foreign_target_with_matching_shares_is_invalid_input():
+    # The Type-III target's quantiles buy the Type-II twin the same shares,
+    # but serve its agent 0 too little: the target belongs to its instance.
+    target = exante_check(RationingInstance((MIXED, UNIT), ("TypeIII", "TypeIII")), (0.5, 0.5))
+    twin = RationingInstance((MIXED, UNIT), ("TypeII", "TypeII"))
+    assert ServiceTarget(twin, target.beta, target.q).x == target.x
+    for use in (run_rationing, knapsack_reduction):
+        with pytest.raises(InvalidInstanceError, match="target was solved for another instance"):
+            use(twin, target)
+
+
+@pytest.mark.parametrize("service", [("TypeII", "TypeIII"), ("TypeI", "TypeII")], ids=["single-unit", "knapsack"])
+def test_target_of_a_reloaded_instance_is_accepted(service):
+    inst = RationingInstance((MIXED, UNIT), service)
+    target = exante_check(inst, (0.4, 0.4))
+    reloaded = instance_from_dict(instance_to_dict(inst))
+    assert reloaded is not inst
+    assert run_rationing(reloaded, target) == run_rationing(inst, target)
+    if "TypeI" in service:
+        assert knapsack_reduction(reloaded, target) == knapsack_reduction(inst, target)
 
 
 def _accepted(inst, beta):
@@ -489,8 +529,8 @@ def test_executor_rows_follow_the_allocation_rule(route):
         inst = RationingInstance(demands, service)
         target = exante_check(inst, (0.4,) * inst.n)
         grid, rounding = size_grid(inst)[0], rounding_grid(inst)
-        slices = tuple(_slices(law, stype, q, _rounding(inst)) for law, stype, q in zip(inst.demands, inst.service, target.q))
-        built = (_knapsack_route if inst.has_type_i else _single_unit_route)(inst, target, slices, None)
+        slices = target.tables
+        built = (_knapsack_route if inst.has_type_i else _single_unit_route)(target, None)
         assert built.name == route
         seen = set()
         for seed in range(64):
@@ -529,8 +569,7 @@ PATHS_TOL = 1e-12
 
 def _assert_exact_tables_match_paths(inst, level):
     target = exante_check(inst, (level * max_uniform_beta(inst),) * inst.n)
-    slices = tuple(_slices(law, stype, q, _rounding(inst)) for law, stype, q in zip(inst.demands, inst.service, target.q))
-    route = _single_unit_route(inst, target, slices, None)
+    route = _single_unit_route(target, None)
     want = single_unit_paths(inst, target.q, route.taus)
     for tag, (alloc, service) in route.exact().items():
         assert alloc == pytest.approx(want[tag][0], rel=0.0, abs=PATHS_TOL)
@@ -739,16 +778,23 @@ def test_knapsack_route_explicit_plan():
     )
 
 
-def test_knapsack_route_cuts_each_agent_once(monkeypatch):
-    # run_rationing cuts every agent's table once and the knapsack route
-    # builds its reduction from those tables, with the same result
-    target = exante_check(OFF_GRID, (0.8 * max_uniform_beta(OFF_GRID),) * OFF_GRID.n)
-    want = run_rationing(OFF_GRID, target, mode="mc", trials=2_000, seed=3)
+def test_rationing_reads_the_target_tables(monkeypatch):
+    # the target cuts every agent's table once: run_rationing on both routes
+    # and in both modes, and knapsack_reduction, cut none again
+    targets = [(inst, exante_check(inst, (0.8 * max_uniform_beta(inst),) * inst.n)) for inst in (OFF_GRID, OFF_GRID_SU)]
+
+    def runs():
+        out = [run_rationing(inst, target, mode=mode, trials=2_000, seed=3)
+               for inst, target in targets for mode in ("exact", "mc")]
+        return out + [knapsack_reduction(*targets[0])]
+
+    want = runs()
     calls = []
     cut = _slices
     monkeypatch.setattr("fbcrs.rationing._slices", lambda *args: calls.append(args) or cut(*args))
-    got = run_rationing(OFF_GRID, target, mode="mc", trials=2_000, seed=3)
-    assert got.route == "knapsack" and len(calls) == OFF_GRID.n
+    got = runs()
+    assert [r.route for r in got[:-1]] == ["knapsack", "knapsack", "single-unit", "single-unit"]
+    assert calls == []
     assert got == want
 
 
@@ -870,8 +916,8 @@ def test_first_arrival_matches_the_deterministic_threshold(inst):
     # At R = 1 every cap is a size, on the grid, so min(cap, .) is linear
     # between tau's two grid points and the mix changes nothing.
     target = exante_check(inst, (0.9 * max_uniform_beta(inst),) * inst.n)
-    slices = tuple(_slices(law, stype, q, _rounding(inst)) for law, stype, q in zip(inst.demands, inst.service, target.q))
-    route = _single_unit_route(inst, target, slices, None)
+    slices = target.tables
+    route = _single_unit_route(target, None)
     tables = route.exact()
     for tag, first in ((FORWARD, 0), (BACKWARD, inst.n - 1)):
         alloc, service = _deterministic_first_arrival(slices[first], route.taus[first][order_row(tag)])
@@ -889,8 +935,7 @@ def test_exact_mode_certifies_max_uniform_beta_on_and_off_the_grid(inst):
     assert result.guarantee_ok(), result.min_slack
     grid = result.grid
     assert (grid, result.rounded) == size_grid(inst)
-    for law, stype, q in zip(inst.demands, inst.service, target.q):
-        table = _slices(law, stype, q, _rounding(inst))
+    for table in target.tables:
         for d, size, active in zip(table.demand, table.size, table.active):
             if active:
                 assert round(size * grid) / grid == size <= min(d, 1.0)
