@@ -50,6 +50,7 @@ from .lp_si import (
     DualFeasibilityReport,
     SelectionPlan,
     alpha_0,
+    certify_lp_si,
     check_certificate,
     dual_certificate_uniform,
     dual_feasibility,
@@ -109,6 +110,7 @@ __all__ = [
     "SolverError",
     "alpha_0",
     "calibrate_tau",
+    "certify_lp_si",
     "check_certificate",
     "check_knapsack_feasible",
     "closed_form_knapsack_plan",

@@ -35,7 +35,7 @@ from .instances import (
     load_service_levels,
 )
 from .knapsack import closed_form_knapsack_plan, monitor_trace, replay_branches, run_knapsack_exact
-from .lp_si import alpha_0, dual_certificate_uniform, dual_feasibility, solve_lp_si
+from .lp_si import alpha_0, certify_lp_si, check_certificate, dual_certificate_uniform, dual_feasibility, solve_lp_si
 from .rationing import exante_check, max_uniform_beta, run_rationing, takes_knapsack_route
 from .single_unit import closed_form_plan, mc_selection_rates
 from .tolerances import LP_TOL, RATE_TOL
@@ -118,8 +118,11 @@ def cmd_constants(args) -> int:
 
 
 def cmd_lp_solve(args) -> int:
+    """The LP plan; with --dual also a certificate, its worst violation and
+    gap: the paper's on uniform odd instances, judged as by dual-certificate,
+    else the LP's own, judged by check_certificate and a gap within LP_TOL."""
     inst = _load(args.instance, SingleUnitInstance)
-    plan = solve_lp_si(inst)
+    plan, cert = certify_lp_si(inst)
     payload = {
         "lpopt": plan.objective,
         "c_f": list(plan.c_f),
@@ -127,11 +130,14 @@ def cmd_lp_solve(args) -> int:
     }
     ok = True
     if args.dual:
-        if len(set(inst.x)) != 1 or inst.n % 2 == 0:
-            raise InvalidInstanceError("--dual needs a uniform instance with an odd element count")
-        cert, report, _, ok = _uniform_certificate(inst.n, inst.rho, plan.objective)
+        if len(set(inst.x)) == 1 and inst.n % 2 == 1:
+            cert, report, _, ok = _uniform_certificate(inst.n, inst.rho, plan.objective)
+        else:
+            report = check_certificate(cert, inst.x)
+            ok = report.ok() and cert.objective - plan.objective <= LP_TOL
         payload["dual_objective"] = cert.objective
         payload["max_violation"] = report.max_violation
+        payload["gap"] = cert.objective - plan.objective
     _emit_json(args.out, payload)
     return 0 if ok else 2
 
@@ -301,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lp-solve", help="instance-optimal selection plan")
     p.add_argument("--instance", required=True)
     p.add_argument("--dual", action="store_true",
-                   help="also build the dual certificate (uniform odd instances only)")
+                   help="also print a dual certificate's objective, worst violation and gap "
+                   "(the paper's certificate on uniform odd instances, else the LP's own)")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_lp_solve)
 

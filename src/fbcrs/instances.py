@@ -69,7 +69,9 @@ def before(rows, op=np.add) -> np.ndarray:
     (2, n) pair of per-element rows, each over the elements arriving earlier
     in its order, in element order.  They accumulate in arrival order, one
     element at a time as a loop would, from op's identity at the first
-    arrival; adding an element's own entry gives the loop's value after it."""
+    arrival; adding an element's own entry gives the loop's value after it.
+    Each element's entry may itself be an array, as in a (2, n, k) pair of
+    per-element matrix rows, which then accumulate entrywise."""
     ordered = arrival(rows)
     out = np.empty_like(ordered)
     out[:, 0] = op.identity

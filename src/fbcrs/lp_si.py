@@ -16,20 +16,20 @@ rates prefix products of q, so each split is a 3 x 3 system solved for all
 k at once from prefix sums and products.  Its complementary dual has the
 same closed form, objective beta_k, and is feasible exactly when its two
 spikes at k are nonnegative.  The smallest beta_k over dual-feasible splits
-is an upper bound; the plan at that split is returned only when its primal
-is feasible, its dual passes check_certificate, and the gap is at most
-LP_TOL.
+is an upper bound.
 
-Otherwise a simplex method on a condensed tableau solves the LP, with
-Dantzig's rule and Bland's rule only while the objective stalls.  The pair
-rows beta <= (c_f(i) + c_b(i))/2 are substituted out.  Some optimum has
-every pair row tight: lowering a rate only loosens the order constraints,
-so any optimum can lower c_f(i) or c_b(i) until c_f(i) + c_b(i) = 2 beta.
-The solver therefore keeps c_f and beta as variables, writes
-c_b = 2 beta - c_f, and adds the bound rows c_f(i) - 2 beta <= 0 that keep
-c_b >= 0.  Those rows have a zero right-hand side but a negative beta
-coefficient, so from the all-slack basis the first pivot, beta entering,
-already raises the objective.
+Otherwise a window basis around that best split k solves the LP.  Some
+optimum has every pair row tight (lowering a rate only loosens the order
+constraints), so c_b = 2 beta - c_f throughout.  In window [l, r] the
+elements before l are backward-tight and those after r forward-tight, so
+their rates are prefix products of q from two boundary masses, G and F,
+and every rate is linear in (c_f on the window, beta, F, G).  A simplex
+method on a condensed tableau solves that narrow LP; its final objective
+row holds the row duals, which, spread over the tight runs, are the
+certificate.  The windows [k - h, k + h] for h = 1, 2, 4, ... are tried
+until one certifies; the full width is the whole LP.  Either path returns
+a plan feasible within LP_TOL with a dual that passes check_certificate
+within LP_TOL of it.
 """
 
 from __future__ import annotations
@@ -131,7 +131,9 @@ def _simplex(obj, A, b, *, max_iter: int | None = None):
     This terminates from the all-slack basis: every nondegenerate pivot
     strictly raises the objective, so no basis repeats across them, and
     within one run of degenerate pivots Bland's rule cannot cycle.  Returns
-    (v, value, pivots); raises SolverError when the optimum needs more than
+    (v, value, pivots, duals): duals holds each row's dual, the final
+    objective-row entry of its slack where that slack is nonbasic and 0
+    where it is basic.  Raises SolverError when the optimum needs more than
     max_iter pivots.
     """
     A = np.asarray(A, dtype=float)
@@ -187,41 +189,13 @@ def _simplex(obj, A, b, *, max_iter: int | None = None):
 
     v = np.zeros(k + m)
     v[basis] = T[:m, -1]
-    return v[:k], float(T[m, -1]), pivots
+    duals = np.zeros(k + m)
+    duals[nonbasic] = T[m, :-1]
+    return v[:k], float(T[m, -1]), pivots, duals[k:]
 
 
 def _within_unit(arr) -> bool:
     return arr.min(initial=0.0) >= -LP_TOL and arr.max(initial=0.0) <= 1.0 + LP_TOL
-
-
-def _clip_unit(arr):
-    if not _within_unit(arr):
-        raise SolverError(f"solver produced probability outside [0,1] by more than {LP_TOL}")
-    return np.clip(arr, 0.0, 1.0)
-
-
-def _solve_general(inst: SingleUnitInstance) -> SelectionPlan:
-    """Variables (c_f, beta) with c_b = 2 beta - c_f; 3n constraints.
-
-    The backward rows B c_b <= 1 become -B c_f + 2 beta B 1 <= 1, and the
-    bound rows c_f(i) - 2 beta <= 0 keep c_b >= 0.
-    """
-    n = inst.n
-    x = inst.x_array
-
-    backward = np.triu(np.broadcast_to(x, (n, n)), 1) + np.eye(n)
-    A = np.zeros((3 * n, n + 1))
-    A[:n, :n] = np.tril(np.broadcast_to(x, (n, n)), -1) + np.eye(n)
-    A[n : 2 * n, :n] = -backward
-    A[n : 2 * n, n] = 2.0 * backward.sum(axis=1)
-    A[2 * n :, :n] = np.eye(n)
-    A[2 * n :, n] = -2.0
-    b = np.concatenate([np.ones(2 * n), np.zeros(n)])
-    obj = np.zeros(n + 1)
-    obj[n] = 1.0
-
-    v, _, _ = _simplex(obj, A, b)
-    return SelectionPlan(_clip_unit(v[:n]), _clip_unit(2.0 * v[n] - v[:n]))
 
 
 def gamma(z: float, rho: float) -> float:
@@ -341,26 +315,49 @@ def dual_feasibility(cert: DualCertificate, rho: float) -> DualFeasibilityReport
     return check_certificate(cert, np.full(cert.N, rho / cert.N))
 
 
-# --- the split basis ------------------------------------------------------------
+# --- certified bases ------------------------------------------------------------
 
 
-def _certified_split(inst: SingleUnitInstance) -> tuple[SelectionPlan, DualCertificate] | None:
-    """The optimal plan at a split basis and the dual that certifies it.
+def _certify(x: np.ndarray, rates: np.ndarray, y: np.ndarray) -> tuple[SelectionPlan, DualCertificate] | None:
+    """The plan with rows rates = (c_f, c_b) and the certificate with the
+    order-row duals y = (y_f, y_b), on instance x.
+
+    The pair-row duals are read off y: xi_i/2 is the smaller left-hand side
+    of the c_f(i) and c_b(i) dual constraints, the largest xi they allow, so
+    the check rests on y alone.  Returns None unless the rates lie in [0, 1]
+    and are feasible within LP_TOL, the certificate passes
+    check_certificate, and the duality gap is at most LP_TOL.  The primal is
+    checked on arrays; the plan is built only once the certificate passes.
+    """
+    if not _within_unit(rates):
+        return None
+    np.clip(rates, 0.0, 1.0, out=rates)
+    if _max_violation(rates, x) > LP_TOL:
+        return None
+    n = x.size
+    after_b, after_f = before(y[::-1])
+    xi = 2.0 * np.minimum(y[0] + x * after_f, y[1] + x * after_b)
+    cert = DualCertificate(n * xi, n * y[0], n * y[1])
+    if not check_certificate(cert, x).ok():
+        return None
+    plan = SelectionPlan(rates[0], rates[1])
+    return (plan, cert) if cert.objective - plan.objective <= LP_TOL else None
+
+
+def _certified_split(inst: SingleUnitInstance) -> tuple[int, tuple[SelectionPlan, DualCertificate] | None]:
+    """The best split k, and the optimal plan at a split basis with the dual
+    that certifies it (None when no split certifies).
 
     At split k every element before k is tight in the backward order, every
     element after k in the forward order, and k in both; every pair row is
     tight.  Tight runs make the rates prefix products of q = 1 - x, so each
     split reduces to a 3 x 3 system in (c_f(k), c_b(k), beta), solved for
     every k at once from prefix sums and products.  Its complementary dual
-    puts xi on the x mass, y on the tight runs and a spike on k; its
-    objective equals beta_k, and it is feasible exactly when both spikes are
-    nonnegative.  The smallest beta_k among dual-feasible splits bounds the
-    optimum from above, so that split is optimal if its primal is feasible.
-
-    Returns None unless the plan is feasible, the dual passes
-    check_certificate, and the duality gap is at most LP_TOL.  The primal
-    is checked on arrays; the plan and its certificate are built only for a
-    split that passes.
+    puts y on the tight runs and a spike on k; its objective equals beta_k,
+    and it is feasible exactly when both spikes are nonnegative.  The best
+    split has the smallest beta_k among dual-feasible splits (among all
+    when none is), which bounds the optimum from above; the splits tied
+    with it are tried in turn, each accepted only as _certify allows.
     """
     x = inst.x_array
     n = x.size
@@ -379,10 +376,9 @@ def _certified_split(inst: SingleUnitInstance) -> tuple[SelectionPlan, DualCerti
     spike_b = Y_b - Y_f * (1.0 - P_lt)
 
     feasible = np.flatnonzero((spike_f >= 0.0) & (spike_b >= 0.0))
-    if feasible.size == 0:
-        return None
     feasible = feasible[np.argsort(beta[feasible], kind="stable")]
-    for k in feasible[beta[feasible] <= beta[feasible[0]] + LP_TOL]:
+    best = int(feasible[0]) if feasible.size else int(np.argmin(beta))
+    for k in feasible[beta[feasible] <= beta[best] + LP_TOL]:
         b2 = 2.0 * beta[k]
         u = (1.0 + b2 * (a[k] - X_lt[k])) / (1.0 + a[k])
         v = b2 - u
@@ -393,34 +389,120 @@ def _certified_split(inst: SingleUnitInstance) -> tuple[SelectionPlan, DualCerti
         c_b[:k] = v * np.cumprod(q[k:0:-1])[::-1]
         c_f[:k] = b2 - c_b[:k]
         c_b[k + 1 :] = b2 - c_f[k + 1 :]
-        if not _within_unit(rates):
-            continue
-        np.clip(rates, 0.0, 1.0, out=rates)
-        if _max_violation(rates, x) > LP_TOL:
-            continue
 
-        xi = np.empty(n)
-        y_f = np.zeros(n)
-        y_b = np.zeros(n)
-        xi[:k] = 2.0 * Y_f[k] * x[:k]
-        xi[k + 1 :] = 2.0 * Y_b[k] * x[k + 1 :]
-        xi[k] = 2.0 * (Y_f[k] - c[k] * Y_b[k])
+        y = np.zeros((2, n))
+        y_f, y_b = y
         y_b[:k] = Y_f[k] * x[:k] * P_lt[:k]
         y_f[k + 1 :] = Y_b[k] * x[k + 1 :] * P_gt[k + 1 :]
         y_f[k], y_b[k] = spike_f[k], spike_b[k]
-        cert = DualCertificate(n * xi, n * y_f, n * y_b)
-        if not check_certificate(cert, x).ok():
-            continue
-        plan = SelectionPlan(c_f, c_b)
-        if cert.objective - plan.objective <= LP_TOL:
-            return plan, cert
-    return None
+        found = _certify(x, rates, y)
+        if found is not None:
+            return best, found
+    return best, None
+
+
+def _spread(d: list[float], x: list[float]) -> list[float]:
+    """The duals y of a tight run, in its arrival order, with
+    y_i + x_i * (sum of y over the run before i) = d_i: every element of the
+    run then meets its two dual constraints at the same value d_i."""
+    y, total = [], 0.0
+    for d_i, x_i in zip(d, x):
+        y.append(d_i - x_i * total)
+        total += y[-1]
+    return y
+
+
+def _window(x: np.ndarray, l: int, r: int) -> tuple[SelectionPlan, DualCertificate] | None:
+    """The optimal plan at a window basis [l, r] and its certificate, or
+    None when that window does not certify.
+
+    Columns are c_f(l..r), beta, then F when r < n - 1 and G when l > 0.
+    Element i > r gets c_f(i) = F * prod(q over r < j < i), element i < l
+    gets c_b(i) = G * prod(q over i < j < l), and c_b = 2 beta - c_f, so
+    C = (c_f, c_b) is linear in the columns.  Kept rows: the forward rows up
+    to r + 1 (that of r + 1 bounds F, and stands for every tight forward
+    row after it), the backward rows from l - 1 (likewise for G), and
+    c_f >= 0 before l and c_b >= 0 from l, on l - 1..r + 1 (further out they
+    follow from F, G >= 0 and q <= 1).  At l = 0, r = n - 1 this is the
+    whole LP: 3n rows and n + 1 columns.
+
+    The row duals y_f up to r + 1 and y_b from l - 1 are read off the
+    tableau.  The F row's dual is spread over the forward-tight run after r
+    (and the G row's over the backward-tight run before l) so that each of
+    its elements meets both dual constraints at the same value; _certify
+    decides.
+    """
+    n = x.size
+    q = 1.0 - x
+    w = r - l + 1
+    lo, hi = max(l - 1, 0), min(r + 1, n - 1)
+    cols = w + 1 + (r < n - 1) + (l > 0)
+    beta, F, G = w, w + 1, cols - 1  # column indices; F and G only when present
+
+    C = np.zeros((2, n, cols))
+    window = np.arange(w)
+    C[0, l + window, window] = 1.0
+    C[1, l + window, window] = -1.0
+    C[0, :l, beta] = 2.0
+    C[1, l:, beta] = 2.0
+    if l > 0:
+        P = np.ones(l)
+        P[:-1] = np.cumprod(q[l - 1 : 0 : -1])[::-1]
+        C[0, :l, G] = -P
+        C[1, :l, G] = P
+    if r < n - 1:
+        Q = np.ones(n - 1 - r)
+        Q[1:] = np.cumprod(q[r + 1 : -1])
+        C[0, r + 1 :, F] = Q
+        C[1, r + 1 :, F] = -Q
+    orders = C + before(x[:, None] * C)
+    near = np.arange(lo, hi + 1)
+    bounds = -C[(near >= l).astype(int), near]  # -c_f <= 0 before l, -c_b <= 0 from l
+    A = np.concatenate([orders[0, : hi + 1], orders[1, lo:], bounds])
+    b = np.concatenate([np.ones(hi + 1 + n - lo), np.zeros(hi + 1 - lo)])
+    obj = np.zeros(cols)
+    obj[beta] = 1.0
+    v, _, _, duals = _simplex(obj, A, b)
+    rates = (C * v).sum(axis=2)
+
+    y = np.zeros((2, n))
+    y[0, : hi + 1] = duals[: hi + 1]
+    y[1, lo:] = duals[hi + 1 : hi + 1 + n - lo]
+    bound_duals = np.zeros(n)
+    bound_duals[lo : hi + 1] = duals[hi + 1 + n - lo :]
+    after_b, after_f = before(y[::-1])
+    # Left-hand sides of the c_f and c_b dual constraints, less the duals
+    # of the bound rows (c_f >= 0 before l, c_b >= 0 from l).
+    d_f = (y[0] + x * after_f - bound_duals).tolist()
+    d_b = (y[1] + x * after_b - bound_duals).tolist()
+    xs = x.tolist()
+    y[1, :l] = _spread(d_f[:l], xs[:l])
+    y[0, r + 1 :] = _spread(d_b[: r : -1], xs[: r : -1])[::-1]
+    return _certify(x, rates, y)
+
+
+def certify_lp_si(inst: SingleUnitInstance) -> tuple[SelectionPlan, DualCertificate]:
+    """Optimal selection plan and the dual certificate that proves it: the
+    certificate passes check_certificate and its objective is within LP_TOL
+    of plan.objective.
+
+    The certified split basis first; otherwise the window bases
+    [k - h, k + h] around the best split k for h = 1, 2, 4, ..., up to the
+    whole LP.  Raises SolverError if even the whole LP does not certify.
+    """
+    n = inst.n
+    k, found = _certified_split(inst)
+    h = 1
+    while found is None:
+        l, r = max(k - h, 0), min(k + h, n - 1)
+        found = _window(inst.x_array, l, r)
+        if found is None and r - l + 1 == n:
+            raise SolverError("no window basis certifies the selection LP")
+        h *= 2
+    return found
 
 
 def solve_lp_si(inst: SingleUnitInstance) -> SelectionPlan:
-    """Optimal selection plan; .objective equals the LP optimum.
-
-    The certified split basis first; the simplex when no split certifies.
-    """
-    found = _certified_split(inst)
-    return _solve_general(inst) if found is None else found[0]
+    """Optimal selection plan; .objective equals the LP optimum (see
+    certify_lp_si, which also returns its certificate)."""
+    return certify_lp_si(inst)[0]

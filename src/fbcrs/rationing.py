@@ -128,15 +128,22 @@ def _slices(law: DemandLaw, stype: ServiceType, q: float, grid: int | None) -> _
     return _Slices(*zip(*rows))
 
 
-def _sizes(sl: _Slices) -> dict[float, float]:
-    """Quantile length of each size the active slices buy, sizes ascending.
+def _sizes(sl: _Slices, q: float = math.inf) -> dict[float, float]:
+    """Quantile length of each size the active slices buy below q, sizes
+    ascending; q = inf takes every active slice whole.
 
-    The one source of the supply share (ServiceTarget.x) and of the knapsack
-    reduction's size law, so the two agree to the last bit.
+    The one source of the supply share (ServiceTarget.x, and each Newton
+    step's in max_uniform_beta, cut from the uncut table) and of the
+    knapsack reduction's size law, so they agree to the last bit: a slice
+    cut at q keeps the length _slices gives it at q.
     """
     sizes: dict[float, float] = {}
-    for s, width in zip(sl.size[: sl.active.count(True)], sl.width):
-        sizes[s] = sizes.get(s, 0.0) + width
+    lower = 0.0
+    for s, upper, width in zip(sl.size[: sl.active.count(True)], sl.upper, sl.width):
+        if lower >= q:
+            break
+        sizes[s] = sizes.get(s, 0.0) + (width if upper <= q else q - lower)
+        lower = upper
     return sizes
 
 
@@ -281,7 +288,7 @@ def max_uniform_beta(inst: RationingInstance) -> float:
     beta = min(1.0, *(_climb(top, math.inf)[2] for top in tops))
     while True:
         climbs = [_climb(top, beta) for top in tops]
-        total = ServiceTarget(inst, (beta,) * inst.n, tuple(q for q, _, _ in climbs)).total_supply
+        total = math.fsum(_share(_sizes(top, q)) for top, (q, _, _) in zip(tops, climbs))
         if total <= 1.0:
             return beta
         slope = math.fsum(rate for _, rate, _ in climbs)

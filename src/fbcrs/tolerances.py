@@ -43,9 +43,9 @@ CURVE_TOL = 1e-12
 # --- plans ----------------------------------------------------------------------
 
 # Selection LP.  Produced by both solver paths (lp_si); received by the
-# simplex's pivot and ratio tests, by the split path's primal feasibility
-# check, its window of splits tied with the best beta and its duality gap,
-# by the [0, 1] range check on either path's rates, by
+# simplex's pivot and ratio tests, by the window of splits tied with the
+# best beta, by both paths' primal feasibility check, [0, 1] range check,
+# certificate check and duality gap (lp_si._certify), by
 # SelectionPlan.is_feasible, by DualFeasibilityReport.ok, by the CLI's
 # primal-dual comparisons and by single_unit._bernoulli (a plan rate may
 # exceed the remaining mass by this much).

@@ -25,7 +25,7 @@ from fbcrs.instances import (
     SizeLaw,
     dump_instance,
 )
-from fbcrs.lp_si import alpha_0, solve_lp_si
+from fbcrs.lp_si import DualFeasibilityReport, alpha_0, dual_certificate_uniform, solve_lp_si
 from fbcrs.single_unit import closed_form_plan
 from fbcrs.tolerances import RATE_TOL
 
@@ -124,13 +124,30 @@ def test_lp_solve_json(single_unit_path, capsys):
 def test_lp_solve_dual_uniform(uniform_path, capsys):
     assert cli.main(["lp-solve", "--instance", uniform_path, "--dual"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, _report_schema())
     assert payload["dual_objective"] >= payload["lpopt"] - 1e-9
     assert payload["max_violation"] <= 1e-9
+    # the paper's certificate, whose gap is at most (rho + 2)/n
+    assert payload["dual_objective"] == dual_certificate_uniform(5, 1.0).objective
+    assert payload["gap"] == payload["dual_objective"] - payload["lpopt"] <= 3.0 / 5.0
 
 
-def test_lp_solve_dual_rejects_nonuniform(single_unit_path, capsys):
-    assert cli.main(["lp-solve", "--instance", single_unit_path, "--dual"]) == 3
-    assert "error:" in capsys.readouterr().err
+def test_lp_solve_dual_nonuniform(single_unit_path, capsys):
+    # Any instance gets the LP's own certificate, checked and within LP_TOL.
+    assert cli.main(["lp-solve", "--instance", single_unit_path, "--dual"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, _report_schema())
+    assert payload["lpopt"] == solve_lp_si(SingleUnitInstance((0.3, 0.5, 0.2))).objective
+    assert payload["max_violation"] <= 1e-9
+    assert payload["gap"] == payload["dual_objective"] - payload["lpopt"]
+    assert 0.0 <= payload["gap"] <= 1e-9
+
+
+def test_lp_solve_dual_rejects_a_failed_check(single_unit_path, capsys, monkeypatch):
+    # A certificate the checker rejects exits 2, and the payload still shows it.
+    monkeypatch.setattr(cli, "check_certificate", lambda cert, x: DualFeasibilityReport(1.0, 0.0, 0.0))
+    assert cli.main(["lp-solve", "--instance", single_unit_path, "--dual"]) == 2
+    assert json.loads(capsys.readouterr().out)["max_violation"] == 1.0
 
 
 def test_lp_solve_missing_file(tmp_path, capsys):

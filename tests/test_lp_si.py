@@ -14,8 +14,9 @@ from fbcrs.lp_si import (
     SelectionPlan,
     _certified_split,
     _simplex,
-    _solve_general,
+    _window,
     alpha_0,
+    certify_lp_si,
     check_certificate,
     dual_certificate_uniform,
     dual_feasibility,
@@ -107,11 +108,12 @@ def test_max_violation_matches_the_loop():
 
 
 def test_simplex_solves_tiny_lp():
-    # max x + y st x <= 1, y <= 2
-    sol, value, pivots = _simplex([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
+    # max x + y st x <= 1, y <= 2; each row has dual 1
+    sol, value, pivots, duals = _simplex([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
     assert value == pytest.approx(3.0, abs=1e-12)
     assert sol == pytest.approx([1.0, 2.0], abs=1e-12)
     assert pivots == 2
+    assert duals.tolist() == [1.0, 1.0]
 
 
 def test_simplex_unbounded_raises():
@@ -127,9 +129,14 @@ BEALE_B = [0.0, 0.0, 1.0]
 
 
 def test_simplex_does_not_cycle_on_beale():
-    sol, value, _ = _simplex(BEALE_OBJ, BEALE_A, BEALE_B)
+    sol, value, _, duals = _simplex(BEALE_OBJ, BEALE_A, BEALE_B)
     assert value == pytest.approx(1.25, abs=1e-12)
     assert sol == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+    # The row duals read off the final tableau are dual feasible and meet
+    # the primal value.
+    assert duals.min() >= 0.0
+    assert (np.array(BEALE_A).T @ duals >= np.array(BEALE_OBJ) - 1e-12).all()
+    assert duals @ BEALE_B == pytest.approx(value, abs=1e-12)
 
 
 def test_beale_cycles_under_dantzig_alone(monkeypatch):
@@ -145,7 +152,7 @@ def test_simplex_pivot_budget():
     with pytest.raises(SolverError, match="did not converge"):
         _simplex(obj, A, b, max_iter=1)
     # a budget of exactly the pivots needed is enough
-    v, value, pivots = _simplex(obj, A, b, max_iter=2)
+    v, value, pivots, _ = _simplex(obj, A, b, max_iter=2)
     assert v.tolist() == [1.0, 2.0] and value == 3.0 and pivots == 2
     assert _simplex(obj, A, b, max_iter=3)[1] == pytest.approx(3.0, abs=1e-12)
 
@@ -166,16 +173,26 @@ def _solve_pivots(monkeypatch, inst, solve=solve_lp_si):
 @pytest.mark.parametrize("n", [64, 112])
 @pytest.mark.parametrize("rho", [0.5, 2.0])
 def test_general_lp_pivot_count(monkeypatch, n, rho):
-    # With c_b substituted out the LP has 3n rows and n + 1 columns, and no
-    # zero right-hand side blocks beta from entering.
+    # The full width is the whole LP: with c_b substituted out it has 3n
+    # rows and n + 1 columns, and no zero right-hand side blocks beta from
+    # entering.  The window of 3 around the best split has n + 10 rows (the
+    # order rows up to r + 1 and from l - 1, and 5 bound rows) and 6 columns
+    # (its 3 rates, beta, F and G), and certifies the same optimum.
     w = np.random.default_rng(n).uniform(0.05, 1.0, n)
     inst = SingleUnitInstance(tuple(float(v) for v in rho * w / w.sum()))
     assert inst.x != tuple(reversed(inst.x))
-    plan, calls = _solve_pivots(monkeypatch, inst, _solve_general)
+    x = inst.x_array
+    (plan, cert), calls = _solve_pivots(monkeypatch, inst, lambda inst: _window(x, 0, n - 1))
     assert len(calls) == 1
     shape, pivots = calls[0]
     assert shape == (3 * n, n + 1) and pivots <= 2 * n
     assert plan.objective >= alpha_0(rho) - 1e-9
+
+    k, _ = _certified_split(inst)
+    assert 0 < k < n - 1
+    (window_plan, _), calls = _solve_pivots(monkeypatch, inst, lambda inst: _window(x, k - 1, k + 1))
+    assert [shape for shape, _ in calls] == [(n + 10, 6)]
+    assert window_plan.objective == pytest.approx(plan.objective, abs=1e-12)
 
 
 def test_lp_two_elements_exact():
@@ -224,18 +241,42 @@ def lp_instances(draw):
 @given(inst=lp_instances())
 def test_lp_plans_and_split_certificates(inst):
     # Every answer is judged by its own guarantees, not by another solver:
-    # a feasible plan at or above alpha_0, and on the split path a dual that
-    # passes the checker within LP_TOL of the plan.  The split certifies
-    # every uniform instance.
-    plan = solve_lp_si(inst)
+    # a feasible plan at or above alpha_0, and a dual that passes the
+    # checker within LP_TOL of the plan, on either path.  The split
+    # certifies every uniform instance.
+    plan, cert = certify_lp_si(inst)
+    assert plan == solve_lp_si(inst)
     assert plan.max_violation(inst) <= LP_TOL
     assert plan.objective >= alpha_0(inst.rho) - LP_TOL
-    split = _certified_split(inst)
+    assert check_certificate(cert, inst.x).ok()
+    assert cert.objective - plan.objective <= LP_TOL
+    _, split = _certified_split(inst)
     assert split is not None or len(set(inst.x)) > 1
     if split is not None:
-        split_plan, cert = split
-        assert check_certificate(cert, inst.x).ok()
-        assert cert.objective - split_plan.objective <= LP_TOL
+        assert split == (plan, cert)
+
+
+@st.composite
+def general_instances(draw):
+    """Selection-LP inputs with 1-40 elements of random weights, scaled to a
+    total mass rho in (0, 2] (each x capped at 1)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    rho = draw(st.floats(1e-3, 2.0))
+    w = rng.uniform(0.0, 1.0, n)
+    return SingleUnitInstance(tuple(np.minimum(rho * w / w.sum(), 1.0).tolist()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=general_instances())
+def test_certified_plans_match_highs(inst):
+    # Every plan is feasible and certified within LP_TOL, whichever basis
+    # certifies it, and its value is HiGHS's optimum.
+    plan, cert = certify_lp_si(inst)
+    assert plan.is_feasible(inst)
+    assert check_certificate(cert, inst.x).ok()
+    assert cert.objective - plan.objective <= LP_TOL
+    assert plan.objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
 
 
 def test_lp_reversal_invariance():
@@ -262,7 +303,7 @@ def test_lp_matches_highs_general():
 
 
 def test_lp_matches_highs_palindromic():
-    # Palindromic x that no split certifies run the general LP.
+    # Palindromic x that no split certifies are certified by a window basis.
     rng = np.random.default_rng(3141)
     for n in (3, 8, 15, 40):
         half = rng.uniform(0.05, 1.0, (n + 1) // 2)
@@ -301,12 +342,14 @@ def test_lp_matches_highs_edge_cases(x):
     "x", [(0.0,), (1.0,), (1.0, 0.5), (0.0, 0.3, 0.0, 0.2), (1.0,) * 5, (0.0,) * 3]
 )
 def test_lp_substituted_rates_at_their_bounds(x):
-    # c_b = 2 beta - c_f meets its bounds 0 and 1 on these instances; both
-    # the dispatching solve and the general LP must reach the optimum.
+    # c_b = 2 beta - c_f meets its bounds 0 and 1 on these instances; the
+    # dispatching solve, the whole LP and the split must reach the optimum.
     inst = SingleUnitInstance(x)
-    split = _certified_split(inst)
-    for plan in (solve_lp_si(inst), _solve_general(inst)) + ((split[0],) if split else ()):
+    _, split = _certified_split(inst)
+    found = [certify_lp_si(inst), _window(inst.x_array, 0, inst.n - 1)] + ([split] if split else [])
+    for plan, cert in found:
         assert plan.is_feasible(inst)
+        assert check_certificate(cert, x).ok()
         assert plan.objective == pytest.approx(highs_lp_optimum(x), abs=1e-9)
 
 
@@ -317,7 +360,7 @@ def _assert_split_certified(monkeypatch, inst):
     plan, calls = _solve_pivots(monkeypatch, inst)
     assert calls == []
     assert plan.is_feasible(inst)
-    split_plan, cert = _certified_split(inst)
+    _, (split_plan, cert) = _certified_split(inst)
     assert split_plan == plan
     assert check_certificate(cert, inst.x).ok()
     assert cert.objective - plan.objective <= LP_TOL
@@ -345,27 +388,68 @@ def test_split_path_uniform(monkeypatch, N, rho):
 
 
 def test_split_falls_back_to_the_simplex(monkeypatch):
-    # No split basis is optimal here, palindromic x included; the general
-    # simplex solves each once.
+    # No split basis is optimal here, palindromic x included; the window
+    # [0, 1] around the best split 0 certifies each in one simplex call:
+    # 9 rows (3 forward, 3 backward, 3 bound) and 4 columns (c_f(0..1),
+    # beta, F).
     for x, optimum in (((0.07, 0.45, 0.15), 27.0 / 35.0), ((0.05, 0.1, 0.05), 13.0 / 14.0)):
         inst = SingleUnitInstance(x)
-        assert _certified_split(inst) is None
-        plan, calls = _solve_pivots(monkeypatch, inst)
+        assert _certified_split(inst) == (0, None)
+        (plan, cert), calls = _solve_pivots(monkeypatch, inst, certify_lp_si)
         assert plan.objective == pytest.approx(optimum, abs=1e-12)
         assert [shape for shape, _ in calls] == [(9, 4)]
+        assert check_certificate(cert, x).ok() and cert.objective - plan.objective <= LP_TOL
 
 
 def test_split_needs_a_passing_dual_check(monkeypatch):
-    # A plan whose dual the checker rejects is never returned.
+    # A plan whose dual the checker rejects is never returned: with the
+    # split's rejected the first window certifies, and with every dual
+    # rejected the solve raises.
     inst = SingleUnitInstance((0.1, 0.2, 0.3, 0.15))
-    assert _certified_split(inst) is not None
+    assert _certified_split(inst)[1] is not None
+    rejected = []
+
+    def reject_first(cert, x):
+        if not rejected:
+            rejected.append(cert)
+            return DualFeasibilityReport(1.0, 0.0, 0.0)
+        return check_certificate(cert, x)
+
+    monkeypatch.setattr("fbcrs.lp_si.check_certificate", reject_first)
+    plan, calls = _solve_pivots(monkeypatch, inst)
+    assert len(rejected) == 1 and len(calls) == 1
+    assert plan.objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+
     monkeypatch.setattr(
         "fbcrs.lp_si.check_certificate", lambda cert, x: DualFeasibilityReport(1.0, 0.0, 0.0)
     )
-    assert _certified_split(inst) is None
-    plan, calls = _solve_pivots(monkeypatch, inst)
-    assert len(calls) == 1
-    assert plan.objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+    assert _certified_split(inst)[1] is None
+    with pytest.raises(SolverError, match="no window basis certifies"):
+        solve_lp_si(inst)
+
+
+def test_window_certifies_every_fallback(monkeypatch):
+    # Instances drawn as the lp-certify benchmark draws its general ones:
+    # uniform(0.05, 1) weights normalised to rho, n 64-112.  Every instance
+    # no split certifies is certified by a window narrower than the whole
+    # LP (fewer than n + 1 columns in every simplex call), at HiGHS's value.
+    rng = np.random.default_rng(1)
+    fallbacks = 0
+    for _ in range(240):
+        n = int(rng.integers(64, 113))
+        rho = float(rng.choice((0.5, 1.0, 2.0)))
+        w = rng.uniform(0.05, 1.0, n)
+        inst = SingleUnitInstance(tuple(float(v) for v in rho * w / w.sum()))
+        if _certified_split(inst)[1] is not None:
+            continue
+        fallbacks += 1
+        (plan, cert), calls = _solve_pivots(monkeypatch, inst, certify_lp_si)
+        assert calls and all(shape[1] < n + 1 for shape, _ in calls)
+        assert plan.is_feasible(inst)
+        assert check_certificate(cert, inst.x).ok()
+        assert cert.objective - plan.objective <= LP_TOL
+        assert plan.objective == pytest.approx(highs_lp_optimum(inst.x), abs=1e-9)
+    assert fallbacks >= 10
 
 
 @pytest.mark.parametrize("N", [11, 101, 225])
@@ -374,7 +458,7 @@ def test_split_dual_between_alpha0_and_the_uniform_certificate(N, rho):
     # The split dual is the LP optimum, so it lies between the paper's lower
     # bound alpha_0 and the closed-form certificate's upper bound.
     inst = SingleUnitInstance((rho / N,) * N)
-    _, split = _certified_split(inst)
+    _, (_, split) = _certified_split(inst)
     uniform = dual_certificate_uniform(N, rho)
     assert alpha_0(rho) - LP_TOL <= split.objective <= uniform.objective + LP_TOL
     assert check_certificate(split, inst.x).ok()
@@ -486,7 +570,7 @@ def test_split_certifies_large_uniform(monkeypatch, N, rho):
     inst = SingleUnitInstance((rho / N,) * N)
     plan, calls = _solve_pivots(monkeypatch, inst)
     assert calls == []
-    split_plan, cert = _certified_split(inst)
+    _, (split_plan, cert) = _certified_split(inst)
     assert split_plan == plan
     assert check_certificate(cert, inst.x).ok()
     assert cert.objective - plan.objective <= LP_TOL

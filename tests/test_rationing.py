@@ -23,9 +23,11 @@ from fbcrs.knapsack import closed_form_knapsack_plan, run_knapsack_exact
 from fbcrs.lp_si import SelectionPlan, alpha_0
 from fbcrs.rationing import (
     ServiceTarget,
+    _climb,
     _knapsack_route,
     _min_means,
     _rounding,
+    _share,
     _single_unit_route,
     _sizes,
     _slices,
@@ -298,14 +300,20 @@ def _outcome(call, *args):
 @settings(max_examples=100)
 @given(data=st.data())
 def test_level_walk_and_newton_steps_match_the_bisection(data):
-    # the walk reproduces the first-written one bit for bit, and the
-    # common level lies in the bisection's final bracket
+    # the walk reproduces the first-written one bit for bit, the uncut
+    # table's share below its q is that of the table cut at q (a target's x)
+    # bit for bit, and the common level lies in the bisection's final bracket
     inst = data.draw(_any_rationing_instance())
     betas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4)) + [0.0, 1.0]
     grid = rounding_grid(inst)
     assert _rounding(inst) == grid
     for i, (law, stype) in enumerate(zip(inst.demands, inst.service)):
-        for b in betas:
+        top = _slices(law, stype, math.inf, grid)
+        for b in betas + [math.inf]:
+            q = _climb(top, b)[0]
+            assert _share(_sizes(top, q)) == _share(_sizes(_slices(law, stype, q, grid)))
+            if b == math.inf:
+                continue
             walk = _outcome(solve_q_walk, law, stype, b, CROSSING_TOL, SUPPLY_TOL, grid)
             assert _outcome(solve_q_for_beta, inst, i, b) == walk
             if not walk.startswith("service level"):
