@@ -24,12 +24,12 @@ constraints), so c_b = 2 beta - c_f throughout.  In window [l, r] the
 elements before l are backward-tight and those after r forward-tight, so
 their rates are prefix products of q from two boundary masses, G and F,
 and every rate is linear in (c_f on the window, beta, F, G).  A simplex
-method on a condensed tableau solves that narrow LP; its final objective
-row holds the row duals, which, spread over the tight runs, are the
-certificate.  The windows [k - h, k + h] for h = 1, 2, 4, ... are tried
-until one certifies; the full width is the whole LP.  Either path returns
-a plan feasible within LP_TOL with a dual that passes check_certificate
-within LP_TOL of it.
+method on a condensed tableau, under Bland's rule, solves that narrow LP;
+its final objective row holds the row duals, which, spread over the tight
+runs, are the certificate.  The windows [k - h, k + h] for h = 1, 2, 4,
+... are tried until one certifies; the full width is the whole LP.  Either
+path returns a plan feasible within LP_TOL with a dual that passes
+check_certificate within LP_TOL of it.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ import numpy as np
 from .errors import InvalidInstanceError, SolverError
 from .instances import SingleUnitInstance, before, order_row, read_only_array
 from .tolerances import CURVE_TOL, LP_TOL
-
-# Consecutive degenerate pivots tolerated under Dantzig's rule before
-# switching to Bland's rule, which then holds until the next nondegenerate
-# pivot.
-_STALL_LIMIT = 12
-
 
 def alpha_0(rho: float) -> float:
     """Tight selection guarantee e^{rho/2}/(1 + e^{rho/2} rho).
@@ -122,19 +116,15 @@ def _simplex(obj, A, b, *, max_iter: int | None = None):
     Condensed (Tucker) tableau: one column per nonbasic variable and one row
     per basic variable, so the slack identity block is never stored.  A pivot
     exchanges basis[row] with nonbasic[col]; labels 0..k-1 name the columns
-    of A and k..k+m-1 the slacks.  The entering column is Dantzig's (most
-    negative reduced cost) except while the objective stalls: after
-    _STALL_LIMIT consecutive degenerate pivots it is Bland's (smallest label
-    with a negative reduced cost), until the next nondegenerate pivot.  Ratio
-    ties go to the smallest basic label.
+    of A and k..k+m-1 the slacks.  Bland's rule picks both: the entering
+    column is the smallest label with a negative reduced cost, and ratio
+    ties leave by the smallest basic label.
 
-    This terminates from the all-slack basis: every nondegenerate pivot
-    strictly raises the objective, so no basis repeats across them, and
-    within one run of degenerate pivots Bland's rule cannot cycle.  Returns
-    (v, value, pivots, duals): duals holds each row's dual, the final
-    objective-row entry of its slack where that slack is nonbasic and 0
-    where it is basic.  Raises SolverError when the optimum needs more than
-    max_iter pivots.
+    This terminates from the all-slack basis, because Bland's rule never
+    cycles.  Returns (v, value, pivots, duals): duals holds each row's dual,
+    the final objective-row entry of its slack where that slack is nonbasic
+    and 0 where it is basic.  Raises SolverError when the optimum needs more
+    than max_iter pivots.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -150,18 +140,11 @@ def _simplex(obj, A, b, *, max_iter: int | None = None):
     basis = np.arange(k, k + m)
     nonbasic = np.arange(k)
 
-    stall = 0
     for pivots in range(max_iter + 1):
-        z = T[m, :-1]
-        if stall >= _STALL_LIMIT:
-            negative = np.nonzero(z < -LP_TOL)[0]
-            if negative.size == 0:
-                break
-            col = int(negative[np.argmin(nonbasic[negative])])
-        else:
-            col = int(np.argmin(z))
-            if z[col] >= -LP_TOL:
-                break
+        negative = np.nonzero(T[m, :-1] < -LP_TOL)[0]
+        if negative.size == 0:
+            break
+        col = int(negative[np.argmin(nonbasic[negative])])
         if pivots == max_iter:
             raise SolverError(f"simplex did not converge within {max_iter} pivots")
         column = T[:m, col]
@@ -172,8 +155,7 @@ def _simplex(obj, A, b, *, max_iter: int | None = None):
         np.divide(T[:m, -1], column, out=ratios, where=positive)
         best = float(ratios.min())
         ties = np.nonzero(ratios <= best + LP_TOL * max(1.0, best))[0]
-        row = int(ties[np.argmin(basis[ties])])  # smallest label: anti-cycling
-        stall = stall + 1 if best <= LP_TOL else 0
+        row = int(ties[np.argmin(basis[ties])])
 
         # Exchange: the pivot row is divided by the pivot p, the other rows
         # take the rank-1 update, and the leaving variable's column becomes

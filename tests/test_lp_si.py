@@ -122,7 +122,8 @@ def test_simplex_unbounded_raises():
 
 
 # Beale's LP: max 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4, optimum 5/4 at (1, 0, 1, 0).
-# Its first pivots are degenerate, and Dantzig's rule cycles on them.
+# Its first pivots are degenerate; the most negative reduced cost cycles on
+# them, and Bland's rule does not.
 BEALE_OBJ = [0.75, -20.0, 0.5, -6.0]
 BEALE_A = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
 BEALE_B = [0.0, 0.0, 1.0]
@@ -139,11 +140,26 @@ def test_simplex_does_not_cycle_on_beale():
     assert duals @ BEALE_B == pytest.approx(value, abs=1e-12)
 
 
-def test_beale_cycles_under_dantzig_alone(monkeypatch):
-    # Without the switch to Bland's rule the degenerate pivots repeat a basis.
-    monkeypatch.setattr("fbcrs.lp_si._STALL_LIMIT", 10**9)
-    with pytest.raises(SolverError, match="did not converge"):
-        _simplex(BEALE_OBJ, BEALE_A, BEALE_B, max_iter=500)
+def test_simplex_enters_the_smallest_label():
+    # max x + 2y st x + 2y <= 2 has the optimal vertices (2, 0) and (0, 1).
+    # Bland's rule enters x, the first column with a negative reduced cost,
+    # and stops at (2, 0); the most negative reduced cost would enter y.
+    sol, value, pivots, duals = _simplex([1.0, 2.0], [[1.0, 2.0]], [2.0])
+    assert sol.tolist() == [2.0, 0.0]
+    assert value == 2.0 and pivots == 1 and duals.tolist() == [1.0]
+
+
+def test_simplex_leaves_by_the_smallest_label():
+    # Degenerate at the origin: every ratio is 0.  Labels: x 0, y 1, and the
+    # slacks of rows 1-3 are 2-4.  x enters, rows 2 and 3 tie, and row 2
+    # (slack 3) leaves.  y enters, row 1 (slack 2) ties with row 2 (now x),
+    # and x, the smaller label, leaves: the duals are (0, 1, 0).  Leaving by
+    # the first tied row instead gives the duals (2/3, 1/3, 0), and by the
+    # last takes 3 pivots.
+    sol, value, pivots, duals = _simplex([1.0, 1.0], [[0.0, 1.0], [3.0, 1.0], [1.0, 0.0]], [0.0, 0.0, 0.0])
+    assert sol.tolist() == [0.0, 0.0] and value == 0.0
+    assert pivots == 2
+    assert duals == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
 
 def test_simplex_pivot_budget():
